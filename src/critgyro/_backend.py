@@ -3,7 +3,8 @@
 The environment variable CRITGYRO_BACKEND picks the implementation of the
 compute kernels:
 
-    auto   -- numba if importable, else numpy (default)
+    auto   -- numba if importable (the optional `fast` extra), else numpy
+              (default)
     numba  -- require numba, fail loudly if missing
     numpy  -- force the pure-numpy/python fallback
 

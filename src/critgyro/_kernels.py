@@ -1,115 +1,14 @@
-"""Hot inner loops: Hamiltonian entry generation and Bayesian trajectories.
+"""Hot inner loop of the estimator: one stage of Bayesian trajectory updates.
 
-Scalar-loop kernels are compiled with numba when available; the Bayesian
-stage also has a vectorized pure-numpy twin with the same contract and
-`benchmarks/` compares the two. Selection is made once in `_backend` via
-CRITGYRO_BACKEND.
+`bayes_stage` is the scalar loop compiled with numba when numba is
+available (the optional `fast` extra), and the vectorized pure-numpy twin
+with the same contract otherwise; `tests/test_backend.py` checks that the
+two agree. Selection is made once in `_backend` via CRITGYRO_BACKEND.
 """
 
 import numpy as np
 
 from ._backend import USE_NUMBA, jit_kernel
-
-
-# ---------------------------------------------------------------------------
-# Hamiltonian assembly
-# ---------------------------------------------------------------------------
-
-def _lookup_py(keys_sorted, order, key):
-    """Basis row of a packed occupation key, or -1 when outside the basis."""
-    lo, hi = 0, keys_sorted.shape[0]
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if keys_sorted[mid] < key:
-            lo = mid + 1
-        else:
-            hi = mid
-    if lo < keys_sorted.shape[0] and keys_sorted[lo] == key:
-        return order[lo]
-    return -1
-
-
-def _assemble_entries_loop(
-    occ, keys_sorted, order, bits,
-    v_i, v_j, v_val,
-    lp_start, lp_end, q_a, q_b, q_val,
-    sqrt_tab,
-):
-    """Emit (row, col, value) for the deformation and interaction terms.
-
-    occ: (ns, nm) occupation rows; keys_sorted/order: packed-key lookup;
-    v_*: nonzero one-body entries (value already includes the anisotropy);
-    lp_*/q_*: per ordered annihilation pair (c, d), a slice of ordered
-    creation pairs (a, b) with matching total m, value = 0.5 * g * raw.
-    Couplings whose target leaves the truncated basis are dropped, i.e. the
-    operator is projected onto the basis.
-    """
-    ns, nm = occ.shape
-    rows = np.empty(0, np.int64)
-    cols = np.empty(0, np.int64)
-    vals = np.empty(0, np.float64)
-    total = 0
-    for fill in range(2):
-        if fill == 1:
-            rows = np.empty(total, np.int64)
-            cols = np.empty(total, np.int64)
-            vals = np.empty(total, np.float64)
-        cursor = 0
-        for s in range(ns):
-            key_s = np.int64(0)
-            for j in range(nm):
-                key_s = (key_s << bits) | occ[s, j]
-            # one-body deformation: a+_i a_j (selection rule keeps i != j)
-            for t in range(v_i.shape[0]):
-                i = v_i[t]
-                j = v_j[t]
-                if occ[s, j] == 0:
-                    continue
-                amp = sqrt_tab[occ[s, j]] * sqrt_tab[occ[s, i] + 1]
-                key_t = key_s - (np.int64(1) << (bits * (nm - 1 - j)))
-                key_t += np.int64(1) << (bits * (nm - 1 - i))
-                r = _lookup(keys_sorted, order, key_t)
-                if r < 0:
-                    continue
-                if fill == 1:
-                    rows[cursor] = r
-                    cols[cursor] = s
-                    vals[cursor] = v_val[t] * amp
-                cursor += 1
-            # two-body: a+_a a+_b a_c a_d, annihilating d then c
-            for c in range(nm):
-                if occ[s, c] == 0:
-                    continue
-                for d in range(nm):
-                    if occ[s, d] == 0:
-                        continue
-                    rem_c = occ[s, c] - (1 if c == d else 0)
-                    if rem_c <= 0:
-                        continue
-                    amp0 = sqrt_tab[occ[s, d]] * sqrt_tab[rem_c]
-                    lp = c * nm + d
-                    key0 = key_s - (np.int64(1) << (bits * (nm - 1 - d)))
-                    key0 -= np.int64(1) << (bits * (nm - 1 - c))
-                    for q in range(lp_start[lp], lp_end[lp]):
-                        a = q_a[q]
-                        b = q_b[q]
-                        # create b then a on the doubly depleted state
-                        nb = occ[s, b] - (1 if b == c else 0) - (1 if b == d else 0)
-                        na = occ[s, a] - (1 if a == c else 0) - (1 if a == d else 0) \
-                            + (1 if a == b else 0)
-                        amp = amp0 * sqrt_tab[nb + 1] * sqrt_tab[na + 1]
-                        key_t = key0 + (np.int64(1) << (bits * (nm - 1 - b)))
-                        key_t += np.int64(1) << (bits * (nm - 1 - a))
-                        r = _lookup(keys_sorted, order, key_t)
-                        if r < 0:
-                            continue
-                        if fill == 1:
-                            rows[cursor] = r
-                            cols[cursor] = s
-                            vals[cursor] = q_val[q] * amp
-                        cursor += 1
-        total = cursor
-    return rows, cols, vals
 
 
 # ---------------------------------------------------------------------------
@@ -222,12 +121,8 @@ def bayes_stage_numpy(
 
 
 if USE_NUMBA:
-    _lookup = jit_kernel(_lookup_py)
     _interp_uniform = jit_kernel(_interp_uniform_py)
-    assemble_entries = jit_kernel(_assemble_entries_loop)
     bayes_stage = jit_kernel(_bayes_stage_loop)
 else:
-    _lookup = _lookup_py
     _interp_uniform = _interp_uniform_py
-    assemble_entries = _assemble_entries_loop
     bayes_stage = bayes_stage_numpy

@@ -29,7 +29,9 @@ from .curves import (
 from .errors import CritgyroError
 from .estimate import (
     DEFAULT_GRID_SIZE,
+    SEED_ENV,
     ProtocolConfig,
+    resolve_seed,
     run_ensemble,
     run_protocol,
 )
@@ -84,17 +86,32 @@ def _build_system(n, n_ll, l_max):
     return basis, cache
 
 
+def _numbers(spec: str, kinds, what: str):
+    """Colon-separated fields of `spec` converted by `kinds`, as an argparse
+    type: a missing field or a non-number is a usage error."""
+    fields = spec.split(":")
+    try:
+        if len(fields) != len(kinds):
+            raise ValueError
+        values = [kind(f) for kind, f in zip(kinds, fields)]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected {what}, got {spec!r}") from None
+    if not all(np.isfinite(values)):
+        raise argparse.ArgumentTypeError(f"{what} needs finite numbers, got {spec!r}")
+    return values
+
+
 def _parse_grid(spec: str) -> np.ndarray:
-    lo, hi, num = spec.split(":")
-    return np.linspace(float(lo), float(hi), int(num))
+    """lo:hi:n, n >= 2 points ascending from lo to hi."""
+    lo, hi, num = _numbers(spec, (float, float, int), "lo:hi:n")
+    if num < 2 or not lo < hi:
+        raise argparse.ArgumentTypeError(f"lo:hi:n needs lo < hi and n >= 2, got {spec!r}")
+    return np.linspace(lo, hi, num)
 
 
-def _parse_pairs(spec: str):
-    pairs = []
-    for chunk in spec.split(","):
-        g, a = chunk.split(":")
-        pairs.append((float(g), float(a)))
-    return pairs
+def _parse_pairs(spec: str) -> list[tuple[float, float]]:
+    """Comma list of g:A pairs."""
+    return [tuple(_numbers(chunk, (float, float), "g:A")) for chunk in spec.split(",")]
 
 
 # ---------------------------------------------------------------------------
@@ -108,12 +125,11 @@ def cmd_curve(args) -> int:
         return EXIT_USAGE
     basis, cache = _build_system(args.n, args.n_ll, args.l_max)
     outputs = [args.out]
-    grid = _parse_grid(args.grid) if args.grid else None
 
     rows = []
     series = []
     for g, a in zip(args.g, args.A):
-        curve = compute_curve(basis, cache, g, a, grid=grid)
+        curve = compute_curve(basis, cache, g, a, grid=args.grid)
         diag = curve_diagnostics(basis, cache, curve)
         for i in range(len(curve.omega)):
             rows.append((
@@ -154,10 +170,9 @@ def cmd_curve(args) -> int:
 
 def cmd_catalog(args) -> int:
     t0 = time.time()
-    pairs = _parse_pairs(args.pairs) if args.pairs else list(DEFAULT_CATALOG_PAIRS)
+    pairs = args.pairs or list(DEFAULT_CATALOG_PAIRS)
     basis, cache = _build_system(args.n, args.n_ll, args.l_max)
-    grid = _parse_grid(args.grid) if args.grid else None
-    catalog = catalog_build(basis, cache, pairs, grid=grid)
+    catalog = catalog_build(basis, cache, pairs, grid=args.grid)
     catalog_save(catalog, args.out)
     for c in catalog.curves:
         print(f"catalog (g={c.g}, A={c.anisotropy}): "
@@ -204,7 +219,9 @@ def cmd_estimate(args) -> int:
     out = lambda name: os.path.join(args.out_dir, name)
     outputs = []
     details = {"config": config.to_dict(), "preset": args.preset,
-               "catalog": str(catalog_path)}
+               "catalog": str(catalog_path),
+               "seed": resolve_seed(config.seed),
+               "seed_source": SEED_ENV if os.environ.get(SEED_ENV) else "config"}
     status = EXIT_OK
 
     if args.preset == "fig3":
@@ -305,8 +322,7 @@ def cmd_offset(args) -> int:
               file=sys.stderr)
         return EXIT_USAGE
     basis, cache = _build_system(args.n, args.n_ll, args.l_max)
-    lo, hi, num = args.offsets.split(":")
-    offsets = np.linspace(float(lo), float(hi), int(num))
+    offsets = args.offsets
 
     ramp = np.linspace(curve.center - 0.25, curve.center + 0.02, args.gap_points)
     profile = gap_profile(basis, cache, curve.g, curve.anisotropy, ramp,
@@ -403,7 +419,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("curve", help="compute likelihood curves")
     p.add_argument("--g", type=float, action="append", required=True)
     p.add_argument("--A", type=float, action="append", required=True)
-    p.add_argument("--grid", help="explicit grid lo:hi:n")
+    p.add_argument("--grid", type=_parse_grid, help="explicit grid lo:hi:n")
     p.add_argument("--out", default="curve.csv")
     p.add_argument("--svg")
     p.add_argument("--dump-basis", dest="dump_basis")
@@ -415,8 +431,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_curve)
 
     p = sub.add_parser("catalog", help="build and save a curve catalog")
-    p.add_argument("--pairs", help="comma list g:A, default standard ladder")
-    p.add_argument("--grid", help="explicit grid lo:hi:n (default: auto-located)")
+    p.add_argument("--pairs", type=_parse_pairs,
+                   help="comma list g:A, default standard ladder")
+    p.add_argument("--grid", type=_parse_grid,
+                   help="explicit grid lo:hi:n (default: auto-located)")
     p.add_argument("--out", default="catalog.json")
     add_system_args(p)
     p.set_defaults(func=cmd_catalog)
@@ -434,7 +452,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--catalog", required=True)
     p.add_argument("--g", type=float, default=0.5)
     p.add_argument("--A", type=float, default=0.04)
-    p.add_argument("--offsets", default="-0.1:0:21", help="lo:hi:n")
+    p.add_argument("--offsets", type=_parse_grid, default="-0.1:0:21",
+                   help="lo:hi:n")
     p.add_argument("--eps", type=float, default=0.1,
                    help="adiabaticity slack")
     p.add_argument("--omega-perp-hz", type=float, default=DEFAULT_OMEGA_PERP_HZ,

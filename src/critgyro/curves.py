@@ -4,7 +4,8 @@ A curve is computed by sweeping the ground state across the vortex
 transition of one (g, A) pair. The sweep grid is auto-located: a coarse
 pre-scan brackets the 0.9/0.1 crossings, then a refined uniform grid spans
 the transition with generous padding so that the flat extension outside
-the grid only ever sees plateau values.
+the grid only ever sees plateau values. Sweeps run in the L-parity sector
+of the condensate (0,0)^N, the only states the followed state couples to.
 """
 
 import json
@@ -15,18 +16,17 @@ import numpy as np
 
 from . import __version__ as _code_version
 from .errors import ParameterError, RangeError, StaleCatalogError
-from .fock import FockBasis, Mode
-from .hamiltonian import ModelParams, assemble
+from .fock import FockBasis
+from .hamiltonian import Operators, build_operators
 from .melem import ElementCache
 from .observables import (
+    condensate_index,
     crossing_offset,
-    expected_L,
-    p_zero,
-    spdm,
+    spdm_batch,
     spdm_branch_gap,
     transition_width,
 )
-from .spectrum import sweep_lowest
+from .spectrum import sweep_sector
 
 CATALOG_VERSION = "critgyro-catalog-1"
 PRESCAN_RANGE = (0.70, 1.02)
@@ -63,6 +63,8 @@ class ResonanceCurve:
         p0 = np.asarray(p0, dtype=float)
         if omega.ndim != 1 or omega.shape != p0.shape:
             raise ParameterError("omega and p0 must be matching 1-d arrays")
+        if not (np.isfinite(omega).all() and np.isfinite(p0).all()):
+            raise ParameterError("omega and p0 must be finite")
         if np.any(np.diff(omega) <= 0):
             raise ParameterError("omega grid must be strictly ascending")
         if p0.min() < -1e-12 or p0.max() > 1.0 + 1e-12:
@@ -112,30 +114,19 @@ class CurveDiagnostics:
     spdm_trace: np.ndarray
 
 
-def _sweep_p0(basis: FockBasis, cache: ElementCache, g, anisotropy, omegas):
-    params = ModelParams(
-        n_particles=basis.n_particles, g=g, anisotropy=anisotropy,
-        omega=0.0, n_ll=basis.n_ll, l_max=basis.l_max,
-    )
-    h0 = assemble(basis, params, cache).to_dense()
-    try:
-        anchor = basis.index_of({Mode(0, 0): basis.n_particles})
-    except KeyError:
-        anchor = None
-    sweep = sweep_lowest(h0, basis.L.astype(float), omegas, k=6, anchor_index=anchor)
+def _sweep_p0(basis: FockBasis, ops: Operators, g, anisotropy, omegas):
+    """Sweep of the condensate's L-parity sector and p0 of its followed state."""
+    h0 = ops.hamiltonian(g, anisotropy, 0.0).to_dense()
+    sweep = sweep_sector(h0, ops.l, omegas, condensate_index(basis), k=6)
     mask = basis.zero_momentum_mask()
     pvals = (sweep.followed[:, mask] ** 2).sum(axis=1)
     return sweep, pvals
 
 
-def locate_grid(basis: FockBasis, cache: ElementCache, g: float,
-                anisotropy: float, prescan=PRESCAN_RANGE,
-                prescan_points: int = PRESCAN_POINTS,
-                points: int = REFINED_POINTS) -> np.ndarray:
-    """Auto-located refined grid spanning the transition, or the pre-scan
-    window when the likelihood never crosses 0.5 (e.g. zero anisotropy)."""
+def _locate_grid(basis, ops, g, anisotropy, prescan=PRESCAN_RANGE,
+                 prescan_points=PRESCAN_POINTS, points=REFINED_POINTS):
     coarse = np.linspace(prescan[0], prescan[1], prescan_points)
-    _, pc = _sweep_p0(basis, cache, g, anisotropy, coarse)
+    _, pc = _sweep_p0(basis, ops, g, anisotropy, coarse)
     step = coarse[1] - coarse[0]
     rel_hi = crossing_offset(coarse, pc, 0.9)
     rel_lo = crossing_offset(coarse, pc, 0.1)
@@ -147,39 +138,49 @@ def locate_grid(basis: FockBasis, cache: ElementCache, g: float,
     return np.linspace(lo, hi, points)
 
 
+def _compute_curve(basis, ops, g, anisotropy, grid) -> ResonanceCurve:
+    if grid is None:
+        grid = _locate_grid(basis, ops, g, anisotropy)
+    grid = np.asarray(grid, dtype=float)
+    _, pvals = _sweep_p0(basis, ops, g, anisotropy, grid)
+    return ResonanceCurve.from_values(g, anisotropy, grid, pvals)
+
+
+def locate_grid(basis: FockBasis, cache: ElementCache, g: float,
+                anisotropy: float, prescan=PRESCAN_RANGE,
+                prescan_points: int = PRESCAN_POINTS,
+                points: int = REFINED_POINTS) -> np.ndarray:
+    """Auto-located refined grid spanning the transition, or the pre-scan
+    window when the likelihood never crosses 0.5 (e.g. zero anisotropy)."""
+    return _locate_grid(basis, build_operators(basis, cache), g, anisotropy,
+                        prescan, prescan_points, points)
+
+
 def compute_curve(basis: FockBasis, cache: ElementCache, g: float,
                   anisotropy: float, grid=None) -> ResonanceCurve:
     """Likelihood curve for one parameter pair on an explicit or auto grid."""
-    if grid is None:
-        grid = locate_grid(basis, cache, g, anisotropy)
-    grid = np.asarray(grid, dtype=float)
-    _, pvals = _sweep_p0(basis, cache, g, anisotropy, grid)
-    return ResonanceCurve.from_values(g, anisotropy, grid, pvals)
+    return _compute_curve(basis, build_operators(basis, cache), g, anisotropy, grid)
 
 
 def curve_diagnostics(basis: FockBasis, cache: ElementCache,
                       curve: ResonanceCurve) -> CurveDiagnostics:
-    """Gap, SPDM spectrum and <L> along an existing curve's grid."""
-    sweep, _ = _sweep_p0(basis, cache, curve.g, curve.anisotropy, curve.omega)
-    n = len(curve.omega)
-    lam1 = np.empty(n)
-    lam2 = np.empty(n)
-    branch = np.empty(n)
-    expl = np.empty(n)
-    trace = np.empty(n)
-    for i in range(n):
-        vec = sweep.followed[i]
-        dens = spdm(vec, basis)
-        lam1[i] = dens.eigenvalues[0]
-        lam2[i] = dens.eigenvalues[1] if len(dens.eigenvalues) > 1 else 0.0
-        branch[i] = spdm_branch_gap(dens, basis)
-        expl[i] = expected_L(vec, basis)
-        trace[i] = np.trace(dens.matrix)
+    """Gap, SPDM spectrum and <L> along an existing curve's grid.
+
+    The gap is E1 - E0 within the condensate's L-parity sector, the only
+    states the followed state couples to.
+    """
+    ops = build_operators(basis, cache)
+    sweep, _ = _sweep_p0(basis, ops, curve.g, curve.anisotropy, curve.omega)
+    dens = spdm_batch(sweep.followed, basis)
     return CurveDiagnostics(
         omegas=curve.omega.copy(),
         gap=sweep.energies[:, 1] - sweep.energies[:, 0],
-        lam1=lam1, lam2=lam2, branch_gap=branch, exp_L=expl,
-        spdm_trace=trace,
+        lam1=np.array([d.eigenvalues[0] for d in dens]),
+        lam2=np.array([d.eigenvalues[1] if len(d.eigenvalues) > 1 else 0.0
+                       for d in dens]),
+        branch_gap=np.array([spdm_branch_gap(d, basis) for d in dens]),
+        exp_L=sweep.followed**2 @ ops.l,
+        spdm_trace=np.array([np.trace(d.matrix) for d in dens]),
     )
 
 
@@ -226,10 +227,9 @@ def catalog_build(basis: FockBasis, cache: ElementCache,
                   grid=None) -> CurveCatalog:
     if not pairs:
         raise ParameterError("need at least one (g, anisotropy) pair")
-    curves = [
-        compute_curve(basis, cache, g, anisotropy, grid=grid)
-        for g, anisotropy in pairs
-    ]
+    ops = build_operators(basis, cache)
+    curves = [_compute_curve(basis, ops, g, anisotropy, grid)
+              for g, anisotropy in pairs]
     provenance = {
         "version": CATALOG_VERSION,
         "code_version": _code_version,
@@ -265,31 +265,48 @@ def catalog_save(catalog: CurveCatalog, path) -> None:
         json.dump(payload, fh)
 
 
+def _json_numbers(value, ndim: int) -> np.ndarray:
+    """A JSON number (ndim 0) or list of numbers (ndim 1) as floats."""
+    arr = np.asarray(value)
+    if arr.ndim != ndim or arr.dtype.kind not in "iuf":
+        raise TypeError(f"expected {ndim}-d numbers, got {value!r}")
+    return arr.astype(float)
+
+
 def catalog_load(path) -> CurveCatalog:
+    """Catalog saved by `catalog_save`; anything else raises StaleCatalogError."""
     try:
         with open(path) as fh:
             payload = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise StaleCatalogError(f"cannot read catalog {path}: {exc}") from exc
-    if not isinstance(payload, dict) or payload.get("version") != CATALOG_VERSION:
+    version = payload.get("version") if isinstance(payload, dict) else None
+    if version != CATALOG_VERSION:
         raise StaleCatalogError(
-            f"catalog {path} has version {payload.get('version')!r}, "
-            f"expected {CATALOG_VERSION!r}"
+            f"catalog {path} has version {version!r}, expected {CATALOG_VERSION!r}"
         )
+    if not isinstance(payload.get("curves"), list):
+        raise StaleCatalogError(f"catalog {path} holds no list of curves")
     curves = []
-    for entry in payload["curves"]:
-        curve = ResonanceCurve.from_values(
-            entry["g"], entry["anisotropy"], entry["omega"], entry["p0"]
-        )
-        stored_center = entry.get("center")
-        stored_width = entry.get("width")
-        if stored_width is None or curve.width is None or \
-                abs(stored_width - curve.width) > 1e-9 or \
-                stored_center is None or curve.center is None or \
-                abs(stored_center - curve.center) > 1e-9:
-            raise StaleCatalogError(
-                f"catalog {path}: stored metadata disagrees with recomputation"
+    try:
+        for entry in payload["curves"]:
+            curve = ResonanceCurve.from_values(
+                *(_json_numbers(entry[key], ndim) for key, ndim in
+                  (("g", 0), ("anisotropy", 0), ("omega", 1), ("p0", 1)))
             )
-        curves.append(curve)
-    return CurveCatalog(curves=tuple(curves),
-                        provenance=payload.get("provenance", {}))
+            stored_center = entry.get("center")
+            stored_width = entry.get("width")
+            if stored_width is None or curve.width is None or \
+                    not abs(stored_width - curve.width) <= 1e-9 or \
+                    stored_center is None or curve.center is None or \
+                    not abs(stored_center - curve.center) <= 1e-9:
+                raise StaleCatalogError(
+                    f"catalog {path}: stored metadata disagrees with recomputation"
+                )
+            curves.append(curve)
+        return CurveCatalog(curves=tuple(curves),
+                            provenance=payload.get("provenance", {}))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise StaleCatalogError(
+            f"catalog {path}: malformed curve entry: {type(exc).__name__}: {exc}"
+        ) from exc

@@ -208,9 +208,15 @@ class ProtocolResult:
         return float(self.sigma_trace[-1])
 
 
-def _resolve_seed(config_seed: int) -> int:
+def resolve_seed(config_seed: int) -> int:
+    """The seed a run uses: CRITGYRO_SEED when set, else the config's."""
     env = os.environ.get(SEED_ENV)
-    return int(env) if env else int(config_seed)
+    if not env:
+        return int(config_seed)
+    try:
+        return int(env)
+    except ValueError:
+        raise ParameterError(f"{SEED_ENV} must be an integer, got {env!r}") from None
 
 
 def _check_uniform(curve: ResonanceCurve) -> None:
@@ -228,7 +234,7 @@ def run_protocol(config: ProtocolConfig, catalog: CurveCatalog,
     measurement index if an update annihilates the posterior."""
     curve = catalog.find(config.initial_g, config.initial_anisotropy)
     if rng is None:
-        rng = np.random.default_rng(_resolve_seed(config.seed))
+        rng = np.random.default_rng(resolve_seed(config.seed))
     n = config.n_measurements
     uniforms = rng.random(n)
 
@@ -296,7 +302,7 @@ def run_protocol(config: ProtocolConfig, catalog: CurveCatalog,
 @dataclass(frozen=True)
 class EnsembleResult:
     sigma: np.ndarray          # (n_completed, n_measurements)
-    seeds: list
+    seeds: list                # (master seed, child index) per completed row
     n_aborted: int
     abort_indices: list
 
@@ -304,6 +310,12 @@ class EnsembleResult:
         """Ensemble median sigma at measurement count mu (or the full trace)."""
         med = np.median(self.sigma, axis=0)
         return med if mu is None else float(med[mu - 1])
+
+
+def trajectory_rng(master_seed: int, index: int) -> np.random.Generator:
+    """Generator of trajectory `index` of an ensemble: child `index` of the
+    master seed's SeedSequence, as `SeedSequence.spawn` makes it."""
+    return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(index,)))
 
 
 def run_ensemble(config: ProtocolConfig, catalog: CurveCatalog,
@@ -314,20 +326,19 @@ def run_ensemble(config: ProtocolConfig, catalog: CurveCatalog,
     Degenerate trajectories abort and are counted, not retried.
     """
     n_traj = n_trajectories or config.n_trajectories
-    seed = _resolve_seed(config.seed if master_seed is None else master_seed)
-    children = np.random.SeedSequence(seed).spawn(n_traj)
+    seed = resolve_seed(config.seed if master_seed is None else master_seed)
     rows = []
     seeds = []
     aborted = []
-    for child in children:
-        rng = np.random.default_rng(child)
+    for index in range(n_traj):
+        rng = trajectory_rng(seed, index)
         try:
             res = run_protocol(config, catalog, rng=rng, collect_records=False)
         except DegenerateUpdateError as exc:
             aborted.append(exc.measurement_index)
             continue
         rows.append(res.sigma_trace)
-        seeds.append(child.entropy)
+        seeds.append((seed, index))
     if not rows:
         raise DegenerateUpdateError(
             "every trajectory in the ensemble aborted", measurement_index=None

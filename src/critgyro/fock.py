@@ -160,19 +160,72 @@ def enumerate_basis(n_particles: int, n_ll: int, l_max: int) -> FockBasis:
     )
 
 
-def pack_keys(occupations: np.ndarray, n_particles: int) -> np.ndarray:
-    """Encode occupation rows as int64 keys (for kernel-side lookup).
+@dataclass(frozen=True)
+class KeyIndex:
+    """Basis rows of occupation vectors, found through int64 keys.
 
-    Requires bits_per_mode * n_modes <= 62; the N = 6 production basis uses
-    3 * 19 = 57 bits.
+    Each mode holds a bit field just wide enough for its largest occupation
+    in the basis, so keys are exact for every vector within those caps; a
+    vector above a cap lies outside the basis. Moving particles between
+    modes changes a key by sums of `shifts`.
     """
-    bits = max(int(n_particles).bit_length(), 1)
-    n_modes = occupations.shape[1]
-    if bits * n_modes > 62:
-        raise ParameterError(
-            f"cannot pack {n_modes} modes at {bits} bits each into int64"
-        )
-    keys = np.zeros(occupations.shape[0], dtype=np.int64)
-    for j in range(n_modes):
-        keys = (keys << bits) | occupations[:, j].astype(np.int64)
-    return keys
+
+    shifts: np.ndarray  # (n_modes,) key of one particle in each mode
+    caps: np.ndarray    # (n_modes,) largest occupation of each mode
+    keys: np.ndarray    # (size,) key of each basis row
+    _sorted: np.ndarray = field(repr=False)
+    _order: np.ndarray = field(repr=False)
+
+    @classmethod
+    def build(cls, occupations: np.ndarray) -> "KeyIndex":
+        occupations = np.asarray(occupations, dtype=np.int64)
+        caps = occupations.max(axis=0, initial=0)
+        widths = [int(c).bit_length() for c in caps]
+        if sum(widths) > 63:
+            raise ParameterError(
+                f"occupations need {sum(widths)} key bits, more than int64 holds"
+            )
+        offsets = np.cumsum([0] + widths[:0:-1])[::-1]
+        shifts = np.left_shift(np.int64(1), offsets.astype(np.int64))
+        keys = occupations @ shifts
+        order = np.argsort(keys, kind="stable")
+        return cls(shifts=shifts, caps=caps, keys=keys,
+                   _sorted=keys[order], _order=order)
+
+    def rows(self, keys: np.ndarray) -> np.ndarray:
+        """Row of each key, -1 where no basis state has it."""
+        pos = np.minimum(np.searchsorted(self._sorted, keys), len(self._sorted) - 1)
+        return np.where(self._sorted[pos] == keys, self._order[pos], -1)
+
+
+def ladder_entries(occupations: np.ndarray, index: KeyIndex, ann, cre):
+    """Nonzero elements <t| a+_cre[q,0] a+_cre[q,1] .. a_ann[0] a_ann[1] .. |s>.
+
+    Operators act right to left on every basis state s, for every row q of
+    the (Q, r) creation array `cre` at once. Returns (t, s, q, amplitude)
+    arrays, row-major in (s, q). Targets that leave the basis are dropped:
+    the operator is projected onto the basis.
+    """
+    ann = np.asarray(ann, dtype=np.int64)
+    cre = np.asarray(cre, dtype=np.int64)
+    src = np.arange(occupations.shape[0])
+    amp = np.ones(len(src))
+    for pos in range(len(ann) - 1, -1, -1):
+        n = occupations[src, ann[pos]] - np.count_nonzero(ann[pos + 1:] == ann[pos])
+        keep = n > 0
+        src, amp = src[keep], amp[keep] * np.sqrt(n[keep])
+    occ = occupations[src]
+    key = (index.keys[src] - index.shifts[ann].sum())[:, None]
+    amp = amp[:, None]
+    inside = np.ones((len(src), len(cre)), dtype=bool)
+    for pos in range(cre.shape[1] - 1, -1, -1):
+        modes = cre[:, pos]
+        n = (occ[:, modes]
+             - (ann[None, :] == modes[:, None]).sum(axis=1)
+             + (cre[:, pos + 1:] == modes[:, None]).sum(axis=1))
+        amp = amp * np.sqrt(n + 1.0)
+        key = key + index.shifts[modes]
+        inside &= n < index.caps[modes]
+    rows = np.where(inside, index.rows(np.where(inside, key, -1)), -1)
+    s_hit, q_hit = np.nonzero(rows >= 0)
+    return rows[s_hit, q_hit], src[s_hit], q_hit, amp[s_hit, q_hit]

@@ -10,6 +10,10 @@ with V the quadrupolar trap-deformation elements and U the contact
 interaction elements from `melem`. The constant axial zero-point energy is
 dropped. Matrices are real symmetric and stored as the upper triangle, so
 hermiticity holds by construction.
+
+H is linear in its parameters, H = D + A V + g U - Omega L: `build_operators`
+builds the parameter-free terms once per basis, and each (g, A, Omega) then
+costs one sparse linear combination.
 """
 
 import warnings
@@ -19,10 +23,9 @@ from math import pi, sqrt
 import numpy as np
 import scipy.sparse as sp
 
-from . import _kernels
 from .errors import ParameterError, StructureError
-from .fock import FockBasis, pack_keys
-from .melem import ElementCache, canonical_quad
+from .fock import FockBasis, KeyIndex, ladder_entries
+from .melem import ElementCache
 
 HBAR = 1.054571817e-34  # J s
 
@@ -108,95 +111,89 @@ class SparseHamiltonian:
                 fh.write(f"{r} {c} {v!r}\n")
 
 
-def _interaction_tables(basis: FockBasis, cache: ElementCache, g: float):
-    """Flatten cache entries into the kernel's per-annihilation-pair layout."""
-    nm = len(basis.modes)
+@dataclass(frozen=True)
+class Operators:
+    """Parameter-free terms of H(g, A, Omega) = D + A V + g U - Omega L.
+
+    D is the one-body diagonal plus N, L the total angular momentum, V the
+    deformation with A divided out and U the contact interaction with g
+    divided out. V and U hold their upper triangles in CSR form.
+    """
+
+    d: np.ndarray
+    l: np.ndarray
+    v: sp.csr_matrix
+    u: sp.csr_matrix
+
+    def hamiltonian(self, g: float, anisotropy: float,
+                    omega: float) -> SparseHamiltonian:
+        """Upper triangle of H, entries below SPARSITY_EPS dropped."""
+        upper = (anisotropy * self.v + g * self.u
+                 + sp.diags(self.d - omega * self.l)).tocoo()
+        upper.sum_duplicates()
+        keep = np.abs(upper.data) >= SPARSITY_EPS
+        return SparseHamiltonian(
+            dim=len(self.d),
+            rows=upper.row[keep].astype(np.int64),
+            cols=upper.col[keep].astype(np.int64),
+            vals=upper.data[keep],
+        )
+
+
+def build_operators(basis: FockBasis, cache: ElementCache) -> Operators:
+    """D, L, V and U over the basis, from the parameter-free element cache."""
+    if tuple(cache.modes) != tuple(basis.modes):
+        raise StructureError("element cache was built over a different mode list")
+    occ = basis.occupations
+    ns, nm = occ.shape
+    index = KeyIndex.build(occ)
     ms = [mode.m for mode in basis.modes]
+
+    def upper(terms) -> sp.csr_matrix:
+        """Upper triangle of a sum of (annihilation, creations, coefficients)."""
+        parts = []
+        for ann, cre, coef in terms:
+            rows, cols, q, amp = ladder_entries(occ, index, ann, cre)
+            keep = rows <= cols
+            parts.append((rows[keep], cols[keep], np.asarray(coef)[q[keep]] * amp[keep]))
+        rows, cols, vals = (np.concatenate(x) for x in zip(*parts))
+        return sp.csr_matrix((vals, (rows, cols)), shape=(ns, ns))
+
+    # deformation a+_i a_j, all creation modes i of one annihilation mode j
+    v = upper(([j], np.flatnonzero(col)[:, None], col[col != 0])
+              for j, col in enumerate(cache.v_raw.T))
+
+    # contact a+_a a+_b a_c a_d: bosonic operators commute, so each unordered
+    # annihilation pair (c, d) takes all unordered creation pairs (a, b) of
+    # equal total m at once, weighted by the number of orderings
     pairs_by_total: dict[int, list[tuple[int, int]]] = {}
     for a in range(nm):
-        for b in range(nm):
+        for b in range(a, nm):
             pairs_by_total.setdefault(ms[a] + ms[b], []).append((a, b))
+    terms = []
+    for pairs in pairs_by_total.values():
+        for cd in pairs:
+            raw = [cache.u_raw[min(ab + cd, cd + ab)] for ab in pairs]
+            cre = [ab for ab, val in zip(pairs, raw) if val != 0.0]
+            coef = [0.5 * val * (1 + (ab[0] != ab[1])) * (1 + (cd[0] != cd[1]))
+                    for ab, val in zip(pairs, raw) if val != 0.0]
+            if cre:
+                terms.append((cd, cre, coef))
+    u = upper(terms)
 
-    lp_start = np.zeros(nm * nm, dtype=np.int64)
-    lp_end = np.zeros(nm * nm, dtype=np.int64)
-    q_a: list[int] = []
-    q_b: list[int] = []
-    q_val: list[float] = []
-    for c in range(nm):
-        for d in range(nm):
-            lp_start[c * nm + d] = len(q_a)
-            for a, b in pairs_by_total[ms[c] + ms[d]]:
-                raw = cache.u_raw[canonical_quad(a, b, c, d)]
-                if raw == 0.0:
-                    continue
-                q_a.append(a)
-                q_b.append(b)
-                q_val.append(0.5 * g * raw)
-            lp_end[c * nm + d] = len(q_a)
-    return (
-        lp_start, lp_end,
-        np.array(q_a, dtype=np.int64),
-        np.array(q_b, dtype=np.int64),
-        np.array(q_val, dtype=np.float64),
+    mode_w = np.array([2 * mode.n + abs(mode.m) for mode in basis.modes])
+    return Operators(
+        d=occ @ mode_w.astype(np.float64) + basis.n_particles,
+        l=basis.L.astype(np.float64),
+        v=v, u=u,
     )
 
 
 def assemble(basis: FockBasis, params: ModelParams,
              cache: ElementCache) -> SparseHamiltonian:
     """Build the Hamiltonian matrix for one parameter set."""
-    if tuple(cache.modes) != tuple(basis.modes):
-        raise StructureError("element cache was built over a different mode list")
-    occ = basis.occupations
-    ns, nm = occ.shape
-
-    keys = pack_keys(occ, basis.n_particles)
-    order = np.argsort(keys, kind="stable").astype(np.int64)
-    keys_sorted = keys[order]
-    bits = max(int(basis.n_particles).bit_length(), 1)
-
-    v_scaled = params.anisotropy * cache.v_raw
-    v_i, v_j = np.nonzero(v_scaled)
-    v_val = v_scaled[v_i, v_j]
-
-    lp_start, lp_end, q_a, q_b, q_val = _interaction_tables(basis, cache, params.g)
-    sqrt_tab = np.sqrt(np.arange(basis.n_particles + 1, dtype=np.float64))
-
-    rows, cols, vals = _kernels.assemble_entries(
-        occ, keys_sorted, order, bits,
-        v_i.astype(np.int64), v_j.astype(np.int64), v_val.astype(np.float64),
-        lp_start, lp_end, q_a, q_b, q_val,
-        sqrt_tab,
-    )
-
-    # one-body diagonal, rotation term and total-number term
-    mode_n = np.array([mode.n for mode in basis.modes], dtype=np.int64)
-    mode_m = np.array([mode.m for mode in basis.modes], dtype=np.int64)
-    diag = (
-        occ @ (2 * mode_n + np.abs(mode_m)).astype(np.float64)
-        - params.omega * basis.L.astype(np.float64)
-        + basis.n_particles
-    )
-    rows = np.concatenate([rows, np.arange(ns, dtype=np.int64)])
-    cols = np.concatenate([cols, np.arange(ns, dtype=np.int64)])
-    vals = np.concatenate([vals, diag])
-
-    # coalesce duplicates, keep the upper triangle, drop numerical noise
-    upper = rows <= cols
-    r, c, v = rows[upper], cols[upper], vals[upper]
-    lin = r * ns + c
-    order2 = np.argsort(lin, kind="stable")
-    lin, v = lin[order2], v[order2]
-    boundary = np.flatnonzero(np.diff(lin)) + 1
-    starts = np.concatenate([[0], boundary])
-    summed = np.add.reduceat(v, starts)
-    lin_u = lin[starts]
-    keep = np.abs(summed) >= SPARSITY_EPS
-    return SparseHamiltonian(
-        dim=ns,
-        rows=(lin_u[keep] // ns).astype(np.int64),
-        cols=(lin_u[keep] % ns).astype(np.int64),
-        vals=summed[keep],
-    )
+    return build_operators(basis, cache).hamiltonian(
+        params.g, params.anisotropy, params.omega)
 
 
 def matvec(ham: SparseHamiltonian, vec: np.ndarray) -> np.ndarray:

@@ -10,12 +10,13 @@ estimation protocol.
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import InputError, ParameterError, RangeError
-from .fock import FockBasis, Mode, pack_keys
-from .hamiltonian import ModelParams, assemble
+from .fock import FockBasis, KeyIndex, Mode, ladder_entries
+from .hamiltonian import build_operators
 from .melem import ElementCache
-from .spectrum import sweep_lowest
+from .spectrum import sweep_sector
 
 NORM_TOL = 1e-8
 
@@ -40,6 +41,11 @@ def expected_L(psi: np.ndarray, basis: FockBasis) -> float:
     return float(np.sum(psi**2 * basis.L))
 
 
+def condensate_index(basis: FockBasis) -> int:
+    """Row of the condensate (0,0)^N, the state every sweep is anchored to."""
+    return basis.index_of({Mode(0, 0): basis.n_particles})
+
+
 @dataclass(frozen=True)
 class SPDM:
     """Single-particle density matrix rho[k, l] = <a+_l a_k> over the modes."""
@@ -50,59 +56,32 @@ class SPDM:
 
 
 def spdm(psi: np.ndarray, basis: FockBasis) -> SPDM:
-    psi = _check_normalized(psi)
+    return spdm_batch(np.asarray(psi, dtype=float)[None, :], basis)[0]
+
+
+def spdm_batch(psis: np.ndarray, basis: FockBasis) -> list[SPDM]:
+    """SPDM of every row of `psis` from one hop table and one batched eigh.
+
+    The table holds every move of one particle k -> l > k between basis
+    states with its amplitude sqrt(n_k (n_l + 1)); a sparse product
+    contracts it with each row, and the occupations give the diagonal.
+    """
+    psis = np.array([_check_normalized(psi) for psi in psis]).reshape(len(psis), -1)
     occ = basis.occupations
-    nm = len(basis.modes)
-    try:
-        keys = pack_keys(occ, max(basis.n_particles, 1))
-    except ParameterError:
-        keys = None  # too many modes for packed keys; use the index dict
-    if keys is not None:
-        order = np.argsort(keys, kind="stable")
-        keys_sorted = keys[order]
-        bits = max(int(basis.n_particles).bit_length(), 1)
-        shifts = np.int64(1) << (bits * np.arange(nm - 1, -1, -1, dtype=np.int64))
-
-    def hop_targets(src, k, l):
-        """Rows reached from src by moving one particle k -> l, with mask."""
-        if keys is not None:
-            target_keys = keys[src] - shifts[k] + shifts[l]
-            pos = np.searchsorted(keys_sorted, target_keys)
-            pos = np.minimum(pos, len(keys_sorted) - 1)
-            hit = keys_sorted[pos] == target_keys
-            return src[hit], order[pos[hit]]
-        kept, targets = [], []
-        for s in src:
-            row = occ[s].copy()
-            row[k] -= 1
-            row[l] += 1
-            t = basis.index.get(tuple(row))
-            if t is not None:
-                kept.append(s)
-                targets.append(t)
-        return np.array(kept, dtype=int), np.array(targets, dtype=int)
-
-    rho = np.zeros((nm, nm))
+    nm = occ.shape[1]
+    index = KeyIndex.build(occ)
+    hops = []
     for k in range(nm):
-        nk = occ[:, k]
-        rho[k, k] = np.sum(psi**2 * nk)
-        for l in range(k + 1, nm):
-            src = np.flatnonzero(nk)
-            if len(src) == 0:
-                continue
-            src, tgt = hop_targets(src, k, l)
-            if len(src) == 0:
-                continue
-            amp = np.sqrt(nk[src] * (occ[src, l] + 1.0))
-            val = float(np.sum(psi[src] * amp * psi[tgt]))
-            rho[k, l] = val
-            rho[l, k] = val
+        tgt, src, q, amp = ladder_entries(occ, index, [k], np.arange(k + 1, nm)[:, None])
+        hops.append((src, tgt, k * nm + k + 1 + q, amp))
+    src, tgt, slot, amp = (np.concatenate(x) for x in zip(*hops))
+    table = sp.csr_matrix((amp, (np.arange(len(amp)), slot)), shape=(len(amp), nm * nm))
+    upper = np.array([psi[src] * psi[tgt] @ table for psi in psis]).reshape(-1, nm, nm)
+    rho = upper + upper.transpose(0, 2, 1)
+    rho[:, np.arange(nm), np.arange(nm)] = psis**2 @ occ
     evals, evecs = np.linalg.eigh(rho)
-    return SPDM(
-        matrix=rho,
-        eigenvalues=evals[::-1].copy(),
-        eigenvectors=evecs[:, ::-1].copy(),
-    )
+    return [SPDM(matrix=m, eigenvalues=e[::-1].copy(), eigenvectors=v[:, ::-1].copy())
+            for m, e, v in zip(rho, evals, evecs)]
 
 
 def spdm_branch_gap(density: SPDM, basis: FockBasis) -> float:
@@ -234,9 +213,9 @@ def hwhm_points(omega: np.ndarray, density: np.ndarray) -> float:
 class GapProfile:
     """First excitation gap and |<1|L|0>| along a rotation grid.
 
-    State 1 is the first excited state of the L-parity sector of the ground
-    state at the ramp start: the deformation changes L by 2, so the ramp
-    never couples to states of the other parity.
+    State 1 is the first excited state of the L-parity sector of the
+    condensate (0,0)^N the ramp starts from: the deformation changes L by 2,
+    so the ramp never couples to states of the other parity.
     """
 
     omegas: np.ndarray
@@ -248,27 +227,14 @@ class GapProfile:
 def gap_profile(basis: FockBasis, cache: ElementCache, g: float,
                 anisotropy: float, omegas: np.ndarray,
                 center: float) -> GapProfile:
-    """Gap and |<1|L|0>| within the L-parity sector the ramp starts in."""
+    """Gap and |<1|L|0>| within the L-parity sector of the condensate."""
     if anisotropy <= 0:
         raise ParameterError("gap profile needs a positive anisotropy")
-    params = ModelParams(
-        n_particles=basis.n_particles, g=g, anisotropy=anisotropy,
-        omega=0.0, n_ll=basis.n_ll, l_max=basis.l_max,
-    )
-    h0 = assemble(basis, params, cache).to_dense()
+    h0 = build_operators(basis, cache).hamiltonian(g, anisotropy, 0.0).to_dense()
     l_diag = basis.L.astype(float)
-    sectors = [s for s in (np.flatnonzero(basis.L % 2 == r) for r in (0, 1))
-               if len(s)]
-
-    def restrict(rows):
-        return h0[np.ix_(rows, rows)], l_diag[rows]
-
-    start = [sweep_lowest(*restrict(s), omegas[:1], k=1).energies[0, 0]
-             for s in sectors]
-    h_sec, l_sec = restrict(sectors[int(np.argmin(start))])
-    sweep = sweep_lowest(h_sec, l_sec, omegas, k=2)
+    sweep = sweep_sector(h0, l_diag, omegas, condensate_index(basis), k=2)
     gap = sweep.energies[:, 1] - sweep.energies[:, 0]
-    l01 = np.abs(np.einsum("ij,j,ij->i", sweep.vec1, l_sec, sweep.vec0))
+    l01 = np.abs(np.einsum("ij,j,ij->i", sweep.vec1, l_diag, sweep.vec0))
     return GapProfile(
         omegas=np.asarray(omegas, dtype=float),
         gap=gap, l01=l01, center=float(center),

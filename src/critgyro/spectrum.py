@@ -6,6 +6,7 @@ it. Sweeps over rotation rates follow the state adiabatically: ties inside
 a degenerate ground space are broken by overlap with the previous point,
 and if the ground state loses all overlap with the followed branch (exact
 sector crossings at zero anisotropy) the sweep keeps the branch instead.
+`sweep_sector` runs a sweep inside the L-parity sector of an anchor state.
 """
 
 from dataclasses import dataclass
@@ -149,4 +150,28 @@ def sweep_lowest(
         vec1=vec1,
         followed=followed,
         followed_rank=rank,
+    )
+
+
+def sweep_sector(h0_dense: np.ndarray, l_diag: np.ndarray, omegas: np.ndarray,
+                 anchor_index: int, k: int = 6) -> SweepResult:
+    """`sweep_lowest` within the L-parity sector of the anchor state.
+
+    H conserves L parity exactly (the deformation changes L by 2), so the
+    anchor's state never couples to the other sector. Energies are the
+    sector's; vectors come back in full-basis coordinates, zero outside it.
+    """
+    rows = np.flatnonzero(l_diag % 2 == l_diag[anchor_index] % 2)
+    sub = sweep_lowest(h0_dense[np.ix_(rows, rows)], l_diag[rows], omegas, k=k,
+                       anchor_index=int(np.searchsorted(rows, anchor_index)))
+
+    def lift(vectors):
+        full = np.zeros((len(vectors), len(l_diag)))
+        full[:, rows] = vectors
+        return full
+
+    return SweepResult(
+        omegas=sub.omegas, energies=sub.energies,
+        vec0=lift(sub.vec0), vec1=lift(sub.vec1), followed=lift(sub.followed),
+        followed_rank=sub.followed_rank,
     )

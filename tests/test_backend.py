@@ -6,9 +6,6 @@ import numpy as np
 import critgyro._kernels as kernels
 from conftest import make_logistic_curve
 from critgyro._backend import active_backend
-from critgyro.fock import enumerate_basis
-from critgyro.hamiltonian import ModelParams, assemble
-from critgyro.melem import ElementCache
 
 
 def _stage_inputs(n_meas=400, seed=9):
@@ -50,22 +47,6 @@ def test_trajectory_backends_agree_batched():
     mass_b, sig_b, out_b, _ = _run(kernels.bayes_stage_numpy, recenter_every=50)
     assert np.array_equal(out_a, out_b)
     assert np.allclose(sig_a, sig_b, rtol=1e-9, atol=1e-12)
-
-
-def test_assembly_loop_matches_compiled_path():
-    """The raw python loop and the jitted kernel must emit identical entries."""
-    basis = enumerate_basis(4, 2, 6)
-    cache = ElementCache.build(basis.modes)
-    params = ModelParams(4, 0.5, 0.04, 0.7, l_max=6)
-    compiled = assemble(basis, params, cache).to_dense()
-
-    original = kernels.assemble_entries
-    try:
-        kernels.assemble_entries = kernels._assemble_entries_loop
-        pure = assemble(basis, params, cache).to_dense()
-    finally:
-        kernels.assemble_entries = original
-    assert np.array_equal(compiled, pure)
 
 
 def test_numpy_backend_subprocess():

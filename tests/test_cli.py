@@ -188,3 +188,42 @@ def test_stale_catalog_reports_numerical_failure(tmp_path):
         "estimate", "--catalog", str(bad), "--out-dir", str(tmp_path / "y"),
     ])
     assert code == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ["curve", "--g", "0.5", "--A", "0.04", "--grid", "0.8:0.9"],
+    ["curve", "--g", "0.5", "--A", "0.04", "--grid", "0.8:x:5"],
+    ["curve", "--g", "0.5", "--A", "0.04", "--grid", "0.8:0.9:1"],
+    ["catalog", "--pairs", "0.5:0.04,0.5"],
+    ["catalog", "--pairs", "0.5:zero"],
+    ["catalog", "--grid", "0.8:0.9:1"],
+    ["offset", "--catalog", "c.json", "--offsets=-0.1:0"],
+    ["offset", "--catalog", "c.json", "--offsets=-0.1:0:n"],
+    ["offset", "--catalog", "c.json", "--offsets=-0.1:0:1"],
+])
+def test_malformed_specs_exit_2(argv, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_malformed_catalog_reports_numerical_failure(tmp_path):
+    bad = tmp_path / "list.json"
+    bad.write_text("[1, 2]")
+    code = main([
+        "estimate", "--catalog", str(bad), "--out-dir", str(tmp_path / "y"),
+    ])
+    assert code == 3
+
+
+def test_manifest_records_the_seed_used(tmp_path, catalog_file, monkeypatch):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"seed": 404, "n_measurements": 20}))
+    monkeypatch.setenv("CRITGYRO_SEED", "77")
+    out = tmp_path / "run"
+    assert main(["estimate", "--config", str(cfg), "--catalog", catalog_file,
+                 "--out-dir", str(out)]) == 0
+    details = json.loads((out / "run.manifest.json").read_text())["details"]
+    assert details["seed"] == 77
+    assert details["seed_source"] == "CRITGYRO_SEED"

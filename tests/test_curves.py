@@ -2,9 +2,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import critgyro.spectrum as spectrum
 from conftest import make_logistic_curve
 from critgyro.curves import (
+    CATALOG_VERSION,
     CurveCatalog,
     ResonanceCurve,
     catalog_build,
@@ -118,6 +122,44 @@ def test_catalog_load_errors(tmp_path):
         catalog_load(wrong)
 
 
+def _payload(drop=None, **changes):
+    """A saved one-curve catalog, with an entry field dropped or changed."""
+    curve = make_logistic_curve(width=0.02, points=41)
+    entry = {"g": curve.g, "anisotropy": curve.anisotropy,
+             "omega": curve.omega.tolist(), "p0": curve.p0.tolist(),
+             "center": curve.center, "width": curve.width, **changes}
+    entry.pop(drop, None)
+    return {"version": CATALOG_VERSION, "curves": [entry]}
+
+
+_FIELDS = st.sampled_from(["g", "anisotropy", "omega", "p0"])
+_JUNK = st.one_of(st.none(), st.text(max_size=3), st.lists(st.integers(), max_size=2),
+                  st.dictionaries(st.text(max_size=2), st.integers(), max_size=1))
+_MALFORMED = st.one_of(
+    _JUNK,
+    st.just({"version": CATALOG_VERSION}),
+    _JUNK.filter(lambda j: j != []).map(lambda j: {"version": CATALOG_VERSION, "curves": j}),
+    _JUNK.map(lambda j: {"version": CATALOG_VERSION, "curves": [j]}),
+    _FIELDS.map(lambda field: _payload(drop=field)),
+    st.tuples(_FIELDS, _JUNK).map(lambda fj: _payload(**{fj[0]: fj[1]})),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(payload=_MALFORMED)
+def test_catalog_load_fails_closed_on_malformed_payloads(tmp_path_factory, payload):
+    path = tmp_path_factory.mktemp("bad") / "catalog.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(StaleCatalogError):
+        catalog_load(path)
+
+
+def test_catalog_load_accepts_the_unmodified_payload(tmp_path):
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps(_payload()))
+    assert len(catalog_load(path).curves) == 1
+
+
 def test_catalog_load_detects_tampered_metadata(tmp_path):
     cat = CurveCatalog(curves=(make_logistic_curve(width=0.02),))
     path = tmp_path / "catalog.json"
@@ -196,3 +238,26 @@ def test_curve_diagnostics_shapes(system6, catalog_default):
     assert (diag.lam1 >= diag.lam2 - 1e-12).all()
     assert diag.exp_L.min() > -0.5 and diag.exp_L.max() < 8.5
     assert np.allclose(diag.spdm_trace, 6.0, atol=1e-10)
+
+
+def test_curve_sweeps_only_the_condensate_sector(system6, monkeypatch):
+    basis, cache = system6
+    dims = []
+    real = spectrum.sweep_lowest
+
+    def recording(h0_dense, *args, **kwargs):
+        dims.append(h0_dense.shape[0])
+        return real(h0_dense, *args, **kwargs)
+
+    monkeypatch.setattr(spectrum, "sweep_lowest", recording)
+    compute_curve(basis, cache, 0.5, 0.04, grid=[0.85, 0.88])
+    assert dims == [int(np.sum(basis.L % 2 == 0))] == [191]
+
+
+def test_diagnostics_gap_stays_in_the_condensate_sector(system6):
+    # at Omega = 0.75 the lowest excitation of the whole spectrum is odd-L
+    # (gap 0.2490) and never couples to the condensate
+    basis, cache = system6
+    curve = compute_curve(basis, cache, 0.5, 0.04, grid=[0.75, 0.85, 0.88])
+    diag = curve_diagnostics(basis, cache, curve)
+    assert np.allclose(diag.gap, [0.3253, 0.1288, 0.0746], atol=5e-5)

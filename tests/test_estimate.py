@@ -17,6 +17,7 @@ from critgyro.estimate import (
     run_protocol,
     sigma_scaling,
     simulate_outcome,
+    trajectory_rng,
 )
 from oracle import oracle_bayes_update
 
@@ -318,6 +319,24 @@ def test_ensemble_reproducible_and_seed_isolated():
     assert e1.n_aborted == 0
     # distinct trajectories differ
     assert not np.array_equal(e1.sigma[0], e1.sigma[1])
+
+
+def test_ensemble_seeds_replay_each_trajectory():
+    cat = synthetic_catalog()
+    cfg = ProtocolConfig(seed=5, n_measurements=60,
+                         initial_g=0.5, initial_anisotropy=0.01)
+    ens = run_ensemble(cfg, cat, n_trajectories=3)
+    assert ens.seeds == [(5, 0), (5, 1), (5, 2)]
+    for row, seed in zip(ens.sigma, ens.seeds):
+        replay = run_protocol(cfg, cat, rng=trajectory_rng(*seed), collect_records=False)
+        assert np.array_equal(replay.sigma_trace, row)
+
+
+def test_non_integer_seed_env_is_a_parameter_error(monkeypatch):
+    monkeypatch.setenv("CRITGYRO_SEED", "abc")
+    cfg = ProtocolConfig(n_measurements=5, initial_g=0.5, initial_anisotropy=0.01)
+    with pytest.raises(ParameterError):
+        run_protocol(cfg, synthetic_catalog())
 
 
 def test_ensemble_counts_aborts(monkeypatch):

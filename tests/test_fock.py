@@ -5,11 +5,11 @@ from hypothesis import strategies as st
 
 from critgyro.errors import ParameterError
 from critgyro.fock import (
+    KeyIndex,
     Mode,
     enumerate_basis,
     enumerate_modes,
     landau_weight,
-    pack_keys,
     total_L,
 )
 from oracle import oracle_basis, oracle_modes
@@ -143,10 +143,24 @@ def test_dump_csv(tmp_path):
     assert len(lines) == basis.size + 1
 
 
-def test_pack_keys_unique():
+def test_key_index_finds_every_row():
     basis = enumerate_basis(6, 2, 8)
-    keys = pack_keys(basis.occupations, 6)
-    assert len(np.unique(keys)) == basis.size
+    index = KeyIndex.build(basis.occupations)
+    assert len(np.unique(index.keys)) == basis.size
+    assert np.array_equal(index.rows(index.keys), np.arange(basis.size))
+    assert np.array_equal(index.caps, basis.occupations.max(axis=0))
+    # one particle moved (0,0) -> (0,1) from the condensate
+    i00, i01 = basis.modes.index(Mode(0, 0)), basis.modes.index(Mode(0, 1))
+    hop = index.keys[basis.index_of({Mode(0, 0): 6})] - index.shifts[i00] + index.shifts[i01]
+    assert index.rows(np.array([hop, -1]))[0] == basis.index_of({Mode(0, 0): 5, Mode(0, 1): 1})
+    assert index.rows(np.array([hop, -1]))[1] == -1
+
+
+def test_key_index_packs_bases_beyond_uniform_widths():
+    # 28 modes: uniform 3-bit fields would need 84 bits
+    basis = enumerate_basis(6, 7, 0)
+    index = KeyIndex.build(basis.occupations)
+    assert np.array_equal(index.rows(index.keys), np.arange(basis.size))
 
 
 @settings(max_examples=25, deadline=None)

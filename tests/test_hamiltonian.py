@@ -4,7 +4,13 @@ from math import pi, sqrt
 
 from critgyro.errors import ParameterError, StructureError
 from critgyro.fock import Mode, enumerate_basis
-from critgyro.hamiltonian import ModelParams, assemble, matvec, physical_to_g
+from critgyro.hamiltonian import (
+    ModelParams,
+    assemble,
+    build_operators,
+    matvec,
+    physical_to_g,
+)
 from critgyro.melem import ElementCache, v_element
 from oracle import oracle_hamiltonian
 
@@ -92,6 +98,30 @@ def test_matches_dense_ladder_oracle(n, g, a, omega):
     perm = [basis.index[occ] for occ in states]
     dense = ham.to_dense()[np.ix_(perm, perm)]
     assert np.max(np.abs(dense - ref)) < 1e-12
+
+
+def test_assemble_matches_oracle_n4():
+    basis, _, ham = build(4, 0.5, 0.04, 0.7, l_max=6)
+    modes, states, ref = oracle_hamiltonian(4, 0.5, 0.04, 0.7, 2, 6)
+    perm = [basis.index[occ] for occ in states]
+    assert np.max(np.abs(ham.to_dense()[np.ix_(perm, perm)] - ref)) < 1e-12
+
+
+@pytest.mark.parametrize("g,a,omega", [(0.5, 0.04, 0.0), (0.6, 0.025, 0.9),
+                                       (0.5, 0.012, 0.3)])
+def test_assemble_is_linear_in_its_parameters(g, a, omega):
+    basis = enumerate_basis(6, 2, 8)
+    cache = ElementCache.build(basis.modes)
+    ops = build_operators(basis, cache)
+
+    def full(upper):
+        dense = upper.toarray()
+        return dense + np.triu(dense, 1).T
+
+    expect = (np.diag(ops.d) + a * full(ops.v) + g * full(ops.u)
+              - omega * np.diag(ops.l))
+    got = assemble(basis, ModelParams(6, g, a, omega, l_max=8), cache).to_dense()
+    assert np.max(np.abs(got - expect)) < 1e-14
 
 
 def test_matvec_matches_oracle_product():

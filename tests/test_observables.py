@@ -13,6 +13,7 @@ from critgyro.observables import (
     hwhm_points,
     p_zero,
     spdm,
+    spdm_batch,
     spdm_branch_gap,
     transition_width,
 )
@@ -106,6 +107,19 @@ def test_spdm_invariants(basis6):
     assert abs(np.trace(dens.matrix) - 6.0) < 1e-10
     assert dens.eigenvalues.min() > -1e-12
     assert (np.diff(dens.eigenvalues) <= 1e-12).all()
+
+
+def test_spdm_batch_equals_per_vector_spdm(basis6):
+    rng = np.random.default_rng(23)
+    psis = rng.standard_normal((7, basis6.size))
+    psis /= np.linalg.norm(psis, axis=1)[:, None]
+    batch = spdm_batch(psis, basis6)
+    assert len(batch) == len(psis)
+    for psi, dens in zip(psis, batch):
+        one = spdm(psi, basis6)
+        assert np.max(np.abs(dens.matrix - one.matrix)) < 1e-14
+        assert np.max(np.abs(dens.eigenvalues - one.eigenvalues)) < 1e-14
+        assert abs(np.trace(dens.matrix) - 6.0) < 1e-12
 
 
 def test_spdm_branch_gap_sign(basis6):

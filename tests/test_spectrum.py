@@ -6,7 +6,7 @@ from critgyro.errors import ConvergenceError, ParameterError
 from critgyro.fock import Mode, enumerate_basis
 from critgyro.hamiltonian import ModelParams, SparseHamiltonian, assemble
 from critgyro.melem import ElementCache
-from critgyro.spectrum import ground_state, lowest_k, sweep_lowest
+from critgyro.spectrum import ground_state, lowest_k, sweep_lowest, sweep_sector
 from oracle import oracle_hamiltonian
 
 
@@ -152,3 +152,26 @@ def test_gap_positive_with_anisotropy():
     sweep = sweep_lowest(ham0.to_dense(), basis.L.astype(float), omegas, k=2)
     gap = sweep.energies[:, 1] - sweep.energies[:, 0]
     assert (gap > 0).all()
+
+
+def test_sector_sweep_reproduces_full_space_p0():
+    basis = enumerate_basis(4, 2, 6)
+    cache = ElementCache.build(basis.modes)
+    ham0 = assemble(basis, ModelParams(4, 0.5, 0.04, 0.0, l_max=6), cache)
+    anchor = basis.index_of({Mode(0, 0): 4})
+    l_diag = basis.L.astype(float)
+    omegas = np.linspace(0.7, 1.0, 61)
+    full = sweep_lowest(ham0.to_dense(), l_diag, omegas, anchor_index=anchor)
+    sector = sweep_sector(ham0.to_dense(), l_diag, omegas, anchor)
+    even = basis.L % 2 == 0
+    assert sector.followed.shape == full.followed.shape
+    assert not sector.followed[:, ~even].any()
+    mask = basis.zero_momentum_mask()
+    p_full = (full.followed[:, mask] ** 2).sum(axis=1)
+    p_sector = (sector.followed[:, mask] ** 2).sum(axis=1)
+    assert np.max(np.abs(p_sector - p_full)) < 1e-10
+    # the sector ground state is the full one wherever that one is even
+    ground_even = (full.vec0[:, even] ** 2).sum(axis=1) > 0.5
+    assert ground_even.any()
+    assert np.allclose(sector.energies[ground_even, 0],
+                       full.energies[ground_even, 0], atol=1e-12)
