@@ -109,6 +109,14 @@ def _parse_grid(spec: str) -> np.ndarray:
     return np.linspace(lo, hi, num)
 
 
+def _positive_int(spec: str) -> int:
+    """An integer >= 1, as an argparse type."""
+    (value,) = _numbers(spec, (int,), "an integer")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {spec!r}")
+    return value
+
+
 def _parse_pairs(spec: str) -> list[tuple[float, float]]:
     """Comma list of g:A pairs."""
     return [tuple(_numbers(chunk, (float, float), "g:A")) for chunk in spec.split(",")]
@@ -202,6 +210,13 @@ def _write_trajectory(path, result):
                _trajectory_rows(result))
 
 
+def _ensemble_health(ens) -> dict:
+    """Numerical health of one ensemble, for the run manifest."""
+    return {"max_dropped_mass": ens.max_dropped_mass,
+            "n_aborted": ens.n_aborted,
+            "abort_indices": list(ens.abort_indices)}
+
+
 def cmd_estimate(args) -> int:
     t0 = time.time()
     cfg_data = {}
@@ -222,6 +237,7 @@ def cmd_estimate(args) -> int:
                "catalog": str(catalog_path),
                "seed": resolve_seed(config.seed),
                "seed_source": SEED_ENV if os.environ.get(SEED_ENV) else "config"}
+    ensembles = {}
     status = EXIT_OK
 
     if args.preset == "fig3":
@@ -250,6 +266,7 @@ def cmd_estimate(args) -> int:
                                             "schedule": list(schedule),
                                             "n_measurements": 100})
             ens = run_ensemble(cfg, catalog, n_trajectories=args.trajectories)
+            ensembles[name] = _ensemble_health(ens)
             med = ens.median_sigma()
             medians[name] = med
             columns.append(med)
@@ -272,6 +289,7 @@ def cmd_estimate(args) -> int:
                                         "batch_size": 200,
                                         "n_measurements": 400})
         ens = run_ensemble(cfg, catalog, n_trajectories=args.trajectories)
+        ensembles["array"] = _ensemble_health(ens)
         med = ens.median_sigma()
         _write_csv(out("sigma_vs_mu.csv"), ("mu", "sigma"),
                    zip(np.arange(1, 401), med))
@@ -291,6 +309,7 @@ def cmd_estimate(args) -> int:
         outputs.append(out("trajectory.csv"))
         if config.n_trajectories > 1:
             ens = run_ensemble(config, catalog)
+            ensembles["config"] = _ensemble_health(ens)
             med = ens.median_sigma()
             _write_csv(out("sigma_vs_mu.csv"), ("mu", "sigma"),
                        zip(np.arange(1, config.n_measurements + 1), med))
@@ -303,6 +322,7 @@ def cmd_estimate(args) -> int:
         outputs.append(out("sigma_vs_mu.svg"))
         print(f"estimate: final sigma={result.final_sigma:.6e}")
 
+    details["ensembles"] = ensembles
     _write_manifest(os.path.join(args.out_dir, "run"), "estimate", details,
                     outputs, t0)
     return status
@@ -443,7 +463,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="JSON protocol config")
     p.add_argument("--catalog")
     p.add_argument("--preset", choices=("fig3", "fig4", "array"))
-    p.add_argument("--trajectories", type=int, default=200,
+    p.add_argument("--trajectories", type=_positive_int, default=200,
                    help="ensemble size for presets")
     p.add_argument("--out-dir", default="estimate_out", dest="out_dir")
     p.set_defaults(func=cmd_estimate)

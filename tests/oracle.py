@@ -3,7 +3,7 @@
 Nothing here touches the package's computational paths: integrals are done
 by exact monomial expansion over rationals, bases by generate-and-filter,
 Hamiltonians by explicit ladder-operator action on occupation dictionaries,
-and Bayesian updates by plain loops.
+Bayesian updates by plain loops, and a Bayesian stage over the full grid.
 """
 
 import itertools
@@ -234,3 +234,30 @@ def oracle_bayes_update(mass, likelihood, zero_outcome: bool):
     if norm <= 0:
         return None
     return [v / norm for v in out]
+
+
+def reference_bayes_stage(mass, x, xc, pc, rel_center, true_off,
+                          uniforms, recenter_every,
+                          out_sigma, out_outcome, out_shift):
+    """Full-grid Bayesian stage: `_kernels.bayes_stage` without the support
+    window (every update touches every grid point, nothing is dropped)."""
+    n_meas = uniforms.shape[0]
+    shift = 0.0
+    like = None
+    p_meas = 0.0
+    for i in range(n_meas):
+        if i % recenter_every == 0:
+            shift = rel_center - float(mass @ x)
+            like = np.interp(x + shift, xc, pc)
+            p_meas = float(np.interp(true_off + shift, xc, pc))
+        zero = bool(uniforms[i] <= p_meas)
+        out_outcome[i] = 1 if zero else 0
+        out_shift[i] = shift
+        mass *= like if zero else (1.0 - like)
+        norm = float(mass.sum())
+        if norm <= 0.0:
+            return i
+        mass /= norm
+        mean = float(mass @ x)
+        out_sigma[i] = float(np.sqrt(mass @ ((x - mean) ** 2)))
+    return n_meas

@@ -200,6 +200,9 @@ def test_stale_catalog_reports_numerical_failure(tmp_path):
     ["offset", "--catalog", "c.json", "--offsets=-0.1:0"],
     ["offset", "--catalog", "c.json", "--offsets=-0.1:0:n"],
     ["offset", "--catalog", "c.json", "--offsets=-0.1:0:1"],
+    ["estimate", "--preset", "array", "--trajectories", "-1"],
+    ["estimate", "--preset", "fig4", "--trajectories", "0"],
+    ["estimate", "--preset", "fig4", "--trajectories", "2.5"],
 ])
 def test_malformed_specs_exit_2(argv, capsys):
     with pytest.raises(SystemExit) as err:
@@ -227,3 +230,16 @@ def test_manifest_records_the_seed_used(tmp_path, catalog_file, monkeypatch):
     details = json.loads((out / "run.manifest.json").read_text())["details"]
     assert details["seed"] == 77
     assert details["seed_source"] == "CRITGYRO_SEED"
+
+
+def test_manifest_records_ensemble_health(tmp_path, catalog_file):
+    out = tmp_path / "fig4"
+    assert main(["estimate", "--catalog", catalog_file, "--preset", "fig4",
+                 "--trajectories", "4", "--out-dir", str(out)]) == 0
+    details = json.loads((out / "run.manifest.json").read_text())["details"]
+    ensembles = details["ensembles"]
+    assert sorted(ensembles) == ["one_tuning", "two_tunings", "untuned"]
+    for health in ensembles.values():
+        assert 0.0 < health["max_dropped_mass"] <= 2001 * 1e-30
+        assert health["n_aborted"] == 0
+        assert health["abort_indices"] == []

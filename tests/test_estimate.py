@@ -358,6 +358,24 @@ def test_ensemble_counts_aborts(monkeypatch):
     assert ens.sigma.shape[0] == 6
 
 
+@pytest.mark.parametrize("n_trajectories", [0, -1])
+def test_ensemble_rejects_fewer_than_one_trajectory(n_trajectories):
+    cfg = ProtocolConfig(seed=31, n_measurements=10,
+                         initial_g=0.5, initial_anisotropy=0.01)
+    with pytest.raises(ParameterError):
+        run_ensemble(cfg, synthetic_catalog(), n_trajectories=n_trajectories)
+
+
+def test_ensemble_reports_largest_dropped_mass():
+    cfg = ProtocolConfig(seed=31, n_measurements=300,
+                         initial_g=0.5, initial_anisotropy=0.01)
+    ens = run_ensemble(cfg, synthetic_catalog(), n_trajectories=4)
+    dropped = [run_protocol(cfg, synthetic_catalog(), rng=trajectory_rng(*seed),
+                            collect_records=False).dropped_mass
+               for seed in ens.seeds]
+    assert ens.max_dropped_mass == max(dropped) > 0.0
+
+
 def test_sigma_scaling_synthetic():
     mu = np.arange(1, 10001)
     assert sigma_scaling(0.3 * mu**-0.5) == pytest.approx(-0.5, abs=1e-12)
