@@ -3,7 +3,9 @@
 Subcommands: curve, catalog, estimate, offset, basis, selftest. Every run
 writes its data as CSV (authoritative), optional SVG plots derived from the
 CSV content, and a JSON run manifest written atomically last. Exit codes:
-0 success, 2 usage, 3 numerical failure, 4 self-check or preset mismatch.
+0 success, 2 usage (including a ParameterError or InputError from the
+package), 3 numerical failure (any other package error), 4 self-check or
+preset mismatch.
 """
 
 import argparse
@@ -26,7 +28,7 @@ from .curves import (
     compute_curve,
     curve_diagnostics,
 )
-from .errors import CritgyroError
+from .errors import CritgyroError, InputError, ParameterError
 from .estimate import (
     DEFAULT_GRID_SIZE,
     SEED_ENV,
@@ -500,7 +502,11 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        active_backend()
         return args.func(args)
+    except (ParameterError, InputError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except CritgyroError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

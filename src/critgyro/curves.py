@@ -6,11 +6,20 @@ pre-scan brackets the 0.9/0.1 crossings, then a refined uniform grid spans
 the transition with generous padding so that the flat extension outside
 the grid only ever sees plateau values. Sweeps run in the L-parity sector
 of the condensate (0,0)^N, the only states the followed state couples to.
+
+The module keeps its last sector sweep: the followed states and the two
+lowest sector energies at each grid point, keyed by the `Operators` object
+(identity), g, A and the exact grid values. Every curve sweep drops it
+before it starts and replaces it when done, so it holds one sweep at most
+and never sits beside a sweep in progress. Only `curve_diagnostics` reads
+it: on a match it skips its own sweep, so diagnostics of the curve just
+computed cost no second sweep. `locate_grid`, `compute_curve` and
+`catalog_build` always sweep.
 """
 
 import json
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -114,19 +123,44 @@ class CurveDiagnostics:
     spdm_trace: np.ndarray
 
 
+class _Sweep(NamedTuple):
+    """A condensate-sector sweep and its key (ops, g, anisotropy, omegas)."""
+
+    ops: Operators
+    g: float
+    anisotropy: float
+    omegas: np.ndarray
+    followed: np.ndarray   # (n, dim) followed state per grid point
+    energies: np.ndarray   # (n, 2) two lowest sector energies
+
+
+#: the last sweep `_sweep_p0` ran; read only by `curve_diagnostics`
+_last_sweep: _Sweep | None = None
+
+
 def _sweep_p0(basis: FockBasis, ops: Operators, g, anisotropy, omegas):
-    """Sweep of the condensate's L-parity sector and p0 of its followed state."""
+    """Sweep of the condensate's L-parity sector and p0 of its followed
+    state; the sweep becomes the module's last sweep."""
+    global _last_sweep
+    _last_sweep = None  # freed before the new sweep allocates its arrays
+    omegas = np.array(omegas, dtype=float)  # a copy: the key outlives the caller's array
     h0 = ops.hamiltonian(g, anisotropy, 0.0).to_dense()
     sweep = sweep_sector(h0, ops.l, omegas, condensate_index(basis), k=6)
+    _last_sweep = entry = _Sweep(ops, g, anisotropy, omegas, sweep.followed,
+                                 sweep.energies[:, :2])
     mask = basis.zero_momentum_mask()
     pvals = (sweep.followed[:, mask] ** 2).sum(axis=1)
-    return sweep, pvals
+    return entry, pvals
 
 
-def _locate_grid(basis, ops, g, anisotropy, prescan=PRESCAN_RANGE,
-                 prescan_points=PRESCAN_POINTS, points=REFINED_POINTS):
+def locate_grid(basis: FockBasis, cache: ElementCache, g: float,
+                anisotropy: float, prescan=PRESCAN_RANGE,
+                prescan_points: int = PRESCAN_POINTS,
+                points: int = REFINED_POINTS) -> np.ndarray:
+    """Auto-located refined grid spanning the transition, or the pre-scan
+    window when the likelihood never crosses 0.5 (e.g. zero anisotropy)."""
     coarse = np.linspace(prescan[0], prescan[1], prescan_points)
-    _, pc = _sweep_p0(basis, ops, g, anisotropy, coarse)
+    _, pc = _sweep_p0(basis, build_operators(basis, cache), g, anisotropy, coarse)
     step = coarse[1] - coarse[0]
     rel_hi = crossing_offset(coarse, pc, 0.9)
     rel_lo = crossing_offset(coarse, pc, 0.1)
@@ -138,28 +172,25 @@ def _locate_grid(basis, ops, g, anisotropy, prescan=PRESCAN_RANGE,
     return np.linspace(lo, hi, points)
 
 
-def _compute_curve(basis, ops, g, anisotropy, grid) -> ResonanceCurve:
-    if grid is None:
-        grid = _locate_grid(basis, ops, g, anisotropy)
-    grid = np.asarray(grid, dtype=float)
-    _, pvals = _sweep_p0(basis, ops, g, anisotropy, grid)
-    return ResonanceCurve.from_values(g, anisotropy, grid, pvals)
-
-
-def locate_grid(basis: FockBasis, cache: ElementCache, g: float,
-                anisotropy: float, prescan=PRESCAN_RANGE,
-                prescan_points: int = PRESCAN_POINTS,
-                points: int = REFINED_POINTS) -> np.ndarray:
-    """Auto-located refined grid spanning the transition, or the pre-scan
-    window when the likelihood never crosses 0.5 (e.g. zero anisotropy)."""
-    return _locate_grid(basis, build_operators(basis, cache), g, anisotropy,
-                        prescan, prescan_points, points)
-
-
 def compute_curve(basis: FockBasis, cache: ElementCache, g: float,
                   anisotropy: float, grid=None) -> ResonanceCurve:
     """Likelihood curve for one parameter pair on an explicit or auto grid."""
-    return _compute_curve(basis, build_operators(basis, cache), g, anisotropy, grid)
+    if grid is None:
+        grid = locate_grid(basis, cache, g, anisotropy)
+    grid = np.asarray(grid, dtype=float)
+    _, pvals = _sweep_p0(basis, build_operators(basis, cache), g, anisotropy, grid)
+    return ResonanceCurve.from_values(g, anisotropy, grid, pvals)
+
+
+def _curve_sweep(ops: Operators, curve: ResonanceCurve) -> _Sweep | None:
+    """The module's last sweep if it ran with these operators and the
+    curve's g, A and grid, else None."""
+    sweep = _last_sweep
+    if sweep is not None and sweep.ops is ops \
+            and (sweep.g, sweep.anisotropy) == (curve.g, curve.anisotropy) \
+            and np.array_equal(sweep.omegas, curve.omega):
+        return sweep
+    return None
 
 
 def curve_diagnostics(basis: FockBasis, cache: ElementCache,
@@ -167,10 +198,12 @@ def curve_diagnostics(basis: FockBasis, cache: ElementCache,
     """Gap, SPDM spectrum and <L> along an existing curve's grid.
 
     The gap is E1 - E0 within the condensate's L-parity sector, the only
-    states the followed state couples to.
+    states the followed state couples to. When the module's last sweep is
+    the curve's (same operators, g, A and grid), its states are reused.
     """
     ops = build_operators(basis, cache)
-    sweep, _ = _sweep_p0(basis, ops, curve.g, curve.anisotropy, curve.omega)
+    sweep = _curve_sweep(ops, curve) \
+        or _sweep_p0(basis, ops, curve.g, curve.anisotropy, curve.omega)[0]
     dens = spdm_batch(sweep.followed, basis)
     return CurveDiagnostics(
         omegas=curve.omega.copy(),
@@ -227,8 +260,7 @@ def catalog_build(basis: FockBasis, cache: ElementCache,
                   grid=None) -> CurveCatalog:
     if not pairs:
         raise ParameterError("need at least one (g, anisotropy) pair")
-    ops = build_operators(basis, cache)
-    curves = [_compute_curve(basis, ops, g, anisotropy, grid)
+    curves = [compute_curve(basis, cache, g, anisotropy, grid)
               for g, anisotropy in pairs]
     provenance = {
         "version": CATALOG_VERSION,

@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
+from ._backend import active_backend
 from .curves import CurveCatalog, ResonanceCurve, lookup_by_width
 from .errors import DegenerateUpdateError, ParameterError
 from .observables import hwhm_points
@@ -99,6 +100,7 @@ def simulate_outcome(p: float, rng: np.random.Generator) -> bool:
 def bayes_update(post: Posterior, curve: ResonanceCurve, delta: float,
                  zero_outcome: bool) -> Posterior:
     """Multiply by the (shifted) likelihood of the outcome and renormalize."""
+    active_backend()
     like = curve.evaluate(post.omega + delta)
     mass = post.mass.copy()
     if not _kernels.multiply_renormalize(mass, like if zero_outcome else 1.0 - like):
@@ -241,6 +243,7 @@ def run_protocol(config: ProtocolConfig, catalog: CurveCatalog,
                  rng=None, collect_records: bool = True) -> ProtocolResult:
     """Execute one trajectory; raises DegenerateUpdateError with the
     measurement index if an update annihilates the posterior."""
+    active_backend()
     curve = catalog.find(config.initial_g, config.initial_anisotropy)
     if rng is None:
         rng = np.random.default_rng(resolve_seed(config.seed))

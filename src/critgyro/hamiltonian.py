@@ -14,11 +14,18 @@ hermiticity holds by construction.
 H is linear in its parameters, H = D + A V + g U - Omega L: `build_operators`
 builds the parameter-free terms once per basis, and each (g, A, Omega) then
 costs one sparse linear combination.
+
+Operators are shared per (basis, cache): `build_operators` remembers its
+last build and returns that same `Operators` object while it is called with
+the same basis and cache objects (matched by identity, held by strong
+references, so a recycled id() never matches). Every caller then sees one
+object, so callers must not mutate its arrays or matrices; D and L are
+read-only arrays.
 """
 
 import warnings
 from dataclasses import dataclass, field
-from math import pi, sqrt
+from math import isfinite, pi, sqrt
 
 import numpy as np
 import scipy.sparse as sp
@@ -36,6 +43,13 @@ SPARSITY_EPS = 1e-14
 ANISOTROPY_WARN = 0.1
 
 
+def _check_couplings(g: float, anisotropy: float) -> None:
+    """Refuse an unphysical g or A: negative or not finite."""
+    for name, value in (("interaction g", g), ("anisotropy", anisotropy)):
+        if not (isfinite(value) and value >= 0):
+            raise ParameterError(f"{name} must be finite and >= 0, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Dimensionless model inputs; l_max defaults to n_particles + 2."""
@@ -50,10 +64,7 @@ class ModelParams:
     def __post_init__(self):
         if self.n_particles < 0:
             raise ParameterError("n_particles must be >= 0")
-        if self.g < 0:
-            raise ParameterError("interaction g must be >= 0")
-        if self.anisotropy < 0:
-            raise ParameterError("anisotropy must be >= 0")
+        _check_couplings(self.g, self.anisotropy)
         if self.n_ll < 1:
             raise ParameterError("n_ll must be >= 1")
         if self.l_max is None:
@@ -127,7 +138,14 @@ class Operators:
 
     def hamiltonian(self, g: float, anisotropy: float,
                     omega: float) -> SparseHamiltonian:
-        """Upper triangle of H, entries below SPARSITY_EPS dropped."""
+        """Upper triangle of H, entries below SPARSITY_EPS dropped.
+
+        Every H the package builds passes through here, so this is where an
+        unphysical g or A (negative or not finite) is refused.
+        """
+        _check_couplings(g, anisotropy)
+        if not isfinite(omega):
+            raise ParameterError(f"rotation rate must be finite, got {omega!r}")
         upper = (anisotropy * self.v + g * self.u
                  + sp.diags(self.d - omega * self.l)).tocoo()
         upper.sum_duplicates()
@@ -140,8 +158,20 @@ class Operators:
         )
 
 
+#: the last build as (basis, cache, operators)
+_last_build: tuple[FockBasis, ElementCache, Operators] | None = None
+
+
 def build_operators(basis: FockBasis, cache: ElementCache) -> Operators:
-    """D, L, V and U over the basis, from the parameter-free element cache."""
+    """D, L, V and U over the basis, from the parameter-free element cache.
+
+    Called again with the same basis and cache objects, returns the same
+    Operators object without rebuilding it.
+    """
+    global _last_build
+    last = _last_build
+    if last is not None and last[0] is basis and last[1] is cache:
+        return last[2]
     if tuple(cache.modes) != tuple(basis.modes):
         raise StructureError("element cache was built over a different mode list")
     occ = basis.occupations
@@ -182,11 +212,12 @@ def build_operators(basis: FockBasis, cache: ElementCache) -> Operators:
     u = upper(terms)
 
     mode_w = np.array([2 * mode.n + abs(mode.m) for mode in basis.modes])
-    return Operators(
-        d=occ @ mode_w.astype(np.float64) + basis.n_particles,
-        l=basis.L.astype(np.float64),
-        v=v, u=u,
-    )
+    d = occ @ mode_w.astype(np.float64) + basis.n_particles
+    l = basis.L.astype(np.float64)
+    d.flags.writeable = l.flags.writeable = False
+    ops = Operators(d=d, l=l, v=v, u=u)
+    _last_build = (basis, cache, ops)
+    return ops
 
 
 def assemble(basis: FockBasis, params: ModelParams,

@@ -7,6 +7,14 @@ a degenerate ground space are broken by overlap with the previous point,
 and if the ground state loses all overlap with the followed branch (exact
 sector crossings at zero anisotropy) the sweep keeps the branch instead.
 `sweep_sector` runs a sweep inside the L-parity sector of an anchor state.
+
+A lost branch is resolved in the k-window first. The followed state is the
+eigenvector of maximal overlap with the previous one over the whole
+spectrum. The squared overlaps of a unit vector with an orthonormal
+eigenbasis sum to 1, so at most one eigenvector can have overlap^2 above
+1/2, and one that does is that maximum. When one of the k computed vectors
+passes BRANCH_MAJORITY it is taken as it is; only otherwise does the sweep
+solve the full spectrum to find the maximum.
 """
 
 from dataclasses import dataclass
@@ -22,6 +30,8 @@ DENSE_CUTOFF = 2000
 DEFAULT_TOL = 1e-10
 DEGENERACY_TIE = 1e-12
 FOLLOW_FLOOR = 0.1
+#: an overlap^2 above this singles out the maximal-overlap eigenvector
+BRANCH_MAJORITY = 0.5
 _START_SEED = 7
 
 
@@ -135,6 +145,9 @@ def sweep_lowest(
             elif overlaps[0] ** 2 >= FOLLOW_FLOOR:
                 pick = 0
                 followed[i] = evecs[:, 0]
+            elif overlaps.max() ** 2 > BRANCH_MAJORITY:
+                pick = int(np.argmax(overlaps))
+                followed[i] = evecs[:, pick]
             else:
                 # the branch left the k-window (exact sector crossing at
                 # zero anisotropy): resolve against the full spectrum

@@ -3,7 +3,8 @@
 Nothing here touches the package's computational paths: integrals are done
 by exact monomial expansion over rationals, bases by generate-and-filter,
 Hamiltonians by explicit ladder-operator action on occupation dictionaries,
-Bayesian updates by plain loops, and a Bayesian stage over the full grid.
+Bayesian updates by plain loops, a Bayesian stage over the full grid, and
+an adiabatic sweep that resolves every lost branch on the full spectrum.
 """
 
 import itertools
@@ -11,6 +12,7 @@ from fractions import Fraction
 from math import comb, factorial, pi, sqrt
 
 import numpy as np
+import scipy.linalg as sla
 
 
 # ---------------------------------------------------------------------------
@@ -261,3 +263,38 @@ def reference_bayes_stage(mass, x, xc, pc, rel_center, true_off,
         mean = float(mass @ x)
         out_sigma[i] = float(np.sqrt(mass @ ((x - mean) ** 2)))
     return n_meas
+
+
+# ---------------------------------------------------------------------------
+# adiabatic sweep resolving every lost branch on the full spectrum
+# ---------------------------------------------------------------------------
+
+def reference_sweep_followed(h0_dense, l_diag, omegas, anchor_index,
+                             k=6, tie=1e-12, floor=0.1):
+    """(followed states, number of full-spectrum solves) of an adiabatic
+    sweep of H0 - Omega diag(L) that follows the branch like
+    `spectrum.sweep_lowest` but, whenever the ground state holds less than
+    `floor` of the followed state, takes the maximal-overlap eigenvector of
+    the full spectrum."""
+    dim = h0_dense.shape[0]
+    work = np.array(h0_dense, dtype=float)
+    followed = np.empty((len(omegas), dim))
+    full_solves = 0
+    prev = None
+    for i, om in enumerate(omegas):
+        work[np.diag_indices(dim)] = np.diag(h0_dense) - om * l_diag
+        evals, evecs = sla.eigh(work, subset_by_index=(0, k - 1))
+        ties = np.flatnonzero(evals - evals[0] < tie)
+        if prev is None:
+            vec = evecs[:, ties[np.argmax(np.abs(evecs[anchor_index, ties]))]]
+        elif len(ties) > 1:
+            vec = evecs[:, ties[np.argmax(np.abs(prev @ evecs[:, ties]))]]
+        elif (prev @ evecs[:, 0]) ** 2 >= floor:
+            vec = evecs[:, 0]
+        else:
+            _, all_vecs = sla.eigh(work)
+            full_solves += 1
+            vec = all_vecs[:, np.argmax(np.abs(prev @ all_vecs))]
+        followed[i] = vec
+        prev = vec
+    return followed, full_solves

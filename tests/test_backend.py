@@ -1,3 +1,4 @@
+import os
 import subprocess
 import sys
 
@@ -129,6 +130,42 @@ def test_numpy_backend_subprocess():
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert "numpy-ok" in proc.stdout
+
+
+def test_unknown_backend_is_refused_subprocess(tmp_path):
+    """An unknown CRITGYRO_BACKEND is a usage error of the CLI (exit 2, one
+    line, no traceback), and the library refuses it before a kernel runs."""
+    env = dict(os.environ, CRITGYRO_BACKEND="numba")
+    proc = subprocess.run(
+        [sys.executable, "-m", "critgyro.cli", "basis", "--n", "2",
+         "--out", str(tmp_path / "basis.csv")],
+        capture_output=True, text=True, timeout=300, env=env)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and "CRITGYRO_BACKEND" in proc.stderr
+    assert len(proc.stderr.strip().splitlines()) == 1
+    assert not (tmp_path / "basis.csv").exists()
+    code = (
+        "import numpy as np\n"
+        "import critgyro._kernels as kernels\n"
+        "from critgyro.curves import CurveCatalog, ResonanceCurve\n"
+        "from critgyro.errors import ParameterError\n"
+        "from critgyro.estimate import ProtocolConfig, run_protocol\n"
+        "def kernel(*args):\n"
+        "    raise AssertionError('a kernel ran')\n"
+        "kernels.bayes_stage = kernels.multiply_renormalize = kernel\n"
+        "omega = np.linspace(0.775, 1.025, 501)\n"
+        "p = 1.0 / (1.0 + np.exp((omega - 0.9) / 0.01))\n"
+        "cat = CurveCatalog(curves=(ResonanceCurve.from_values(0.5, 0.01, omega, p),))\n"
+        "cfg = ProtocolConfig(n_measurements=5, initial_anisotropy=0.01)\n"
+        "try:\n"
+        "    run_protocol(cfg, cat)\n"
+        "except ParameterError as exc:\n"
+        "    print('refused', exc)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=300, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("refused")
 
 
 def test_active_backend_reports_known_value():

@@ -191,6 +191,33 @@ def test_stale_catalog_reports_numerical_failure(tmp_path):
 
 
 @pytest.mark.parametrize("argv", [
+    ["curve", "--n", "2", "--g", "nan", "--A", "0.04", "--grid", "0.8:0.9:3"],
+    ["curve", "--n", "2", "--g", "0.5", "--A", "-0.04", "--grid", "0.8:0.9:3"],
+    ["catalog", "--n", "2", "--pairs=0.5:-0.04", "--grid", "0.8:0.9:3"],
+])
+def test_unphysical_parameters_exit_2(argv, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_bad_seed_env_exits_2(tmp_path, catalog_file, monkeypatch, capsys):
+    monkeypatch.setenv("CRITGYRO_SEED", "abc")
+    assert main(["estimate", "--catalog", catalog_file,
+                 "--out-dir", str(tmp_path / "run")]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_invalid_config_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"grid_size": 1}))
+    assert main(["estimate", "--config", str(cfg), "--catalog", "c.json",
+                 "--out-dir", str(tmp_path / "run")]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
     ["curve", "--g", "0.5", "--A", "0.04", "--grid", "0.8:0.9"],
     ["curve", "--g", "0.5", "--A", "0.04", "--grid", "0.8:x:5"],
     ["curve", "--g", "0.5", "--A", "0.04", "--grid", "0.8:0.9:1"],

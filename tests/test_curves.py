@@ -1,10 +1,13 @@
+import dataclasses
 import json
+from math import nan
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import critgyro.curves as curves_module
 import critgyro.spectrum as spectrum
 from conftest import make_logistic_curve
 from critgyro.curves import (
@@ -261,3 +264,44 @@ def test_diagnostics_gap_stays_in_the_condensate_sector(system6):
     curve = compute_curve(basis, cache, 0.5, 0.04, grid=[0.75, 0.85, 0.88])
     diag = curve_diagnostics(basis, cache, curve)
     assert np.allclose(diag.gap, [0.3253, 0.1288, 0.0746], atol=5e-5)
+
+
+def test_diagnostics_reuse_the_curve_sweep(system6, monkeypatch):
+    basis, cache = system6
+    sweeps = []
+    real = spectrum.sweep_lowest
+
+    def counting(*args, **kwargs):
+        sweeps.append(1)
+        # the kept sweep is released before a new one allocates
+        assert curves_module._last_sweep is None
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(spectrum, "sweep_lowest", counting)
+    grid = np.linspace(0.86, 0.92, 13)
+    curve = compute_curve(basis, cache, 0.5, 0.04, grid=grid)
+    diag = curve_diagnostics(basis, cache, curve)
+    assert len(sweeps) == 1
+    # a curve never reuses a sweep; another grid or pair sweeps again
+    assert np.array_equal(compute_curve(basis, cache, 0.5, 0.04, grid=grid).p0, curve.p0)
+    assert len(sweeps) == 2
+    curve_diagnostics(basis, cache, ResonanceCurve.from_values(
+        0.5, 0.04, grid[:-1], curve.p0[:-1]))
+    assert len(sweeps) == 3
+    curve_diagnostics(basis, cache, ResonanceCurve.from_values(
+        0.5, 0.032, grid, curve.p0))
+    assert len(sweeps) == 4
+    # the reused sweep gives what a fresh basis and cache compute
+    fresh_basis = enumerate_basis(6, 2, 8)
+    fresh = curve_diagnostics(fresh_basis, ElementCache.build(fresh_basis.modes), curve)
+    assert len(sweeps) == 5
+    for field in dataclasses.fields(diag):
+        assert np.array_equal(getattr(diag, field.name), getattr(fresh, field.name))
+
+
+@pytest.mark.parametrize("g,a", [(nan, 0.04), (0.5, -0.04), (0.5, nan)])
+def test_curve_refuses_unphysical_parameters(g, a):
+    basis = enumerate_basis(2, 2, 4)
+    with pytest.raises(ParameterError):
+        compute_curve(basis, ElementCache.build(basis.modes), g, a,
+                      grid=[0.85, 0.9])

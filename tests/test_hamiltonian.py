@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from math import pi, sqrt
+from math import inf, nan, pi, sqrt
 
 from critgyro.errors import ParameterError, StructureError
 from critgyro.fock import Mode, enumerate_basis
@@ -142,6 +142,32 @@ def test_cache_basis_mismatch():
     cache = ElementCache.build(other.modes)
     with pytest.raises(StructureError):
         assemble(basis, ModelParams(2, 0.5, 0.0, 0.0, l_max=4), cache)
+
+
+def test_build_operators_is_shared_per_basis_and_cache():
+    basis = enumerate_basis(3, 2, 5)
+    cache = ElementCache.build(basis.modes)
+    ops = build_operators(basis, cache)
+    assert build_operators(basis, cache) is ops
+    # a second cache over the same modes is another object: rebuilt, equal
+    other = ElementCache.build(basis.modes)
+    rebuilt = build_operators(basis, other)
+    assert rebuilt is not ops
+    assert np.array_equal(rebuilt.d, ops.d) and np.array_equal(rebuilt.l, ops.l)
+    assert (rebuilt.v != ops.v).nnz == 0 and (rebuilt.u != ops.u).nnz == 0
+    assert build_operators(basis, other) is rebuilt
+    with pytest.raises(ValueError):
+        ops.d[0] = 0.0
+
+
+@pytest.mark.parametrize("g,a,omega", [(nan, 0.04, 0.9), (inf, 0.04, 0.9),
+                                       (-0.1, 0.04, 0.9), (0.5, nan, 0.9),
+                                       (0.5, -0.04, 0.9), (0.5, 0.04, nan)])
+def test_hamiltonian_refuses_unphysical_parameters(g, a, omega):
+    basis = enumerate_basis(2, 2, 4)
+    ops = build_operators(basis, ElementCache.build(basis.modes))
+    with pytest.raises(ParameterError):
+        ops.hamiltonian(g, a, omega)
 
 
 def test_physical_to_g():

@@ -4,10 +4,12 @@ import pytest
 import critgyro.spectrum as spectrum
 from critgyro.errors import ConvergenceError, ParameterError
 from critgyro.fock import Mode, enumerate_basis
-from critgyro.hamiltonian import ModelParams, SparseHamiltonian, assemble
+from critgyro.curves import PRESCAN_POINTS, PRESCAN_RANGE
+from critgyro.hamiltonian import ModelParams, SparseHamiltonian, assemble, build_operators
 from critgyro.melem import ElementCache
+from critgyro.observables import condensate_index
 from critgyro.spectrum import ground_state, lowest_k, sweep_lowest, sweep_sector
-from oracle import oracle_hamiltonian
+from oracle import oracle_hamiltonian, reference_sweep_followed
 
 
 def diag_ham(values):
@@ -175,3 +177,35 @@ def test_sector_sweep_reproduces_full_space_p0():
     assert ground_even.any()
     assert np.allclose(sector.energies[ground_even, 0],
                        full.energies[ground_even, 0], atol=1e-12)
+
+
+@pytest.mark.parametrize("g,a", [(0.6, 0.025), (0.5, 0.012)])
+def test_lost_branch_resolves_like_the_full_spectrum(system6, monkeypatch, g, a):
+    """On the curve pre-scan of these pairs the ground state loses the
+    followed branch; the k-window rule keeps the branch a full-spectrum
+    resolution picks, with fewer full-spectrum solves."""
+    basis, cache = system6
+    rows = np.flatnonzero(basis.L % 2 == 0)
+    h0 = build_operators(basis, cache).hamiltonian(g, a, 0.0).to_dense()
+    h0 = h0[np.ix_(rows, rows)]
+    l_diag = basis.L[rows].astype(float)
+    anchor = int(np.searchsorted(rows, condensate_index(basis)))
+    omegas = np.linspace(*PRESCAN_RANGE, PRESCAN_POINTS)
+    ref, ref_full_solves = reference_sweep_followed(h0, l_diag, omegas, anchor)
+
+    full_solves = []
+    real = spectrum.sla.eigh
+
+    def counting(mat, *args, **kwargs):
+        if "subset_by_index" not in kwargs:
+            full_solves.append(mat.shape)
+        return real(mat, *args, **kwargs)
+
+    monkeypatch.setattr(spectrum.sla, "eigh", counting)
+    sweep = sweep_lowest(h0, l_diag, omegas, anchor_index=anchor)
+    mask = basis.zero_momentum_mask()[rows]
+    p_ref = (ref[:, mask] ** 2).sum(axis=1)
+    p_got = (sweep.followed[:, mask] ** 2).sum(axis=1)
+    assert ref_full_solves > 0
+    assert len(full_solves) < ref_full_solves
+    assert np.max(np.abs(p_got - p_ref)) <= 1e-12
