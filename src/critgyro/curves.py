@@ -2,23 +2,26 @@
 
 A curve is computed by sweeping the ground state across the vortex
 transition of one (g, A) pair. The sweep grid is auto-located: a coarse
-pre-scan brackets the 0.9/0.1 crossings, then a refined uniform grid spans
-the transition with generous padding so that the flat extension outside
-the grid only ever sees plateau values. Sweeps run in the L-parity sector
-of the condensate (0,0)^N, the only states the followed state couples to.
+pre-scan brackets the 0.9/0.1 crossings, stopping at the first point after
+both first crossings, then a refined uniform grid spans the transition
+with generous padding so that the flat extension outside the grid only
+ever sees plateau values. Sweeps run in the L-parity sector of the
+condensate (0,0)^N, the only states the followed state couples to.
 
 The module keeps its last sector sweep: the followed states and the two
-lowest sector energies at each grid point, keyed by the `Operators` object
-(identity), g, A and the exact grid values. Every curve sweep drops it
-before it starts and replaces it when done, so it holds one sweep at most
-and never sits beside a sweep in progress. Only `curve_diagnostics` reads
-it: on a match it skips its own sweep, so diagnostics of the curve just
-computed cost no second sweep. `locate_grid`, `compute_curve` and
+lowest sector energies at each point, keyed by the `Operators` object
+(identity), g, A and the exact values of the points swept (a pre-scan that
+stopped early holds only its prefix of the grid). Every curve sweep drops
+it before it starts and replaces it when done, so it holds one sweep at
+most and never sits beside a sweep in progress. Only `curve_diagnostics`
+reads it: on a match it skips its own sweep, so diagnostics of the curve
+just computed cost no second sweep. `locate_grid`, `compute_curve` and
 `catalog_build` always sweep.
 """
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -98,9 +101,19 @@ class ResonanceCurve:
         """Grid relative to its own origin (shift-covariant)."""
         return self.omega - self.omega[0]
 
+    @cached_property
+    def _center_offset(self) -> float | None:
+        return crossing_offset(self.omega, self.p0, 0.5)
+
+    @cached_property
+    def uniform_grid(self) -> bool:
+        """Whether the grid steps agree to 1e-9 of their mean."""
+        d = np.diff(self.omega)
+        return not d.max() - d.min() > 1e-9 * d.mean()
+
     def rel_center(self) -> float:
         """Center as an offset from the grid origin."""
-        rel = crossing_offset(self.omega, self.p0, 0.5)
+        rel = self._center_offset
         if rel is None:
             raise RangeError("curve has no 0.5 crossing")
         return float(rel)
@@ -138,19 +151,29 @@ class _Sweep(NamedTuple):
 _last_sweep: _Sweep | None = None
 
 
-def _sweep_p0(basis: FockBasis, ops: Operators, g, anisotropy, omegas):
+def _p0(states: np.ndarray, mask: np.ndarray):
+    """Weight of a state, or of each row of states, on the zero-momentum
+    occupations. Summed along contiguous rows, so a state gets the same
+    bits alone as in a batch."""
+    return (np.ascontiguousarray(states[..., mask]) ** 2).sum(axis=-1)
+
+
+def _sweep_p0(basis: FockBasis, ops: Operators, g, anisotropy, omegas, stop=None):
     """Sweep of the condensate's L-parity sector and p0 of its followed
-    state; the sweep becomes the module's last sweep."""
+    state; the sweep becomes the module's last sweep. `stop`, when given,
+    sees p0 after each point and ends the sweep once it returns True."""
     global _last_sweep
     _last_sweep = None  # freed before the new sweep allocates its arrays
     omegas = np.array(omegas, dtype=float)  # a copy: the key outlives the caller's array
-    h0 = ops.hamiltonian(g, anisotropy, 0.0).to_dense()
-    sweep = sweep_sector(h0, ops.l, omegas, condensate_index(basis), k=6)
-    _last_sweep = entry = _Sweep(ops, g, anisotropy, omegas, sweep.followed,
-                                 sweep.energies[:, :2])
     mask = basis.zero_momentum_mask()
-    pvals = (sweep.followed[:, mask] ** 2).sum(axis=1)
-    return entry, pvals
+    h0 = ops.hamiltonian(g, anisotropy, 0.0).to_dense()
+    sweep = sweep_sector(h0, ops.l, omegas, condensate_index(basis), k=6,
+                         stop=None if stop is None
+                         else lambda state: stop(_p0(state, mask)))
+    # keyed by the points swept: a pre-scan that stopped early matches no grid
+    _last_sweep = entry = _Sweep(ops, g, anisotropy, sweep.omegas, sweep.followed,
+                                 sweep.energies)
+    return entry, _p0(sweep.followed, mask)
 
 
 def locate_grid(basis: FockBasis, cache: ElementCache, g: float,
@@ -158,12 +181,27 @@ def locate_grid(basis: FockBasis, cache: ElementCache, g: float,
                 prescan_points: int = PRESCAN_POINTS,
                 points: int = REFINED_POINTS) -> np.ndarray:
     """Auto-located refined grid spanning the transition, or the pre-scan
-    window when the likelihood never crosses 0.5 (e.g. zero anisotropy)."""
+    window when the likelihood never crosses 0.5 (e.g. zero anisotropy).
+
+    The pre-scan ends at the first point after both first downward
+    crossings (0.9 and 0.1) are bracketed; the grid depends on those
+    crossings alone, so it is the one the whole pre-scan gives.
+    """
     coarse = np.linspace(prescan[0], prescan[1], prescan_points)
-    _, pc = _sweep_p0(basis, build_operators(basis, cache), g, anisotropy, coarse)
+    pending, last = {0.9, 0.1}, -np.inf
+
+    def bracketed(p: float) -> bool:
+        # drop each threshold whose first downward crossing p brackets
+        nonlocal pending, last
+        pending = {t for t in pending if not last >= t > p}
+        last = p
+        return not pending
+
+    _, pc = _sweep_p0(basis, build_operators(basis, cache), g, anisotropy, coarse,
+                      stop=bracketed)
     step = coarse[1] - coarse[0]
-    rel_hi = crossing_offset(coarse, pc, 0.9)
-    rel_lo = crossing_offset(coarse, pc, 0.1)
+    rel_hi = crossing_offset(coarse[:len(pc)], pc, 0.9)
+    rel_lo = crossing_offset(coarse[:len(pc)], pc, 0.1)
     if rel_hi is None or rel_lo is None:
         return np.linspace(prescan[0], prescan[1], points)
     span = max(rel_lo - rel_hi, step)
@@ -217,6 +255,11 @@ def curve_diagnostics(basis: FockBasis, cache: ElementCache,
     )
 
 
+def _check_unique_keys(keys) -> None:
+    if len(set(keys)) != len(keys):
+        raise ParameterError("duplicate (g, anisotropy) keys in catalog")
+
+
 @dataclass(frozen=True)
 class CurveCatalog:
     """Width-sorted resonance curves plus provenance of their computation."""
@@ -225,9 +268,7 @@ class CurveCatalog:
     provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        keys = [c.key for c in self.curves]
-        if len(set(keys)) != len(keys):
-            raise ParameterError("duplicate (g, anisotropy) keys in catalog")
+        _check_unique_keys([c.key for c in self.curves])
         for c in self.curves:
             if c.width is None or c.width <= 0:
                 raise ParameterError(
@@ -260,6 +301,7 @@ def catalog_build(basis: FockBasis, cache: ElementCache,
                   grid=None) -> CurveCatalog:
     if not pairs:
         raise ParameterError("need at least one (g, anisotropy) pair")
+    _check_unique_keys([(g, anisotropy) for g, anisotropy in pairs])
     curves = [compute_curve(basis, cache, g, anisotropy, grid)
               for g, anisotropy in pairs]
     provenance = {

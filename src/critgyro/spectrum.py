@@ -8,18 +8,33 @@ and if the ground state loses all overlap with the followed branch (exact
 sector crossings at zero anisotropy) the sweep keeps the branch instead.
 `sweep_sector` runs a sweep inside the L-parity sector of an anchor state.
 
-A lost branch is resolved in the k-window first. The followed state is the
-eigenvector of maximal overlap with the previous one over the whole
-spectrum. The squared overlaps of a unit vector with an orthonormal
-eigenbasis sum to 1, so at most one eigenvector can have overlap^2 above
-1/2, and one that does is that maximum. When one of the k computed vectors
-passes BRANCH_MAJORITY it is taken as it is; only otherwise does the sweep
-solve the full spectrum to find the maximum.
+A sweep solves the two lowest eigenpairs at each point: E0, E1 and their
+vectors are all that its callers read. It widens to the k lowest pairs (the
+branch-resolution window) only where the follow rule needs more: where
+E1 - E0 falls below DEGENERACY_TIE, since the tie may extend past two
+states, and where the ground state holds less than FOLLOW_FLOOR of the
+followed state. A lost branch is resolved in the k-window first. The
+followed state is the eigenvector of maximal overlap with the previous
+one over the whole spectrum. The squared overlaps of a unit vector with
+an orthonormal eigenbasis sum to 1, so at most one eigenvector can have
+overlap^2 above 1/2, and one that does is that maximum. When one of the k
+computed vectors passes BRANCH_MAJORITY it is taken as it is; only
+otherwise does the sweep solve the full spectrum to find the maximum.
+
+Sweeps run their solves on one OpenBLAS thread: at these dimensions a
+second thread gains little, and on a busy machine it slows each solve
+many times over.
 """
 
+import ctypes
+from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cache
+from pathlib import Path
+from typing import Callable
 
 import numpy as np
+import scipy
 import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 
@@ -92,12 +107,50 @@ def ground_state(ham: SparseHamiltonian, tol: float = DEFAULT_TOL):
 
 @dataclass(frozen=True)
 class SweepResult:
-    omegas: np.ndarray
-    energies: np.ndarray    # (n, k) ascending per point
+    omegas: np.ndarray      # (n,) the points swept
+    energies: np.ndarray    # (n, 2) two lowest energies per point, ascending
     vec0: np.ndarray        # (n, dim) lowest eigenvector
     vec1: np.ndarray        # (n, dim) second eigenvector
     followed: np.ndarray    # (n, dim) adiabatically followed state
     followed_rank: np.ndarray
+
+
+@cache
+def _openblas_thread_controls() -> tuple:
+    """(get, set) thread-count functions of each OpenBLAS that numpy and
+    scipy bundle; empty when there is none."""
+    controls = []
+    for pkg in (np, scipy):
+        libdir = Path(pkg.__file__).resolve().parent.parent / f"{pkg.__name__}.libs"
+        for lib in sorted(libdir.glob("*openblas*.so*")):
+            try:
+                dll = ctypes.CDLL(str(lib))
+            except OSError:
+                continue
+            for prefix, suffix in (("scipy_openblas", "64_"), ("scipy_openblas", ""),
+                                   ("openblas", "64_"), ("openblas", "")):
+                get = getattr(dll, f"{prefix}_get_num_threads{suffix}", None)
+                put = getattr(dll, f"{prefix}_set_num_threads{suffix}", None)
+                if get is not None and put is not None:
+                    get.argtypes, get.restype = [], ctypes.c_int
+                    put.argtypes, put.restype = [ctypes.c_int], None
+                    controls.append((get, put))
+                    break
+    return tuple(controls)
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the block on one OpenBLAS thread, then restore each count."""
+    controls = _openblas_thread_controls()
+    saved = [get() for get, _ in controls]
+    for _, put in controls:
+        put(1)
+    try:
+        yield
+    finally:
+        for (_, put), count in zip(controls, saved):
+            put(count)
 
 
 def sweep_lowest(
@@ -106,83 +159,102 @@ def sweep_lowest(
     omegas: np.ndarray,
     k: int = 6,
     anchor_index: int | None = None,
+    stop: Callable[[np.ndarray], bool] | None = None,
 ) -> SweepResult:
     """Diagonalize H0 - Omega * diag(L) along a rotation grid.
 
     The followed state starts from the ground state (ties broken by weight
     on `anchor_index`) and continues by maximal overlap whenever the ground
-    state decouples from the followed branch.
+    state decouples from the followed branch. Each point solves the two
+    lowest pairs; `k` is the branch-resolution window, solved at a point
+    only where E1 - E0 < DEGENERACY_TIE (the first point included) or where
+    the ground state's overlap^2 with the followed state falls below
+    FOLLOW_FLOOR. The full spectrum is solved only where no vector of the
+    window holds a majority of the followed state.
+
+    `stop`, when given, sees the followed state after each point; once it
+    returns True the sweep ends there and the result holds the points
+    swept so far.
     """
     dim = h0_dense.shape[0]
     k = min(k, dim)
+    pairs = min(2, k)
     n = len(omegas)
-    energies = np.empty((n, k))
+    energies = np.empty((n, pairs))
     vec0 = np.empty((n, dim))
-    vec1 = np.empty((n, dim)) if dim > 1 else np.empty((n, 1))
+    vec1 = np.empty((n, dim))
     followed = np.empty((n, dim))
     rank = np.zeros(n, dtype=np.int64)
     prev = None
     diag_idx = np.arange(dim)
     work = h0_dense.copy()
-    for i, om in enumerate(omegas):
-        work[diag_idx, diag_idx] = h0_dense[diag_idx, diag_idx] - om * l_diag
-        evals, evecs = sla.eigh(work, subset_by_index=(0, k - 1))
-        energies[i] = evals
-        vec0[i] = evecs[:, 0]
-        vec1[i] = evecs[:, min(1, k - 1)]
-        if prev is None:
-            pick = 0
-            if anchor_index is not None:
-                ties = np.flatnonzero(evals - evals[0] < DEGENERACY_TIE)
-                pick = ties[np.argmax(np.abs(evecs[anchor_index, ties]))]
-            followed[i] = evecs[:, pick]
-        else:
-            overlaps = np.abs(prev @ evecs)
-            ties = np.flatnonzero(evals - evals[0] < DEGENERACY_TIE)
-            if len(ties) > 1:
-                pick = ties[np.argmax(overlaps[ties])]
-                followed[i] = evecs[:, pick]
-            elif overlaps[0] ** 2 >= FOLLOW_FLOOR:
+    swept = n
+    with _one_blas_thread():
+        for i, om in enumerate(omegas):
+            work[diag_idx, diag_idx] = h0_dense[diag_idx, diag_idx] - om * l_diag
+            evals, evecs = sla.eigh(work, subset_by_index=(0, pairs - 1))
+            energies[i] = evals
+            vec0[i] = evecs[:, 0]
+            vec1[i] = evecs[:, pairs - 1]
+            tied = pairs > 1 and evals[1] - evals[0] < DEGENERACY_TIE
+            if tied and k > pairs:
+                evals, evecs = sla.eigh(work, subset_by_index=(0, k - 1))
+            if prev is None:
                 pick = 0
-                followed[i] = evecs[:, 0]
-            elif overlaps.max() ** 2 > BRANCH_MAJORITY:
-                pick = int(np.argmax(overlaps))
-                followed[i] = evecs[:, pick]
+                if anchor_index is not None:
+                    ties = np.flatnonzero(evals - evals[0] < DEGENERACY_TIE)
+                    pick = ties[np.argmax(np.abs(evecs[anchor_index, ties]))]
+            elif tied:
+                ties = np.flatnonzero(evals - evals[0] < DEGENERACY_TIE)
+                pick = ties[np.argmax(np.abs(prev @ evecs[:, ties]))]
+            elif (prev @ evecs[:, 0]) ** 2 >= FOLLOW_FLOOR:
+                pick = 0
             else:
-                # the branch left the k-window (exact sector crossing at
-                # zero anisotropy): resolve against the full spectrum
-                full_vals, full_vecs = sla.eigh(work)
-                pick = int(np.argmax(np.abs(prev @ full_vecs)))
-                followed[i] = full_vecs[:, pick]
-        rank[i] = pick
-        prev = followed[i]
+                if k > pairs:
+                    evals, evecs = sla.eigh(work, subset_by_index=(0, k - 1))
+                overlaps = np.abs(prev @ evecs)
+                pick = int(np.argmax(overlaps))
+                if overlaps[pick] ** 2 <= BRANCH_MAJORITY:
+                    # the branch left the k-window (exact sector crossing at
+                    # zero anisotropy): resolve against the full spectrum
+                    _, evecs = sla.eigh(work)
+                    pick = int(np.argmax(np.abs(prev @ evecs)))
+            followed[i] = evecs[:, pick]
+            rank[i] = pick
+            prev = followed[i]
+            if stop is not None and stop(prev):
+                swept = i + 1
+                break
     return SweepResult(
-        omegas=np.asarray(omegas, dtype=float),
-        energies=energies,
-        vec0=vec0,
-        vec1=vec1,
-        followed=followed,
-        followed_rank=rank,
+        omegas=np.asarray(omegas, dtype=float)[:swept],
+        energies=energies[:swept],
+        vec0=vec0[:swept],
+        vec1=vec1[:swept],
+        followed=followed[:swept],
+        followed_rank=rank[:swept],
     )
 
 
 def sweep_sector(h0_dense: np.ndarray, l_diag: np.ndarray, omegas: np.ndarray,
-                 anchor_index: int, k: int = 6) -> SweepResult:
+                 anchor_index: int, k: int = 6,
+                 stop: Callable[[np.ndarray], bool] | None = None) -> SweepResult:
     """`sweep_lowest` within the L-parity sector of the anchor state.
 
     H conserves L parity exactly (the deformation changes L by 2), so the
     anchor's state never couples to the other sector. Energies are the
-    sector's; vectors come back in full-basis coordinates, zero outside it.
+    sector's; vectors, also those `stop` sees, come in full-basis
+    coordinates, zero outside it.
     """
     rows = np.flatnonzero(l_diag % 2 == l_diag[anchor_index] % 2)
-    sub = sweep_lowest(h0_dense[np.ix_(rows, rows)], l_diag[rows], omegas, k=k,
-                       anchor_index=int(np.searchsorted(rows, anchor_index)))
 
     def lift(vectors):
-        full = np.zeros((len(vectors), len(l_diag)))
-        full[:, rows] = vectors
+        full = np.zeros(vectors.shape[:-1] + (len(l_diag),))
+        full[..., rows] = vectors
         return full
 
+    sub = sweep_lowest(h0_dense[np.ix_(rows, rows)], l_diag[rows], omegas, k=k,
+                       anchor_index=int(np.searchsorted(rows, anchor_index)),
+                       stop=None if stop is None else lambda state: stop(lift(state)))
     return SweepResult(
         omegas=sub.omegas, energies=sub.energies,
         vec0=lift(sub.vec0), vec1=lift(sub.vec1), followed=lift(sub.followed),

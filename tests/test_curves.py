@@ -10,8 +10,13 @@ from hypothesis import strategies as st
 import critgyro.curves as curves_module
 import critgyro.spectrum as spectrum
 from conftest import make_logistic_curve
+from critgyro.cli import main
 from critgyro.curves import (
     CATALOG_VERSION,
+    DEFAULT_CATALOG_PAIRS,
+    PRESCAN_POINTS,
+    PRESCAN_RANGE,
+    REFINED_POINTS,
     CurveCatalog,
     ResonanceCurve,
     catalog_build,
@@ -19,6 +24,7 @@ from critgyro.curves import (
     catalog_save,
     compute_curve,
     curve_diagnostics,
+    locate_grid,
     lookup_by_width,
 )
 from critgyro.errors import ParameterError, StaleCatalogError
@@ -305,3 +311,72 @@ def test_curve_refuses_unphysical_parameters(g, a):
     with pytest.raises(ParameterError):
         compute_curve(basis, ElementCache.build(basis.modes), g, a,
                       grid=[0.85, 0.9])
+
+
+def _first_crossing(p, threshold):
+    return next(i for i in range(len(p) - 1) if p[i] >= threshold > p[i + 1])
+
+
+@pytest.mark.parametrize("g,a", DEFAULT_CATALOG_PAIRS + ((0.5, 0.0),))
+def test_prescan_stops_at_its_crossings(system6, monkeypatch, g, a):
+    """The located grid is the one the whole 61-point pre-scan gives, and
+    the pre-scan ends at the first point after both first crossings."""
+    basis, cache = system6
+    real = spectrum.sweep_lowest
+    swept = []
+
+    def early(*args, **kwargs):
+        result = real(*args, **kwargs)
+        swept.append(len(result.omegas))
+        return result
+
+    def whole(*args, stop=None, **kwargs):
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(spectrum, "sweep_lowest", early)
+    grid = locate_grid(basis, cache, g, a)
+    monkeypatch.setattr(spectrum, "sweep_lowest", whole)
+    assert np.array_equal(grid, locate_grid(basis, cache, g, a))
+    full = curves_module._last_sweep.followed
+    assert len(full) == PRESCAN_POINTS
+    p = (full[:, basis.zero_momentum_mask()] ** 2).sum(axis=1)
+    if a == 0.0:  # no transition: the pre-scan runs in full
+        assert swept == [PRESCAN_POINTS]
+        assert np.array_equal(grid, np.linspace(*PRESCAN_RANGE, REFINED_POINTS))
+    else:
+        last = max(_first_crossing(p, 0.9), _first_crossing(p, 0.1))
+        assert swept == [last + 2] and last + 2 < PRESCAN_POINTS
+
+
+def test_diagnostics_do_not_reuse_an_early_stopped_prescan(system6, monkeypatch):
+    basis, cache = system6
+    sweeps = []
+    real = spectrum.sweep_lowest
+
+    def counting(*args, **kwargs):
+        sweeps.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(spectrum, "sweep_lowest", counting)
+    locate_grid(basis, cache, 0.5, 0.04)
+    coarse = np.linspace(*PRESCAN_RANGE, PRESCAN_POINTS)
+    assert len(curves_module._last_sweep.omegas) < PRESCAN_POINTS
+    curve = ResonanceCurve.from_values(0.5, 0.04, coarse,
+                                       np.linspace(1.0, 0.0, PRESCAN_POINTS))
+    diag = curve_diagnostics(basis, cache, curve)
+    assert len(sweeps) == 2
+    assert diag.gap.shape == (PRESCAN_POINTS,)
+
+
+def test_catalog_build_refuses_duplicate_pairs_before_sweeping(system6, monkeypatch,
+                                                              tmp_path):
+    sweeps = []
+    monkeypatch.setattr(spectrum, "sweep_lowest",
+                        lambda *args, **kwargs: sweeps.append(1))
+    with pytest.raises(ParameterError, match="duplicate"):
+        catalog_build(*system6, [(0.5, 0.04), (0.5, 0.032), (0.5, 0.04)])
+    out = tmp_path / "catalog.json"
+    assert main(["catalog", "--n", "2", "--pairs", "0.5:0.04,0.5:0.04",
+                 "--out", str(out)]) == 2
+    assert sweeps == []
+    assert not out.exists()

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import critgyro.curves as curves
 import critgyro.estimate as estimate
 from conftest import make_logistic_curve
 from critgyro.curves import CurveCatalog, ResonanceCurve
@@ -382,3 +383,27 @@ def test_sigma_scaling_synthetic():
     assert sigma_scaling(np.full(10000, 0.1)) == pytest.approx(0.0, abs=1e-12)
     with pytest.raises(ParameterError):
         sigma_scaling(np.ones(50))
+
+
+def test_curve_constants_are_computed_once_per_curve(monkeypatch):
+    cat = synthetic_catalog()
+    offsets = []
+    real = curves.crossing_offset
+    monkeypatch.setattr(curves, "crossing_offset",
+                        lambda *args: offsets.append(1) or real(*args))
+    cfg = ProtocolConfig(seed=5, n_measurements=40, schedule=(12, 32),
+                         initial_g=0.5, initial_anisotropy=0.01)
+    ens = run_ensemble(cfg, cat, n_trajectories=6)
+    assert ens.n_aborted == 0
+    assert 1 <= len(offsets) <= len(cat.curves)
+
+
+def test_protocol_refuses_a_curve_on_a_non_uniform_grid():
+    curve = make_logistic_curve(anisotropy=0.01)
+    omega = curve.omega.copy()
+    omega[len(omega) // 2] += 0.25 * (omega[1] - omega[0])
+    cat = CurveCatalog(curves=(ResonanceCurve.from_values(0.5, 0.01, omega, curve.p0),))
+    cfg = ProtocolConfig(seed=5, n_measurements=10,
+                         initial_g=0.5, initial_anisotropy=0.01)
+    with pytest.raises(ParameterError, match="uniform"):
+        run_protocol(cfg, cat)

@@ -1,3 +1,9 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -209,3 +215,116 @@ def test_lost_branch_resolves_like_the_full_spectrum(system6, monkeypatch, g, a)
     assert ref_full_solves > 0
     assert len(full_solves) < ref_full_solves
     assert np.max(np.abs(p_got - p_ref)) <= 1e-12
+
+
+def _sector_prescan(basis, cache, g, a):
+    rows = np.flatnonzero(basis.L % 2 == 0)
+    h0 = build_operators(basis, cache).hamiltonian(g, a, 0.0).to_dense()
+    return (h0[np.ix_(rows, rows)], basis.L[rows].astype(float),
+            np.linspace(*PRESCAN_RANGE, PRESCAN_POINTS),
+            int(np.searchsorted(rows, condensate_index(basis))),
+            basis.zero_momentum_mask()[rows])
+
+
+def _exact_crossing_sweep():
+    basis = enumerate_basis(4, 2, 6)
+    cache = ElementCache.build(basis.modes)
+    h0 = assemble(basis, ModelParams(4, 0.5, 0.0, 0.0, l_max=6), cache).to_dense()
+    return (h0, basis.L.astype(float), np.linspace(0.7, 1.0, 61),
+            basis.index_of({Mode(0, 0): 4}), basis.zero_momentum_mask())
+
+
+@pytest.mark.parametrize("case", ["0.6:0.025", "0.5:0.012", "exact crossing"])
+def test_sweep_widens_only_where_the_follow_rule_needs(system6, monkeypatch, case):
+    """Each point solves two pairs; the k-window is solved exactly where
+    E1 - E0 ties or the ground state holds less than FOLLOW_FLOOR of the
+    followed state, and the followed branch is the full-spectrum one."""
+    if case == "exact crossing":
+        h0, l_diag, omegas, anchor, mask = _exact_crossing_sweep()
+    else:
+        h0, l_diag, omegas, anchor, mask = _sector_prescan(
+            *system6, *map(float, case.split(":")))
+    ref, _ = reference_sweep_followed(h0, l_diag, omegas, anchor)
+
+    solves = []  # per point, the number of pairs each solve asked for
+    real = spectrum.sla.eigh
+
+    def spying(mat, *args, **kwargs):
+        lo, hi = kwargs.get("subset_by_index", (0, mat.shape[0] - 1))
+        if hi == 1:
+            solves.append([])
+        solves[-1].append(hi - lo + 1)
+        return real(mat, *args, **kwargs)
+
+    monkeypatch.setattr(spectrum.sla, "eigh", spying)
+    sweep = sweep_lowest(h0, l_diag, omegas, anchor_index=anchor)
+    assert sweep.energies.shape == (len(omegas), 2)
+    assert len(solves) == len(omegas)
+    widened = [len(point) > 1 for point in solves]
+    assert all(point[1] == 6 for point in solves if len(point) > 1)
+    tied = sweep.energies[:, 1] - sweep.energies[:, 0] < spectrum.DEGENERACY_TIE
+    lost = np.zeros(len(omegas), dtype=bool)
+    lost[1:] = np.einsum("ij,ij->i", sweep.followed[:-1], sweep.vec0[1:]) ** 2 \
+        < spectrum.FOLLOW_FLOOR
+    assert widened == list(tied | lost)
+    if case != "exact crossing":
+        assert any(widened)  # these pre-scans lose the branch
+    p_ref = (ref[:, mask] ** 2).sum(axis=1)
+    p_got = (sweep.followed[:, mask] ** 2).sum(axis=1)
+    assert np.max(np.abs(p_got - p_ref)) <= 1e-12
+
+
+def test_sweep_stop_ends_after_the_point_it_accepts():
+    h0, l_diag, omegas, anchor, _ = _exact_crossing_sweep()
+    whole = sweep_lowest(h0, l_diag, omegas, anchor_index=anchor)
+    seen = []
+
+    def stop(state):
+        seen.append(state)
+        return len(seen) == 7
+
+    part = sweep_lowest(h0, l_diag, omegas, anchor_index=anchor, stop=stop)
+    assert len(seen) == 7
+    assert np.array_equal(part.omegas, omegas[:7])
+    for name in ("energies", "vec0", "vec1", "followed", "followed_rank"):
+        assert np.array_equal(getattr(part, name), getattr(whole, name)[:7])
+    assert np.array_equal(np.array(seen), whole.followed[:7])
+    # the sector sweep hands `stop` the state in full-basis coordinates
+    lifted = []
+    sector = sweep_sector(h0, l_diag, omegas, anchor,
+                          stop=lambda state: lifted.append(state) or True)
+    assert len(sector.omegas) == 1
+    assert np.array_equal(lifted[0], sector.followed[0])
+
+
+_BLAS_PROBE = """
+import json
+import numpy as np
+import critgyro.spectrum as spectrum
+controls = spectrum._openblas_thread_controls()
+inside = []
+real = spectrum.sla.eigh
+def probe(*args, **kwargs):
+    inside.append([get() for get, _ in controls])
+    return real(*args, **kwargs)
+spectrum.sla.eigh = probe
+before = [get() for get, _ in controls]
+spectrum.sweep_lowest(np.diag([3.0, 1.0, 2.0]), np.array([0.0, 1.0, 2.0]),
+                      np.linspace(0.0, 0.5, 3))
+after = [get() for get, _ in controls]
+print(json.dumps({"before": before, "after": after,
+                  "inside": sorted({n for counts in inside for n in counts})}))
+"""
+
+
+def test_sweep_runs_on_one_blas_thread_and_restores_the_count():
+    env = {key: value for key, value in os.environ.items()
+           if key not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = str(Path(spectrum.__file__).parents[1])
+    out = subprocess.run([sys.executable, "-c", _BLAS_PROBE], env=env,
+                         capture_output=True, text=True, timeout=120, check=True)
+    counts = json.loads(out.stdout)
+    if not counts["before"]:
+        pytest.skip("no OpenBLAS with a thread control in numpy or scipy")
+    assert counts["inside"] == [1]
+    assert counts["after"] == counts["before"]
