@@ -3,7 +3,7 @@
 __version__ = "0.1.0"
 
 from .fock import Mode, FockBasis, enumerate_basis, enumerate_modes, total_L
-from .melem import ElementCache, QuadratureRule, make_rule
+from .melem import ElementCache
 from .hamiltonian import ModelParams, SparseHamiltonian, assemble, physical_to_g
 from .spectrum import EigenResult, ground_state, lowest_k
 from .observables import (
@@ -44,7 +44,7 @@ from .estimate import (
 __all__ = [
     "__version__",
     "Mode", "FockBasis", "enumerate_basis", "enumerate_modes", "total_L",
-    "ElementCache", "QuadratureRule", "make_rule",
+    "ElementCache",
     "ModelParams", "SparseHamiltonian", "assemble", "physical_to_g",
     "EigenResult", "ground_state", "lowest_k",
     "GapProfile", "SPDM", "adiabatic_time", "critical_frequency",

@@ -13,7 +13,7 @@ import json
 import os
 import sys
 import time
-from math import factorial, pi
+from math import pi
 
 import numpy as np
 
@@ -39,7 +39,7 @@ from .estimate import (
 )
 from .fock import enumerate_basis
 from .hamiltonian import ModelParams, assemble
-from .melem import ElementCache, default_rule, integral_i1, integral_i2, laguerre
+from .melem import ElementCache, integral_i1, integral_i2
 from .observables import adiabatic_time, gap_profile, preparation_hwhm
 
 EXIT_OK = 0
@@ -395,19 +395,13 @@ def cmd_basis(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    checks = []
-    rule = default_rule()
-    checks.append(("quadrature weights sum to 1",
-                   abs(rule.weights.sum() - 1.0) < 1e-12))
-    checks.append(("quadrature integrates x^9 to 9!",
-                   abs(rule.integrate(rule.nodes**9) - factorial(9))
-                   < 1e-10 * factorial(9)))
-    checks.append(("laguerre L_1^0(2) = -1", laguerre(1, 0, 2.0) == -1.0))
-    checks.append(("I1((0,0),(0,2)) = 2", abs(integral_i1((0, 0), (0, 2)) - 2.0)
-                   < 1e-10))
-    checks.append(("I2(all ground) = 1",
-                   abs(integral_i2((0, 0), (0, 0), (0, 0), (0, 0)) - 1.0)
-                   < 1e-10))
+    # the element integrals are exact, so each value must match to the bit
+    checks = [
+        ("I1((0,0),(0,2)) = 2", integral_i1((0, 0), (0, 2)) == 2.0),
+        ("I2(all ground) = 1", integral_i2((0, 0), (0, 0), (0, 0), (0, 0)) == 1.0),
+        ("I2((0,8),(1,7),(1,7),(1,8)) = 0",
+         integral_i2((0, 8), (1, 7), (1, 7), (1, 8)) == 0.0),
+    ]
     basis = enumerate_basis(3, 2, 5)
     checks.append(("3-particle basis size 65", basis.size == 65))
     cache = ElementCache.build(basis.modes)

@@ -34,6 +34,7 @@ from .melem import ElementCache
 from .observables import (
     condensate_index,
     crossing_offset,
+    p_zero,
     spdm_batch,
     spdm_branch_gap,
     transition_width,
@@ -151,13 +152,6 @@ class _Sweep(NamedTuple):
 _last_sweep: _Sweep | None = None
 
 
-def _p0(states: np.ndarray, mask: np.ndarray):
-    """Weight of a state, or of each row of states, on the zero-momentum
-    occupations. Summed along contiguous rows, so a state gets the same
-    bits alone as in a batch."""
-    return (np.ascontiguousarray(states[..., mask]) ** 2).sum(axis=-1)
-
-
 def _sweep_p0(basis: FockBasis, ops: Operators, g, anisotropy, omegas, stop=None):
     """Sweep of the condensate's L-parity sector and p0 of its followed
     state; the sweep becomes the module's last sweep. `stop`, when given,
@@ -165,23 +159,22 @@ def _sweep_p0(basis: FockBasis, ops: Operators, g, anisotropy, omegas, stop=None
     global _last_sweep
     _last_sweep = None  # freed before the new sweep allocates its arrays
     omegas = np.array(omegas, dtype=float)  # a copy: the key outlives the caller's array
-    mask = basis.zero_momentum_mask()
     h0 = ops.hamiltonian(g, anisotropy, 0.0).to_dense()
     sweep = sweep_sector(h0, ops.l, omegas, condensate_index(basis), k=6,
                          stop=None if stop is None
-                         else lambda state: stop(_p0(state, mask)))
+                         else lambda state: stop(p_zero(state, basis)))
     # keyed by the points swept: a pre-scan that stopped early matches no grid
     _last_sweep = entry = _Sweep(ops, g, anisotropy, sweep.omegas, sweep.followed,
                                  sweep.energies)
-    return entry, _p0(sweep.followed, mask)
+    return entry, p_zero(sweep.followed, basis)
 
 
-def locate_grid(basis: FockBasis, cache: ElementCache, g: float,
-                anisotropy: float, prescan=PRESCAN_RANGE,
-                prescan_points: int = PRESCAN_POINTS,
-                points: int = REFINED_POINTS) -> np.ndarray:
-    """Auto-located refined grid spanning the transition, or the pre-scan
-    window when the likelihood never crosses 0.5 (e.g. zero anisotropy).
+def _transition_grid(basis: FockBasis, cache: ElementCache, g: float,
+                     anisotropy: float, prescan=PRESCAN_RANGE,
+                     prescan_points: int = PRESCAN_POINTS,
+                     points: int = REFINED_POINTS) -> np.ndarray | None:
+    """Refined grid spanning the transition, or None when the pre-scan's
+    likelihood never crosses both 0.9 and 0.1 (e.g. zero anisotropy).
 
     The pre-scan ends at the first point after both first downward
     crossings (0.9 and 0.1) are bracketed; the grid depends on those
@@ -203,11 +196,22 @@ def locate_grid(basis: FockBasis, cache: ElementCache, g: float,
     rel_hi = crossing_offset(coarse[:len(pc)], pc, 0.9)
     rel_lo = crossing_offset(coarse[:len(pc)], pc, 0.1)
     if rel_hi is None or rel_lo is None:
-        return np.linspace(prescan[0], prescan[1], points)
+        return None
     span = max(rel_lo - rel_hi, step)
     lo = coarse[0] + rel_hi - span
     hi = coarse[0] + rel_lo + span
     return np.linspace(lo, hi, points)
+
+
+def locate_grid(basis: FockBasis, cache: ElementCache, g: float,
+                anisotropy: float, prescan=PRESCAN_RANGE,
+                prescan_points: int = PRESCAN_POINTS,
+                points: int = REFINED_POINTS) -> np.ndarray:
+    """Auto-located refined grid spanning the transition, or the pre-scan
+    window when the likelihood never crosses (e.g. zero anisotropy)."""
+    grid = _transition_grid(basis, cache, g, anisotropy, prescan,
+                            prescan_points, points)
+    return np.linspace(prescan[0], prescan[1], points) if grid is None else grid
 
 
 def compute_curve(basis: FockBasis, cache: ElementCache, g: float,
@@ -299,11 +303,22 @@ def lookup_by_width(catalog: CurveCatalog, target_width: float) -> ResonanceCurv
 def catalog_build(basis: FockBasis, cache: ElementCache,
                   pairs: Sequence[tuple[float, float]] = DEFAULT_CATALOG_PAIRS,
                   grid=None) -> CurveCatalog:
+    """Catalog of the pairs' curves on an explicit grid, or on each pair's
+    located grid. Auto grids are located for every pair before any refined
+    sweep, and a pair whose pre-scan never crosses is refused: its curve
+    would have no width."""
     if not pairs:
         raise ParameterError("need at least one (g, anisotropy) pair")
     _check_unique_keys([(g, anisotropy) for g, anisotropy in pairs])
-    curves = [compute_curve(basis, cache, g, anisotropy, grid)
-              for g, anisotropy in pairs]
+    grids = [grid] * len(pairs)
+    if grid is None:
+        for i, (g, anisotropy) in enumerate(pairs):
+            grids[i] = _transition_grid(basis, cache, g, anisotropy)
+            if grids[i] is None:
+                raise ParameterError(f"catalog curves need positive widths, offender "
+                                     f"{(g, anisotropy)}: its pre-scan never crosses")
+    curves = [compute_curve(basis, cache, g, anisotropy, located)
+              for (g, anisotropy), located in zip(pairs, grids)]
     provenance = {
         "version": CATALOG_VERSION,
         "code_version": _code_version,

@@ -21,14 +21,6 @@ class RangeError(CritgyroError):
     """A requested point or crossing lies outside the available grid."""
 
 
-class ConvergenceError(CritgyroError):
-    """Eigensolver did not converge; carries the best residual achieved."""
-
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
-
-
 class StaleCatalogError(CritgyroError):
     """Catalog file is missing, unreadable or from an incompatible version."""
 

@@ -52,11 +52,6 @@ def total_L(state: FockState) -> int:
     return sum(Mode(*k).m * c for k, c in state.items())
 
 
-def state_weight(state: FockState) -> int:
-    """Summed Landau weight of all particles in the state."""
-    return sum(landau_weight(Mode(*k)) * c for k, c in state.items())
-
-
 @dataclass(frozen=True)
 class FockBasis:
     """Ordered truncated basis with fast occupation -> index lookup."""

@@ -1,4 +1,4 @@
-"""Laguerre polynomials, Gauss-Laguerre quadrature and exact matrix elements.
+"""Exact single- and two-body matrix elements over the Fock modes.
 
 Every element integrand is a polynomial times exp(-x), and the elements
 integrate it exactly: each Laguerre factor is expanded into integer
@@ -7,9 +7,7 @@ x^k exp(-x) is k!, and the whole integral becomes one integer numerator
 over one integer denominator, converted to float once (int / int division
 is correctly rounded). Elements that vanish come out as exactly 0.0, where
 a quadrature rule would leave the remainder of terms of order (2 l_max)!
-that cancel. The Gauss-Laguerre rule is kept for integrating other
-functions; no element uses it. Two families of elements feed the
-many-body Hamiltonian:
+that cancel. Two families of elements feed the many-body Hamiltonian:
 
   * V(k1, k2; A): one-body element of the quadrupolar trap deformation
     (A/2) M w_perp^2 (x^2 - y^2), nonzero only for m2 = m1 +- 2,
@@ -32,54 +30,8 @@ import numpy as np
 from .errors import ParameterError
 from .fock import Mode
 
-DEFAULT_QUADRATURE_ORDER = 40
-
 #: selection distance of the quadrupole coupling, in units of m
 _QUAD_DELTA_M = 2
-
-
-def laguerre(n: int, alpha: int, x):
-    """Generalized Laguerre polynomial L_n^alpha(x) by the stable recurrence."""
-    if n < 0 or alpha < 0:
-        raise ParameterError(f"need n >= 0 and alpha >= 0, got ({n}, {alpha})")
-    x = np.asarray(x, dtype=float)
-    prev = np.ones_like(x)
-    if n == 0:
-        return prev if prev.ndim else float(prev)
-    cur = 1.0 + alpha - x
-    for k in range(1, n):
-        prev, cur = cur, ((2 * k + 1 + alpha - x) * cur - (k + alpha) * prev) / (k + 1)
-    return cur if cur.ndim else float(cur)
-
-
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Gauss-Laguerre nodes/weights for the weight exp(-x) on [0, inf)."""
-
-    nodes: np.ndarray
-    weights: np.ndarray
-    order: int
-
-    def integrate(self, values: np.ndarray) -> float:
-        """Sum of weights * values, i.e. integral of f with f(nodes)=values."""
-        return float(np.dot(self.weights, values))
-
-
-def make_rule(order: int = DEFAULT_QUADRATURE_ORDER) -> QuadratureRule:
-    if order < 1:
-        raise ParameterError(f"quadrature order must be >= 1, got {order}")
-    nodes, weights = np.polynomial.laguerre.laggauss(order)
-    return QuadratureRule(nodes=nodes, weights=weights, order=order)
-
-
-_DEFAULT_RULE: QuadratureRule | None = None
-
-
-def default_rule() -> QuadratureRule:
-    global _DEFAULT_RULE
-    if _DEFAULT_RULE is None:
-        _DEFAULT_RULE = make_rule()
-    return _DEFAULT_RULE
 
 
 def _half(total: int) -> int:
@@ -123,25 +75,21 @@ def _exact_integral(factors, power: int) -> float:
     return sum(c * factorial(power + k) for k, c in enumerate(poly)) / den
 
 
-def integral_i1(k1: Mode, k2: Mode, rule: QuadratureRule | None = None) -> float:
+def integral_i1(k1: Mode, k2: Mode) -> float:
     """Radial overlap integral of two modes against x^((|m1|+|m2|+2)/2) e^-x.
 
-    Exact: the only rounding is the final conversion to float. A passed
-    quadrature `rule` is accepted so that such calls keep working, and unused.
+    Exact: the only rounding is the final conversion to float.
     """
     (n1, m1), (n2, m2) = k1, k2
     factors = (_laguerre_ints(n1, abs(m1), False), _laguerre_ints(n2, abs(m2), False))
     return _exact_integral(factors, _half(abs(m1) + abs(m2) + 2))
 
 
-def integral_i2(
-    k1: Mode, k2: Mode, l1: Mode, l2: Mode, rule: QuadratureRule | None = None
-) -> float:
+def integral_i2(k1: Mode, k2: Mode, l1: Mode, l2: Mode) -> float:
     """Four-mode contact overlap against x^(sum|m|/2) e^-x with half-argument Laguerres.
 
     Exact and independent of the order of the modes: the only rounding is
-    the final conversion to float. `rule` is accepted and ignored, as in
-    `integral_i1`.
+    the final conversion to float.
     """
     quad = (k1, k2, l1, l2)
     factors = tuple(_laguerre_ints(n, abs(m), True) for n, m in quad)

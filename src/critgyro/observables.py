@@ -22,17 +22,21 @@ NORM_TOL = 1e-8
 
 
 def _check_normalized(psi: np.ndarray) -> np.ndarray:
+    """The state, or each row of a stack of states, as floats of unit norm."""
     psi = np.asarray(psi, dtype=float)
-    if abs(np.linalg.norm(psi) - 1.0) > NORM_TOL:
+    if np.any(np.abs(np.linalg.norm(psi, axis=-1) - 1.0) > NORM_TOL):
         raise InputError("state vector is not normalized")
     return psi
 
 
-def p_zero(psi: np.ndarray, basis: FockBasis) -> float:
-    """Probability that all particles occupy m = 0 modes."""
+def p_zero(psi: np.ndarray, basis: FockBasis):
+    """Probability that all particles occupy m = 0 modes: a float for one
+    state, an array for a stack of states in rows. Summed along contiguous
+    rows, so a state gets the same bits alone as in a stack."""
     psi = _check_normalized(psi)
     mask = basis.zero_momentum_mask()
-    return float(np.sum(psi[mask] ** 2))
+    weight = (np.ascontiguousarray(psi[..., mask]) ** 2).sum(axis=-1)
+    return float(weight) if psi.ndim == 1 else weight
 
 
 def expected_L(psi: np.ndarray, basis: FockBasis) -> float:

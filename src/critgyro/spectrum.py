@@ -1,12 +1,12 @@
-"""Lowest eigenpairs of the Hamiltonian, dense or iterative.
+"""Lowest eigenpairs of the Hamiltonian by dense symmetric diagonalization.
 
-Dense symmetric diagonalization below DENSE_CUTOFF (the production basis
-for six particles has dimension 322), a Lanczos-type iterative solve above
-it. Sweeps over rotation rates follow the state adiabatically: ties inside
-a degenerate ground space are broken by overlap with the previous point,
-and if the ground state loses all overlap with the followed branch (exact
-sector crossings at zero anisotropy) the sweep keeps the branch instead.
-`sweep_sector` runs a sweep inside the L-parity sector of an anchor state.
+The production basis for six particles has dimension 322, and its sweeps
+run in the 191-dim condensate sector. Sweeps over rotation rates follow the
+state adiabatically: ties inside a degenerate ground space are broken by
+overlap with the previous point, and if the ground state loses all overlap
+with the followed branch (exact sector crossings at zero anisotropy) the
+sweep keeps the branch instead. `sweep_sector` runs a sweep inside the
+L-parity sector of an anchor state.
 
 A sweep solves the two lowest eigenpairs at each point: E0, E1 and their
 vectors are all that its callers read. It widens to the k lowest pairs (the
@@ -36,18 +36,14 @@ from typing import Callable
 import numpy as np
 import scipy
 import scipy.linalg as sla
-import scipy.sparse.linalg as spla
 
-from .errors import ConvergenceError, ParameterError
+from .errors import ParameterError
 from .hamiltonian import SparseHamiltonian
 
-DENSE_CUTOFF = 2000
-DEFAULT_TOL = 1e-10
 DEGENERACY_TIE = 1e-12
 FOLLOW_FLOOR = 0.1
 #: an overlap^2 above this singles out the maximal-overlap eigenvector
 BRANCH_MAJORITY = 0.5
-_START_SEED = 7
 
 
 @dataclass(frozen=True)
@@ -63,35 +59,13 @@ def _residuals(ham: SparseHamiltonian, energies, vectors) -> np.ndarray:
     return np.linalg.norm(res, axis=0)
 
 
-def lowest_k(ham: SparseHamiltonian, k: int, tol: float = DEFAULT_TOL) -> EigenResult:
-    """k lowest eigenpairs, deterministic given the fixed start-vector seed."""
+def lowest_k(ham: SparseHamiltonian, k: int) -> EigenResult:
+    """k lowest eigenpairs of the dense matrix, ascending."""
     if k < 1:
         raise ParameterError(f"k must be >= 1, got {k}")
     if k > ham.dim:
         raise ParameterError(f"k={k} exceeds dimension {ham.dim}")
-    if ham.dim <= DENSE_CUTOFF:
-        energies, vectors = sla.eigh(
-            ham.to_dense(), subset_by_index=(0, k - 1)
-        )
-    else:
-        v0 = np.random.default_rng(_START_SEED).standard_normal(ham.dim)
-        try:
-            energies, vectors = spla.eigsh(
-                ham.to_csr(), k=k, which="SA", v0=v0,
-                maxiter=10 * ham.dim, tol=tol,
-            )
-        except spla.ArpackNoConvergence as exc:
-            best = None
-            if exc.eigenvalues is not None and len(exc.eigenvalues):
-                best = float(
-                    _residuals(ham, exc.eigenvalues, exc.eigenvectors).min()
-                )
-            raise ConvergenceError(
-                f"eigensolver failed to converge within {10 * ham.dim} iterations",
-                residual=best,
-            ) from exc
-        order = np.argsort(energies)
-        energies, vectors = energies[order], vectors[:, order]
+    energies, vectors = sla.eigh(ham.to_dense(), subset_by_index=(0, k - 1))
     return EigenResult(
         energies=energies,
         vectors=vectors,
@@ -99,9 +73,9 @@ def lowest_k(ham: SparseHamiltonian, k: int, tol: float = DEFAULT_TOL) -> EigenR
     )
 
 
-def ground_state(ham: SparseHamiltonian, tol: float = DEFAULT_TOL):
+def ground_state(ham: SparseHamiltonian):
     """(energy, vector) of the lowest eigenpair."""
-    res = lowest_k(ham, 1, tol)
+    res = lowest_k(ham, 1)
     return float(res.energies[0]), res.vectors[:, 0]
 
 

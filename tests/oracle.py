@@ -1,14 +1,17 @@
 """Independent brute-force reference implementations, used only by tests.
 
 Nothing here touches the package's computational paths: integrals are done
-by exact monomial expansion over rationals, bases by generate-and-filter,
-Hamiltonians by explicit ladder-operator action on occupation dictionaries,
-Bayesian updates by plain loops, a Bayesian stage over the full grid, and
-an adiabatic sweep that resolves every lost branch on the full spectrum.
+by exact monomial expansion over rationals or by a Gauss-Laguerre rule,
+bases by generate-and-filter, Hamiltonians by explicit ladder-operator
+action on occupation dictionaries, Bayesian updates by plain loops, a
+Bayesian stage over the full grid, and an adiabatic sweep that resolves
+every lost branch on the full spectrum.
 """
 
 import itertools
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import comb, factorial, pi, sqrt
 
 import numpy as np
@@ -80,6 +83,33 @@ def oracle_u(k1, k2, l1, l2, g: float) -> float:
     s = sum(abs(m) for _, m in (k1, k2, l1, l2))
     pref = sqrt(_norm(k1) * _norm(k2) * _norm(l1) * _norm(l2))
     return g / (2 * pi) * 2.0 ** (-s / 2) * pref * oracle_i2(k1, k2, l1, l2)
+
+
+# ---------------------------------------------------------------------------
+# Gauss-Laguerre quadrature for the weight exp(-x) on [0, inf)
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class QuadratureRule:
+    """Gauss-Laguerre nodes/weights for the weight exp(-x) on [0, inf)."""
+
+    nodes: np.ndarray
+    weights: np.ndarray
+    order: int
+
+    def integrate(self, values: np.ndarray) -> float:
+        """Sum of weights * values, i.e. integral of f with f(nodes)=values."""
+        return float(np.dot(self.weights, values))
+
+
+def make_rule(order: int = 40) -> QuadratureRule:
+    nodes, weights = np.polynomial.laguerre.laggauss(order)
+    return QuadratureRule(nodes=nodes, weights=weights, order=order)
+
+
+@cache
+def default_rule() -> QuadratureRule:
+    return make_rule()
 
 
 # ---------------------------------------------------------------------------

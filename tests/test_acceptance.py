@@ -14,7 +14,7 @@ import critgyro as cg
 from critgyro.curves import curve_diagnostics
 from critgyro.estimate import ProtocolConfig, run_ensemble, run_protocol
 from critgyro.hamiltonian import ModelParams, assemble
-from critgyro.melem import canonical_quad, default_rule, integral_i1, integral_i2
+from critgyro.melem import canonical_quad, integral_i1, integral_i2
 from critgyro.observables import (
     adiabatic_time,
     crossing_offset,
@@ -23,7 +23,7 @@ from critgyro.observables import (
     preparation_hwhm,
 )
 from critgyro.spectrum import ground_state, lowest_k
-from oracle import oracle_hamiltonian, oracle_i1, oracle_i2
+from oracle import default_rule, oracle_hamiltonian, oracle_i1, oracle_i2
 
 # REGRESSION constants computed by this package (dense solves, Q = 40 rule)
 PINNED_CENTER = 0.8938680973618636

@@ -1,9 +1,14 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import critgyro
+import critgyro.cli as cli
 from critgyro.cli import main
 from critgyro.curves import catalog_save
 
@@ -179,6 +184,27 @@ def test_offset_requires_known_pair(tmp_path, catalog_file):
 
 def test_selftest_passes():
     assert main(["selftest"]) == 0
+
+
+def test_selftest_fails_on_a_wrong_exact_element(monkeypatch):
+    real = cli.integral_i2
+    monkeypatch.setattr(cli, "integral_i2", lambda *modes: real(*modes) * (1 + 1e-15))
+    assert main(["selftest"]) == 4
+
+
+def test_import_leaves_sparse_linalg_unloaded():
+    code = (
+        "import importlib, pkgutil, sys\n"
+        "import critgyro\n"
+        "for mod in pkgutil.iter_modules(critgyro.__path__):\n"
+        "    importlib.import_module('critgyro.' + mod.name)\n"
+        "assert 'critgyro.cli' in sys.modules\n"
+        "print('scipy.sparse.linalg' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(critgyro.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 def test_stale_catalog_reports_numerical_failure(tmp_path):

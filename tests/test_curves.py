@@ -30,7 +30,7 @@ from critgyro.curves import (
 from critgyro.errors import ParameterError, StaleCatalogError
 from critgyro.fock import enumerate_basis
 from critgyro.melem import ElementCache
-from critgyro.observables import critical_frequency, transition_width
+from critgyro.observables import critical_frequency, p_zero, transition_width
 
 
 def test_from_values_validation():
@@ -380,3 +380,39 @@ def test_catalog_build_refuses_duplicate_pairs_before_sweeping(system6, monkeypa
                  "--out", str(out)]) == 2
     assert sweeps == []
     assert not out.exists()
+
+
+def test_catalog_build_refuses_a_pair_without_transition_after_its_prescan(
+        system6, monkeypatch, tmp_path):
+    real = spectrum.sweep_lowest
+    swept = []
+
+    def counting(*args, **kwargs):
+        swept.append(len(args[2]))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(spectrum, "sweep_lowest", counting)
+    with pytest.raises(ParameterError, match="positive widths"):
+        catalog_build(*system6, [(0.5, 0.0)])
+    assert swept == [PRESCAN_POINTS]
+    swept.clear()
+    with pytest.raises(ParameterError, match="positive widths"):
+        catalog_build(*system6, [(0.5, 0.04), (0.5, 0.0)])
+    assert swept == [PRESCAN_POINTS, PRESCAN_POINTS]
+    swept.clear()
+    out = tmp_path / "catalog.json"
+    assert main(["catalog", "--pairs", "0.5:0", "--out", str(out)]) == 2
+    assert swept == [PRESCAN_POINTS]
+    assert not out.exists()
+    # a single curve still gets the pre-scan window, for plotting
+    curve = compute_curve(*system6, 0.5, 0.0)
+    assert np.array_equal(curve.omega, np.linspace(*PRESCAN_RANGE, REFINED_POINTS))
+    assert curve.width is None
+
+
+def test_p_zero_of_each_followed_state_is_the_curve_p0(system6):
+    basis, cache = system6
+    curve = compute_curve(basis, cache, 0.5, 0.04, grid=np.linspace(0.85, 0.95, 41))
+    followed = curves_module._last_sweep.followed
+    assert np.array_equal([p_zero(state, basis) for state in followed], curve.p0)
+    assert np.array_equal(p_zero(followed, basis), curve.p0)

@@ -51,6 +51,9 @@ def test_p_zero_counts_both_landau_levels(basis6):
 def test_p_zero_rejects_unnormalized(basis6):
     with pytest.raises(InputError):
         p_zero(np.ones(basis6.size), basis6)
+    stack = np.stack([unit_state(basis6, {Mode(0, 0): 6}), np.ones(basis6.size)])
+    with pytest.raises(InputError):
+        p_zero(stack, basis6)
 
 
 def test_expected_L_examples(basis6):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import critgyro.spectrum as spectrum
-from critgyro.errors import ConvergenceError, ParameterError
+from critgyro.errors import ParameterError
 from critgyro.fock import Mode, enumerate_basis
 from critgyro.curves import PRESCAN_POINTS, PRESCAN_RANGE
 from critgyro.hamiltonian import ModelParams, SparseHamiltonian, assemble, build_operators
@@ -113,26 +113,6 @@ def test_orthonormality_and_residuals():
     assert np.max(np.abs(overlap - np.eye(4))) < 1e-10
     assert (res.residuals < 1e-9).all()
     assert (np.diff(res.energies) >= -1e-12).all()
-
-
-def test_iterative_path_agrees_with_dense(monkeypatch):
-    _, ham = physical(6, 0.5, 0.04, 0.88)
-    dense = lowest_k(ham, 2)
-    monkeypatch.setattr(spectrum, "DENSE_CUTOFF", 10)
-    iterative = lowest_k(ham, 2, tol=1e-12)
-    assert np.allclose(dense.energies, iterative.energies, atol=1e-9)
-
-
-def test_convergence_error_carries_residual(monkeypatch):
-    _, ham = physical(6, 0.5, 0.04, 0.88)
-    monkeypatch.setattr(spectrum, "DENSE_CUTOFF", 10)
-
-    def fail(*args, **kwargs):
-        raise spectrum.spla.ArpackNoConvergence("no", np.array([]), np.array([]))
-
-    monkeypatch.setattr(spectrum.spla, "eigsh", fail)
-    with pytest.raises(ConvergenceError):
-        lowest_k(ham, 1)
 
 
 def test_sweep_follows_sector_through_exact_crossing():
