@@ -16,8 +16,9 @@ import time
 from math import pi
 
 import numpy as np
+import scipy.linalg as sla
 
-from . import __version__
+from . import __version__, spectrum
 from ._backend import active_backend
 from ._svg import line_chart
 from .curves import (
@@ -410,6 +411,11 @@ def cmd_selftest(args) -> int:
     ham = assemble(basis, params, cache)
     dense = ham.to_dense()
     checks.append(("Hamiltonian symmetric", np.array_equal(dense, dense.T)))
+    # the sweep solver makes the LAPACK call scipy's eigh makes: same bits
+    got = spectrum._eigh(dense, spectrum._workspace(len(dense)), subset_by_index=(0, 1))
+    ref = sla.eigh(dense, subset_by_index=(0, 1))
+    checks.append(("solver pairs equal scipy eigh",
+                   all(np.array_equal(a, b) for a, b in zip(got, ref))))
     ok = all(passed for _, passed in checks)
     for name, passed in checks:
         print(f"[{'ok' if passed else 'FAIL'}] {name}")

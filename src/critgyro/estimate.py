@@ -322,7 +322,11 @@ class EnsembleResult:
     max_dropped_mass: float    # largest dropped_mass of a completed row
 
     def median_sigma(self, mu: int | None = None):
-        """Ensemble median sigma at measurement count mu (or the full trace)."""
+        """Ensemble median sigma at measurement count mu in [1, n_measurements]
+        (or the full trace)."""
+        n = self.sigma.shape[1]
+        if mu is not None and not 1 <= mu <= n:
+            raise ParameterError(f"mu must lie in [1, {n}], got {mu}")
         med = np.median(self.sigma, axis=0)
         return med if mu is None else float(med[mu - 1])
 
@@ -381,6 +385,8 @@ def sigma_scaling(sigma_trace: np.ndarray, start_mu: int | None = None) -> float
     n = len(sigma_trace)
     if start_mu is None:
         start_mu = max(n // 100, 1)
+    if start_mu < 1:
+        raise ParameterError(f"start_mu must be >= 1, got {start_mu}")
     if n < 100 * start_mu:
         raise ParameterError(
             "need at least two decades of measurements in the fit tail"

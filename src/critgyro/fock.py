@@ -11,9 +11,11 @@ radial excitation or one particle at m = -1.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import ParameterError
 
@@ -54,7 +56,11 @@ def total_L(state: FockState) -> int:
 
 @dataclass(frozen=True)
 class FockBasis:
-    """Ordered truncated basis with fast occupation -> index lookup."""
+    """Ordered truncated basis with fast occupation -> index lookup.
+
+    Two parameter-free tables are built on first use and kept on the
+    instance, read-only: `zero_momentum_mask` and `spdm_hop_table`.
+    """
 
     n_particles: int
     n_ll: int
@@ -83,10 +89,32 @@ class FockBasis:
         row = self.occupations[i]
         return {self.modes[j]: int(row[j]) for j in np.nonzero(row)[0]}
 
+    @cached_property
     def zero_momentum_mask(self) -> np.ndarray:
-        """Boolean mask of states whose particles all sit at m = 0."""
+        """Read-only boolean mask of states whose particles all sit at m = 0."""
         nonzero_m = np.array([mode.m != 0 for mode in self.modes])
-        return ~(self.occupations[:, nonzero_m].any(axis=1))
+        mask = ~(self.occupations[:, nonzero_m].any(axis=1))
+        mask.flags.writeable = False
+        return mask
+
+    @cached_property
+    def spdm_hop_table(self) -> tuple[np.ndarray, np.ndarray, sp.csr_matrix]:
+        """(src, tgt, table_t): every move h of one particle from mode k to a
+        mode l > k, from basis row src[h] to row tgt[h], and the CSR matrix
+        table_t whose entry [k * n_modes + l, h] is its amplitude
+        sqrt(n_k (n_l + 1)). Every array is read-only."""
+        occ = self.occupations
+        nm = occ.shape[1]
+        index = KeyIndex.build(occ)
+        hops = []
+        for k in range(nm):
+            tgt, src, q, amp = ladder_entries(occ, index, [k], np.arange(k + 1, nm)[:, None])
+            hops.append((src, tgt, k * nm + k + 1 + q, amp))
+        src, tgt, slot, amp = (np.concatenate(x) for x in zip(*hops))
+        table_t = sp.csr_matrix((amp, (slot, np.arange(len(amp)))), shape=(nm * nm, len(amp)))
+        for arr in (src, tgt, table_t.data, table_t.indices, table_t.indptr):
+            arr.flags.writeable = False
+        return src, tgt, table_t
 
     def dump_csv(self, path) -> None:
         """Write (index, L, occupations) rows for debugging."""

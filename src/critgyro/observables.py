@@ -10,10 +10,9 @@ estimation protocol.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import InputError, ParameterError, RangeError
-from .fock import FockBasis, KeyIndex, Mode, ladder_entries
+from .fock import FockBasis, Mode
 from .hamiltonian import build_operators
 from .melem import ElementCache
 from .spectrum import sweep_sector
@@ -34,7 +33,7 @@ def p_zero(psi: np.ndarray, basis: FockBasis):
     state, an array for a stack of states in rows. Summed along contiguous
     rows, so a state gets the same bits alone as in a stack."""
     psi = _check_normalized(psi)
-    mask = basis.zero_momentum_mask()
+    mask = basis.zero_momentum_mask
     weight = (np.ascontiguousarray(psi[..., mask]) ** 2).sum(axis=-1)
     return float(weight) if psi.ndim == 1 else weight
 
@@ -64,23 +63,20 @@ def spdm(psi: np.ndarray, basis: FockBasis) -> SPDM:
 
 
 def spdm_batch(psis: np.ndarray, basis: FockBasis) -> list[SPDM]:
-    """SPDM of every row of `psis` from one hop table and one batched eigh.
+    """SPDM of every row of `psis` from the basis hop table and one batched eigh.
 
-    The table holds every move of one particle k -> l > k between basis
-    states with its amplitude sqrt(n_k (n_l + 1)); a sparse product
-    contracts it with each row, and the occupations give the diagonal.
+    `basis.spdm_hop_table` holds every move of one particle k -> l > k
+    between basis states with its amplitude sqrt(n_k (n_l + 1)), stored
+    transposed as read-only CSR and built once per basis. One sparse
+    product per row contracts it with psi[src] * psi[tgt] (row by row: an
+    all-rows product holds every row's hop weights at once), and the
+    occupations give the diagonal.
     """
     psis = np.array([_check_normalized(psi) for psi in psis]).reshape(len(psis), -1)
     occ = basis.occupations
     nm = occ.shape[1]
-    index = KeyIndex.build(occ)
-    hops = []
-    for k in range(nm):
-        tgt, src, q, amp = ladder_entries(occ, index, [k], np.arange(k + 1, nm)[:, None])
-        hops.append((src, tgt, k * nm + k + 1 + q, amp))
-    src, tgt, slot, amp = (np.concatenate(x) for x in zip(*hops))
-    table = sp.csr_matrix((amp, (np.arange(len(amp)), slot)), shape=(len(amp), nm * nm))
-    upper = np.array([psi[src] * psi[tgt] @ table for psi in psis]).reshape(-1, nm, nm)
+    src, tgt, table_t = basis.spdm_hop_table
+    upper = np.array([table_t @ (psi[src] * psi[tgt]) for psi in psis]).reshape(-1, nm, nm)
     rho = upper + upper.transpose(0, 2, 1)
     rho[:, np.arange(nm), np.arange(nm)] = psis**2 @ occ
     evals, evecs = np.linalg.eigh(rho)

@@ -21,6 +21,12 @@ overlap^2 above 1/2, and one that does is that maximum. When one of the k
 computed vectors passes BRANCH_MAJORITY it is taken as it is; only
 otherwise does the sweep solve the full spectrum to find the maximum.
 
+Every solve is one LAPACK `?syevr` call with the arguments
+`scipy.linalg.eigh` passes (the same routine, so the same bits). A sweep
+checks its inputs are finite and sizes the LAPACK workspace once, then
+makes one such call per point, plus the k-window or full-spectrum solves
+the follow rule asks for.
+
 Sweeps run their solves on one OpenBLAS thread: at these dimensions a
 second thread gains little, and on a busy machine it slows each solve
 many times over.
@@ -37,7 +43,7 @@ import numpy as np
 import scipy
 import scipy.linalg as sla
 
-from .errors import ParameterError
+from .errors import InputError, ParameterError
 from .hamiltonian import SparseHamiltonian
 
 DEGENERACY_TIE = 1e-12
@@ -59,13 +65,44 @@ def _residuals(ham: SparseHamiltonian, energies, vectors) -> np.ndarray:
     return np.linalg.norm(res, axis=0)
 
 
+def _workspace(dim: int) -> tuple:
+    """The float64 `?syevr` routine and the workspace sizes `scipy.linalg.eigh`
+    queries for a dim x dim matrix, lower triangle."""
+    syevr, syevr_lwork = sla.get_lapack_funcs(("syevr", "syevr_lwork"), dtype=np.float64)
+    lwork, liwork, info = syevr_lwork(dim, lower=1)
+    if info != 0:
+        raise sla.LinAlgError(f"syevr workspace query failed: {info}")
+    return syevr, int(lwork), int(liwork)
+
+
+def _eigh(a: np.ndarray, workspace: tuple, subset_by_index=None):
+    """(energies, vectors) of the finite symmetric float64 matrix `a`, read
+    from its lower triangle: pairs lo..hi of `subset_by_index`, or all.
+
+    The `?syevr` call `scipy.linalg.eigh(a, subset_by_index=...)` makes,
+    without its per-call input check and workspace query; `a` is left as
+    it was.
+    """
+    syevr, lwork, liwork = workspace
+    span = {} if subset_by_index is None else {
+        "range": "I", "il": subset_by_index[0] + 1, "iu": subset_by_index[1] + 1}
+    w, v, m, _, info = syevr(a, compute_v=1, lower=1, overwrite_a=0,
+                             lwork=lwork, liwork=liwork, **span)
+    if info != 0:
+        raise sla.LinAlgError(f"syevr failed: {info}")
+    return w[:m], v[:, :m]
+
+
 def lowest_k(ham: SparseHamiltonian, k: int) -> EigenResult:
     """k lowest eigenpairs of the dense matrix, ascending."""
     if k < 1:
         raise ParameterError(f"k must be >= 1, got {k}")
     if k > ham.dim:
         raise ParameterError(f"k={k} exceeds dimension {ham.dim}")
-    energies, vectors = sla.eigh(ham.to_dense(), subset_by_index=(0, k - 1))
+    dense = ham.to_dense()
+    if not np.isfinite(dense).all():
+        raise InputError("Hamiltonian has non-finite entries")
+    energies, vectors = _eigh(dense, _workspace(ham.dim), subset_by_index=(0, k - 1))
     return EigenResult(
         energies=energies,
         vectors=vectors,
@@ -149,6 +186,9 @@ def sweep_lowest(
     `stop`, when given, sees the followed state after each point; once it
     returns True the sweep ends there and the result holds the points
     swept so far.
+
+    The inputs must be finite (InputError otherwise); so then is the
+    matrix at every point.
     """
     dim = h0_dense.shape[0]
     k = min(k, dim)
@@ -160,19 +200,23 @@ def sweep_lowest(
     followed = np.empty((n, dim))
     rank = np.zeros(n, dtype=np.int64)
     prev = None
-    diag_idx = np.arange(dim)
-    work = h0_dense.copy()
+    work = np.array(h0_dense, dtype=float)
+    # row i is the diagonal of the matrix at omegas[i]
+    diagonals = np.diagonal(work) - np.multiply.outer(omegas, l_diag)
+    if not (np.isfinite(work).all() and np.isfinite(diagonals).all()):
+        raise InputError("sweep inputs h0_dense, l_diag and omegas must be finite")
+    workspace = _workspace(dim)
     swept = n
     with _one_blas_thread():
-        for i, om in enumerate(omegas):
-            work[diag_idx, diag_idx] = h0_dense[diag_idx, diag_idx] - om * l_diag
-            evals, evecs = sla.eigh(work, subset_by_index=(0, pairs - 1))
+        for i, diagonal in enumerate(diagonals):
+            np.fill_diagonal(work, diagonal)
+            evals, evecs = _eigh(work, workspace, subset_by_index=(0, pairs - 1))
             energies[i] = evals
             vec0[i] = evecs[:, 0]
             vec1[i] = evecs[:, pairs - 1]
             tied = pairs > 1 and evals[1] - evals[0] < DEGENERACY_TIE
             if tied and k > pairs:
-                evals, evecs = sla.eigh(work, subset_by_index=(0, k - 1))
+                evals, evecs = _eigh(work, workspace, subset_by_index=(0, k - 1))
             if prev is None:
                 pick = 0
                 if anchor_index is not None:
@@ -185,13 +229,13 @@ def sweep_lowest(
                 pick = 0
             else:
                 if k > pairs:
-                    evals, evecs = sla.eigh(work, subset_by_index=(0, k - 1))
+                    evals, evecs = _eigh(work, workspace, subset_by_index=(0, k - 1))
                 overlaps = np.abs(prev @ evecs)
                 pick = int(np.argmax(overlaps))
                 if overlaps[pick] ** 2 <= BRANCH_MAJORITY:
                     # the branch left the k-window (exact sector crossing at
                     # zero anisotropy): resolve against the full spectrum
-                    _, evecs = sla.eigh(work)
+                    _, evecs = _eigh(work, workspace)
                     pick = int(np.argmax(np.abs(prev @ evecs)))
             followed[i] = evecs[:, pick]
             rank[i] = pick

@@ -9,6 +9,7 @@ import pytest
 
 import critgyro
 import critgyro.cli as cli
+import critgyro.spectrum as spectrum
 from critgyro.cli import main
 from critgyro.curves import catalog_save
 
@@ -189,6 +190,13 @@ def test_selftest_passes():
 def test_selftest_fails_on_a_wrong_exact_element(monkeypatch):
     real = cli.integral_i2
     monkeypatch.setattr(cli, "integral_i2", lambda *modes: real(*modes) * (1 + 1e-15))
+    assert main(["selftest"]) == 4
+
+
+def test_selftest_fails_when_the_solver_drifts_from_scipy_eigh(monkeypatch):
+    real = spectrum._eigh
+    monkeypatch.setattr(spectrum, "_eigh", lambda *args, **kwargs: tuple(
+        x * (1 + 1e-15) for x in real(*args, **kwargs)))
     assert main(["selftest"]) == 4
 
 

@@ -339,7 +339,7 @@ def test_prescan_stops_at_its_crossings(system6, monkeypatch, g, a):
     assert np.array_equal(grid, locate_grid(basis, cache, g, a))
     full = curves_module._last_sweep.followed
     assert len(full) == PRESCAN_POINTS
-    p = (full[:, basis.zero_momentum_mask()] ** 2).sum(axis=1)
+    p = (full[:, basis.zero_momentum_mask] ** 2).sum(axis=1)
     if a == 0.0:  # no transition: the pre-scan runs in full
         assert swept == [PRESCAN_POINTS]
         assert np.array_equal(grid, np.linspace(*PRESCAN_RANGE, REFINED_POINTS))

@@ -385,6 +385,23 @@ def test_sigma_scaling_synthetic():
         sigma_scaling(np.ones(50))
 
 
+@pytest.mark.parametrize("start_mu", [0, -3])
+def test_sigma_scaling_refuses_a_start_below_one(start_mu):
+    with pytest.raises(ParameterError):
+        sigma_scaling(np.full(10000, 0.1), start_mu=start_mu)
+
+
+def test_median_sigma_reads_only_measured_counts():
+    sigma = np.array([[4.0, 3.0, 2.0], [6.0, 5.0, 1.0], [5.0, 4.0, 3.0]])
+    ens = estimate.EnsembleResult(sigma=sigma, seeds=[], n_aborted=0,
+                                  abort_indices=[], max_dropped_mass=0.0)
+    assert np.array_equal(ens.median_sigma(), [5.0, 4.0, 2.0])
+    assert [ens.median_sigma(mu) for mu in (1, 2, 3)] == [5.0, 4.0, 2.0]
+    for mu in (0, -1, 4):
+        with pytest.raises(ParameterError):
+            ens.median_sigma(mu)
+
+
 def test_curve_constants_are_computed_once_per_curve(monkeypatch):
     cat = synthetic_catalog()
     offsets = []

@@ -1,12 +1,17 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+
+import critgyro.fock as fock
 
 from critgyro.errors import InputError, ParameterError, RangeError
 from critgyro.fock import Mode, enumerate_basis
+from critgyro.hamiltonian import build_operators
 from critgyro.melem import ElementCache
 from critgyro.observables import (
     GapProfile,
     adiabatic_time,
+    condensate_index,
     critical_frequency,
     expected_L,
     gap_profile,
@@ -17,6 +22,7 @@ from critgyro.observables import (
     spdm_branch_gap,
     transition_width,
 )
+from critgyro.spectrum import sweep_sector
 from oracle import oracle_hamiltonian, oracle_spdm
 
 
@@ -123,6 +129,50 @@ def test_spdm_batch_equals_per_vector_spdm(basis6):
         assert np.max(np.abs(dens.matrix - one.matrix)) < 1e-14
         assert np.max(np.abs(dens.eigenvalues - one.eigenvalues)) < 1e-14
         assert abs(np.trace(dens.matrix) - 6.0) < 1e-12
+
+
+def test_spdm_hop_table_is_built_once_per_basis(monkeypatch):
+    basis = enumerate_basis(3, 2, 5)
+    calls = []
+    real = fock.ladder_entries
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(fock, "ladder_entries", counting)
+    psi = unit_state(basis, {Mode(0, 0): 3})
+    spdm_batch(psi[None, :], basis)
+    built = len(calls)
+    spdm_batch(psi[None, :], basis)
+    assert built == len(basis.modes)
+    assert len(calls) == built
+
+
+def test_cached_basis_tables_are_read_only(basis6):
+    src, tgt, table_t = basis6.spdm_hop_table
+    for arr in (basis6.zero_momentum_mask, src, tgt,
+                table_t.data, table_t.indices, table_t.indptr):
+        with pytest.raises(ValueError):
+            arr[0] = arr[0]
+
+
+def test_spdm_contraction_keeps_the_bits_of_the_hop_row_product(system6):
+    """`table_t @ (psi[src] * psi[tgt])` gives the bits of the row-vector
+    product `psi[src] * psi[tgt] @ table` with the untransposed table."""
+    basis, cache = system6
+    ops = build_operators(basis, cache)
+    sweep = sweep_sector(ops.hamiltonian(0.5, 0.04, 0.0).to_dense(), ops.l,
+                         np.linspace(0.8, 0.95, 16), condensate_index(basis))
+    src, tgt, table_t = basis.spdm_hop_table
+    table = sp.csr_matrix(table_t.T)
+    nm = len(basis.modes)
+    dens = spdm_batch(sweep.followed, basis)
+    for psi, d in zip(sweep.followed, dens):
+        upper = (psi[src] * psi[tgt] @ table).reshape(nm, nm)
+        assert np.array_equal(table_t @ (psi[src] * psi[tgt]), upper.ravel())
+        rows, cols = np.triu_indices(nm, 1)
+        assert np.array_equal(d.matrix[rows, cols], upper[rows, cols])
 
 
 def test_spdm_branch_gap_sign(basis6):

@@ -6,9 +6,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 import critgyro.spectrum as spectrum
-from critgyro.errors import ParameterError
+from critgyro.errors import InputError, ParameterError
 from critgyro.fock import Mode, enumerate_basis
 from critgyro.curves import PRESCAN_POINTS, PRESCAN_RANGE
 from critgyro.hamiltonian import ModelParams, SparseHamiltonian, assemble, build_operators
@@ -55,6 +56,34 @@ def test_matches_dense_oracle_n2():
     res = lowest_k(ham, 2)
     expect = np.sort(np.linalg.eigvalsh(ref))[:2]
     assert np.allclose(res.energies, expect, atol=1e-10)
+
+
+@pytest.mark.parametrize("subset", [(0, 1), (0, 5), None])
+def test_solver_gives_the_bits_of_scipy_eigh(subset):
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal((40, 40))
+    a = a + a.T
+    kept = a.copy()
+    energies, vectors = spectrum._eigh(a, spectrum._workspace(40), subset_by_index=subset)
+    ref_energies, ref_vectors = sla.eigh(kept, subset_by_index=subset)
+    assert np.array_equal(energies, ref_energies)
+    assert np.array_equal(vectors, ref_vectors)
+    assert np.array_equal(a, kept)
+
+
+def test_lowest_k_refuses_a_non_finite_matrix():
+    with pytest.raises(InputError):
+        lowest_k(diag_ham([1.0, np.nan, 2.0]), 1)
+
+
+@pytest.mark.parametrize("where", ["h0_dense", "l_diag", "omegas"])
+def test_sweep_refuses_non_finite_inputs(where):
+    inputs = {"h0_dense": np.diag([3.0, 1.0, 2.0]), "l_diag": np.array([0.0, 1.0, 2.0]),
+              "omegas": np.linspace(0.0, 0.5, 3)}
+    inputs[where] = inputs[where].copy()
+    inputs[where].flat[-1] = np.nan
+    with pytest.raises(InputError):
+        sweep_lowest(**inputs)
 
 
 def test_ground_state_is_condensate_dominated_without_rotation():
@@ -154,7 +183,7 @@ def test_sector_sweep_reproduces_full_space_p0():
     even = basis.L % 2 == 0
     assert sector.followed.shape == full.followed.shape
     assert not sector.followed[:, ~even].any()
-    mask = basis.zero_momentum_mask()
+    mask = basis.zero_momentum_mask
     p_full = (full.followed[:, mask] ** 2).sum(axis=1)
     p_sector = (sector.followed[:, mask] ** 2).sum(axis=1)
     assert np.max(np.abs(p_sector - p_full)) < 1e-10
@@ -180,16 +209,16 @@ def test_lost_branch_resolves_like_the_full_spectrum(system6, monkeypatch, g, a)
     ref, ref_full_solves = reference_sweep_followed(h0, l_diag, omegas, anchor)
 
     full_solves = []
-    real = spectrum.sla.eigh
+    real = spectrum._eigh
 
     def counting(mat, *args, **kwargs):
         if "subset_by_index" not in kwargs:
             full_solves.append(mat.shape)
         return real(mat, *args, **kwargs)
 
-    monkeypatch.setattr(spectrum.sla, "eigh", counting)
+    monkeypatch.setattr(spectrum, "_eigh", counting)
     sweep = sweep_lowest(h0, l_diag, omegas, anchor_index=anchor)
-    mask = basis.zero_momentum_mask()[rows]
+    mask = basis.zero_momentum_mask[rows]
     p_ref = (ref[:, mask] ** 2).sum(axis=1)
     p_got = (sweep.followed[:, mask] ** 2).sum(axis=1)
     assert ref_full_solves > 0
@@ -203,7 +232,7 @@ def _sector_prescan(basis, cache, g, a):
     return (h0[np.ix_(rows, rows)], basis.L[rows].astype(float),
             np.linspace(*PRESCAN_RANGE, PRESCAN_POINTS),
             int(np.searchsorted(rows, condensate_index(basis))),
-            basis.zero_momentum_mask()[rows])
+            basis.zero_momentum_mask[rows])
 
 
 def _exact_crossing_sweep():
@@ -211,7 +240,7 @@ def _exact_crossing_sweep():
     cache = ElementCache.build(basis.modes)
     h0 = assemble(basis, ModelParams(4, 0.5, 0.0, 0.0, l_max=6), cache).to_dense()
     return (h0, basis.L.astype(float), np.linspace(0.7, 1.0, 61),
-            basis.index_of({Mode(0, 0): 4}), basis.zero_momentum_mask())
+            basis.index_of({Mode(0, 0): 4}), basis.zero_momentum_mask)
 
 
 @pytest.mark.parametrize("case", ["0.6:0.025", "0.5:0.012", "exact crossing"])
@@ -227,7 +256,7 @@ def test_sweep_widens_only_where_the_follow_rule_needs(system6, monkeypatch, cas
     ref, _ = reference_sweep_followed(h0, l_diag, omegas, anchor)
 
     solves = []  # per point, the number of pairs each solve asked for
-    real = spectrum.sla.eigh
+    real = spectrum._eigh
 
     def spying(mat, *args, **kwargs):
         lo, hi = kwargs.get("subset_by_index", (0, mat.shape[0] - 1))
@@ -236,7 +265,7 @@ def test_sweep_widens_only_where_the_follow_rule_needs(system6, monkeypatch, cas
         solves[-1].append(hi - lo + 1)
         return real(mat, *args, **kwargs)
 
-    monkeypatch.setattr(spectrum.sla, "eigh", spying)
+    monkeypatch.setattr(spectrum, "_eigh", spying)
     sweep = sweep_lowest(h0, l_diag, omegas, anchor_index=anchor)
     assert sweep.energies.shape == (len(omegas), 2)
     assert len(solves) == len(omegas)
@@ -283,11 +312,11 @@ import numpy as np
 import critgyro.spectrum as spectrum
 controls = spectrum._openblas_thread_controls()
 inside = []
-real = spectrum.sla.eigh
+real = spectrum._eigh
 def probe(*args, **kwargs):
     inside.append([get() for get, _ in controls])
     return real(*args, **kwargs)
-spectrum.sla.eigh = probe
+spectrum._eigh = probe
 before = [get() for get, _ in controls]
 spectrum.sweep_lowest(np.diag([3.0, 1.0, 2.0]), np.array([0.0, 1.0, 2.0]),
                       np.linspace(0.0, 0.5, 3))
