@@ -337,6 +337,11 @@ def cmd_estimate(args) -> int:
 
 def cmd_offset(args) -> int:
     t0 = time.time()
+    if not (np.isfinite(args.omega_perp_hz) and args.omega_perp_hz > 0):
+        raise ParameterError(f"--omega-perp-hz must be finite and > 0, "
+                             f"got {args.omega_perp_hz}")
+    if args.gap_points < 2:
+        raise ParameterError(f"--gap-points must be >= 2, got {args.gap_points}")
     catalog = catalog_load(args.catalog)
     try:
         curve = catalog.find(args.g, args.A)
@@ -344,17 +349,17 @@ def cmd_offset(args) -> int:
         print(f"error: catalog has no curve for (g={args.g}, A={args.A})",
               file=sys.stderr)
         return EXIT_USAGE
-    basis, cache = _build_system(args.n, args.n_ll, args.l_max)
     offsets = args.offsets
+    hwhms = [preparation_hwhm(curve, off, args.prior_lo, args.prior_hi, DEFAULT_GRID_SIZE)
+             for off in offsets]
+    basis, cache = _build_system(args.n, args.n_ll, args.l_max)
 
     ramp = np.linspace(curve.center - 0.25, curve.center + 0.02, args.gap_points)
     profile = gap_profile(basis, cache, curve.g, curve.anisotropy, ramp,
                           center=curve.center)
     omega_perp = 2 * pi * args.omega_perp_hz  # rad/s
     rows = []
-    for off in offsets:
-        hw = preparation_hwhm(curve, off, args.prior_lo, args.prior_hi,
-                              DEFAULT_GRID_SIZE)
+    for off, hw in zip(offsets, hwhms):
         t_trap = adiabatic_time(profile, off, eps=args.eps)
         rows.append((off, hw, t_trap, t_trap / omega_perp))
     _write_csv(args.out, ("offset", "hwhm", "time_trap_units", "time_seconds"),
@@ -416,6 +421,17 @@ def cmd_selftest(args) -> int:
     ref = sla.eigh(dense, subset_by_index=(0, 1))
     checks.append(("solver pairs equal scipy eigh",
                    all(np.array_equal(a, b) for a, b in zip(got, ref))))
+    # the sweep's solver threads give the bits of a serial sweep
+    from unittest import mock  # imports asyncio: only here, not on every command
+    sweeps = []
+    for workers in (1, 2):
+        with mock.patch.object(spectrum, "_workers", return_value=workers):
+            sweeps.append(spectrum.sweep_lowest(dense, basis.L.astype(float),
+                                                np.linspace(0.0, 1.0, 21)))
+    checks.append(("sweep on 2 workers equals 1 worker",
+                   all(np.array_equal(getattr(sweeps[0], name), getattr(sweeps[1], name))
+                       for name in ("energies", "vec0", "vec1", "followed",
+                                    "followed_rank"))))
     ok = all(passed for _, passed in checks)
     for name, passed in checks:
         print(f"[{'ok' if passed else 'FAIL'}] {name}")

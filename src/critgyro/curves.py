@@ -240,12 +240,15 @@ def curve_diagnostics(basis: FockBasis, cache: ElementCache,
     """Gap, SPDM spectrum and <L> along an existing curve's grid.
 
     The gap is E1 - E0 within the condensate's L-parity sector, the only
-    states the followed state couples to. When the module's last sweep is
-    the curve's (same operators, g, A and grid), its states are reused.
+    states the followed state couples to; a sector of one state has none
+    (ParameterError). When the module's last sweep is the curve's (same
+    operators, g, A and grid), its states are reused.
     """
     ops = build_operators(basis, cache)
     sweep = _curve_sweep(ops, curve) \
         or _sweep_p0(basis, ops, curve.g, curve.anisotropy, curve.omega)[0]
+    if sweep.energies.shape[1] < 2:
+        raise ParameterError("the condensate sector has one state: its gap is undefined")
     dens = spdm_batch(sweep.followed, basis)
     return CurveDiagnostics(
         omegas=curve.omega.copy(),

@@ -167,7 +167,10 @@ def preparation_hwhm(curve, offset: float, prior_lo: float, prior_hi: float,
     The likelihood is the curve truncated at the ramp endpoint (flat at the
     endpoint value beyond it), shifted so the flat prior's midpoint maps onto
     the endpoint. A proxy for the attainable single-shot resolution.
+    The prior needs finite bounds with prior_lo < prior_hi (ParameterError).
     """
+    if not (np.isfinite(prior_lo) and np.isfinite(prior_hi) and prior_lo < prior_hi):
+        raise ParameterError(f"prior needs finite bounds lo < hi, got [{prior_lo}, {prior_hi}]")
     end = curve.center + offset
     p_end = float(curve.evaluate(end))
     omega = np.linspace(prior_lo, prior_hi, gridsize)
@@ -248,8 +251,8 @@ def adiabatic_time(profile: GapProfile, offset: float,
     Local adiabaticity: T = integral |<1|L|0>| / (eps * gap^2) dOmega with
     slack parameter eps.
     """
-    if eps <= 0:
-        raise ParameterError("adiabaticity slack eps must be positive")
+    if not (np.isfinite(eps) and eps > 0):
+        raise ParameterError(f"adiabaticity slack eps must be finite and positive, got {eps}")
     end = profile.center + offset
     om = profile.omegas
     if end < om[0] or end > om[-1]:

@@ -21,18 +21,27 @@ overlap^2 above 1/2, and one that does is that maximum. When one of the k
 computed vectors passes BRANCH_MAJORITY it is taken as it is; only
 otherwise does the sweep solve the full spectrum to find the maximum.
 
-Every solve is one LAPACK `?syevr` call with the arguments
-`scipy.linalg.eigh` passes (the same routine, so the same bits). A sweep
-checks its inputs are finite and sizes the LAPACK workspace once, then
-makes one such call per point, plus the k-window or full-spectrum solves
-the follow rule asks for.
+Every solve is one call of scipy's own float64 LAPACK `dsyevr`, made
+through ctypes with the arguments `scipy.linalg.eigh` passes, so the call
+runs without the GIL. A sweep checks its inputs are finite and sizes the
+LAPACK workspace once. It then hands the two-pair solve of each point to a
+thread pool, one worker per CPU the process may use, with up to
+LOOKAHEAD_PER_WORKER solves per worker in flight. The follow rule, its
+k-window and full-spectrum widenings and `stop` run on the calling thread,
+point by point in order. Each solve works on its own copy of the matrix
+with the point's diagonal, so the same routine gets the same arguments at
+every point whichever thread makes the call: the results are the bits a
+serial sweep gives.
 
-Sweeps run their solves on one OpenBLAS thread: at these dimensions a
-second thread gains little, and on a busy machine it slows each solve
-many times over.
+Sweeps run their solves on one OpenBLAS thread per worker: at these
+dimensions a second BLAS thread gains little, and on a busy machine it
+slows each solve many times over. The pool was measured on 2 CPUs only.
 """
 
 import ctypes
+import os
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cache
@@ -42,6 +51,7 @@ from typing import Callable
 import numpy as np
 import scipy
 import scipy.linalg as sla
+from scipy.linalg import cython_lapack
 
 from .errors import InputError, ParameterError
 from .hamiltonian import SparseHamiltonian
@@ -50,6 +60,8 @@ DEGENERACY_TIE = 1e-12
 FOLLOW_FLOOR = 0.1
 #: an overlap^2 above this singles out the maximal-overlap eigenvector
 BRANCH_MAJORITY = 0.5
+#: two-pair solves a sweep keeps in flight per worker thread
+LOOKAHEAD_PER_WORKER = 2
 
 
 @dataclass(frozen=True)
@@ -66,31 +78,62 @@ def _residuals(ham: SparseHamiltonian, energies, vectors) -> np.ndarray:
 
 
 def _workspace(dim: int) -> tuple:
-    """The float64 `?syevr` routine and the workspace sizes `scipy.linalg.eigh`
+    """(lwork, liwork): the `?syevr` workspace sizes `scipy.linalg.eigh`
     queries for a dim x dim matrix, lower triangle."""
-    syevr, syevr_lwork = sla.get_lapack_funcs(("syevr", "syevr_lwork"), dtype=np.float64)
+    syevr_lwork = sla.get_lapack_funcs("syevr_lwork", dtype=np.float64)
     lwork, liwork, info = syevr_lwork(dim, lower=1)
     if info != 0:
         raise sla.LinAlgError(f"syevr workspace query failed: {info}")
-    return syevr, int(lwork), int(liwork)
+    return int(lwork), int(liwork)
 
 
-def _eigh(a: np.ndarray, workspace: tuple, subset_by_index=None):
+@cache
+def _dsyevr():
+    """scipy's own float64 LAPACK `dsyevr` as a ctypes function, whose
+    calls release the GIL. Every argument is a pointer."""
+    capsule = cython_lapack.__pyx_capi__["dsyevr"]
+    name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+        ("PyCapsule_GetName", ctypes.pythonapi))
+    address = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi))(capsule, name(capsule))
+    return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * 21)(address)
+
+
+def _eigh(a: np.ndarray, workspace: tuple, subset_by_index=None, diagonal=None):
     """(energies, vectors) of the finite symmetric float64 matrix `a`, read
-    from its lower triangle: pairs lo..hi of `subset_by_index`, or all.
+    from its lower triangle, with its diagonal replaced by `diagonal` when
+    given: pairs lo..hi of `subset_by_index`, or all.
 
     The `?syevr` call `scipy.linalg.eigh(a, subset_by_index=...)` makes,
-    without its per-call input check and workspace query; `a` is left as
-    it was.
+    without its per-call input check and workspace query, on a
+    Fortran-order copy of `a`; `a` is left as it was. The call runs
+    without the GIL.
     """
-    syevr, lwork, liwork = workspace
-    span = {} if subset_by_index is None else {
-        "range": "I", "il": subset_by_index[0] + 1, "iu": subset_by_index[1] + 1}
-    w, v, m, _, info = syevr(a, compute_v=1, lower=1, overwrite_a=0,
-                             lwork=lwork, liwork=liwork, **span)
-    if info != 0:
-        raise sla.LinAlgError(f"syevr failed: {info}")
-    return w[:m], v[:, :m]
+    lwork, liwork = workspace
+    n = a.shape[0]
+    a = np.array(a, dtype=np.float64, order="F")
+    if diagonal is not None:
+        np.fill_diagonal(a, diagonal)
+    lo, hi = (0, n - 1) if subset_by_index is None else subset_by_index
+    w = np.empty(n)
+    z = np.empty((n, hi - lo + 1), order="F")
+    isuppz = np.empty(2 * n, dtype=np.intc)
+    work = np.empty(lwork)
+    iwork = np.empty(liwork, dtype=np.intc)
+    m, info = ctypes.c_int(), ctypes.c_int()
+
+    def ints(*values):
+        return [ctypes.byref(ctypes.c_int(x)) for x in values]
+
+    n_, il, iu, lwork_, liwork_ = ints(n, lo + 1, hi + 1, lwork, liwork)
+    vl, vu, abstol = (ctypes.byref(ctypes.c_double(x)) for x in (0.0, 1.0, 0.0))
+    _dsyevr()(b"V", b"A" if subset_by_index is None else b"I", b"L", n_, a.ctypes.data,
+              n_, vl, vu, il, iu, abstol, ctypes.byref(m), w.ctypes.data, z.ctypes.data,
+              n_, isuppz.ctypes.data, work.ctypes.data, lwork_, iwork.ctypes.data,
+              liwork_, ctypes.byref(info))
+    if info.value != 0:
+        raise sla.LinAlgError(f"syevr failed: {info.value}")
+    return w[:m.value], z[:, :m.value]
 
 
 def lowest_k(ham: SparseHamiltonian, k: int) -> EigenResult:
@@ -164,6 +207,41 @@ def _one_blas_thread():
             put(count)
 
 
+def _workers() -> int:
+    """Solver threads of a sweep: one per CPU this process may use."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity query on this platform
+        return os.cpu_count() or 1
+
+
+@contextmanager
+def _solved_in_order(solve: Callable, n: int):
+    """An iterator over solve(0), ..., solve(n - 1), in order. With more
+    than one worker, a thread pool computes each up to
+    LOOKAHEAD_PER_WORKER * workers points ahead of the one awaited; on
+    exit the solves still queued are cancelled and every thread has ended.
+    """
+    workers = min(_workers(), n)
+    if workers < 2:
+        yield map(solve, range(n))
+        return
+    depth = LOOKAHEAD_PER_WORKER * workers
+    pool = ThreadPoolExecutor(workers, thread_name_prefix="critgyro-solve")
+
+    def results():
+        futures = deque()
+        for i in range(n):
+            while len(futures) < min(depth, n - i):
+                futures.append(pool.submit(solve, i + len(futures)))
+            yield futures.popleft().result()
+
+    try:
+        yield results()
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
+
+
 def sweep_lowest(
     h0_dense: np.ndarray,
     l_diag: np.ndarray,
@@ -187,6 +265,11 @@ def sweep_lowest(
     returns True the sweep ends there and the result holds the points
     swept so far.
 
+    The two-pair solves run ahead on a thread pool (see the module
+    docstring); the follow rule, its widenings and `stop` run on the
+    calling thread, in point order. An error in any solve propagates from
+    here, and no pool thread outlives the call.
+
     The inputs must be finite (InputError otherwise); so then is the
     matrix at every point.
     """
@@ -200,23 +283,26 @@ def sweep_lowest(
     followed = np.empty((n, dim))
     rank = np.zeros(n, dtype=np.int64)
     prev = None
-    work = np.array(h0_dense, dtype=float)
+    h0 = np.asarray(h0_dense, dtype=float)
     # row i is the diagonal of the matrix at omegas[i]
-    diagonals = np.diagonal(work) - np.multiply.outer(omegas, l_diag)
-    if not (np.isfinite(work).all() and np.isfinite(diagonals).all()):
+    diagonals = np.diagonal(h0) - np.multiply.outer(omegas, l_diag)
+    if not (np.isfinite(h0).all() and np.isfinite(diagonals).all()):
         raise InputError("sweep inputs h0_dense, l_diag and omegas must be finite")
     workspace = _workspace(dim)
+
+    def two_pairs(i):
+        return _eigh(h0, workspace, subset_by_index=(0, pairs - 1), diagonal=diagonals[i])
+
     swept = n
-    with _one_blas_thread():
-        for i, diagonal in enumerate(diagonals):
-            np.fill_diagonal(work, diagonal)
-            evals, evecs = _eigh(work, workspace, subset_by_index=(0, pairs - 1))
+    with _one_blas_thread(), _solved_in_order(two_pairs, n) as solved:
+        for i, (diagonal, (evals, evecs)) in enumerate(zip(diagonals, solved)):
             energies[i] = evals
             vec0[i] = evecs[:, 0]
             vec1[i] = evecs[:, pairs - 1]
             tied = pairs > 1 and evals[1] - evals[0] < DEGENERACY_TIE
             if tied and k > pairs:
-                evals, evecs = _eigh(work, workspace, subset_by_index=(0, k - 1))
+                evals, evecs = _eigh(h0, workspace, subset_by_index=(0, k - 1),
+                                     diagonal=diagonal)
             if prev is None:
                 pick = 0
                 if anchor_index is not None:
@@ -229,13 +315,14 @@ def sweep_lowest(
                 pick = 0
             else:
                 if k > pairs:
-                    evals, evecs = _eigh(work, workspace, subset_by_index=(0, k - 1))
+                    evals, evecs = _eigh(h0, workspace, subset_by_index=(0, k - 1),
+                                         diagonal=diagonal)
                 overlaps = np.abs(prev @ evecs)
                 pick = int(np.argmax(overlaps))
                 if overlaps[pick] ** 2 <= BRANCH_MAJORITY:
                     # the branch left the k-window (exact sector crossing at
                     # zero anisotropy): resolve against the full spectrum
-                    _, evecs = _eigh(work, workspace)
+                    _, evecs = _eigh(h0, workspace, diagonal=diagonal)
                     pick = int(np.argmax(np.abs(prev @ evecs)))
             followed[i] = evecs[:, pick]
             rank[i] = pick

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -304,3 +305,46 @@ def test_manifest_records_ensemble_health(tmp_path, catalog_file):
         assert 0.0 < health["max_dropped_mass"] <= 2001 * 1e-30
         assert health["n_aborted"] == 0
         assert health["abort_indices"] == []
+
+
+def test_selftest_fails_when_solver_threads_drift(monkeypatch):
+    real = spectrum._eigh
+
+    def drifting(*args, **kwargs):
+        energies, vectors = real(*args, **kwargs)
+        if threading.current_thread() is not threading.main_thread():
+            energies = energies * (1 + 1e-15)
+        return energies, vectors
+
+    monkeypatch.setattr(spectrum, "_eigh", drifting)
+    assert main(["selftest"]) == 4
+
+
+def test_curve_of_a_one_state_sector_exits_2(tmp_path, capsys):
+    out = tmp_path / "curve.csv"
+    assert main(["curve", "--n", "0", "--g", "0.5", "--A", "0.04",
+                 "--grid", "0.8:0.9:3", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["--omega-perp-hz", "0"],
+    ["--omega-perp-hz", "-5"],
+    ["--omega-perp-hz", "nan"],
+    ["--omega-perp-hz", "inf"],
+    ["--prior-lo", "0.93", "--prior-hi", "0.87"],
+    ["--prior-lo", "0.9", "--prior-hi", "0.9"],
+    ["--prior-lo", "nan"],
+    ["--gap-points", "1"],
+    ["--gap-points", "0"],
+    ["--eps", "nan"],
+    ["--eps", "inf"],
+])
+def test_offset_refuses_bad_values(argv, tmp_path, catalog_file, capsys):
+    out = tmp_path / "offset.csv"
+    assert main(["offset", "--catalog", catalog_file, "--out", str(out)] + argv) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+    assert not out.exists()

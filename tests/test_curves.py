@@ -416,3 +416,11 @@ def test_p_zero_of_each_followed_state_is_the_curve_p0(system6):
     followed = curves_module._last_sweep.followed
     assert np.array_equal([p_zero(state, basis) for state in followed], curve.p0)
     assert np.array_equal(p_zero(followed, basis), curve.p0)
+
+
+def test_diagnostics_refuse_a_one_state_sector():
+    basis = enumerate_basis(0, 2, 2)
+    cache = ElementCache.build(basis.modes)
+    curve = compute_curve(basis, cache, 0.5, 0.04, grid=np.linspace(0.8, 0.9, 3))
+    with pytest.raises(ParameterError):
+        curve_diagnostics(basis, cache, curve)

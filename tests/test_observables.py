@@ -17,12 +17,14 @@ from critgyro.observables import (
     gap_profile,
     hwhm_points,
     p_zero,
+    preparation_hwhm,
     spdm,
     spdm_batch,
     spdm_branch_gap,
     transition_width,
 )
 from critgyro.spectrum import sweep_sector
+from conftest import make_logistic_curve
 from oracle import oracle_hamiltonian, oracle_spdm
 
 
@@ -273,8 +275,9 @@ def test_adiabatic_time_endpoint_validation():
     prof = synthetic_profile()
     with pytest.raises(RangeError):
         adiabatic_time(prof, 0.2)
-    with pytest.raises(ParameterError):
-        adiabatic_time(prof, 0.0, eps=0.0)
+    for eps in (0.0, np.nan, np.inf):
+        with pytest.raises(ParameterError):
+            adiabatic_time(prof, 0.0, eps=eps)
 
 
 def test_adiabatic_time_partial_interval_is_interpolated():
@@ -284,3 +287,10 @@ def test_adiabatic_time_partial_interval_is_interpolated():
     t2 = adiabatic_time(prof, -0.0495)
     assert t1 < t2
     assert t2 - t1 < 0.01 * adiabatic_time(prof, 0.0)
+
+
+@pytest.mark.parametrize("lo,hi", [(0.93, 0.87), (0.9, 0.9), (np.nan, 0.93), (0.87, np.inf)])
+def test_preparation_hwhm_refuses_a_bad_prior(lo, hi):
+    curve = make_logistic_curve(center=0.9, width=0.02)
+    with pytest.raises(ParameterError):
+        preparation_hwhm(curve, -0.01, lo, hi)

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -243,6 +244,11 @@ def _exact_crossing_sweep():
             basis.index_of({Mode(0, 0): 4}), basis.zero_momentum_mask)
 
 
+def _diagonals(h0, l_diag, omegas):
+    """Row i: the diagonal of the sweep matrix at omegas[i]."""
+    return np.diagonal(h0) - np.multiply.outer(omegas, l_diag)
+
+
 @pytest.mark.parametrize("case", ["0.6:0.025", "0.5:0.012", "exact crossing"])
 def test_sweep_widens_only_where_the_follow_rule_needs(system6, monkeypatch, case):
     """Each point solves two pairs; the k-window is solved exactly where
@@ -255,20 +261,22 @@ def test_sweep_widens_only_where_the_follow_rule_needs(system6, monkeypatch, cas
             *system6, *map(float, case.split(":")))
     ref, _ = reference_sweep_followed(h0, l_diag, omegas, anchor)
 
-    solves = []  # per point, the number of pairs each solve asked for
+    # solves run on several threads, so each is keyed by its point's diagonal
+    index_of = {d.tobytes(): i for i, d in enumerate(_diagonals(h0, l_diag, omegas))}
+    solves = {}  # per point, the number of pairs each solve asked for
     real = spectrum._eigh
 
     def spying(mat, *args, **kwargs):
         lo, hi = kwargs.get("subset_by_index", (0, mat.shape[0] - 1))
-        if hi == 1:
-            solves.append([])
-        solves[-1].append(hi - lo + 1)
+        solves.setdefault(index_of[kwargs["diagonal"].tobytes()], []).append(hi - lo + 1)
         return real(mat, *args, **kwargs)
 
     monkeypatch.setattr(spectrum, "_eigh", spying)
     sweep = sweep_lowest(h0, l_diag, omegas, anchor_index=anchor)
     assert sweep.energies.shape == (len(omegas), 2)
     assert len(solves) == len(omegas)
+    solves = [solves[i] for i in range(len(omegas))]
+    assert all(point[0] == 2 for point in solves)
     widened = [len(point) > 1 for point in solves]
     assert all(point[1] == 6 for point in solves if len(point) > 1)
     tied = sweep.energies[:, 1] - sweep.energies[:, 0] < spectrum.DEGENERACY_TIE
@@ -304,6 +312,108 @@ def test_sweep_stop_ends_after_the_point_it_accepts():
                           stop=lambda state: lifted.append(state) or True)
     assert len(sector.omegas) == 1
     assert np.array_equal(lifted[0], sector.followed[0])
+
+
+_SWEEP_FIELDS = ("omegas", "energies", "vec0", "vec1", "followed", "followed_rank")
+
+
+def _on_workers(monkeypatch, workers, *args, **kwargs):
+    """sweep_lowest(*args, **kwargs) with its solves on `workers` threads;
+    no thread outlives it."""
+    monkeypatch.setattr(spectrum, "_workers", lambda: workers)
+    threads = threading.active_count()
+    try:
+        return sweep_lowest(*args, **kwargs)
+    finally:
+        assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("case", ["0.6:0.025", "exact crossing"])
+def test_threaded_sweep_gives_the_bits_of_a_serial_one(system6, monkeypatch, case):
+    if case == "exact crossing":
+        h0, l_diag, omegas, anchor, _ = _exact_crossing_sweep()
+    else:
+        h0, l_diag, omegas, anchor, _ = _sector_prescan(
+            *system6, *map(float, case.split(":")))
+    serial, threaded = (_on_workers(monkeypatch, workers, h0, l_diag, omegas,
+                                    anchor_index=anchor) for workers in (1, 2))
+    for name in _SWEEP_FIELDS:
+        assert np.array_equal(getattr(serial, name), getattr(threaded, name)), name
+
+
+def test_threaded_sweep_solves_at_most_the_lookahead_past_a_stop(monkeypatch):
+    h0, l_diag, omegas, anchor, _ = _exact_crossing_sweep()
+    index_of = {d.tobytes(): i for i, d in enumerate(_diagonals(h0, l_diag, omegas))}
+    two_pair_points = []
+    real = spectrum._eigh
+
+    def spying(mat, *args, **kwargs):
+        if kwargs.get("subset_by_index") == (0, 1):
+            two_pair_points.append(index_of[kwargs["diagonal"].tobytes()])
+        return real(mat, *args, **kwargs)
+
+    monkeypatch.setattr(spectrum, "_eigh", spying)
+    whole = _on_workers(monkeypatch, 2, h0, l_diag, omegas, anchor_index=anchor)
+    seen = []
+    two_pair_points.clear()
+    part = _on_workers(monkeypatch, 2, h0, l_diag, omegas, anchor_index=anchor,
+                       stop=lambda state: seen.append(state) or len(seen) == 7)
+    assert len(part.omegas) == 7
+    for name in _SWEEP_FIELDS:
+        assert np.array_equal(getattr(part, name), getattr(whole, name)[:7]), name
+    lookahead = 2 * spectrum.LOOKAHEAD_PER_WORKER
+    assert sorted(two_pair_points)[:7] == list(range(7))
+    assert len(two_pair_points) == len(set(two_pair_points))
+    assert len(two_pair_points) - 7 <= lookahead
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_failed_solve_propagates_from_the_sweep(monkeypatch, workers):
+    h0, l_diag, omegas, anchor, _ = _exact_crossing_sweep()
+    failing = _diagonals(h0, l_diag, omegas)[23].tobytes()
+    real = spectrum._eigh
+
+    def breaking(mat, *args, **kwargs):
+        if kwargs["diagonal"].tobytes() == failing:
+            raise sla.LinAlgError("syevr failed: 1")
+        return real(mat, *args, **kwargs)
+
+    monkeypatch.setattr(spectrum, "_eigh", breaking)
+    seen = []
+    with pytest.raises(sla.LinAlgError):
+        _on_workers(monkeypatch, workers, h0, l_diag, omegas, anchor_index=anchor,
+                    stop=lambda state: seen.append(state) and False)
+    assert len(seen) == 23  # every point before the failing one, none after
+
+
+def test_one_state_sweep_runs_on_the_pool(monkeypatch):
+    h0, l_diag = np.diag([3.0, 1.0, 2.0]), np.array([0.0, 1.0, 2.0])
+    omegas = np.linspace(0.0, 0.5, 9)
+    serial, threaded = (_on_workers(monkeypatch, workers, h0, l_diag, omegas, k=1)
+                        for workers in (1, 2))
+    assert threaded.energies.shape == (9, 1)
+    assert np.array_equal(threaded.vec0, threaded.vec1)
+    for name in _SWEEP_FIELDS:
+        assert np.array_equal(getattr(serial, name), getattr(threaded, name)), name
+
+
+def test_workers_fall_back_to_the_cpu_count(monkeypatch):
+    assert spectrum._workers() == len(os.sched_getaffinity(0))
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert spectrum._workers() == (os.cpu_count() or 1)
+
+
+def test_solver_diagonal_replaces_the_copy_diagonal_only():
+    rng = np.random.default_rng(7)
+    a = rng.standard_normal((30, 30))
+    a = a + a.T
+    kept = a.copy()
+    diagonal = rng.standard_normal(30)
+    ref = kept.copy()
+    np.fill_diagonal(ref, diagonal)
+    got = spectrum._eigh(a, spectrum._workspace(30), subset_by_index=(0, 1), diagonal=diagonal)
+    assert all(np.array_equal(x, y) for x, y in zip(got, sla.eigh(ref, subset_by_index=(0, 1))))
+    assert np.array_equal(a, kept)
 
 
 _BLAS_PROBE = """
