@@ -5,7 +5,11 @@ writes its data as CSV (authoritative), optional SVG plots derived from the
 CSV content, and a JSON run manifest written atomically last. Exit codes:
 0 success, 2 usage (including a ParameterError or InputError from the
 package), 3 numerical failure (any other package error), 4 self-check or
-preset mismatch.
+preset mismatch. `offset` also exits 2, before any sweep, when an offset
+puts the ramp's end outside its fixed range [center - 0.25, center + 0.02],
+and when the catalog's provenance does not record the system it would
+sweep: `solver.n_particles`, `n_ll` and `l_max` must equal `--n`, `--n-ll`
+and `--l-max` (default n + 2).
 """
 
 import argparse
@@ -349,12 +353,24 @@ def cmd_offset(args) -> int:
         print(f"error: catalog has no curve for (g={args.g}, A={args.A})",
               file=sys.stderr)
         return EXIT_USAGE
+    system = {"n_particles": args.n, "n_ll": args.n_ll,
+              "l_max": args.l_max if args.l_max is not None else args.n + 2}
+    provenance = catalog.provenance if isinstance(catalog.provenance, dict) else {}
+    solver = provenance.get("solver")
+    if not isinstance(solver, dict) or {key: solver.get(key) for key in system} != system:
+        raise ParameterError(f"catalog {args.catalog} was not computed for {system}")
     offsets = args.offsets
+    ramp_lo, ramp_hi = curve.center - 0.25, curve.center + 0.02
+    outside = [float(off) for off in offsets
+               if not ramp_lo <= curve.center + off <= ramp_hi]
+    if outside:
+        raise ParameterError(f"offsets {outside} put the ramp's end outside "
+                             f"[center - 0.25, center + 0.02]")
     hwhms = [preparation_hwhm(curve, off, args.prior_lo, args.prior_hi, DEFAULT_GRID_SIZE)
              for off in offsets]
     basis, cache = _build_system(args.n, args.n_ll, args.l_max)
 
-    ramp = np.linspace(curve.center - 0.25, curve.center + 0.02, args.gap_points)
+    ramp = np.linspace(ramp_lo, ramp_hi, args.gap_points)
     profile = gap_profile(basis, cache, curve.g, curve.anisotropy, ramp,
                           center=curve.center)
     omega_perp = 2 * pi * args.omega_perp_hz  # rad/s

@@ -5,17 +5,18 @@ transition of one (g, A) pair. The sweep grid is auto-located: a coarse
 pre-scan brackets the 0.9/0.1 crossings, stopping at the first point after
 both first crossings, then a refined uniform grid spans the transition
 with generous padding so that the flat extension outside the grid only
-ever sees plateau values. Sweeps run in the L-parity sector of the
-condensate (0,0)^N, the only states the followed state couples to.
+ever sees plateau values. Sweeps run in the sector of the basis's
+`hamiltonian.System`: the L-parity sector of the condensate (0,0)^N, the
+only states the followed state couples to.
 
-The module keeps its last sector sweep: the followed states and the two
-lowest sector energies at each point, keyed by the `Operators` object
-(identity), g, A and the exact values of the points swept (a pre-scan that
-stopped early holds only its prefix of the grid). Every curve sweep drops
-it before it starts and replaces it when done, so it holds one sweep at
-most and never sits beside a sweep in progress. Only `curve_diagnostics`
-reads it: on a match it skips its own sweep, so diagnostics of the curve
-just computed cost no second sweep. `locate_grid`, `compute_curve` and
+The System keeps the last curve sweep: the followed states and the two
+lowest sector energies at each point, keyed by g, A and the exact values
+of the points swept (a pre-scan that stopped early holds only its prefix
+of the grid). Every curve sweep drops it before it starts and replaces it
+when done, and `System.of` keeps one System, so one sweep is kept at most
+and never sits beside a sweep in progress. Only `curve_diagnostics` reads
+it: on a match it skips its own sweep, so diagnostics of the curve just
+computed cost no second sweep. `locate_grid`, `compute_curve` and
 `catalog_build` always sweep.
 """
 
@@ -27,19 +28,18 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import __version__ as _code_version
+from . import spectrum
 from .errors import ParameterError, RangeError, StaleCatalogError
 from .fock import FockBasis
-from .hamiltonian import Operators, build_operators
+from .hamiltonian import System
 from .melem import ElementCache
 from .observables import (
-    condensate_index,
     crossing_offset,
     p_zero,
     spdm_batch,
     spdm_branch_gap,
     transition_width,
 )
-from .spectrum import sweep_sector
 
 CATALOG_VERSION = "critgyro-catalog-1"
 PRESCAN_RANGE = (0.70, 1.02)
@@ -138,35 +138,31 @@ class CurveDiagnostics:
 
 
 class _Sweep(NamedTuple):
-    """A condensate-sector sweep and its key (ops, g, anisotropy, omegas)."""
+    """A condensate-sector sweep and its key (g, anisotropy, omegas)."""
 
-    ops: Operators
     g: float
     anisotropy: float
     omegas: np.ndarray
-    followed: np.ndarray   # (n, dim) followed state per grid point
+    followed: np.ndarray   # (n, dim) followed state per grid point, full basis
     energies: np.ndarray   # (n, 2) two lowest sector energies
 
 
-#: the last sweep `_sweep_p0` ran; read only by `curve_diagnostics`
-_last_sweep: _Sweep | None = None
-
-
-def _sweep_p0(basis: FockBasis, ops: Operators, g, anisotropy, omegas, stop=None):
+def _sweep_p0(system: System, g, anisotropy, omegas, stop=None):
     """Sweep of the condensate's L-parity sector and p0 of its followed
-    state; the sweep becomes the module's last sweep. `stop`, when given,
+    state; the sweep becomes the System's last sweep. `stop`, when given,
     sees p0 after each point and ends the sweep once it returns True."""
-    global _last_sweep
-    _last_sweep = None  # freed before the new sweep allocates its arrays
+    system.last_sweep = None  # freed before the new sweep allocates its arrays
     omegas = np.array(omegas, dtype=float)  # a copy: the key outlives the caller's array
-    h0 = ops.hamiltonian(g, anisotropy, 0.0).to_dense()
-    sweep = sweep_sector(h0, ops.l, omegas, condensate_index(basis), k=6,
-                         stop=None if stop is None
-                         else lambda state: stop(p_zero(state, basis)))
+    basis = system.basis
+    sweep = spectrum.sweep_lowest(
+        system.sector_h0(g, anisotropy), system.sector_l, omegas, k=6,
+        anchor_index=system.sector_anchor,
+        stop=None if stop is None else lambda state: stop(p_zero(system.lift(state), basis)))
+    followed = system.lift(sweep.followed)
     # keyed by the points swept: a pre-scan that stopped early matches no grid
-    _last_sweep = entry = _Sweep(ops, g, anisotropy, sweep.omegas, sweep.followed,
-                                 sweep.energies)
-    return entry, p_zero(sweep.followed, basis)
+    system.last_sweep = entry = _Sweep(g, anisotropy, sweep.omegas, followed,
+                                       sweep.energies)
+    return entry, p_zero(followed, basis)
 
 
 def _transition_grid(basis: FockBasis, cache: ElementCache, g: float,
@@ -190,8 +186,7 @@ def _transition_grid(basis: FockBasis, cache: ElementCache, g: float,
         last = p
         return not pending
 
-    _, pc = _sweep_p0(basis, build_operators(basis, cache), g, anisotropy, coarse,
-                      stop=bracketed)
+    _, pc = _sweep_p0(System.of(basis, cache), g, anisotropy, coarse, stop=bracketed)
     step = coarse[1] - coarse[0]
     rel_hi = crossing_offset(coarse[:len(pc)], pc, 0.9)
     rel_lo = crossing_offset(coarse[:len(pc)], pc, 0.1)
@@ -220,19 +215,8 @@ def compute_curve(basis: FockBasis, cache: ElementCache, g: float,
     if grid is None:
         grid = locate_grid(basis, cache, g, anisotropy)
     grid = np.asarray(grid, dtype=float)
-    _, pvals = _sweep_p0(basis, build_operators(basis, cache), g, anisotropy, grid)
+    _, pvals = _sweep_p0(System.of(basis, cache), g, anisotropy, grid)
     return ResonanceCurve.from_values(g, anisotropy, grid, pvals)
-
-
-def _curve_sweep(ops: Operators, curve: ResonanceCurve) -> _Sweep | None:
-    """The module's last sweep if it ran with these operators and the
-    curve's g, A and grid, else None."""
-    sweep = _last_sweep
-    if sweep is not None and sweep.ops is ops \
-            and (sweep.g, sweep.anisotropy) == (curve.g, curve.anisotropy) \
-            and np.array_equal(sweep.omegas, curve.omega):
-        return sweep
-    return None
 
 
 def curve_diagnostics(basis: FockBasis, cache: ElementCache,
@@ -241,12 +225,14 @@ def curve_diagnostics(basis: FockBasis, cache: ElementCache,
 
     The gap is E1 - E0 within the condensate's L-parity sector, the only
     states the followed state couples to; a sector of one state has none
-    (ParameterError). When the module's last sweep is the curve's (same
-    operators, g, A and grid), its states are reused.
+    (ParameterError). When the System's last sweep is the curve's (same
+    g, A and grid), its states are reused.
     """
-    ops = build_operators(basis, cache)
-    sweep = _curve_sweep(ops, curve) \
-        or _sweep_p0(basis, ops, curve.g, curve.anisotropy, curve.omega)[0]
+    system = System.of(basis, cache)
+    sweep = system.last_sweep
+    if sweep is None or (sweep.g, sweep.anisotropy) != (curve.g, curve.anisotropy) \
+            or not np.array_equal(sweep.omegas, curve.omega):
+        sweep, _ = _sweep_p0(system, curve.g, curve.anisotropy, curve.omega)
     if sweep.energies.shape[1] < 2:
         raise ParameterError("the condensate sector has one state: its gap is undefined")
     dens = spdm_batch(sweep.followed, basis)
@@ -257,7 +243,7 @@ def curve_diagnostics(basis: FockBasis, cache: ElementCache,
         lam2=np.array([d.eigenvalues[1] if len(d.eigenvalues) > 1 else 0.0
                        for d in dens]),
         branch_gap=np.array([spdm_branch_gap(d, basis) for d in dens]),
-        exp_L=sweep.followed**2 @ ops.l,
+        exp_L=sweep.followed**2 @ system.operators.l,
         spdm_trace=np.array([np.trace(d.matrix) for d in dens]),
     )
 

@@ -15,23 +15,26 @@ H is linear in its parameters, H = D + A V + g U - Omega L: `build_operators`
 builds the parameter-free terms once per basis, and each (g, A, Omega) then
 costs one sparse linear combination.
 
-Operators are shared per (basis, cache): `build_operators` remembers its
-last build and returns that same `Operators` object while it is called with
-the same basis and cache objects (matched by identity, held by strong
-references, so a recycled id() never matches). Every caller then sees one
-object, so callers must not mutate its arrays or matrices; D and L are
-read-only arrays.
+A `System` holds what does not depend on (g, A) over one basis and its
+element cache: the operators, the condensate's L-parity sector and the
+last curve sweep (see `curves`). The package reaches it through
+`System.of(basis, cache)`, which keeps one System and returns it while
+called with the same basis and cache objects (matched by identity, held by
+strong references, so a recycled id() never matches). Every caller then
+sees one `Operators` object, so callers must not mutate its arrays or
+matrices; D and L are read-only arrays.
 """
 
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import isfinite, pi, sqrt
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import ParameterError, StructureError
-from .fock import FockBasis, KeyIndex, ladder_entries
+from .fock import FockBasis, KeyIndex, Mode, ladder_entries
 from .melem import ElementCache
 
 HBAR = 1.054571817e-34  # J s
@@ -108,12 +111,6 @@ class SparseHamiltonian:
             )
         return self.to_csr() @ vec
 
-    def diagonal(self) -> np.ndarray:
-        diag = np.zeros(self.dim)
-        on = self.rows == self.cols
-        diag[self.rows[on]] = self.vals[on]
-        return diag
-
     def dump_coordinate_text(self, path) -> None:
         """Write full symmetric entries as 'row col value' lines."""
         m = self.to_csr().tocoo()
@@ -158,22 +155,9 @@ class Operators:
         )
 
 
-#: the last build as (basis, cache, operators)
-_last_build: tuple[FockBasis, ElementCache, Operators] | None = None
-
-
 def build_operators(basis: FockBasis, cache: ElementCache) -> Operators:
-    """D, L, V and U over the basis, from the parameter-free element cache.
-
-    Called again with the same basis and cache objects, returns the same
-    Operators object without rebuilding it.
-    """
-    global _last_build
-    last = _last_build
-    if last is not None and last[0] is basis and last[1] is cache:
-        return last[2]
-    if tuple(cache.modes) != tuple(basis.modes):
-        raise StructureError("element cache was built over a different mode list")
+    """D, L, V and U over the basis, from the parameter-free element cache
+    built over its modes (`System` checks that)."""
     occ = basis.occupations
     ns, nm = occ.shape
     index = KeyIndex.build(occ)
@@ -215,21 +199,65 @@ def build_operators(basis: FockBasis, cache: ElementCache) -> Operators:
     d = occ @ mode_w.astype(np.float64) + basis.n_particles
     l = basis.L.astype(np.float64)
     d.flags.writeable = l.flags.writeable = False
-    ops = Operators(d=d, l=l, v=v, u=u)
-    _last_build = (basis, cache, ops)
-    return ops
+    return Operators(d=d, l=l, v=v, u=u)
+
+
+class System:
+    """A basis and an element cache over its modes (StructureError
+    otherwise), with `operators` built on first use.
+
+    H conserves L parity (the deformation changes L by 2), so sweeps from
+    the condensate (0,0)^N run in its sector: the basis rows `sector_rows`,
+    the condensate at `sector_anchor` among them and L on them `sector_l`,
+    all read-only; `lift` puts sector states back in the full basis.
+    `last_sweep` is the last curve sweep, or None; `curves` keeps it.
+    """
+
+    def __init__(self, basis: FockBasis, cache: ElementCache):
+        if tuple(cache.modes) != tuple(basis.modes):
+            raise StructureError("element cache was built over a different mode list")
+        self.basis, self.cache = basis, cache
+        condensate = basis.index_of({Mode(0, 0): basis.n_particles})
+        self.sector_rows = np.flatnonzero(basis.L % 2 == basis.L[condensate] % 2)
+        self.sector_anchor = int(np.searchsorted(self.sector_rows, condensate))
+        self.sector_l = basis.L[self.sector_rows].astype(np.float64)
+        self.sector_rows.flags.writeable = self.sector_l.flags.writeable = False
+        self.last_sweep = None
+
+    @classmethod
+    def of(cls, basis: FockBasis, cache: ElementCache) -> "System":
+        """The shared System of this basis and cache (see the module docstring)."""
+        global _shared
+        if _shared is None or _shared.basis is not basis or _shared.cache is not cache:
+            _shared = cls(basis, cache)
+        return _shared
+
+    @cached_property
+    def operators(self) -> Operators:
+        return build_operators(self.basis, self.cache)
+
+    def sector_h0(self, g: float, anisotropy: float) -> np.ndarray:
+        """Dense H(g, A, Omega = 0) on the condensate's sector."""
+        h0 = self.operators.hamiltonian(g, anisotropy, 0.0).to_dense()
+        return h0[np.ix_(self.sector_rows, self.sector_rows)]
+
+    def lift(self, vectors: np.ndarray) -> np.ndarray:
+        """Sector vectors (along the last axis) in full-basis coordinates,
+        zero outside the sector."""
+        full = np.zeros(vectors.shape[:-1] + (self.basis.size,))
+        full[..., self.sector_rows] = vectors
+        return full
+
+
+#: the one System `System.of` keeps
+_shared: System | None = None
 
 
 def assemble(basis: FockBasis, params: ModelParams,
              cache: ElementCache) -> SparseHamiltonian:
     """Build the Hamiltonian matrix for one parameter set."""
-    return build_operators(basis, cache).hamiltonian(
+    return System.of(basis, cache).operators.hamiltonian(
         params.g, params.anisotropy, params.omega)
-
-
-def matvec(ham: SparseHamiltonian, vec: np.ndarray) -> np.ndarray:
-    """H @ v honoring the symmetric storage."""
-    return ham.matvec(vec)
 
 
 def physical_to_g(scattering_length_m: float, mass_kg: float,

@@ -11,11 +11,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import spectrum
 from .errors import InputError, ParameterError, RangeError
 from .fock import FockBasis, Mode
-from .hamiltonian import build_operators
+from .hamiltonian import System
 from .melem import ElementCache
-from .spectrum import sweep_sector
 
 NORM_TOL = 1e-8
 
@@ -42,11 +42,6 @@ def expected_L(psi: np.ndarray, basis: FockBasis) -> float:
     """Mean total angular momentum of the state."""
     psi = _check_normalized(psi)
     return float(np.sum(psi**2 * basis.L))
-
-
-def condensate_index(basis: FockBasis) -> int:
-    """Row of the condensate (0,0)^N, the state every sweep is anchored to."""
-    return basis.index_of({Mode(0, 0): basis.n_particles})
 
 
 @dataclass(frozen=True)
@@ -233,11 +228,11 @@ def gap_profile(basis: FockBasis, cache: ElementCache, g: float,
     """Gap and |<1|L|0>| within the L-parity sector of the condensate."""
     if anisotropy <= 0:
         raise ParameterError("gap profile needs a positive anisotropy")
-    h0 = build_operators(basis, cache).hamiltonian(g, anisotropy, 0.0).to_dense()
-    l_diag = basis.L.astype(float)
-    sweep = sweep_sector(h0, l_diag, omegas, condensate_index(basis), k=2)
+    system = System.of(basis, cache)
+    sweep = spectrum.sweep_lowest(system.sector_h0(g, anisotropy), system.sector_l,
+                                  omegas, k=2, anchor_index=system.sector_anchor)
     gap = sweep.energies[:, 1] - sweep.energies[:, 0]
-    l01 = np.abs(np.einsum("ij,j,ij->i", sweep.vec1, l_diag, sweep.vec0))
+    l01 = np.abs(np.einsum("ij,j,ij->i", sweep.vec1, system.sector_l, sweep.vec0))
     return GapProfile(
         omegas=np.asarray(omegas, dtype=float),
         gap=gap, l01=l01, center=float(center),

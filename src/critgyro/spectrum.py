@@ -5,8 +5,9 @@ run in the 191-dim condensate sector. Sweeps over rotation rates follow the
 state adiabatically: ties inside a degenerate ground space are broken by
 overlap with the previous point, and if the ground state loses all overlap
 with the followed branch (exact sector crossings at zero anisotropy) the
-sweep keeps the branch instead. `sweep_sector` runs a sweep inside the
-L-parity sector of an anchor state.
+sweep keeps the branch instead. Curve and gap-profile sweeps run on the
+condensate-sector matrices of a `hamiltonian.System`, which lifts their
+states back to the full basis.
 
 A sweep solves the two lowest eigenpairs at each point: E0, E1 and their
 vectors are all that its callers read. It widens to the k lowest pairs (the
@@ -339,29 +340,3 @@ def sweep_lowest(
         followed_rank=rank[:swept],
     )
 
-
-def sweep_sector(h0_dense: np.ndarray, l_diag: np.ndarray, omegas: np.ndarray,
-                 anchor_index: int, k: int = 6,
-                 stop: Callable[[np.ndarray], bool] | None = None) -> SweepResult:
-    """`sweep_lowest` within the L-parity sector of the anchor state.
-
-    H conserves L parity exactly (the deformation changes L by 2), so the
-    anchor's state never couples to the other sector. Energies are the
-    sector's; vectors, also those `stop` sees, come in full-basis
-    coordinates, zero outside it.
-    """
-    rows = np.flatnonzero(l_diag % 2 == l_diag[anchor_index] % 2)
-
-    def lift(vectors):
-        full = np.zeros(vectors.shape[:-1] + (len(l_diag),))
-        full[..., rows] = vectors
-        return full
-
-    sub = sweep_lowest(h0_dense[np.ix_(rows, rows)], l_diag[rows], omegas, k=k,
-                       anchor_index=int(np.searchsorted(rows, anchor_index)),
-                       stop=None if stop is None else lambda state: stop(lift(state)))
-    return SweepResult(
-        omegas=sub.omegas, energies=sub.energies,
-        vec0=lift(sub.vec0), vec1=lift(sub.vec1), followed=lift(sub.followed),
-        followed_rank=sub.followed_rank,
-    )

@@ -348,3 +348,32 @@ def test_offset_refuses_bad_values(argv, tmp_path, catalog_file, capsys):
     err = capsys.readouterr().err
     assert "Traceback" not in err and len(err.strip().splitlines()) == 1
     assert not out.exists()
+
+
+
+@pytest.mark.parametrize("argv,dropped", [
+    (["--offsets=-0.5:0:3"], ()),
+    (["--offsets=0:0.1:3"], ()),
+    (["--n", "2"], ()),
+    (["--l-max", "9"], ()),
+    ([], ("solver",)),
+    ([], ("solver", "l_max")),
+])
+def test_offset_refuses_an_offset_off_the_ramp_or_another_systems_catalog(
+        argv, dropped, tmp_path, catalog_file, capsys, monkeypatch):
+    if dropped:  # the same catalog with a provenance entry deleted
+        payload = json.loads(Path(catalog_file).read_text())
+        entry = payload["provenance"]
+        for key in dropped[:-1]:
+            entry = entry[key]
+        del entry[dropped[-1]]
+        catalog_file = tmp_path / "catalog.json"
+        catalog_file.write_text(json.dumps(payload))
+    sweeps = []
+    monkeypatch.setattr(spectrum, "sweep_lowest", lambda *args, **kwargs: sweeps.append(1))
+    out = tmp_path / "offset.csv"
+    assert main(["offset", "--catalog", str(catalog_file), "--out", str(out)] + argv) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+    assert not out.exists()
+    assert sweeps == []

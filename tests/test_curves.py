@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import critgyro.curves as curves_module
+import critgyro.hamiltonian as hamiltonian
 import critgyro.spectrum as spectrum
 from conftest import make_logistic_curve
 from critgyro.cli import main
@@ -29,8 +29,9 @@ from critgyro.curves import (
 )
 from critgyro.errors import ParameterError, StaleCatalogError
 from critgyro.fock import enumerate_basis
+from critgyro.hamiltonian import System
 from critgyro.melem import ElementCache
-from critgyro.observables import critical_frequency, p_zero, transition_width
+from critgyro.observables import critical_frequency, gap_profile, p_zero, transition_width
 
 
 def test_from_values_validation():
@@ -280,7 +281,7 @@ def test_diagnostics_reuse_the_curve_sweep(system6, monkeypatch):
     def counting(*args, **kwargs):
         sweeps.append(1)
         # the kept sweep is released before a new one allocates
-        assert curves_module._last_sweep is None
+        assert hamiltonian._shared.last_sweep is None
         return real(*args, **kwargs)
 
     monkeypatch.setattr(spectrum, "sweep_lowest", counting)
@@ -337,7 +338,7 @@ def test_prescan_stops_at_its_crossings(system6, monkeypatch, g, a):
     grid = locate_grid(basis, cache, g, a)
     monkeypatch.setattr(spectrum, "sweep_lowest", whole)
     assert np.array_equal(grid, locate_grid(basis, cache, g, a))
-    full = curves_module._last_sweep.followed
+    full = System.of(basis, cache).last_sweep.followed
     assert len(full) == PRESCAN_POINTS
     p = (full[:, basis.zero_momentum_mask] ** 2).sum(axis=1)
     if a == 0.0:  # no transition: the pre-scan runs in full
@@ -360,7 +361,7 @@ def test_diagnostics_do_not_reuse_an_early_stopped_prescan(system6, monkeypatch)
     monkeypatch.setattr(spectrum, "sweep_lowest", counting)
     locate_grid(basis, cache, 0.5, 0.04)
     coarse = np.linspace(*PRESCAN_RANGE, PRESCAN_POINTS)
-    assert len(curves_module._last_sweep.omegas) < PRESCAN_POINTS
+    assert len(System.of(basis, cache).last_sweep.omegas) < PRESCAN_POINTS
     curve = ResonanceCurve.from_values(0.5, 0.04, coarse,
                                        np.linspace(1.0, 0.0, PRESCAN_POINTS))
     diag = curve_diagnostics(basis, cache, curve)
@@ -413,7 +414,7 @@ def test_catalog_build_refuses_a_pair_without_transition_after_its_prescan(
 def test_p_zero_of_each_followed_state_is_the_curve_p0(system6):
     basis, cache = system6
     curve = compute_curve(basis, cache, 0.5, 0.04, grid=np.linspace(0.85, 0.95, 41))
-    followed = curves_module._last_sweep.followed
+    followed = System.of(basis, cache).last_sweep.followed
     assert np.array_equal([p_zero(state, basis) for state in followed], curve.p0)
     assert np.array_equal(p_zero(followed, basis), curve.p0)
 
@@ -424,3 +425,23 @@ def test_diagnostics_refuse_a_one_state_sector():
     curve = compute_curve(basis, cache, 0.5, 0.04, grid=np.linspace(0.8, 0.9, 3))
     with pytest.raises(ParameterError):
         curve_diagnostics(basis, cache, curve)
+
+
+def test_curves_and_gap_profile_share_one_operator_build(monkeypatch):
+    """locate_grid -> catalog_build (compute_curve) -> curve_diagnostics ->
+    gap_profile on one (basis, cache) build the operators once."""
+    basis = enumerate_basis(3, 2, 5)
+    cache = ElementCache.build(basis.modes)
+    builds = []
+    real = hamiltonian.build_operators
+
+    def counting(*args, **kwargs):
+        builds.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(hamiltonian, "build_operators", counting)
+    locate_grid(basis, cache, 0.5, 0.04)
+    curve = catalog_build(basis, cache, [(0.5, 0.04)]).find(0.5, 0.04)
+    curve_diagnostics(basis, cache, curve)
+    gap_profile(basis, cache, 0.5, 0.04, curve.omega, center=curve.center)
+    assert len(builds) == 1

@@ -6,9 +6,9 @@ from critgyro.errors import ParameterError, StructureError
 from critgyro.fock import Mode, enumerate_basis
 from critgyro.hamiltonian import (
     ModelParams,
+    System,
     assemble,
     build_operators,
-    matvec,
     physical_to_g,
 )
 from critgyro.melem import ElementCache, v_element
@@ -80,13 +80,13 @@ def test_omega_enters_linearly_on_the_diagonal():
 def test_matvec():
     _, _, ham = build(2, 0.5, 0.03, 0.5)
     zero = np.zeros(ham.dim)
-    assert np.array_equal(matvec(ham, zero), zero)
+    assert np.array_equal(ham.matvec(zero), zero)
     dense = ham.to_dense()
     e0 = np.zeros(ham.dim)
     e0[3] = 1.0
-    assert np.allclose(matvec(ham, e0), dense[:, 3], atol=1e-15)
+    assert np.allclose(ham.matvec(e0), dense[:, 3], atol=1e-15)
     with pytest.raises(StructureError):
-        matvec(ham, np.ones(ham.dim + 1))
+        ham.matvec(np.ones(ham.dim + 1))
 
 
 @pytest.mark.parametrize("n,g,a,omega", [(2, 0.5, 0.04, 0.6), (3, 0.7, 0.02, 0.85)])
@@ -131,7 +131,7 @@ def test_matvec_matches_oracle_product():
     perm = np.array([basis.index[occ] for occ in states])
     rng = np.random.default_rng(5)
     v = rng.standard_normal(ham.dim)
-    ours = matvec(ham, v)
+    ours = ham.matvec(v)
     theirs = ref @ v[perm]
     assert np.max(np.abs(ours[perm] - theirs)) < 1e-12
 
@@ -144,18 +144,18 @@ def test_cache_basis_mismatch():
         assemble(basis, ModelParams(2, 0.5, 0.0, 0.0, l_max=4), cache)
 
 
-def test_build_operators_is_shared_per_basis_and_cache():
+def test_system_operators_are_shared_per_basis_and_cache():
     basis = enumerate_basis(3, 2, 5)
     cache = ElementCache.build(basis.modes)
-    ops = build_operators(basis, cache)
-    assert build_operators(basis, cache) is ops
+    ops = System.of(basis, cache).operators
+    assert System.of(basis, cache).operators is ops
     # a second cache over the same modes is another object: rebuilt, equal
     other = ElementCache.build(basis.modes)
-    rebuilt = build_operators(basis, other)
+    rebuilt = System.of(basis, other).operators
     assert rebuilt is not ops
     assert np.array_equal(rebuilt.d, ops.d) and np.array_equal(rebuilt.l, ops.l)
     assert (rebuilt.v != ops.v).nnz == 0 and (rebuilt.u != ops.u).nnz == 0
-    assert build_operators(basis, other) is rebuilt
+    assert System.of(basis, other).operators is rebuilt
     with pytest.raises(ValueError):
         ops.d[0] = 0.0
 

@@ -6,12 +6,11 @@ import critgyro.fock as fock
 
 from critgyro.errors import InputError, ParameterError, RangeError
 from critgyro.fock import Mode, enumerate_basis
-from critgyro.hamiltonian import build_operators
+from critgyro.hamiltonian import System
 from critgyro.melem import ElementCache
 from critgyro.observables import (
     GapProfile,
     adiabatic_time,
-    condensate_index,
     critical_frequency,
     expected_L,
     gap_profile,
@@ -23,7 +22,7 @@ from critgyro.observables import (
     spdm_branch_gap,
     transition_width,
 )
-from critgyro.spectrum import sweep_sector
+from critgyro.spectrum import sweep_lowest
 from conftest import make_logistic_curve
 from oracle import oracle_hamiltonian, oracle_spdm
 
@@ -163,14 +162,15 @@ def test_spdm_contraction_keeps_the_bits_of_the_hop_row_product(system6):
     """`table_t @ (psi[src] * psi[tgt])` gives the bits of the row-vector
     product `psi[src] * psi[tgt] @ table` with the untransposed table."""
     basis, cache = system6
-    ops = build_operators(basis, cache)
-    sweep = sweep_sector(ops.hamiltonian(0.5, 0.04, 0.0).to_dense(), ops.l,
-                         np.linspace(0.8, 0.95, 16), condensate_index(basis))
+    system = System(basis, cache)
+    sweep = sweep_lowest(system.sector_h0(0.5, 0.04), system.sector_l,
+                         np.linspace(0.8, 0.95, 16), anchor_index=system.sector_anchor)
+    followed = system.lift(sweep.followed)
     src, tgt, table_t = basis.spdm_hop_table
     table = sp.csr_matrix(table_t.T)
     nm = len(basis.modes)
-    dens = spdm_batch(sweep.followed, basis)
-    for psi, d in zip(sweep.followed, dens):
+    dens = spdm_batch(followed, basis)
+    for psi, d in zip(followed, dens):
         upper = (psi[src] * psi[tgt] @ table).reshape(nm, nm)
         assert np.array_equal(table_t @ (psi[src] * psi[tgt]), upper.ravel())
         rows, cols = np.triu_indices(nm, 1)

@@ -13,10 +13,15 @@ import critgyro.spectrum as spectrum
 from critgyro.errors import InputError, ParameterError
 from critgyro.fock import Mode, enumerate_basis
 from critgyro.curves import PRESCAN_POINTS, PRESCAN_RANGE
-from critgyro.hamiltonian import ModelParams, SparseHamiltonian, assemble, build_operators
+from critgyro.hamiltonian import (
+    ModelParams,
+    SparseHamiltonian,
+    System,
+    assemble,
+    build_operators,
+)
 from critgyro.melem import ElementCache
-from critgyro.observables import condensate_index
-from critgyro.spectrum import ground_state, lowest_k, sweep_lowest, sweep_sector
+from critgyro.spectrum import ground_state, lowest_k, sweep_lowest
 from oracle import oracle_hamiltonian, reference_sweep_followed
 
 
@@ -180,13 +185,16 @@ def test_sector_sweep_reproduces_full_space_p0():
     l_diag = basis.L.astype(float)
     omegas = np.linspace(0.7, 1.0, 61)
     full = sweep_lowest(ham0.to_dense(), l_diag, omegas, anchor_index=anchor)
-    sector = sweep_sector(ham0.to_dense(), l_diag, omegas, anchor)
+    system = System(basis, cache)
+    sector = sweep_lowest(system.sector_h0(0.5, 0.04), system.sector_l, omegas,
+                          anchor_index=system.sector_anchor)
+    followed = system.lift(sector.followed)
     even = basis.L % 2 == 0
-    assert sector.followed.shape == full.followed.shape
-    assert not sector.followed[:, ~even].any()
+    assert followed.shape == full.followed.shape
+    assert not followed[:, ~even].any()
     mask = basis.zero_momentum_mask
     p_full = (full.followed[:, mask] ** 2).sum(axis=1)
-    p_sector = (sector.followed[:, mask] ** 2).sum(axis=1)
+    p_sector = (followed[:, mask] ** 2).sum(axis=1)
     assert np.max(np.abs(p_sector - p_full)) < 1e-10
     # the sector ground state is the full one wherever that one is even
     ground_even = (full.vec0[:, even] ** 2).sum(axis=1) > 0.5
@@ -205,7 +213,7 @@ def test_lost_branch_resolves_like_the_full_spectrum(system6, monkeypatch, g, a)
     h0 = build_operators(basis, cache).hamiltonian(g, a, 0.0).to_dense()
     h0 = h0[np.ix_(rows, rows)]
     l_diag = basis.L[rows].astype(float)
-    anchor = int(np.searchsorted(rows, condensate_index(basis)))
+    anchor = int(np.searchsorted(rows, basis.index_of({Mode(0, 0): 6})))
     omegas = np.linspace(*PRESCAN_RANGE, PRESCAN_POINTS)
     ref, ref_full_solves = reference_sweep_followed(h0, l_diag, omegas, anchor)
 
@@ -232,7 +240,7 @@ def _sector_prescan(basis, cache, g, a):
     h0 = build_operators(basis, cache).hamiltonian(g, a, 0.0).to_dense()
     return (h0[np.ix_(rows, rows)], basis.L[rows].astype(float),
             np.linspace(*PRESCAN_RANGE, PRESCAN_POINTS),
-            int(np.searchsorted(rows, condensate_index(basis))),
+            int(np.searchsorted(rows, basis.index_of({Mode(0, 0): 6}))),
             basis.zero_momentum_mask[rows])
 
 
@@ -306,12 +314,15 @@ def test_sweep_stop_ends_after_the_point_it_accepts():
     for name in ("energies", "vec0", "vec1", "followed", "followed_rank"):
         assert np.array_equal(getattr(part, name), getattr(whole, name)[:7])
     assert np.array_equal(np.array(seen), whole.followed[:7])
-    # the sector sweep hands `stop` the state in full-basis coordinates
+    # a sector sweep hands `stop` the sector state, which the System lifts
+    basis = enumerate_basis(4, 2, 6)
+    system = System(basis, ElementCache.build(basis.modes))
     lifted = []
-    sector = sweep_sector(h0, l_diag, omegas, anchor,
-                          stop=lambda state: lifted.append(state) or True)
+    sector = sweep_lowest(system.sector_h0(0.5, 0.0), system.sector_l, omegas,
+                          anchor_index=system.sector_anchor,
+                          stop=lambda state: lifted.append(system.lift(state)) or True)
     assert len(sector.omegas) == 1
-    assert np.array_equal(lifted[0], sector.followed[0])
+    assert np.array_equal(lifted[0], system.lift(sector.followed)[0])
 
 
 _SWEEP_FIELDS = ("omegas", "energies", "vec0", "vec1", "followed", "followed_rank")
