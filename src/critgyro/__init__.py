@@ -27,18 +27,12 @@ from .curves import (
     lookup_by_width,
 )
 from .estimate import (
-    MeasurementRecord,
     Posterior,
     ProtocolConfig,
     ProtocolResult,
-    bayes_update,
-    init_prior,
-    recenter_offset,
-    retune,
     run_ensemble,
     run_protocol,
     sigma_scaling,
-    simulate_outcome,
 )
 
 __all__ = [
@@ -51,7 +45,6 @@ __all__ = [
     "expected_L", "gap_profile", "p_zero", "spdm", "transition_width",
     "CurveCatalog", "ResonanceCurve", "catalog_build", "catalog_load",
     "catalog_save", "compute_curve", "lookup_by_width",
-    "MeasurementRecord", "Posterior", "ProtocolConfig", "ProtocolResult",
-    "bayes_update", "init_prior", "recenter_offset", "retune",
-    "run_ensemble", "run_protocol", "sigma_scaling", "simulate_outcome",
+    "Posterior", "ProtocolConfig", "ProtocolResult",
+    "run_ensemble", "run_protocol", "sigma_scaling",
 ]

@@ -1,9 +1,9 @@
-"""The estimator's one Bayesian update and the loop built on it.
+"""The estimator's one Bayesian update loop.
 
-`multiply_renormalize` multiplies posterior masses by the likelihood of an
-outcome, renormalizes and reports an annihilated posterior;
-`estimate.bayes_update` (one update on a `Posterior`) and `bayes_stage` (a
-stage of sequential updates inside `run_protocol`) both use it.
+`bayes_stage` runs one stage (a fixed curve) of `estimate.run_protocol`: it
+draws each outcome, multiplies the posterior masses by the likelihood of
+that outcome, renormalizes them and reports an annihilated posterior by
+returning early. It is the only place the package updates a posterior.
 
 Support window. `bayes_stage` works on a contiguous window [lo, hi) of the
 posterior grid: every multiply, renormalization, mean, sigma and likelihood
@@ -41,20 +41,6 @@ import numpy as np
 #: points holding at most this share of the mass at the posterior mean are
 #: dropped from the window at a recentering
 WINDOW_FLOOR = 1e-30
-
-
-def multiply_renormalize(mass, factor) -> bool:
-    """Multiply `mass` by `factor` in place and renormalize it to sum 1.
-
-    Returns False (mass left unnormalized) when nothing is left, i.e. the
-    outcome has zero likelihood wherever the posterior lives.
-    """
-    mass *= factor
-    norm = float(mass.sum())
-    if norm <= 0.0:
-        return False
-    mass /= norm
-    return True
 
 
 def bayes_stage(
@@ -102,8 +88,11 @@ def bayes_stage(
         out_shift[i] = shift
         if not zero and anti is None:
             anti = 1.0 - like
-        if not multiply_renormalize(w, like if zero else anti):
+        w *= like if zero else anti
+        norm = float(w.sum())
+        if norm <= 0.0:  # the outcome has zero likelihood on the whole support
             return i
+        w /= norm
         mean = float(w @ xw)
         out_sigma[i] = sqrt(float(w @ ((xw - mean) ** 2)))
     return n_meas

@@ -5,8 +5,13 @@ writes its data as CSV (authoritative), optional SVG plots derived from the
 CSV content, and a JSON run manifest written atomically last. Exit codes:
 0 success, 2 usage (including a ParameterError or InputError from the
 package), 3 numerical failure (any other package error), 4 self-check or
-preset mismatch. `offset` also exits 2, before any sweep, when an offset
-puts the ramp's end outside its fixed range [center - 0.25, center + 0.02],
+preset mismatch. `estimate` exits 2 and writes no output file when its
+`--config` file cannot be read, is not a JSON object, or breaks the schema
+in `estimate.ProtocolConfig` (an unknown key, a wrong type, a value out of
+range), when the seed (config or CRITGYRO_SEED) is negative, and when the
+catalog lacks the initial (g, A) pair. `offset` also exits 2, before any
+sweep, on a non-finite or non-positive `--eps`, when an offset puts the
+ramp's end outside its fixed range [center - 0.25, center + 0.02],
 and when the catalog's provenance does not record the system it would
 sweep: `solver.n_particles`, `n_ll` and `l_max` must equal `--n`, `--n-ll`
 and `--l-max` (default n + 2).
@@ -207,9 +212,12 @@ _ARRAY_FACTOR = 2.0
 
 
 def _trajectory_rows(result):
-    for rec in result.records:
-        yield (rec.index, int(rec.zero_outcome), rec.g, rec.anisotropy,
-               rec.delta, rec.sigma)
+    n = len(result.sigma_trace)
+    stops = [first for first, _, _ in result.stage_params[1:]] + [n + 1]
+    for (first, g, a), stop in zip(result.stage_params, stops):
+        for mu in range(first, stop):
+            yield (mu, int(result.outcomes[mu - 1]), g, a,
+                   result.deltas[mu - 1], result.sigma_trace[mu - 1])
 
 
 def _write_trajectory(path, result):
@@ -228,9 +236,13 @@ def cmd_estimate(args) -> int:
     t0 = time.time()
     cfg_data = {}
     if args.config:
-        with open(args.config) as fh:
-            cfg_data = json.load(fh)
+        try:
+            with open(args.config) as fh:
+                cfg_data = json.load(fh)
+        except (OSError, ValueError) as exc:  # ValueError: malformed JSON or text
+            raise ParameterError(f"cannot read --config {args.config}: {exc}") from None
     config = ProtocolConfig.from_dict(cfg_data)
+    seed = resolve_seed(config.seed)
     catalog_path = args.catalog or config.catalog_path
     if not catalog_path:
         print("error: no catalog given (--catalog or config catalog_path)",
@@ -242,7 +254,7 @@ def cmd_estimate(args) -> int:
     outputs = []
     details = {"config": config.to_dict(), "preset": args.preset,
                "catalog": str(catalog_path),
-               "seed": resolve_seed(config.seed),
+               "seed": seed,
                "seed_source": SEED_ENV if os.environ.get(SEED_ENV) else "config"}
     ensembles = {}
     status = EXIT_OK
@@ -256,7 +268,7 @@ def cmd_estimate(args) -> int:
         for mu in (1, 10, 100):
             sub = ProtocolConfig.from_dict({**cfg.to_dict(),
                                             "n_measurements": mu})
-            snap = run_protocol(sub, catalog, collect_records=False)
+            snap = run_protocol(sub, catalog)
             path = out(f"posterior_mu{mu}.csv")
             _write_csv(path, ("omega", "mass"),
                        zip(snap.posterior.omega, snap.posterior.mass))
@@ -346,6 +358,8 @@ def cmd_offset(args) -> int:
                              f"got {args.omega_perp_hz}")
     if args.gap_points < 2:
         raise ParameterError(f"--gap-points must be >= 2, got {args.gap_points}")
+    if not (np.isfinite(args.eps) and args.eps > 0):
+        raise ParameterError(f"--eps must be finite and > 0, got {args.eps}")
     catalog = catalog_load(args.catalog)
     try:
         curve = catalog.find(args.g, args.A)

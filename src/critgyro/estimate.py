@@ -1,5 +1,12 @@
 """Grid-based Bayesian rotation estimation with adaptive retuning.
 
+`run_protocol` is the estimator's one path. It builds the flat prior and
+runs each stage (one curve, between scheduled retunes) through
+`_kernels.bayes_stage`, the package's only posterior update. Its result is
+arrays: per-measurement sigma, outcome and applied shift, the stage
+parameters, and the final `Posterior`. `run_ensemble` repeats it from
+split seeds and keeps the sigma traces.
+
 A trajectory draws Bernoulli outcomes from the likelihood curve at the
 true rotation (plus the recentering shift), multiplies the posterior by
 P(0|Omega+delta) or its complement, and renormalizes. The shift delta is
@@ -21,8 +28,10 @@ and fig4 medians moved by up to 1.3e-9 relative from the full-grid update;
 at 1e-30 they stay within 7e-14 (the `_kernels` docstring has the details).
 """
 
+import math
+import numbers
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -30,7 +39,6 @@ from . import _kernels
 from ._backend import active_backend
 from .curves import CurveCatalog, ResonanceCurve, lookup_by_width
 from .errors import DegenerateUpdateError, ParameterError
-from .observables import hwhm_points
 
 KAPPA_DEFAULT = 4.0
 DEFAULT_PRIOR = (0.87, 0.93)
@@ -60,70 +68,61 @@ class Posterior:
         object.__setattr__(self, "omega", omega)
         object.__setattr__(self, "mass", mass)
 
-    def offsets(self) -> np.ndarray:
-        return self.omega - self.omega[0]
-
     @property
     def mean(self) -> float:
-        x = self.offsets()
-        return float(self.omega[0] + self.mass @ x)
-
-    @property
-    def sigma(self) -> float:
-        x = self.offsets()
-        m = float(self.mass @ x)
-        return float(np.sqrt(self.mass @ ((x - m) ** 2)))
-
-    @property
-    def hwhm(self) -> float:
-        return hwhm_points(self.omega, self.mass)
+        return float(self.omega[0] + self.mass @ (self.omega - self.omega[0]))
 
 
-def init_prior(lo: float, hi: float, gridsize: int = DEFAULT_GRID_SIZE) -> Posterior:
-    """Flat prior over [lo, hi] on a uniform grid."""
-    if not lo < hi:
-        raise ParameterError(f"need lo < hi, got [{lo}, {hi}]")
-    if gridsize < 2:
-        raise ParameterError("gridsize must be >= 2 (a single point is degenerate)")
-    mass = np.full(gridsize, 1.0 / gridsize)
-    mass /= mass.sum()
-    return Posterior(omega=np.linspace(lo, hi, gridsize), mass=mass)
+def _integer(name, value) -> int:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ParameterError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
-def simulate_outcome(p: float, rng: np.random.Generator) -> bool:
-    """One Bernoulli draw; True means the all-zero outcome. Uses one uniform."""
-    if not 0.0 <= p <= 1.0:
-        raise ParameterError(f"probability must be in [0, 1], got {p}")
-    return bool(rng.random() <= p)
-
-
-def bayes_update(post: Posterior, curve: ResonanceCurve, delta: float,
-                 zero_outcome: bool) -> Posterior:
-    """Multiply by the (shifted) likelihood of the outcome and renormalize."""
-    active_backend()
-    like = curve.evaluate(post.omega + delta)
-    mass = post.mass.copy()
-    if not _kernels.multiply_renormalize(mass, like if zero_outcome else 1.0 - like):
-        raise DegenerateUpdateError(
-            "posterior support lies entirely where the outcome has zero likelihood"
-        )
-    return Posterior(omega=post.omega, mass=mass)
-
-
-def recenter_offset(post: Posterior, curve: ResonanceCurve) -> float:
-    """External rotation shift mapping the posterior mean onto the center."""
-    return float(curve.center - post.mean)
-
-
-def retune(post: Posterior, catalog: CurveCatalog,
-           kappa: float = KAPPA_DEFAULT) -> ResonanceCurve:
-    """Catalog curve whose width best matches kappa times the posterior sigma."""
-    return lookup_by_width(catalog, kappa * post.sigma)
+def _finite(name, value) -> float:
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not math.isfinite(value)):
+        raise ParameterError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)
 class ProtocolConfig:
-    """Inputs of one estimation run; JSON round-trips via to/from_dict."""
+    """Inputs of one estimation run; JSON round-trips via to/from_dict.
+
+    This is the schema of `critgyro estimate --config`: a JSON object with
+    any of the keys below (others are refused). Each entry gives the type,
+    the accepted range and the default; integers refuse booleans, floats
+    and strings, and numbers must be finite. A value that breaks the schema
+    raises ParameterError (the CLI exits 2).
+
+    omega_true: float, default 0.90. The true rotation the outcomes are
+        drawn at.
+    prior_lo, prior_hi: float, prior_lo < prior_hi, default 0.87 and 0.93.
+        Ends of the flat prior.
+    grid_size: int >= 2, default 2001. Points of the posterior grid.
+    seed: int >= 0, default 0. Seed of a single trajectory and master seed
+        of an ensemble; the CRITGYRO_SEED environment variable overrides it.
+    n_measurements: int >= 1, default 100. Set to 100 by `--preset fig3`
+        and `fig4`, to 400 by `--preset array`.
+    schedule: list of ints, each >= 1 and strictly increasing (multiples of
+        batch_size when it is above 1), default []. Measurement counts after
+        which the curve is retuned; counts >= n_measurements are ignored.
+        Set to [] by `--preset fig3`, to [], [12] and [12, 32] by `fig4`, to
+        [200] by `array`.
+    batch_size: int >= 1, default 1. Measurements sharing one recentering.
+        Set to 200 by `--preset array`.
+    kappa: float > 0, default 4.0. A retune picks the curve whose width is
+        nearest kappa * sigma.
+    initial_g, initial_anisotropy: float, default 0.5 and 0.04. The first
+        stage's curve; the catalog must hold this pair.
+    catalog_path: str or null, default null. Catalog file, used when
+        `--catalog` is not given.
+    n_trajectories: int >= 1, default 1. Above 1, a run without a preset
+        also writes the ensemble median; presets take `--trajectories`.
+    recenter_interval: int >= 1 or null, default null (recenter before
+        every batch). Measurements between recenterings.
+    """
 
     omega_true: float = DEFAULT_OMEGA_TRUE
     prior_lo: float = DEFAULT_PRIOR[0]
@@ -141,15 +140,32 @@ class ProtocolConfig:
     recenter_interval: int | None = None  # None: recenter before every batch
 
     def __post_init__(self):
+        for name in ("omega_true", "prior_lo", "prior_hi", "kappa", "initial_g",
+                     "initial_anisotropy"):
+            object.__setattr__(self, name, _finite(name, getattr(self, name)))
+        for name in ("grid_size", "seed", "n_measurements", "batch_size",
+                     "n_trajectories"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
+        if self.recenter_interval is not None:
+            object.__setattr__(self, "recenter_interval",
+                               _integer("recenter_interval", self.recenter_interval))
+        if not isinstance(self.schedule, (list, tuple)):
+            raise ParameterError(f"schedule must be a list of integers, got {self.schedule!r}")
+        if not (self.catalog_path is None or isinstance(self.catalog_path, str)):
+            raise ParameterError(f"catalog_path must be a string, got {self.catalog_path!r}")
         if not self.prior_lo < self.prior_hi:
             raise ParameterError("prior_lo must be below prior_hi")
         if self.grid_size < 2:
             raise ParameterError("grid_size must be >= 2")
+        if self.seed < 0:
+            raise ParameterError("seed must be >= 0")
         if self.n_measurements < 1:
             raise ParameterError("n_measurements must be >= 1")
         if self.batch_size < 1:
             raise ParameterError("batch_size must be >= 1")
-        sched = tuple(int(s) for s in self.schedule)
+        if not self.kappa > 0:
+            raise ParameterError("kappa must be > 0")
+        sched = tuple(_integer("schedule entry", s) for s in self.schedule)
         if any(s < 1 for s in sched):
             raise ParameterError("schedule indices must be >= 1")
         if any(b >= a for a, b in zip(sched[1:], sched)):
@@ -165,43 +181,16 @@ class ProtocolConfig:
         object.__setattr__(self, "schedule", sched)
 
     def to_dict(self) -> dict:
-        return {
-            "omega_true": self.omega_true,
-            "prior_lo": self.prior_lo,
-            "prior_hi": self.prior_hi,
-            "grid_size": self.grid_size,
-            "seed": self.seed,
-            "n_measurements": self.n_measurements,
-            "schedule": list(self.schedule),
-            "batch_size": self.batch_size,
-            "kappa": self.kappa,
-            "initial_g": self.initial_g,
-            "initial_anisotropy": self.initial_anisotropy,
-            "catalog_path": self.catalog_path,
-            "n_trajectories": self.n_trajectories,
-            "recenter_interval": self.recenter_interval,
-        }
+        return {**asdict(self), "schedule": list(self.schedule)}
 
     @classmethod
     def from_dict(cls, data: dict) -> "ProtocolConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(data) - known
+        if not isinstance(data, dict):
+            raise ParameterError(f"a config must be a JSON object, got {type(data).__name__}")
+        unknown = set(data) - set(cls.__dataclass_fields__)
         if unknown:
             raise ParameterError(f"unknown config keys: {sorted(unknown)}")
-        data = dict(data)
-        if "schedule" in data:
-            data["schedule"] = tuple(data["schedule"])
         return cls(**data)
-
-
-@dataclass(frozen=True)
-class MeasurementRecord:
-    index: int            # 1-based measurement count
-    zero_outcome: bool
-    delta: float          # applied external rotation shift
-    g: float
-    anisotropy: float
-    sigma: float          # posterior sigma after this update
 
 
 @dataclass(frozen=True)
@@ -212,7 +201,6 @@ class ProtocolResult:
     deltas: np.ndarray
     stage_params: list             # [(first_index, g, anisotropy), ...]
     dropped_mass: float            # total the support window set to zero
-    records: list = field(default_factory=list)
 
     @property
     def final_sigma(self) -> float:
@@ -220,14 +208,16 @@ class ProtocolResult:
 
 
 def resolve_seed(config_seed: int) -> int:
-    """The seed a run uses: CRITGYRO_SEED when set, else the config's."""
+    """The seed a run uses: CRITGYRO_SEED when set, else the config's.
+    Either must be an integer >= 0."""
     env = os.environ.get(SEED_ENV)
-    if not env:
-        return int(config_seed)
     try:
-        return int(env)
+        seed = int(env) if env else int(config_seed)
     except ValueError:
         raise ParameterError(f"{SEED_ENV} must be an integer, got {env!r}") from None
+    if seed < 0:
+        raise ParameterError(f"the seed must be >= 0, got {seed}")
+    return seed
 
 
 def _check_uniform(curve: ResonanceCurve) -> None:
@@ -239,11 +229,15 @@ def _check_uniform(curve: ResonanceCurve) -> None:
 
 
 def run_protocol(config: ProtocolConfig, catalog: CurveCatalog,
-                 rng=None, collect_records: bool = True) -> ProtocolResult:
+                 rng=None) -> ProtocolResult:
     """Execute one trajectory; raises DegenerateUpdateError with the
     measurement index if an update annihilates the posterior."""
     active_backend()
-    curve = catalog.find(config.initial_g, config.initial_anisotropy)
+    try:
+        curve = catalog.find(config.initial_g, config.initial_anisotropy)
+    except KeyError:
+        raise ParameterError(f"catalog has no curve for the initial pair (g={config.initial_g}, "
+                             f"A={config.initial_anisotropy})") from None
     if rng is None:
         rng = np.random.default_rng(resolve_seed(config.seed))
     n = config.n_measurements
@@ -286,30 +280,13 @@ def run_protocol(config: ProtocolConfig, catalog: CurveCatalog,
             # width target from the kernel's (offset-based, shift-covariant) sigma
             curve = lookup_by_width(catalog, config.kappa * float(sigma[end - 1]))
 
-    posterior = Posterior(omega=grid, mass=mass)
-    records = []
-    if collect_records:
-        stage_iter = list(stage_params) + [(n + 1, None, None)]
-        si = 0
-        for i in range(n):
-            while i + 1 >= stage_iter[si + 1][0]:
-                si += 1
-            records.append(MeasurementRecord(
-                index=i + 1,
-                zero_outcome=bool(outcomes[i]),
-                delta=float(deltas[i]),
-                g=stage_iter[si][1],
-                anisotropy=stage_iter[si][2],
-                sigma=float(sigma[i]),
-            ))
     return ProtocolResult(
-        posterior=posterior,
+        posterior=Posterior(omega=grid, mass=mass),
         sigma_trace=sigma,
         outcomes=outcomes,
         deltas=deltas,
         stage_params=stage_params,
         dropped_mass=float(dropped.sum()),
-        records=records,
     )
 
 
@@ -355,7 +332,7 @@ def run_ensemble(config: ProtocolConfig, catalog: CurveCatalog,
     for index in range(n_traj):
         rng = trajectory_rng(seed, index)
         try:
-            res = run_protocol(config, catalog, rng=rng, collect_records=False)
+            res = run_protocol(config, catalog, rng=rng)
         except DegenerateUpdateError as exc:
             aborted.append(exc.measurement_index)
             continue

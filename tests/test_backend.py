@@ -26,10 +26,10 @@ def _full_grid_stage(*args):
 
 
 def _windowed_and_full(monkeypatch, config, catalog=CATALOG):
-    windowed = run_protocol(config, catalog, collect_records=False)
+    windowed = run_protocol(config, catalog)
     with monkeypatch.context() as patch:
         patch.setattr(kernels, "bayes_stage", _full_grid_stage)
-        full = run_protocol(config, catalog, collect_records=False)
+        full = run_protocol(config, catalog)
     return windowed, full
 
 
@@ -152,7 +152,7 @@ def test_unknown_backend_is_refused_subprocess(tmp_path):
         "from critgyro.estimate import ProtocolConfig, run_protocol\n"
         "def kernel(*args):\n"
         "    raise AssertionError('a kernel ran')\n"
-        "kernels.bayes_stage = kernels.multiply_renormalize = kernel\n"
+        "kernels.bayes_stage = kernel\n"
         "omega = np.linspace(0.775, 1.025, 501)\n"
         "p = 1.0 / (1.0 + np.exp((omega - 0.9) / 0.01))\n"
         "cat = CurveCatalog(curves=(ResonanceCurve.from_values(0.5, 0.01, omega, p),))\n"

@@ -341,13 +341,18 @@ def test_curve_of_a_one_state_sector_exits_2(tmp_path, capsys):
     ["--gap-points", "0"],
     ["--eps", "nan"],
     ["--eps", "inf"],
+    ["--eps", "0"],
+    ["--eps", "-1"],
 ])
-def test_offset_refuses_bad_values(argv, tmp_path, catalog_file, capsys):
+def test_offset_refuses_bad_values(argv, tmp_path, catalog_file, capsys, monkeypatch):
+    sweeps = []
+    monkeypatch.setattr(spectrum, "sweep_lowest", lambda *args, **kwargs: sweeps.append(1))
     out = tmp_path / "offset.csv"
     assert main(["offset", "--catalog", catalog_file, "--out", str(out)] + argv) == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err and len(err.strip().splitlines()) == 1
     assert not out.exists()
+    assert sweeps == []
 
 
 
@@ -377,3 +382,39 @@ def test_offset_refuses_an_offset_off_the_ramp_or_another_systems_catalog(
     assert "Traceback" not in err and len(err.strip().splitlines()) == 1
     assert not out.exists()
     assert sweeps == []
+
+
+@pytest.mark.parametrize("config,seed_env", [
+    ('{"grid_size": "abc"}', None),
+    ('{"n_measurements": 2.5}', None),
+    ('{"n_measurements": true}', None),
+    ('{"schedule": 12}', None),
+    ('{"schedule": [5.0]}', None),
+    ('{"omega_true": "nan"}', None),
+    ('{"omega_true": NaN}', None),
+    ('{"prior_lo": "-inf"}', None),
+    ('{"kappa": "nan", "schedule": [5]}', None),
+    ('{"kappa": -1, "schedule": [5]}', None),
+    ('{"kappa": 0}', None),
+    ('{"catalog_path": 5}', None),
+    ('{"seed": -1}', None),
+    ('{}', "-1"),
+    ('{"initial_g": 0.7}', None),
+    ('[1, 2]', None),
+    ('{"seed": 1', None),
+    (None, None),  # no config file at the given path
+])
+def test_estimate_refuses_a_bad_config(config, seed_env, tmp_path, catalog_file,
+                                       capsys, monkeypatch):
+    path = tmp_path / "config.json"
+    if config is not None:
+        path.write_text(config)
+    if seed_env is not None:
+        monkeypatch.setenv("CRITGYRO_SEED", seed_env)
+    out = tmp_path / "run"
+    assert main(["estimate", "--config", str(path), "--catalog", catalog_file,
+                 "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+    assert not (out / "trajectory.csv").exists()
+    assert not (out / "run.manifest.json").exists()

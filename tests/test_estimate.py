@@ -1,23 +1,19 @@
 import numpy as np
 import pytest
 
+import critgyro._kernels as kernels
+import critgyro.cli as cli
 import critgyro.curves as curves
 import critgyro.estimate as estimate
 from conftest import make_logistic_curve
-from critgyro.curves import CurveCatalog, ResonanceCurve
+from critgyro.curves import CurveCatalog, ResonanceCurve, lookup_by_width
 from critgyro.errors import DegenerateUpdateError, ParameterError
 from critgyro.estimate import (
-    MeasurementRecord,
     Posterior,
     ProtocolConfig,
-    bayes_update,
-    init_prior,
-    recenter_offset,
-    retune,
     run_ensemble,
     run_protocol,
     sigma_scaling,
-    simulate_outcome,
     trajectory_rng,
 )
 from oracle import oracle_bayes_update
@@ -31,26 +27,58 @@ def synthetic_catalog(widths=(0.05, 0.02, 0.008), center=0.90):
     return CurveCatalog(curves=curves)
 
 
+def _stage(mass, x, xc, pc, rel_center, true_off, uniforms, recenter_every=1):
+    """Run `_kernels.bayes_stage` on fresh output arrays; returns
+    (completed count, sigma, outcomes, shifts)."""
+    n = len(uniforms)
+    sigma, outcomes, shifts = np.zeros(n), np.zeros(n, dtype=np.int8), np.zeros(n)
+    done = kernels.bayes_stage(mass, x, xc, pc, rel_center, true_off,
+                               np.asarray(uniforms, dtype=float), recenter_every,
+                               sigma, outcomes, shifts, np.zeros(n))
+    return done, sigma, outcomes, shifts
+
+
+def _prior_seen_by_the_kernel(monkeypatch, config):
+    """(grid offsets, masses) that `run_protocol` hands its first stage."""
+    seen = []
+    real = kernels.bayes_stage
+
+    def spy(mass, x, *args):
+        seen.append((x.copy(), mass.copy()))
+        return real(mass, x, *args)
+
+    monkeypatch.setattr(kernels, "bayes_stage", spy)
+    run_protocol(config, synthetic_catalog())
+    return seen[0]
+
+
 # ---------------------------------------------------------------------------
 # priors and posteriors
 # ---------------------------------------------------------------------------
 
-def test_flat_prior_sigma_matches_uniform():
-    post = init_prior(0.0, 1.0, 4001)
-    assert post.sigma == pytest.approx(1 / np.sqrt(12), rel=1e-3)
-    assert post.mean == pytest.approx(0.5, abs=1e-12)
+def test_flat_prior_sigma_matches_uniform(monkeypatch):
+    cfg = ProtocolConfig(prior_lo=0.0, prior_hi=1.0, grid_size=4001, omega_true=0.5,
+                         n_measurements=1, initial_g=0.5, initial_anisotropy=0.01)
+    x, mass = _prior_seen_by_the_kernel(monkeypatch, cfg)
+    assert np.ptp(mass) == 0.0 and mass.sum() == pytest.approx(1.0, abs=1e-15)
+    mean = mass @ x
+    assert np.sqrt(mass @ (x - mean) ** 2) == pytest.approx(1 / np.sqrt(12), rel=1e-3)
+    assert mean == pytest.approx(0.5, abs=1e-12)
 
 
-def test_prior_sigma_for_default_window():
-    post = init_prior(0.87, 0.93, 2001)
-    assert post.sigma == pytest.approx(0.06 / np.sqrt(12), rel=1e-3)
+def test_prior_sigma_for_default_window(monkeypatch):
+    cfg = ProtocolConfig(n_measurements=1, initial_g=0.5, initial_anisotropy=0.01)
+    x, mass = _prior_seen_by_the_kernel(monkeypatch, cfg)
+    assert len(x) == 2001 and x[-1] == pytest.approx(0.06, abs=1e-15)
+    mean = mass @ x
+    assert np.sqrt(mass @ (x - mean) ** 2) == pytest.approx(0.06 / np.sqrt(12), rel=1e-3)
 
 
 def test_prior_validation():
     with pytest.raises(ParameterError):
-        init_prior(1.0, 0.5, 100)
+        ProtocolConfig(prior_lo=1.0, prior_hi=0.5)
     with pytest.raises(ParameterError):
-        init_prior(0.0, 1.0, 1)
+        ProtocolConfig(prior_lo=0.0, prior_hi=1.0, grid_size=1)
 
 
 def test_posterior_validation():
@@ -62,96 +90,81 @@ def test_posterior_validation():
         Posterior(omega=np.array([0.0, 1.0]), mass=np.array([1.5, -0.5]))
 
 
-def test_posterior_hwhm_flat():
-    post = init_prior(0.0, 1.0, 101)
-    assert post.hwhm == pytest.approx(0.5, abs=1e-9)
-
-
 # ---------------------------------------------------------------------------
-# outcomes
-# ---------------------------------------------------------------------------
-
-def test_simulate_outcome_extremes():
-    rng = np.random.default_rng(0)
-    assert all(simulate_outcome(1.0, rng) for _ in range(20))
-    assert not any(simulate_outcome(0.0, rng) for _ in range(20))
-    with pytest.raises(ParameterError):
-        simulate_outcome(1.2, rng)
-
-
-def test_simulate_outcome_pinned_sequence():
-    # frozen from one run at seed 42; guards the rng-consumption contract
-    rng = np.random.default_rng(42)
-    seq = [simulate_outcome(0.5, rng) for _ in range(10)]
-    assert seq == [False, True, False, False, True, False, False,
-                   False, True, True]
-
-
-def test_simulate_outcome_consumes_one_draw():
-    a = np.random.default_rng(7)
-    b = np.random.default_rng(7)
-    simulate_outcome(0.3, a)
-    b.random()
-    assert a.random() == b.random()
-
-
-# ---------------------------------------------------------------------------
-# single updates
+# the Bayesian update (`_kernels.bayes_stage`)
 # ---------------------------------------------------------------------------
 
 def test_update_with_constant_likelihood_is_identity():
-    curve = ResonanceCurve.from_values(
-        0.5, 0.04, np.linspace(0.8, 1.0, 21), np.full(21, 0.5)
-    )
-    post = init_prior(0.85, 0.95, 101)
-    after = bayes_update(post, curve, 0.0, True)
-    assert np.allclose(after.mass, post.mass, atol=1e-14)
-    after = bayes_update(after, curve, 0.0, False)
-    assert np.allclose(after.mass, post.mass, atol=1e-14)
+    x = np.linspace(0.0, 0.1, 101)
+    prior = np.full(101, 1.0 / 101)
+    mass = prior.copy()
+    done, _, outcomes, _ = _stage(mass, x, np.linspace(0.0, 0.2, 21), np.full(21, 0.5),
+                                  0.1, 0.05, [0.25, 0.75])
+    assert done == 2 and list(outcomes) == [1, 0]
+    assert np.allclose(mass, prior, atol=1e-14)
 
 
 def test_update_two_point_arithmetic():
-    curve = ResonanceCurve.from_values(
-        0.5, 0.04, np.array([0.0, 1.0]), np.array([0.8, 0.2])
-    )
-    post = Posterior(omega=np.array([0.0, 1.0]), mass=np.array([0.5, 0.5]))
-    after = bayes_update(post, curve, 0.0, True)
-    assert np.allclose(after.mass, [0.8, 0.2], atol=1e-12)
+    mass = np.array([0.5, 0.5])
+    # mean 0.5 lands on rel_center 0.5: no shift, likelihood (0.8, 0.2)
+    done, _, outcomes, shifts = _stage(mass, np.array([0.0, 1.0]), np.array([0.0, 1.0]),
+                                       np.array([0.8, 0.2]), 0.5, 0.5, [0.0])
+    assert done == 1 and outcomes[0] == 1 and shifts[0] == 0.0
+    assert np.allclose(mass, [0.8, 0.2], atol=1e-12)
     ref = oracle_bayes_update([0.5, 0.5], [0.8, 0.2], True)
-    assert np.allclose(after.mass, ref, atol=1e-12)
+    assert np.allclose(mass, ref, atol=1e-12)
 
 
 def test_update_step_likelihood_truncates():
-    omega = np.linspace(0.0, 1.0, 1001)
-    p = np.where(omega < 0.5, 1.0, 0.0)
-    curve = ResonanceCurve.from_values(0.5, 0.04, omega, p)
-    post = init_prior(0.0, 1.0, 1001)
-    after = bayes_update(post, curve, 0.0, True)
-    kept = after.omega < 0.5
-    assert after.mass[~kept][1:].max() == 0.0
-    nonzero = after.mass[after.mass > 0]
+    x = np.linspace(0.0, 1.0, 1001)
+    mass = np.full(1001, 1.0 / 1001)
+    done, _, outcomes, _ = _stage(mass, x, x, np.where(x < 0.5, 1.0, 0.0),
+                                  0.5, 0.25, [0.0])
+    assert done == 1 and outcomes[0] == 1
+    kept = x < 0.5
+    assert mass[~kept][1:].max() == 0.0
+    nonzero = mass[mass > 0]
     assert np.allclose(nonzero, nonzero[0], rtol=1e-12)
 
 
 def test_update_matches_loop_oracle_randomized():
-    rng = np.random.default_rng(3)
+    """A stage with fixed uniforms equals a chain of plain-loop updates with
+    the same outcomes and the same (once recentered) likelihood."""
     curve = make_logistic_curve(width=0.03)
-    post = init_prior(0.85, 0.95, 301)
-    for _ in range(5):
-        outcome = bool(rng.integers(0, 2))
-        like = curve.evaluate(post.omega + 0.01)
-        ref = oracle_bayes_update(list(post.mass), list(like), outcome)
-        post = bayes_update(post, curve, 0.01, outcome)
-        assert np.allclose(post.mass, ref, atol=1e-13)
+    x = np.linspace(0.85, 0.95, 301) - 0.85
+    mass = np.full(301, 1.0 / 301)
+    ref = list(mass)
+    xc, rel_center = curve.offsets(), curve.rel_center()
+    uniforms = np.random.default_rng(3).random(5)
+    done, sigma, outcomes, shifts = _stage(mass, x, xc, curve.p0, rel_center,
+                                           0.9 - 0.85, uniforms, recenter_every=5)
+    assert done == 5 and len(set(outcomes)) == 2
+    assert np.all(shifts == rel_center - float(np.full(301, 1.0 / 301) @ x))
+    like = np.interp(x + shifts[0], xc, curve.p0)
+    for outcome, s in zip(outcomes, sigma):
+        ref = oracle_bayes_update(ref, list(like), bool(outcome))
+        mean = np.dot(ref, x)
+        assert s == pytest.approx(np.sqrt(np.dot(ref, (x - mean) ** 2)), rel=1e-12)
+    assert np.allclose(mass, ref, atol=1e-13)
 
 
 def test_degenerate_update_raises():
-    omega = np.linspace(0.0, 0.5, 51)
-    p = np.linspace(1.0, 0.0, 51)
-    curve = ResonanceCurve.from_values(0.5, 0.04, omega, p)
-    post = init_prior(2.0, 2.1, 51)  # support entirely on the 0-plateau
-    with pytest.raises(DegenerateUpdateError):
-        bayes_update(post, curve, 0.0, True)
+    """Two grid points on either side of a step: once the first outcome puts
+    all mass on one side, the opposite second outcome (no recentering in
+    between) has zero likelihood there."""
+    omega = np.linspace(0.8, 1.0, 201)
+    p = np.where(np.arange(201) < 100, 1.0, 0.0)
+    p[100] = 0.5
+    cat = CurveCatalog(curves=(ResonanceCurve.from_values(0.5, 0.01, omega, p),))
+    cfg = ProtocolConfig(grid_size=2, n_measurements=2, recenter_interval=2,
+                         initial_g=0.5, initial_anisotropy=0.01)
+    raised = []
+    for seed in range(8):
+        try:
+            run_protocol(ProtocolConfig.from_dict({**cfg.to_dict(), "seed": seed}), cat)
+        except DegenerateUpdateError as exc:
+            raised.append(exc.measurement_index)
+    assert raised and set(raised) == {2}
 
 
 # ---------------------------------------------------------------------------
@@ -160,22 +173,20 @@ def test_degenerate_update_raises():
 
 def test_recenter_offset_examples():
     curve = make_logistic_curve(center=0.9, width=0.02)
-    post = init_prior(0.895, 0.905, 101)  # mean 0.9
-    assert recenter_offset(post, curve) == pytest.approx(
-        curve.center - 0.9, abs=1e-9
-    )
-    shifted = init_prior(0.795, 0.805, 101)
-    assert recenter_offset(shifted, curve) == pytest.approx(
-        curve.center - 0.8, abs=1e-9
-    )
+    cat = CurveCatalog(curves=(curve,))
+    for mean in (0.9, 0.8):  # the first shift maps the prior mean onto the center
+        cfg = ProtocolConfig(prior_lo=mean - 0.005, prior_hi=mean + 0.005, grid_size=101,
+                             omega_true=mean, n_measurements=1)
+        delta = run_protocol(cfg, cat).deltas[0]
+        assert delta == pytest.approx(curve.center - mean, abs=1e-9)
 
 
 def test_retune_boundaries():
     cat = synthetic_catalog(widths=(0.05, 0.02, 0.008))
-    wide_post = init_prior(0.0, 1.0, 101)  # sigma ~ 0.29, way over all widths
-    assert retune(wide_post, cat, kappa=4.0) is cat.widest()
+    wide_sigma = 1 / np.sqrt(12)  # a flat prior over [0, 1], way over all widths
+    assert lookup_by_width(cat, 4.0 * wide_sigma) is cat.widest()
     single = CurveCatalog(curves=(make_logistic_curve(width=0.03),))
-    assert retune(wide_post, single) is single.curves[0]
+    assert lookup_by_width(single, estimate.KAPPA_DEFAULT * wide_sigma) is single.curves[0]
 
 
 def test_retune_picks_published_second_stage(catalog_default):
@@ -185,11 +196,7 @@ def test_retune_picks_published_second_stage(catalog_default):
         catalog_default.find(0.5, 0.04),
         catalog_default.find(0.6, 0.025),
     ))
-    sigma_target = 0.0026
-    lo, hi = 0.9 - np.sqrt(3) * sigma_target, 0.9 + np.sqrt(3) * sigma_target
-    post = init_prior(lo, hi, 501)
-    assert post.sigma == pytest.approx(sigma_target, rel=3e-3)
-    picked = retune(post, two, kappa=4.0)
+    picked = lookup_by_width(two, 4.0 * 0.0026)
     assert picked.key == (0.6, 0.025)
 
 
@@ -245,18 +252,26 @@ def test_seed_env_overrides_config(monkeypatch):
     assert not np.array_equal(overridden.sigma_trace, base.sigma_trace)
 
 
-def test_records_follow_stages():
+def test_records_follow_stages(tmp_path):
     cat = synthetic_catalog(widths=(0.05, 0.02, 0.008))
     cfg = ProtocolConfig(seed=5, n_measurements=40, schedule=(12, 32),
                          initial_g=0.5, initial_anisotropy=0.01)
     res = run_protocol(cfg, cat)
-    assert len(res.records) == 40
-    assert isinstance(res.records[0], MeasurementRecord)
-    assert [r.index for r in res.records] == list(range(1, 41))
+    assert [first for first, _, _ in res.stage_params] == [1, 13, 33]
+    assert res.stage_params[0][1:] == (0.5, 0.01)
+    path = tmp_path / "trajectory.csv"
+    cli._write_trajectory(path, res)
+    rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+    assert [int(r[0]) for r in rows] == list(range(1, 41))
     # anisotropy switches exactly at the scheduled counts
-    a_by_index = {r.index: r.anisotropy for r in res.records}
+    a_by_index = {int(r[0]): float(r[3]) for r in rows}
+    for first, _, anisotropy in res.stage_params:
+        assert a_by_index[first] == anisotropy
     assert a_by_index[12] == a_by_index[1]
     assert a_by_index[13] != a_by_index[12] or a_by_index[33] != a_by_index[32]
+    assert [int(r[1]) for r in rows] == list(res.outcomes)
+    assert [float(r[4]) for r in rows] == list(res.deltas)
+    assert [float(r[5]) for r in rows] == list(res.sigma_trace)
     assert (res.sigma_trace > 0).all()
 
 
@@ -329,7 +344,7 @@ def test_ensemble_seeds_replay_each_trajectory():
     ens = run_ensemble(cfg, cat, n_trajectories=3)
     assert ens.seeds == [(5, 0), (5, 1), (5, 2)]
     for row, seed in zip(ens.sigma, ens.seeds):
-        replay = run_protocol(cfg, cat, rng=trajectory_rng(*seed), collect_records=False)
+        replay = run_protocol(cfg, cat, rng=trajectory_rng(*seed))
         assert np.array_equal(replay.sigma_trace, row)
 
 
@@ -347,11 +362,11 @@ def test_ensemble_counts_aborts(monkeypatch):
     calls = {"n": 0}
     real = estimate.run_protocol
 
-    def flaky(config, catalog, rng=None, collect_records=True):
+    def flaky(config, catalog, rng=None):
         calls["n"] += 1
         if calls["n"] % 3 == 0:
             raise DegenerateUpdateError("boom", measurement_index=calls["n"])
-        return real(config, catalog, rng=rng, collect_records=collect_records)
+        return real(config, catalog, rng=rng)
 
     monkeypatch.setattr(estimate, "run_protocol", flaky)
     ens = run_ensemble(cfg, cat, n_trajectories=9)
@@ -371,8 +386,7 @@ def test_ensemble_reports_largest_dropped_mass():
     cfg = ProtocolConfig(seed=31, n_measurements=300,
                          initial_g=0.5, initial_anisotropy=0.01)
     ens = run_ensemble(cfg, synthetic_catalog(), n_trajectories=4)
-    dropped = [run_protocol(cfg, synthetic_catalog(), rng=trajectory_rng(*seed),
-                            collect_records=False).dropped_mass
+    dropped = [run_protocol(cfg, synthetic_catalog(), rng=trajectory_rng(*seed)).dropped_mass
                for seed in ens.seeds]
     assert ens.max_dropped_mass == max(dropped) > 0.0
 
@@ -413,6 +427,33 @@ def test_curve_constants_are_computed_once_per_curve(monkeypatch):
     ens = run_ensemble(cfg, cat, n_trajectories=6)
     assert ens.n_aborted == 0
     assert 1 <= len(offsets) <= len(cat.curves)
+
+
+@pytest.mark.parametrize("k", [0, 3])
+def test_annihilated_stage_raises_with_its_measurement_index(k, monkeypatch):
+    """A second stage that completes k measurements aborts the trajectory at
+    measurement stage_start + k + 1."""
+    cfg = ProtocolConfig(seed=5, n_measurements=40, schedule=(12,),
+                         initial_g=0.5, initial_anisotropy=0.01)
+    real = kernels.bayes_stage
+    calls = []
+
+    def annihilates_in_stage_two(*args):
+        calls.append(1)
+        done = real(*args)
+        return done if len(calls) == 1 else k
+
+    monkeypatch.setattr(kernels, "bayes_stage", annihilates_in_stage_two)
+    with pytest.raises(DegenerateUpdateError) as err:
+        run_protocol(cfg, synthetic_catalog())
+    assert err.value.measurement_index == 12 + k + 1
+    assert len(calls) == 2
+
+
+def test_protocol_refuses_an_initial_pair_missing_from_the_catalog():
+    cfg = ProtocolConfig(n_measurements=5, initial_g=0.7, initial_anisotropy=0.01)
+    with pytest.raises(ParameterError, match=r"g=0\.7, A=0\.01"):
+        run_protocol(cfg, synthetic_catalog())
 
 
 def test_protocol_refuses_a_curve_on_a_non_uniform_grid():
