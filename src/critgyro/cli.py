@@ -48,7 +48,7 @@ from .estimate import (
     run_protocol,
 )
 from .fock import enumerate_basis
-from .hamiltonian import ModelParams, assemble
+from .hamiltonian import System
 from .melem import ElementCache, integral_i1, integral_i2
 from .observables import adiabatic_time, gap_profile, preparation_hwhm
 
@@ -172,11 +172,11 @@ def cmd_curve(args) -> int:
         cache.dump_csv(args.dump_elements)
         outputs.append(args.dump_elements)
     if args.dump_matrix:
-        params = ModelParams(
-            n_particles=basis.n_particles, g=args.g[0], anisotropy=args.A[0],
-            omega=args.matrix_omega, n_ll=basis.n_ll, l_max=basis.l_max,
-        )
-        assemble(basis, params, cache).dump_coordinate_text(args.dump_matrix)
+        ham = System.of(basis, cache).operators.hamiltonian(
+            args.g[0], args.A[0], args.matrix_omega).tocoo()
+        with open(args.dump_matrix, "w") as fh:
+            for r, c, v in zip(ham.row, ham.col, ham.data):
+                fh.write(f"{r} {c} {_fmt(v)}\n")
         outputs.append(args.dump_matrix)
     _write_manifest(args.out, "curve",
                     {"pairs": list(zip(args.g, args.A)), "n": args.n},
@@ -440,12 +440,19 @@ def cmd_selftest(args) -> int:
     ]
     basis = enumerate_basis(3, 2, 5)
     checks.append(("3-particle basis size 65", basis.size == 65))
-    cache = ElementCache.build(basis.modes)
-    params = ModelParams(n_particles=3, g=0.5, anisotropy=0.04, omega=0.3,
-                         n_ll=2, l_max=5)
-    ham = assemble(basis, params, cache)
-    dense = ham.to_dense()
+    system = System(basis, ElementCache.build(basis.modes))
+    ham = system.operators.hamiltonian(0.5, 0.04, 0.3)
+    dense = ham.toarray()
     checks.append(("Hamiltonian symmetric", np.array_equal(dense, dense.T)))
+    # sweeps run on the condensate's L-parity sector: H must not couple the
+    # two parities, and the sector matrix must be H's own block, bit for bit
+    rows, cols = ham.nonzero()
+    checks.append(("H has no entry between L parities",
+                   not ((basis.L[rows] - basis.L[cols]) % 2).any()))
+    h0 = system.operators.hamiltonian(0.5, 0.04, 0.0).toarray()
+    sector = np.ix_(system.sector_rows, system.sector_rows)
+    checks.append(("sector h0 is the sector block of H at Omega 0",
+                   np.array_equal(system.sector_h0(0.5, 0.04), h0[sector])))
     # the sweep solver makes the LAPACK call scipy's eigh makes: same bits
     got = spectrum._eigh(dense, spectrum._workspace(len(dense)), subset_by_index=(0, 1))
     ref = sla.eigh(dense, subset_by_index=(0, 1))

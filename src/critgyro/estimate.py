@@ -96,8 +96,9 @@ class ProtocolConfig:
     and strings, and numbers must be finite. A value that breaks the schema
     raises ParameterError (the CLI exits 2).
 
-    omega_true: float, default 0.90. The true rotation the outcomes are
-        drawn at.
+    omega_true: float, prior_lo <= omega_true <= prior_hi, default 0.90.
+        The true rotation the outcomes are drawn at; a prior that excludes
+        it could only end in a confident wrong estimate.
     prior_lo, prior_hi: float, prior_lo < prior_hi, default 0.87 and 0.93.
         Ends of the flat prior.
     grid_size: int >= 2, default 2001. Points of the posterior grid.
@@ -155,6 +156,9 @@ class ProtocolConfig:
             raise ParameterError(f"catalog_path must be a string, got {self.catalog_path!r}")
         if not self.prior_lo < self.prior_hi:
             raise ParameterError("prior_lo must be below prior_hi")
+        if not self.prior_lo <= self.omega_true <= self.prior_hi:
+            raise ParameterError(f"omega_true {self.omega_true} lies outside the prior "
+                                 f"[{self.prior_lo}, {self.prior_hi}]")
         if self.grid_size < 2:
             raise ParameterError("grid_size must be >= 2")
         if self.seed < 0:

@@ -58,8 +58,9 @@ def total_L(state: FockState) -> int:
 class FockBasis:
     """Ordered truncated basis with fast occupation -> index lookup.
 
-    Two parameter-free tables are built on first use and kept on the
-    instance, read-only: `zero_momentum_mask` and `spdm_hop_table`.
+    Three parameter-free tables are built on first use and kept on the
+    instance, read-only: `key_index`, `zero_momentum_mask` and
+    `spdm_hop_table`.
     """
 
     n_particles: int
@@ -90,6 +91,11 @@ class FockBasis:
         return {self.modes[j]: int(row[j]) for j in np.nonzero(row)[0]}
 
     @cached_property
+    def key_index(self) -> "KeyIndex":
+        """`KeyIndex` of the occupations."""
+        return KeyIndex.build(self.occupations)
+
+    @cached_property
     def zero_momentum_mask(self) -> np.ndarray:
         """Read-only boolean mask of states whose particles all sit at m = 0."""
         nonzero_m = np.array([mode.m != 0 for mode in self.modes])
@@ -105,7 +111,7 @@ class FockBasis:
         sqrt(n_k (n_l + 1)). Every array is read-only."""
         occ = self.occupations
         nm = occ.shape[1]
-        index = KeyIndex.build(occ)
+        index = self.key_index
         hops = []
         for k in range(nm):
             tgt, src, q, amp = ladder_entries(occ, index, [k], np.arange(k + 1, nm)[:, None])
@@ -190,7 +196,7 @@ class KeyIndex:
     Each mode holds a bit field just wide enough for its largest occupation
     in the basis, so keys are exact for every vector within those caps; a
     vector above a cap lies outside the basis. Moving particles between
-    modes changes a key by sums of `shifts`.
+    modes changes a key by sums of `shifts`. Every array is read-only.
     """
 
     shifts: np.ndarray  # (n_modes,) key of one particle in each mode
@@ -212,8 +218,10 @@ class KeyIndex:
         shifts = np.left_shift(np.int64(1), offsets.astype(np.int64))
         keys = occupations @ shifts
         order = np.argsort(keys, kind="stable")
-        return cls(shifts=shifts, caps=caps, keys=keys,
-                   _sorted=keys[order], _order=order)
+        index = cls(shifts=shifts, caps=caps, keys=keys, _sorted=keys[order], _order=order)
+        for arr in (shifts, caps, keys, index._sorted, order):
+            arr.flags.writeable = False
+        return index
 
     def rows(self, keys: np.ndarray) -> np.ndarray:
         """Row of each key, -1 where no basis state has it."""

@@ -8,12 +8,16 @@ In units of hbar * w_perp the Hamiltonian reads
 
 with V the quadrupolar trap-deformation elements and U the contact
 interaction elements from `melem`. The constant axial zero-point energy is
-dropped. Matrices are real symmetric and stored as the upper triangle, so
-hermiticity holds by construction.
+dropped.
 
 H is linear in its parameters, H = D + A V + g U - Omega L: `build_operators`
 builds the parameter-free terms once per basis, and each (g, A, Omega) then
-costs one sparse linear combination.
+costs one sparse linear combination. V and U are computed on the upper
+triangle and mirrored, so hermiticity holds by construction.
+`Operators.hamiltonian` is the one place that combines the terms: it
+returns H as a full real symmetric `scipy.sparse` CSR matrix. Every other H
+in the package (the sweeps' dense sector matrix, `spectrum.lowest_k`'s
+input, the CLI's matrix dump) is that matrix or a slice of it.
 
 A `System` holds what does not depend on (g, A) over one basis and its
 element cache: the operators, the condensate's L-parity sector and the
@@ -26,7 +30,7 @@ matrices; D and L are read-only arrays.
 """
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from math import isfinite, pi, sqrt
 
@@ -34,7 +38,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ParameterError, StructureError
-from .fock import FockBasis, KeyIndex, Mode, ladder_entries
+from .fock import FockBasis, Mode, ladder_entries
 from .melem import ElementCache
 
 HBAR = 1.054571817e-34  # J s
@@ -54,78 +58,12 @@ def _check_couplings(g: float, anisotropy: float) -> None:
 
 
 @dataclass(frozen=True)
-class ModelParams:
-    """Dimensionless model inputs; l_max defaults to n_particles + 2."""
-
-    n_particles: int
-    g: float
-    anisotropy: float
-    omega: float
-    n_ll: int = 2
-    l_max: int | None = None
-
-    def __post_init__(self):
-        if self.n_particles < 0:
-            raise ParameterError("n_particles must be >= 0")
-        _check_couplings(self.g, self.anisotropy)
-        if self.n_ll < 1:
-            raise ParameterError("n_ll must be >= 1")
-        if self.l_max is None:
-            object.__setattr__(self, "l_max", self.n_particles + 2)
-        if self.anisotropy >= ANISOTROPY_WARN:
-            warnings.warn(
-                f"anisotropy {self.anisotropy} >= {ANISOTROPY_WARN}: basis "
-                "truncation may not converge",
-                stacklevel=2,
-            )
-
-
-@dataclass
-class SparseHamiltonian:
-    """Real symmetric matrix in upper-triangle coordinate storage."""
-
-    dim: int
-    rows: np.ndarray
-    cols: np.ndarray
-    vals: np.ndarray
-    _csr: sp.csr_matrix | None = field(default=None, repr=False)
-
-    def to_csr(self) -> sp.csr_matrix:
-        """Full (mirrored) matrix in CSR form."""
-        if self._csr is None:
-            off = self.rows != self.cols
-            r = np.concatenate([self.rows, self.cols[off]])
-            c = np.concatenate([self.cols, self.rows[off]])
-            v = np.concatenate([self.vals, self.vals[off]])
-            self._csr = sp.csr_matrix((v, (r, c)), shape=(self.dim, self.dim))
-        return self._csr
-
-    def to_dense(self) -> np.ndarray:
-        return self.to_csr().toarray()
-
-    def matvec(self, vec: np.ndarray) -> np.ndarray:
-        vec = np.asarray(vec, dtype=float)
-        if vec.shape != (self.dim,):
-            raise StructureError(
-                f"vector length {vec.shape} does not match dimension {self.dim}"
-            )
-        return self.to_csr() @ vec
-
-    def dump_coordinate_text(self, path) -> None:
-        """Write full symmetric entries as 'row col value' lines."""
-        m = self.to_csr().tocoo()
-        with open(path, "w") as fh:
-            for r, c, v in zip(m.row, m.col, m.data):
-                fh.write(f"{r} {c} {v!r}\n")
-
-
-@dataclass(frozen=True)
 class Operators:
     """Parameter-free terms of H(g, A, Omega) = D + A V + g U - Omega L.
 
     D is the one-body diagonal plus N, L the total angular momentum, V the
     deformation with A divided out and U the contact interaction with g
-    divided out. V and U hold their upper triangles in CSR form.
+    divided out. V and U are full symmetric CSR matrices.
     """
 
     d: np.ndarray
@@ -134,25 +72,24 @@ class Operators:
     u: sp.csr_matrix
 
     def hamiltonian(self, g: float, anisotropy: float,
-                    omega: float) -> SparseHamiltonian:
-        """Upper triangle of H, entries below SPARSITY_EPS dropped.
+                    omega: float) -> sp.csr_matrix:
+        """Full symmetric H(g, A, Omega) in CSR form, entries below
+        SPARSITY_EPS dropped.
 
         Every H the package builds passes through here, so this is where an
-        unphysical g or A (negative or not finite) is refused.
+        unphysical g or A (negative or not finite) and a non-finite Omega
+        are refused, and where A >= ANISOTROPY_WARN warns.
         """
         _check_couplings(g, anisotropy)
         if not isfinite(omega):
             raise ParameterError(f"rotation rate must be finite, got {omega!r}")
-        upper = (anisotropy * self.v + g * self.u
-                 + sp.diags(self.d - omega * self.l)).tocoo()
-        upper.sum_duplicates()
-        keep = np.abs(upper.data) >= SPARSITY_EPS
-        return SparseHamiltonian(
-            dim=len(self.d),
-            rows=upper.row[keep].astype(np.int64),
-            cols=upper.col[keep].astype(np.int64),
-            vals=upper.data[keep],
-        )
+        if anisotropy >= ANISOTROPY_WARN:
+            warnings.warn(f"anisotropy {anisotropy} >= {ANISOTROPY_WARN}: basis "
+                          "truncation may not converge", stacklevel=2)
+        h = anisotropy * self.v + g * self.u + sp.diags(self.d - omega * self.l)
+        h.data[np.abs(h.data) < SPARSITY_EPS] = 0.0
+        h.eliminate_zeros()
+        return h
 
 
 def build_operators(basis: FockBasis, cache: ElementCache) -> Operators:
@@ -160,22 +97,24 @@ def build_operators(basis: FockBasis, cache: ElementCache) -> Operators:
     built over its modes (`System` checks that)."""
     occ = basis.occupations
     ns, nm = occ.shape
-    index = KeyIndex.build(occ)
+    index = basis.key_index
     ms = [mode.m for mode in basis.modes]
 
-    def upper(terms) -> sp.csr_matrix:
-        """Upper triangle of a sum of (annihilation, creations, coefficients)."""
+    def symmetric(terms) -> sp.csr_matrix:
+        """Sum of (annihilation, creations, coefficients) terms, computed on
+        the upper triangle and mirrored."""
         parts = []
         for ann, cre, coef in terms:
             rows, cols, q, amp = ladder_entries(occ, index, ann, cre)
             keep = rows <= cols
             parts.append((rows[keep], cols[keep], np.asarray(coef)[q[keep]] * amp[keep]))
         rows, cols, vals = (np.concatenate(x) for x in zip(*parts))
-        return sp.csr_matrix((vals, (rows, cols)), shape=(ns, ns))
+        upper = sp.csr_matrix((vals, (rows, cols)), shape=(ns, ns))
+        return upper + sp.triu(upper, 1).T
 
     # deformation a+_i a_j, all creation modes i of one annihilation mode j
-    v = upper(([j], np.flatnonzero(col)[:, None], col[col != 0])
-              for j, col in enumerate(cache.v_raw.T))
+    v = symmetric(([j], np.flatnonzero(col)[:, None], col[col != 0])
+                  for j, col in enumerate(cache.v_raw.T))
 
     # contact a+_a a+_b a_c a_d: bosonic operators commute, so each unordered
     # annihilation pair (c, d) takes all unordered creation pairs (a, b) of
@@ -193,7 +132,7 @@ def build_operators(basis: FockBasis, cache: ElementCache) -> Operators:
                     for ab, val in zip(pairs, raw) if val != 0.0]
             if cre:
                 terms.append((cd, cre, coef))
-    u = upper(terms)
+    u = symmetric(terms)
 
     mode_w = np.array([2 * mode.n + abs(mode.m) for mode in basis.modes])
     d = occ @ mode_w.astype(np.float64) + basis.n_particles
@@ -237,8 +176,9 @@ class System:
         return build_operators(self.basis, self.cache)
 
     def sector_h0(self, g: float, anisotropy: float) -> np.ndarray:
-        """Dense H(g, A, Omega = 0) on the condensate's sector."""
-        h0 = self.operators.hamiltonian(g, anisotropy, 0.0).to_dense()
+        """Dense H(g, A, Omega = 0) on the condensate's sector: the block
+        `sector_rows` x `sector_rows` of `operators.hamiltonian`."""
+        h0 = self.operators.hamiltonian(g, anisotropy, 0.0).toarray()
         return h0[np.ix_(self.sector_rows, self.sector_rows)]
 
     def lift(self, vectors: np.ndarray) -> np.ndarray:
@@ -251,13 +191,6 @@ class System:
 
 #: the one System `System.of` keeps
 _shared: System | None = None
-
-
-def assemble(basis: FockBasis, params: ModelParams,
-             cache: ElementCache) -> SparseHamiltonian:
-    """Build the Hamiltonian matrix for one parameter set."""
-    return System.of(basis, cache).operators.hamiltonian(
-        params.g, params.anisotropy, params.omega)
 
 
 def physical_to_g(scattering_length_m: float, mass_kg: float,

@@ -1,5 +1,9 @@
 """Lowest eigenpairs of the Hamiltonian by dense symmetric diagonalization.
 
+`lowest_k` and `ground_state` take H as `hamiltonian.Operators.hamiltonian`
+returns it, the full symmetric `scipy.sparse` matrix, and solve its dense
+form. Sweeps take a dense symmetric H0 and the diagonal of L.
+
 The production basis for six particles has dimension 322, and its sweeps
 run in the 191-dim condensate sector. Sweeps over rotation rates follow the
 state adiabatically: ties inside a degenerate ground space are broken by
@@ -52,10 +56,10 @@ from typing import Callable
 import numpy as np
 import scipy
 import scipy.linalg as sla
+import scipy.sparse as sp
 from scipy.linalg import cython_lapack
 
 from .errors import InputError, ParameterError
-from .hamiltonian import SparseHamiltonian
 
 DEGENERACY_TIE = 1e-12
 FOLLOW_FLOOR = 0.1
@@ -72,9 +76,8 @@ class EigenResult:
     residuals: np.ndarray  # ||H v - E v|| per pair
 
 
-def _residuals(ham: SparseHamiltonian, energies, vectors) -> np.ndarray:
-    mat = ham.to_csr()
-    res = mat @ vectors - vectors * energies[None, :]
+def _residuals(ham: sp.csr_matrix, energies, vectors) -> np.ndarray:
+    res = ham @ vectors - vectors * energies[None, :]
     return np.linalg.norm(res, axis=0)
 
 
@@ -137,16 +140,18 @@ def _eigh(a: np.ndarray, workspace: tuple, subset_by_index=None, diagonal=None):
     return w[:m.value], z[:, :m.value]
 
 
-def lowest_k(ham: SparseHamiltonian, k: int) -> EigenResult:
-    """k lowest eigenpairs of the dense matrix, ascending."""
+def lowest_k(ham: sp.csr_matrix, k: int) -> EigenResult:
+    """k lowest eigenpairs, ascending, of the full symmetric sparse matrix
+    `ham`, solved in dense form."""
+    dim = ham.shape[0]
     if k < 1:
         raise ParameterError(f"k must be >= 1, got {k}")
-    if k > ham.dim:
-        raise ParameterError(f"k={k} exceeds dimension {ham.dim}")
-    dense = ham.to_dense()
+    if k > dim:
+        raise ParameterError(f"k={k} exceeds dimension {dim}")
+    dense = ham.toarray()
     if not np.isfinite(dense).all():
         raise InputError("Hamiltonian has non-finite entries")
-    energies, vectors = _eigh(dense, _workspace(ham.dim), subset_by_index=(0, k - 1))
+    energies, vectors = _eigh(dense, _workspace(dim), subset_by_index=(0, k - 1))
     return EigenResult(
         energies=energies,
         vectors=vectors,
@@ -154,7 +159,7 @@ def lowest_k(ham: SparseHamiltonian, k: int) -> EigenResult:
     )
 
 
-def ground_state(ham: SparseHamiltonian):
+def ground_state(ham: sp.csr_matrix):
     """(energy, vector) of the lowest eigenpair."""
     res = lowest_k(ham, 1)
     return float(res.energies[0]), res.vectors[:, 0]

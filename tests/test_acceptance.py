@@ -13,7 +13,6 @@ import pytest
 import critgyro as cg
 from critgyro.curves import curve_diagnostics
 from critgyro.estimate import ProtocolConfig, run_ensemble, run_protocol
-from critgyro.hamiltonian import ModelParams, assemble
 from critgyro.melem import canonical_quad, integral_i1, integral_i2
 from critgyro.observables import (
     adiabatic_time,
@@ -109,10 +108,10 @@ def test_criterion_1_integrals_match_gamma_oracle(system6):
 def test_criterion_2_oracle_equivalence(n, g, a, omega):
     basis = cg.enumerate_basis(n, 2, n + 2)
     cache = cg.ElementCache.build(basis.modes)
-    ham = assemble(basis, ModelParams(n, g, a, omega), cache)
+    ham = cg.System(basis, cache).operators.hamiltonian(g, a, omega)
     _, states, ref = oracle_hamiltonian(n, g, a, omega, 2, n + 2)
     perm = [basis.index[occ] for occ in states]
-    dense = ham.to_dense()[np.ix_(perm, perm)]
+    dense = ham.toarray()[np.ix_(perm, perm)]
     entry_err = float(np.max(np.abs(dense - ref)))
     ours = lowest_k(ham, 2).energies
     theirs = np.linalg.eigvalsh(ref)[:2]
@@ -128,21 +127,18 @@ def test_criterion_2_oracle_equivalence(n, g, a, omega):
 
 def test_criterion_3_block_diagonal_without_anisotropy(system6):
     basis, cache = system6
-    ham = assemble(basis, ModelParams(6, 0.5, 0.0, 0.9, l_max=8), cache)
-    mixing = int(np.sum(basis.L[ham.rows] != basis.L[ham.cols]))
+    rows, cols = cg.System(basis, cache).operators.hamiltonian(0.5, 0.0, 0.9).nonzero()
+    mixing = int(np.sum(basis.L[rows] != basis.L[cols]))
     verdict("3a", mixing == 0,
             f"A=0 matrix has {mixing} entries between different L sectors")
 
 
 def test_criterion_3_p_zero_plateau(system6, catalog_default):
     basis, cache = system6
+    ops = cg.System(basis, cache).operators
     values = {}
     for curve in catalog_default.curves:
-        ham = assemble(
-            basis,
-            ModelParams(6, curve.g, curve.anisotropy, 0.0, l_max=8),
-            cache,
-        )
+        ham = ops.hamiltonian(curve.g, curve.anisotropy, 0.0)
         _, vec = ground_state(ham)
         values[curve.key] = p_zero(vec, basis)
     worst_key = min(values, key=values.get)

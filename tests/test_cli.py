@@ -13,6 +13,9 @@ import critgyro.cli as cli
 import critgyro.spectrum as spectrum
 from critgyro.cli import main
 from critgyro.curves import catalog_save
+from critgyro.fock import enumerate_basis
+from critgyro.hamiltonian import System
+from critgyro.melem import ElementCache
 
 
 @pytest.fixture(scope="module")
@@ -62,8 +65,31 @@ def test_curve_command_with_explicit_grid(tmp_path):
     assert lines[0] == "g,A,omega,p0,gap,lam1,lam2,exp_L"
     assert len(lines) == 13 + 1
     assert svg.read_text().startswith("<svg")
-    assert mat.exists() and (tmp_path / "b.csv").exists()
-    assert (tmp_path / "e.csv").exists()
+    assert (tmp_path / "b.csv").exists() and (tmp_path / "e.csv").exists()
+    assert np.array_equal(_read_matrix(mat), _hamiltonian(6, 0.5, 0.02, 0.0))
+
+
+def _read_matrix(path):
+    """Dense matrix of a `--dump-matrix` file of 'row col value' lines."""
+    rows, cols, vals = zip(*(line.split() for line in path.read_text().splitlines()))
+    rows, cols = np.array(rows, dtype=int), np.array(cols, dtype=int)
+    dense = np.zeros((rows.max() + 1, cols.max() + 1))
+    dense[rows, cols] = np.array(vals, dtype=float)
+    return dense
+
+
+def _hamiltonian(n, g, a, omega):
+    basis = enumerate_basis(n, 2, n + 2)
+    return System(basis, ElementCache.build(basis.modes)).operators.hamiltonian(
+        g, a, omega).toarray()
+
+
+def test_dump_matrix_round_trips_at_a_rotation(tmp_path):
+    mat = tmp_path / "matrix.txt"
+    assert main(["curve", "--n", "3", "--g", "0.6", "--A", "0.03",
+                 "--grid", "0.85:0.95:3", "--out", str(tmp_path / "curve.csv"),
+                 "--dump-matrix", str(mat), "--matrix-omega", "0.9"]) == 0
+    assert np.array_equal(_read_matrix(mat), _hamiltonian(3, 0.6, 0.03, 0.9))
 
 
 def test_curve_zero_anisotropy_stays_flat(tmp_path):
@@ -191,6 +217,13 @@ def test_selftest_passes():
 def test_selftest_fails_on_a_wrong_exact_element(monkeypatch):
     real = cli.integral_i2
     monkeypatch.setattr(cli, "integral_i2", lambda *modes: real(*modes) * (1 + 1e-15))
+    assert main(["selftest"]) == 4
+
+
+def test_selftest_fails_when_the_sector_matrix_drifts(monkeypatch):
+    real = System.sector_h0
+    monkeypatch.setattr(System, "sector_h0",
+                        lambda self, g, a: real(self, g, a) * (1 + 1e-15))
     assert main(["selftest"]) == 4
 
 
@@ -393,6 +426,8 @@ def test_offset_refuses_an_offset_off_the_ramp_or_another_systems_catalog(
     ('{"omega_true": "nan"}', None),
     ('{"omega_true": NaN}', None),
     ('{"prior_lo": "-inf"}', None),
+    ('{"omega_true": 2.0}', None),
+    ('{"prior_lo": 0.0, "prior_hi": 0.1}', None),
     ('{"kappa": "nan", "schedule": [5]}', None),
     ('{"kappa": -1, "schedule": [5]}', None),
     ('{"kappa": 0}', None),

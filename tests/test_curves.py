@@ -28,7 +28,7 @@ from critgyro.curves import (
     lookup_by_width,
 )
 from critgyro.errors import ParameterError, StaleCatalogError
-from critgyro.fock import enumerate_basis
+from critgyro.fock import KeyIndex, enumerate_basis
 from critgyro.hamiltonian import System
 from critgyro.melem import ElementCache
 from critgyro.observables import critical_frequency, gap_profile, p_zero, transition_width
@@ -429,19 +429,26 @@ def test_diagnostics_refuse_a_one_state_sector():
 
 def test_curves_and_gap_profile_share_one_operator_build(monkeypatch):
     """locate_grid -> catalog_build (compute_curve) -> curve_diagnostics ->
-    gap_profile on one (basis, cache) build the operators once."""
+    gap_profile on one (basis, cache) build the operators once, and the
+    basis key index they and the SPDM hop table share once."""
     basis = enumerate_basis(3, 2, 5)
     cache = ElementCache.build(basis.modes)
-    builds = []
-    real = hamiltonian.build_operators
+    builds, index_builds = [], []
+    real, real_index = hamiltonian.build_operators, KeyIndex.build.__func__
 
     def counting(*args, **kwargs):
         builds.append(1)
         return real(*args, **kwargs)
 
+    def counting_index(cls, occupations):
+        index_builds.append(1)
+        return real_index(cls, occupations)
+
     monkeypatch.setattr(hamiltonian, "build_operators", counting)
+    monkeypatch.setattr(KeyIndex, "build", classmethod(counting_index))
     locate_grid(basis, cache, 0.5, 0.04)
     curve = catalog_build(basis, cache, [(0.5, 0.04)]).find(0.5, 0.04)
     curve_diagnostics(basis, cache, curve)
     gap_profile(basis, cache, 0.5, 0.04, curve.omega, center=curve.center)
     assert len(builds) == 1
+    assert len(index_builds) == 1

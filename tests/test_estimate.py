@@ -456,6 +456,12 @@ def test_protocol_refuses_an_initial_pair_missing_from_the_catalog():
         run_protocol(cfg, synthetic_catalog())
 
 
+def test_protocol_refuses_a_prior_that_excludes_the_truth():
+    with pytest.raises(ParameterError, match="omega_true 2.0 lies outside"):
+        run_protocol(ProtocolConfig(n_measurements=50, omega_true=2.0,
+                                    initial_anisotropy=0.01), synthetic_catalog())
+
+
 def test_protocol_refuses_a_curve_on_a_non_uniform_grid():
     curve = make_logistic_curve(anisotropy=0.01)
     omega = curve.omega.copy()

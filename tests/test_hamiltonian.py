@@ -2,16 +2,13 @@ import numpy as np
 import pytest
 from math import inf, nan, pi, sqrt
 
+from critgyro.cli import _build_system
+from critgyro.curves import compute_curve
 from critgyro.errors import ParameterError, StructureError
 from critgyro.fock import Mode, enumerate_basis
-from critgyro.hamiltonian import (
-    ModelParams,
-    System,
-    assemble,
-    build_operators,
-    physical_to_g,
-)
+from critgyro.hamiltonian import System, build_operators, physical_to_g
 from critgyro.melem import ElementCache, v_element
+from critgyro.observables import gap_profile
 from oracle import oracle_hamiltonian
 
 
@@ -19,29 +16,41 @@ def build(n, g, anisotropy, omega, l_max=None):
     l_max = n + 2 if l_max is None else l_max
     basis = enumerate_basis(n, 2, l_max)
     cache = ElementCache.build(basis.modes)
-    params = ModelParams(n_particles=n, g=g, anisotropy=anisotropy,
-                         omega=omega, l_max=l_max)
-    return basis, cache, assemble(basis, params, cache)
+    return basis, cache, System(basis, cache).operators.hamiltonian(g, anisotropy, omega)
 
 
 def test_params_validation():
     with pytest.raises(ParameterError):
-        ModelParams(n_particles=-1, g=0.5, anisotropy=0.0, omega=0.0)
+        enumerate_basis(-1, 2, 4)
     with pytest.raises(ParameterError):
-        ModelParams(n_particles=2, g=-0.1, anisotropy=0.0, omega=0.0)
-    p = ModelParams(n_particles=4, g=0.5, anisotropy=0.0, omega=0.0)
-    assert p.l_max == 6
+        build(2, -0.1, 0.0, 0.0)
+    basis, _ = _build_system(4, 2, None)
+    assert basis.l_max == 6
 
 
 def test_params_warns_on_large_anisotropy():
+    basis = enumerate_basis(2, 2, 4)
+    ops = System(basis, ElementCache.build(basis.modes)).operators
     with pytest.warns(UserWarning):
-        ModelParams(n_particles=2, g=0.1, anisotropy=0.2, omega=0.0)
+        ops.hamiltonian(0.1, 0.2, 0.0)
+
+
+@pytest.mark.parametrize("path", ["compute_curve", "gap_profile"])
+def test_every_h_build_warns_on_large_anisotropy(path):
+    basis = enumerate_basis(3, 2, 5)
+    cache = ElementCache.build(basis.modes)
+    omegas = np.linspace(0.8, 1.0, 5)
+    with pytest.warns(UserWarning, match="anisotropy 0.15"):
+        if path == "compute_curve":
+            compute_curve(basis, cache, 0.5, 0.15, grid=omegas)
+        else:
+            gap_profile(basis, cache, 0.5, 0.15, omegas, center=0.9)
 
 
 def test_condensate_diagonal():
     # one-body N plus pair count times the condensate self-element g/(2 pi)
     basis, cache, ham = build(6, 0.5, 0.04, 0.3, l_max=8)
-    dense = ham.to_dense()
+    dense = ham.toarray()
     i = basis.index_of({Mode(0, 0): 6})
     expect = 6 + 0.5 * 6 * 5 * (0.5 / (2 * pi))
     assert dense[i, i] == pytest.approx(expect, rel=1e-12)
@@ -49,19 +58,19 @@ def test_condensate_diagonal():
 
 def test_symmetric_by_construction():
     _, _, ham = build(4, 0.6, 0.05, 0.7)
-    dense = ham.to_dense()
+    dense = ham.toarray()
     assert np.array_equal(dense, dense.T)
 
 
 def test_block_diagonal_without_anisotropy():
     basis, _, ham = build(4, 0.5, 0.0, 0.4)
-    for r, c in zip(ham.rows, ham.cols):
+    for r, c in zip(*ham.nonzero()):
         assert basis.L[r] == basis.L[c]
 
 
 def test_deformation_offdiagonal_ladder_factor():
     basis, cache, ham = build(6, 0.0, 0.04, 0.0, l_max=8)
-    dense = ham.to_dense()
+    dense = ham.toarray()
     s = basis.index_of({Mode(0, 0): 6})
     t = basis.index_of({Mode(0, 0): 5, Mode(0, 2): 1})
     expect = sqrt(6) * v_element(Mode(0, 0), Mode(0, 2), 0.04)
@@ -71,22 +80,24 @@ def test_deformation_offdiagonal_ladder_factor():
 def test_omega_enters_linearly_on_the_diagonal():
     basis = enumerate_basis(3, 2, 5)
     cache = ElementCache.build(basis.modes)
-    h1 = assemble(basis, ModelParams(3, 0.5, 0.04, 0.2, l_max=5), cache)
-    h2 = assemble(basis, ModelParams(3, 0.5, 0.04, 0.9, l_max=5), cache)
-    diff = h2.to_dense() - h1.to_dense()
+    ops = System(basis, cache).operators
+    h1 = ops.hamiltonian(0.5, 0.04, 0.2)
+    h2 = ops.hamiltonian(0.5, 0.04, 0.9)
+    diff = h2.toarray() - h1.toarray()
     assert np.allclose(diff, np.diag(-(0.9 - 0.2) * basis.L), atol=1e-12)
 
 
 def test_matvec():
     _, _, ham = build(2, 0.5, 0.03, 0.5)
-    zero = np.zeros(ham.dim)
-    assert np.array_equal(ham.matvec(zero), zero)
-    dense = ham.to_dense()
-    e0 = np.zeros(ham.dim)
+    dim = ham.shape[0]
+    zero = np.zeros(dim)
+    assert np.array_equal(ham @ zero, zero)
+    dense = ham.toarray()
+    e0 = np.zeros(dim)
     e0[3] = 1.0
-    assert np.allclose(ham.matvec(e0), dense[:, 3], atol=1e-15)
-    with pytest.raises(StructureError):
-        ham.matvec(np.ones(ham.dim + 1))
+    assert np.allclose(ham @ e0, dense[:, 3], atol=1e-15)
+    with pytest.raises(ValueError):
+        ham @ np.ones(dim + 1)
 
 
 @pytest.mark.parametrize("n,g,a,omega", [(2, 0.5, 0.04, 0.6), (3, 0.7, 0.02, 0.85)])
@@ -96,7 +107,7 @@ def test_matches_dense_ladder_oracle(n, g, a, omega):
     assert [tuple(m) for m in basis.modes] == modes
     # the oracle sorts states purely lexicographically; map the orders
     perm = [basis.index[occ] for occ in states]
-    dense = ham.to_dense()[np.ix_(perm, perm)]
+    dense = ham.toarray()[np.ix_(perm, perm)]
     assert np.max(np.abs(dense - ref)) < 1e-12
 
 
@@ -104,7 +115,7 @@ def test_assemble_matches_oracle_n4():
     basis, _, ham = build(4, 0.5, 0.04, 0.7, l_max=6)
     modes, states, ref = oracle_hamiltonian(4, 0.5, 0.04, 0.7, 2, 6)
     perm = [basis.index[occ] for occ in states]
-    assert np.max(np.abs(ham.to_dense()[np.ix_(perm, perm)] - ref)) < 1e-12
+    assert np.max(np.abs(ham.toarray()[np.ix_(perm, perm)] - ref)) < 1e-12
 
 
 @pytest.mark.parametrize("g,a,omega", [(0.5, 0.04, 0.0), (0.6, 0.025, 0.9),
@@ -113,14 +124,9 @@ def test_assemble_is_linear_in_its_parameters(g, a, omega):
     basis = enumerate_basis(6, 2, 8)
     cache = ElementCache.build(basis.modes)
     ops = build_operators(basis, cache)
-
-    def full(upper):
-        dense = upper.toarray()
-        return dense + np.triu(dense, 1).T
-
-    expect = (np.diag(ops.d) + a * full(ops.v) + g * full(ops.u)
+    expect = (np.diag(ops.d) + a * ops.v.toarray() + g * ops.u.toarray()
               - omega * np.diag(ops.l))
-    got = assemble(basis, ModelParams(6, g, a, omega, l_max=8), cache).to_dense()
+    got = System(basis, cache).operators.hamiltonian(g, a, omega).toarray()
     assert np.max(np.abs(got - expect)) < 1e-14
 
 
@@ -130,8 +136,8 @@ def test_matvec_matches_oracle_product():
     modes, states, ref = oracle_hamiltonian(n, 0.5, 0.04, 0.6, 2, n + 2)
     perm = np.array([basis.index[occ] for occ in states])
     rng = np.random.default_rng(5)
-    v = rng.standard_normal(ham.dim)
-    ours = ham.matvec(v)
+    v = rng.standard_normal(ham.shape[0])
+    ours = ham @ v
     theirs = ref @ v[perm]
     assert np.max(np.abs(ours[perm] - theirs)) < 1e-12
 
@@ -141,7 +147,7 @@ def test_cache_basis_mismatch():
     other = enumerate_basis(2, 2, 3)
     cache = ElementCache.build(other.modes)
     with pytest.raises(StructureError):
-        assemble(basis, ModelParams(2, 0.5, 0.0, 0.0, l_max=4), cache)
+        System(basis, cache).operators.hamiltonian(0.5, 0.0, 0.0)
 
 
 def test_system_operators_are_shared_per_basis_and_cache():

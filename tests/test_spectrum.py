@@ -8,37 +8,26 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse as sp
 
 import critgyro.spectrum as spectrum
 from critgyro.errors import InputError, ParameterError
 from critgyro.fock import Mode, enumerate_basis
 from critgyro.curves import PRESCAN_POINTS, PRESCAN_RANGE
-from critgyro.hamiltonian import (
-    ModelParams,
-    SparseHamiltonian,
-    System,
-    assemble,
-    build_operators,
-)
+from critgyro.hamiltonian import System, build_operators
 from critgyro.melem import ElementCache
 from critgyro.spectrum import ground_state, lowest_k, sweep_lowest
 from oracle import oracle_hamiltonian, reference_sweep_followed
 
 
 def diag_ham(values):
-    n = len(values)
-    return SparseHamiltonian(
-        dim=n,
-        rows=np.arange(n, dtype=np.int64),
-        cols=np.arange(n, dtype=np.int64),
-        vals=np.asarray(values, dtype=float),
-    )
+    return sp.diags(np.asarray(values, dtype=float), format="csr")
 
 
 def physical(n, g, a, omega):
     basis = enumerate_basis(n, 2, n + 2)
     cache = ElementCache.build(basis.modes)
-    ham = assemble(basis, ModelParams(n, g, a, omega), cache)
+    ham = System(basis, cache).operators.hamiltonian(g, a, omega)
     return basis, ham
 
 
@@ -99,12 +88,12 @@ def test_ground_state_is_condensate_dominated_without_rotation():
     pair and radial excitations inside the sector."""
     basis, ham = physical(6, 0.5, 0.0, 0.0)
     energy, vec = ground_state(ham)
-    dense_spectrum = np.linalg.eigvalsh(ham.to_dense())
+    dense_spectrum = np.linalg.eigvalsh(ham.toarray())
     assert energy == pytest.approx(dense_spectrum[0], abs=1e-10)
     i = basis.index_of({Mode(0, 0): 6})
     assert vec[i] ** 2 > 0.80
     # dressing lowers the energy strictly below the diagonal entry
-    assert energy < ham.to_dense()[i, i] - 1e-3
+    assert energy < ham.toarray()[i, i] - 1e-3
 
 
 def test_uniform_shift_moves_ground_energy():
@@ -118,25 +107,21 @@ def test_uniform_shift_moves_ground_energy():
 def test_variational_bound():
     _, ham = physical(3, 0.5, 0.04, 0.7)
     e0, _ = ground_state(ham)
-    dense = ham.to_dense()
+    dense = ham.toarray()
     rng = np.random.default_rng(42)
     for _ in range(100):
-        v = rng.standard_normal(ham.dim)
+        v = rng.standard_normal(ham.shape[0])
         v /= np.linalg.norm(v)
         assert v @ dense @ v >= e0 - 1e-10
 
 
 def test_ground_energy_is_lipschitz_in_omega():
     basis = enumerate_basis(3, 2, 5)
-    cache = ElementCache.build(basis.modes)
+    ops = System(basis, ElementCache.build(basis.modes)).operators
     delta = 1e-3
     for om in (0.0, 0.5, 0.9):
-        e1, _ = ground_state(
-            assemble(basis, ModelParams(3, 0.5, 0.04, om, l_max=5), cache)
-        )
-        e2, _ = ground_state(
-            assemble(basis, ModelParams(3, 0.5, 0.04, om + delta, l_max=5), cache)
-        )
+        e1, _ = ground_state(ops.hamiltonian(0.5, 0.04, om))
+        e2, _ = ground_state(ops.hamiltonian(0.5, 0.04, om + delta))
         assert abs(e2 - e1) <= delta * 5 + 1e-12
 
 
@@ -155,10 +140,10 @@ def test_sweep_follows_sector_through_exact_crossing():
     branch even after another angular-momentum sector dips below it."""
     basis = enumerate_basis(4, 2, 6)
     cache = ElementCache.build(basis.modes)
-    ham0 = assemble(basis, ModelParams(4, 0.5, 0.0, 0.0, l_max=6), cache)
+    ham0 = System(basis, cache).operators.hamiltonian(0.5, 0.0, 0.0)
     anchor = basis.index_of({Mode(0, 0): 4})
     omegas = np.linspace(0.7, 1.0, 61)
-    sweep = sweep_lowest(ham0.to_dense(), basis.L.astype(float), omegas,
+    sweep = sweep_lowest(ham0.toarray(), basis.L.astype(float), omegas,
                          anchor_index=anchor)
     # the followed state keeps total L = 0 across the whole scan
     follow_l = np.array([vec**2 @ basis.L for vec in sweep.followed])
@@ -170,9 +155,9 @@ def test_sweep_follows_sector_through_exact_crossing():
 def test_gap_positive_with_anisotropy():
     basis = enumerate_basis(4, 2, 6)
     cache = ElementCache.build(basis.modes)
-    ham0 = assemble(basis, ModelParams(4, 0.5, 0.03, 0.0, l_max=6), cache)
+    ham0 = System(basis, cache).operators.hamiltonian(0.5, 0.03, 0.0)
     omegas = np.linspace(0.8, 1.0, 41)
-    sweep = sweep_lowest(ham0.to_dense(), basis.L.astype(float), omegas, k=2)
+    sweep = sweep_lowest(ham0.toarray(), basis.L.astype(float), omegas, k=2)
     gap = sweep.energies[:, 1] - sweep.energies[:, 0]
     assert (gap > 0).all()
 
@@ -180,11 +165,11 @@ def test_gap_positive_with_anisotropy():
 def test_sector_sweep_reproduces_full_space_p0():
     basis = enumerate_basis(4, 2, 6)
     cache = ElementCache.build(basis.modes)
-    ham0 = assemble(basis, ModelParams(4, 0.5, 0.04, 0.0, l_max=6), cache)
+    ham0 = System(basis, cache).operators.hamiltonian(0.5, 0.04, 0.0)
     anchor = basis.index_of({Mode(0, 0): 4})
     l_diag = basis.L.astype(float)
     omegas = np.linspace(0.7, 1.0, 61)
-    full = sweep_lowest(ham0.to_dense(), l_diag, omegas, anchor_index=anchor)
+    full = sweep_lowest(ham0.toarray(), l_diag, omegas, anchor_index=anchor)
     system = System(basis, cache)
     sector = sweep_lowest(system.sector_h0(0.5, 0.04), system.sector_l, omegas,
                           anchor_index=system.sector_anchor)
@@ -210,7 +195,7 @@ def test_lost_branch_resolves_like_the_full_spectrum(system6, monkeypatch, g, a)
     resolution picks, with fewer full-spectrum solves."""
     basis, cache = system6
     rows = np.flatnonzero(basis.L % 2 == 0)
-    h0 = build_operators(basis, cache).hamiltonian(g, a, 0.0).to_dense()
+    h0 = build_operators(basis, cache).hamiltonian(g, a, 0.0).toarray()
     h0 = h0[np.ix_(rows, rows)]
     l_diag = basis.L[rows].astype(float)
     anchor = int(np.searchsorted(rows, basis.index_of({Mode(0, 0): 6})))
@@ -237,7 +222,7 @@ def test_lost_branch_resolves_like_the_full_spectrum(system6, monkeypatch, g, a)
 
 def _sector_prescan(basis, cache, g, a):
     rows = np.flatnonzero(basis.L % 2 == 0)
-    h0 = build_operators(basis, cache).hamiltonian(g, a, 0.0).to_dense()
+    h0 = build_operators(basis, cache).hamiltonian(g, a, 0.0).toarray()
     return (h0[np.ix_(rows, rows)], basis.L[rows].astype(float),
             np.linspace(*PRESCAN_RANGE, PRESCAN_POINTS),
             int(np.searchsorted(rows, basis.index_of({Mode(0, 0): 6}))),
@@ -247,7 +232,7 @@ def _sector_prescan(basis, cache, g, a):
 def _exact_crossing_sweep():
     basis = enumerate_basis(4, 2, 6)
     cache = ElementCache.build(basis.modes)
-    h0 = assemble(basis, ModelParams(4, 0.5, 0.0, 0.0, l_max=6), cache).to_dense()
+    h0 = System(basis, cache).operators.hamiltonian(0.5, 0.0, 0.0).toarray()
     return (h0, basis.L.astype(float), np.linspace(0.7, 1.0, 61),
             basis.index_of({Mode(0, 0): 4}), basis.zero_momentum_mask)
 
