@@ -2,7 +2,10 @@
 
 Subcommands: curve, catalog, estimate, offset, basis, selftest. Every run
 writes its data as CSV (authoritative), optional SVG plots derived from the
-CSV content, and a JSON run manifest written atomically last. Exit codes:
+CSV content, and a JSON run manifest written atomically last, whose
+`details` record the inputs that replay the run: the system with l_max
+resolved, and each `lo:hi:n` grid as [lo, hi, n] (`null` when
+auto-located). Exit codes:
 0 success, 2 usage (including a ParameterError or InputError from the
 package), 3 numerical failure (any other package error), 4 self-check or
 preset mismatch. `estimate` exits 2 and writes no output file when its
@@ -22,6 +25,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import replace
 from math import pi
 
 import numpy as np
@@ -40,7 +44,6 @@ from .curves import (
 )
 from .errors import CritgyroError, InputError, ParameterError
 from .estimate import (
-    DEFAULT_GRID_SIZE,
     SEED_ENV,
     ProtocolConfig,
     resolve_seed,
@@ -96,6 +99,16 @@ def _build_system(n, n_ll, l_max):
     basis = enumerate_basis(n, n_ll, l_max if l_max is not None else n + 2)
     cache = ElementCache.build(basis.modes)
     return basis, cache
+
+
+def _system_details(basis) -> dict:
+    """The truncation a run computed on, l_max resolved, for its manifest."""
+    return {"n": basis.n_particles, "n_ll": basis.n_ll, "l_max": basis.l_max}
+
+
+def _grid_details(grid):
+    """A `lo:hi:n` grid as [lo, hi, n] for a manifest; None stays None."""
+    return None if grid is None else [float(grid[0]), float(grid[-1]), len(grid)]
 
 
 def _numbers(spec: str, kinds, what: str):
@@ -179,7 +192,8 @@ def cmd_curve(args) -> int:
                 fh.write(f"{r} {c} {_fmt(v)}\n")
         outputs.append(args.dump_matrix)
     _write_manifest(args.out, "curve",
-                    {"pairs": list(zip(args.g, args.A)), "n": args.n},
+                    {"pairs": list(zip(args.g, args.A)), **_system_details(basis),
+                     "grid": _grid_details(args.grid)},
                     outputs, t0)
     return EXIT_OK
 
@@ -197,7 +211,9 @@ def cmd_catalog(args) -> int:
     for c in catalog.curves:
         print(f"catalog (g={c.g}, A={c.anisotropy}): "
               f"center={c.center:.6f} width={c.width:.6f}")
-    _write_manifest(args.out, "catalog", {"pairs": pairs, "n": args.n},
+    _write_manifest(args.out, "catalog",
+                    {"pairs": pairs, **_system_details(basis),
+                     "grid": _grid_details(args.grid)},
                     [args.out], t0)
     return EXIT_OK
 
@@ -260,15 +276,12 @@ def cmd_estimate(args) -> int:
     status = EXIT_OK
 
     if args.preset == "fig3":
-        cfg = ProtocolConfig.from_dict({**config.to_dict(), "schedule": [],
-                                        "n_measurements": 100})
+        cfg = replace(config, schedule=(), n_measurements=100)
         result = run_protocol(cfg, catalog)
         _write_trajectory(out("trajectory.csv"), result)
         outputs.append(out("trajectory.csv"))
         for mu in (1, 10, 100):
-            sub = ProtocolConfig.from_dict({**cfg.to_dict(),
-                                            "n_measurements": mu})
-            snap = run_protocol(sub, catalog)
+            snap = run_protocol(replace(cfg, n_measurements=mu), catalog)
             path = out(f"posterior_mu{mu}.csv")
             _write_csv(path, ("omega", "mass"),
                        zip(snap.posterior.omega, snap.posterior.mass))
@@ -281,9 +294,7 @@ def cmd_estimate(args) -> int:
         names = ["mu"]
         medians = {}
         for name, schedule in _FIG4_VARIANTS:
-            cfg = ProtocolConfig.from_dict({**config.to_dict(),
-                                            "schedule": list(schedule),
-                                            "n_measurements": 100})
+            cfg = replace(config, schedule=schedule, n_measurements=100)
             ens = run_ensemble(cfg, catalog, n_trajectories=args.trajectories)
             ensembles[name] = _ensemble_health(ens)
             med = ens.median_sigma()
@@ -303,10 +314,7 @@ def cmd_estimate(args) -> int:
               f"two={medians['two_tunings'][-1]:.3e} "
               f"improvement x{factor:.1f}")
     elif args.preset == "array":
-        cfg = ProtocolConfig.from_dict({**config.to_dict(),
-                                        "schedule": [200],
-                                        "batch_size": 200,
-                                        "n_measurements": 400})
+        cfg = replace(config, schedule=(200,), batch_size=200, n_measurements=400)
         ens = run_ensemble(cfg, catalog, n_trajectories=args.trajectories)
         ensembles["array"] = _ensemble_health(ens)
         med = ens.median_sigma()
@@ -380,8 +388,7 @@ def cmd_offset(args) -> int:
     if outside:
         raise ParameterError(f"offsets {outside} put the ramp's end outside "
                              f"[center - 0.25, center + 0.02]")
-    hwhms = [preparation_hwhm(curve, off, args.prior_lo, args.prior_hi, DEFAULT_GRID_SIZE)
-             for off in offsets]
+    hwhms = [preparation_hwhm(curve, off, args.prior_lo, args.prior_hi) for off in offsets]
     basis, cache = _build_system(args.n, args.n_ll, args.l_max)
 
     ramp = np.linspace(ramp_lo, ramp_hi, args.gap_points)
@@ -409,7 +416,11 @@ def cmd_offset(args) -> int:
           f"= {ratio:.3g}")
     _write_manifest(args.out, "offset",
                     {"g": args.g, "A": args.A, "eps": args.eps,
-                     "omega_perp_hz": args.omega_perp_hz},
+                     "omega_perp_hz": args.omega_perp_hz,
+                     "catalog": str(args.catalog), **_system_details(basis),
+                     "offsets": _grid_details(offsets),
+                     "prior_lo": args.prior_lo, "prior_hi": args.prior_hi,
+                     "gap_points": args.gap_points},
                     outputs, t0)
     return EXIT_OK
 
@@ -424,9 +435,7 @@ def cmd_basis(args) -> int:
                             args.l_max if args.l_max is not None else args.n + 2)
     basis.dump_csv(args.out)
     print(f"basis: {basis.size} states over {len(basis.modes)} modes")
-    _write_manifest(args.out, "basis",
-                    {"n": args.n, "n_ll": args.n_ll, "l_max": basis.l_max},
-                    [args.out], t0)
+    _write_manifest(args.out, "basis", _system_details(basis), [args.out], t0)
     return EXIT_OK
 
 
@@ -555,7 +564,6 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        active_backend()
         return args.func(args)
     except (ParameterError, InputError) as exc:
         print(f"error: {exc}", file=sys.stderr)

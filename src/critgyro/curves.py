@@ -2,12 +2,13 @@
 
 A curve is computed by sweeping the ground state across the vortex
 transition of one (g, A) pair. The sweep grid is auto-located: a coarse
-pre-scan brackets the 0.9/0.1 crossings, stopping at the first point after
-both first crossings, then a refined uniform grid spans the transition
-with generous padding so that the flat extension outside the grid only
-ever sees plateau values. Sweeps run in the sector of the basis's
-`hamiltonian.System`: the L-parity sector of the condensate (0,0)^N, the
-only states the followed state couples to.
+pre-scan of PRESCAN_POINTS points over PRESCAN_RANGE brackets the 0.9/0.1
+crossings, stopping at the first point after both first crossings, then a
+refined uniform grid of REFINED_POINTS spans the transition with generous
+padding so that the flat extension outside the grid only ever sees plateau
+values. Sweeps run in the sector of the basis's `hamiltonian.System`: the
+L-parity sector of the condensate (0,0)^N, the only states the followed
+state couples to.
 
 The System keeps the last curve sweep: the followed states and the two
 lowest sector energies at each point, keyed by g, A and the exact values
@@ -155,7 +156,7 @@ def _sweep_p0(system: System, g, anisotropy, omegas, stop=None):
     omegas = np.array(omegas, dtype=float)  # a copy: the key outlives the caller's array
     basis = system.basis
     sweep = spectrum.sweep_lowest(
-        system.sector_h0(g, anisotropy), system.sector_l, omegas, k=6,
+        system.sector_h0(g, anisotropy), system.sector_l, omegas,
         anchor_index=system.sector_anchor,
         stop=None if stop is None else lambda state: stop(p_zero(system.lift(state), basis)))
     followed = system.lift(sweep.followed)
@@ -166,9 +167,7 @@ def _sweep_p0(system: System, g, anisotropy, omegas, stop=None):
 
 
 def _transition_grid(basis: FockBasis, cache: ElementCache, g: float,
-                     anisotropy: float, prescan=PRESCAN_RANGE,
-                     prescan_points: int = PRESCAN_POINTS,
-                     points: int = REFINED_POINTS) -> np.ndarray | None:
+                     anisotropy: float) -> np.ndarray | None:
     """Refined grid spanning the transition, or None when the pre-scan's
     likelihood never crosses both 0.9 and 0.1 (e.g. zero anisotropy).
 
@@ -176,7 +175,7 @@ def _transition_grid(basis: FockBasis, cache: ElementCache, g: float,
     crossings (0.9 and 0.1) are bracketed; the grid depends on those
     crossings alone, so it is the one the whole pre-scan gives.
     """
-    coarse = np.linspace(prescan[0], prescan[1], prescan_points)
+    coarse = np.linspace(*PRESCAN_RANGE, PRESCAN_POINTS)
     pending, last = {0.9, 0.1}, -np.inf
 
     def bracketed(p: float) -> bool:
@@ -195,18 +194,16 @@ def _transition_grid(basis: FockBasis, cache: ElementCache, g: float,
     span = max(rel_lo - rel_hi, step)
     lo = coarse[0] + rel_hi - span
     hi = coarse[0] + rel_lo + span
-    return np.linspace(lo, hi, points)
+    return np.linspace(lo, hi, REFINED_POINTS)
 
 
 def locate_grid(basis: FockBasis, cache: ElementCache, g: float,
-                anisotropy: float, prescan=PRESCAN_RANGE,
-                prescan_points: int = PRESCAN_POINTS,
-                points: int = REFINED_POINTS) -> np.ndarray:
-    """Auto-located refined grid spanning the transition, or the pre-scan
-    window when the likelihood never crosses (e.g. zero anisotropy)."""
-    grid = _transition_grid(basis, cache, g, anisotropy, prescan,
-                            prescan_points, points)
-    return np.linspace(prescan[0], prescan[1], points) if grid is None else grid
+                anisotropy: float) -> np.ndarray:
+    """Auto-located refined grid of REFINED_POINTS spanning the transition,
+    or the PRESCAN_RANGE window when the likelihood never crosses (e.g.
+    zero anisotropy)."""
+    grid = _transition_grid(basis, cache, g, anisotropy)
+    return np.linspace(*PRESCAN_RANGE, REFINED_POINTS) if grid is None else grid
 
 
 def compute_curve(basis: FockBasis, cache: ElementCache, g: float,

@@ -36,7 +36,6 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import _kernels
-from ._backend import active_backend
 from .curves import CurveCatalog, ResonanceCurve, lookup_by_width
 from .errors import DegenerateUpdateError, ParameterError
 
@@ -236,7 +235,6 @@ def run_protocol(config: ProtocolConfig, catalog: CurveCatalog,
                  rng=None) -> ProtocolResult:
     """Execute one trajectory; raises DegenerateUpdateError with the
     measurement index if an update annihilates the posterior."""
-    active_backend()
     try:
         curve = catalog.find(config.initial_g, config.initial_anisotropy)
     except KeyError:
@@ -356,24 +354,21 @@ def run_ensemble(config: ProtocolConfig, catalog: CurveCatalog,
     )
 
 
-def sigma_scaling(sigma_trace: np.ndarray, start_mu: int | None = None) -> float:
+def sigma_scaling(sigma_trace: np.ndarray) -> float:
     """Least-squares log-log slope of sigma versus measurement count.
 
-    The fit runs over the asymptotic tail [start_mu, n]; the default start
-    keeps two decades, which is also the minimum accepted.
+    The fit runs over the asymptotic tail [n // 100, n]: two decades, so a
+    trace needs at least 100 measurements.
     """
     sigma_trace = np.asarray(sigma_trace, dtype=float)
     n = len(sigma_trace)
-    if start_mu is None:
-        start_mu = max(n // 100, 1)
-    if start_mu < 1:
-        raise ParameterError(f"start_mu must be >= 1, got {start_mu}")
-    if n < 100 * start_mu:
+    if n < 100:
         raise ParameterError(
             "need at least two decades of measurements in the fit tail"
         )
-    mu = np.arange(start_mu, n + 1)
-    vals = sigma_trace[start_mu - 1:]
+    first = n // 100
+    mu = np.arange(first, n + 1)
+    vals = sigma_trace[first - 1:]
     if np.any(vals <= 0):
         raise ParameterError("sigma trace must be positive for a log-log fit")
     return float(np.polyfit(np.log10(mu), np.log10(vals), 1)[0])

@@ -128,26 +128,18 @@ def u_element(k1: Mode, k2: Mode, l1: Mode, l2: Mode, interaction: float) -> flo
     return interaction * _u_raw((k1, k2, l1, l2))
 
 
-def canonical_quad(a: int, b: int, c: int, d: int) -> tuple[int, int, int, int]:
-    """Lexicographically smallest image under the two-body symmetries.
-
-    The raw element is invariant under swapping within the creation pair,
-    within the annihilation pair, and swapping the two pairs.
-    """
-    return min(
-        (a, b, c, d), (b, a, c, d), (a, b, d, c), (b, a, d, c),
-        (c, d, a, b), (d, c, a, b), (c, d, b, a), (d, c, b, a),
-    )
-
-
 @dataclass
 class ElementCache:
     """Parameter-free element tables over a fixed mode list.
 
     v_raw[i, j] carries everything of the deformation element except the
-    anisotropy A; u_raw maps canonical index quadruples to the contact
-    element with the interaction g divided out. Both stay valid for every
-    (g, A) pair, and v_of / u_of equal v_element / u_element bit for bit.
+    anisotropy A; u_raw maps index quadruples (a, b, c, d) to the contact
+    element with the interaction g divided out. A key holds one image of
+    each element under the two-body symmetries (swaps within the creation
+    pair, within the annihilation pair, and of the two pairs): the one with
+    a <= b, c <= d and (a, b) <= (c, d). Both stay valid for every (g, A)
+    pair: A * v_raw[i, j] and g * u_raw[key] equal v_element and u_element
+    bit for bit.
     """
 
     modes: tuple[Mode, ...]
@@ -179,15 +171,6 @@ class ElementCache:
                     u_raw[key] = _u_raw([modes[t] for t in key])
         return cls(modes=modes, v_raw=v_raw, u_raw=u_raw)
 
-    def v_of(self, i: int, j: int, anisotropy: float) -> float:
-        return anisotropy * self.v_raw[i, j]
-
-    def u_of(self, a: int, b: int, c: int, d: int, interaction: float) -> float:
-        ms = [self.modes[t].m for t in (a, b, c, d)]
-        if ms[0] + ms[1] != ms[2] + ms[3]:
-            return 0.0
-        return interaction * self.u_raw[canonical_quad(a, b, c, d)]
-
     def dump_csv(self, path) -> None:
         """Write raw V and U tables keyed by mode indices."""
         with open(path, "w") as fh:
@@ -196,6 +179,6 @@ class ElementCache:
             for i in range(nm):
                 for j in range(nm):
                     if self.v_raw[i, j] != 0.0:
-                        fh.write(f"V,{i},{j},,,{self.v_raw[i, j]!r}\n")
+                        fh.write(f"V,{i},{j},,,{float(self.v_raw[i, j])!r}\n")
             for (a, b, c, d), val in sorted(self.u_raw.items()):
                 fh.write(f"U,{a},{b},{c},{d},{val!r}\n")

@@ -4,7 +4,9 @@ The measurement likelihood p_zero is the probability that every particle
 sits in a zero-angular-momentum mode, i.e. (0,0) or (1,0). The transition
 of p_zero from its low-rotation plateau to ~0 defines the resonance whose
 center (0.5 crossing) and width (0.9 -> 0.1 crossing separation) drive the
-estimation protocol.
+estimation protocol. `critical_frequency` and `transition_width` take the
+grid and the likelihood as arrays, and these three thresholds are fixed.
+`preparation_hwhm` evaluates its posterior on HWHM_GRID_SIZE prior points.
 """
 
 from dataclasses import dataclass
@@ -18,6 +20,8 @@ from .hamiltonian import System
 from .melem import ElementCache
 
 NORM_TOL = 1e-8
+#: prior grid points of `preparation_hwhm`
+HWHM_GRID_SIZE = 2001
 
 
 def _check_normalized(psi: np.ndarray) -> np.ndarray:
@@ -126,36 +130,26 @@ def crossing_offset(omega: np.ndarray, values: np.ndarray, threshold: float):
     return None
 
 
-def _curve_arrays(curve_or_omega, p0):
-    if p0 is None:
-        return np.asarray(curve_or_omega.omega), np.asarray(curve_or_omega.p0)
-    return np.asarray(curve_or_omega), np.asarray(p0)
-
-
-def critical_frequency(curve_or_omega, p0=None) -> float:
+def critical_frequency(omega: np.ndarray, p0: np.ndarray) -> float:
     """Rotation rate of the first downward 0.5 crossing of the likelihood."""
-    omega, p = _curve_arrays(curve_or_omega, p0)
-    rel = crossing_offset(omega, p, 0.5)
+    omega = np.asarray(omega)
+    rel = crossing_offset(omega, p0, 0.5)
     if rel is None:
         raise RangeError("likelihood never crosses 0.5 within the grid")
     return float(omega[0] + rel)
 
 
-def transition_width(curve_or_omega, p0=None, hi: float = 0.9,
-                     lo: float = 0.1) -> float:
-    """Separation of the interpolated hi -> lo downward crossings."""
-    omega, p = _curve_arrays(curve_or_omega, p0)
-    rel_hi = crossing_offset(omega, p, hi)
-    rel_lo = crossing_offset(omega, p, lo)
+def transition_width(omega: np.ndarray, p0: np.ndarray) -> float:
+    """Separation of the interpolated 0.9 -> 0.1 downward crossings."""
+    omega = np.asarray(omega)
+    rel_hi = crossing_offset(omega, p0, 0.9)
+    rel_lo = crossing_offset(omega, p0, 0.1)
     if rel_hi is None or rel_lo is None:
-        raise RangeError(
-            f"likelihood does not cross both thresholds ({hi}, {lo})"
-        )
+        raise RangeError("likelihood does not cross both thresholds (0.9, 0.1)")
     return float(rel_lo - rel_hi)
 
 
-def preparation_hwhm(curve, offset: float, prior_lo: float, prior_hi: float,
-                     gridsize: int = 2001) -> float:
+def preparation_hwhm(curve, offset: float, prior_lo: float, prior_hi: float) -> float:
     """Half width of the single zero-outcome posterior when the preparation
     ramp stops at center + offset.
 
@@ -168,8 +162,8 @@ def preparation_hwhm(curve, offset: float, prior_lo: float, prior_hi: float,
         raise ParameterError(f"prior needs finite bounds lo < hi, got [{prior_lo}, {prior_hi}]")
     end = curve.center + offset
     p_end = float(curve.evaluate(end))
-    omega = np.linspace(prior_lo, prior_hi, gridsize)
-    mass = np.full(gridsize, 1.0 / gridsize)
+    omega = np.linspace(prior_lo, prior_hi, HWHM_GRID_SIZE)
+    mass = np.full(HWHM_GRID_SIZE, 1.0 / HWHM_GRID_SIZE)
     delta = end - float(mass @ omega)
     pos = omega + delta
     like = np.where(pos <= end, curve.evaluate(pos), p_end)
@@ -230,7 +224,7 @@ def gap_profile(basis: FockBasis, cache: ElementCache, g: float,
         raise ParameterError("gap profile needs a positive anisotropy")
     system = System.of(basis, cache)
     sweep = spectrum.sweep_lowest(system.sector_h0(g, anisotropy), system.sector_l,
-                                  omegas, k=2, anchor_index=system.sector_anchor)
+                                  omegas, anchor_index=system.sector_anchor)
     gap = sweep.energies[:, 1] - sweep.energies[:, 0]
     l01 = np.abs(np.einsum("ij,j,ij->i", sweep.vec1, system.sector_l, sweep.vec0))
     return GapProfile(

@@ -14,17 +14,20 @@ condensate-sector matrices of a `hamiltonian.System`, which lifts their
 states back to the full basis.
 
 A sweep solves the two lowest eigenpairs at each point: E0, E1 and their
-vectors are all that its callers read. It widens to the k lowest pairs (the
-branch-resolution window) only where the follow rule needs more: where
-E1 - E0 falls below DEGENERACY_TIE, since the tie may extend past two
-states, and where the ground state holds less than FOLLOW_FLOOR of the
-followed state. A lost branch is resolved in the k-window first. The
-followed state is the eigenvector of maximal overlap with the previous
-one over the whole spectrum. The squared overlaps of a unit vector with
-an orthonormal eigenbasis sum to 1, so at most one eigenvector can have
-overlap^2 above 1/2, and one that does is that maximum. When one of the k
-computed vectors passes BRANCH_MAJORITY it is taken as it is; only
-otherwise does the sweep solve the full spectrum to find the maximum.
+vectors are all that its callers read. It widens to the BRANCH_WINDOW
+lowest pairs only where the follow rule needs more: where E1 - E0 falls
+below DEGENERACY_TIE, since the tie may extend past two states, and where
+the ground state holds less than FOLLOW_FLOOR of the followed state. A
+lost branch is resolved in that window first. The followed state is the
+eigenvector of maximal overlap with the previous one over the whole
+spectrum. The squared overlaps of a unit vector with an orthonormal
+eigenbasis sum to 1, so at most one eigenvector can have overlap^2 above
+1/2, and one that does is that maximum. When one of the window's vectors
+passes BRANCH_MAJORITY it is taken as it is; only otherwise does the sweep
+solve the full spectrum to find the maximum. The window is a constant:
+with two pairs only, a lost branch would go straight to the full-spectrum
+solve, which costs about three times the BRANCH_WINDOW solve at sector
+dimension 191.
 
 Every solve is one call of scipy's own float64 LAPACK `dsyevr`, made
 through ctypes with the arguments `scipy.linalg.eigh` passes, so the call
@@ -32,7 +35,7 @@ runs without the GIL. A sweep checks its inputs are finite and sizes the
 LAPACK workspace once. It then hands the two-pair solve of each point to a
 thread pool, one worker per CPU the process may use, with up to
 LOOKAHEAD_PER_WORKER solves per worker in flight. The follow rule, its
-k-window and full-spectrum widenings and `stop` run on the calling thread,
+window and full-spectrum widenings and `stop` run on the calling thread,
 point by point in order. Each solve works on its own copy of the matrix
 with the point's diagonal, so the same routine gets the same arguments at
 every point whichever thread makes the call: the results are the bits a
@@ -65,6 +68,8 @@ DEGENERACY_TIE = 1e-12
 FOLLOW_FLOOR = 0.1
 #: an overlap^2 above this singles out the maximal-overlap eigenvector
 BRANCH_MAJORITY = 0.5
+#: eigenpairs a sweep solves where the follow rule needs more than two
+BRANCH_WINDOW = 6
 #: two-pair solves a sweep keeps in flight per worker thread
 LOOKAHEAD_PER_WORKER = 2
 
@@ -252,7 +257,6 @@ def sweep_lowest(
     h0_dense: np.ndarray,
     l_diag: np.ndarray,
     omegas: np.ndarray,
-    k: int = 6,
     anchor_index: int | None = None,
     stop: Callable[[np.ndarray], bool] | None = None,
 ) -> SweepResult:
@@ -261,9 +265,9 @@ def sweep_lowest(
     The followed state starts from the ground state (ties broken by weight
     on `anchor_index`) and continues by maximal overlap whenever the ground
     state decouples from the followed branch. Each point solves the two
-    lowest pairs; `k` is the branch-resolution window, solved at a point
-    only where E1 - E0 < DEGENERACY_TIE (the first point included) or where
-    the ground state's overlap^2 with the followed state falls below
+    lowest pairs; the BRANCH_WINDOW lowest are solved at a point only
+    where E1 - E0 < DEGENERACY_TIE (the first point included) or where the
+    ground state's overlap^2 with the followed state falls below
     FOLLOW_FLOOR. The full spectrum is solved only where no vector of the
     window holds a majority of the followed state.
 
@@ -280,7 +284,7 @@ def sweep_lowest(
     matrix at every point.
     """
     dim = h0_dense.shape[0]
-    k = min(k, dim)
+    k = min(BRANCH_WINDOW, dim)
     pairs = min(2, k)
     n = len(omegas)
     energies = np.empty((n, pairs))
@@ -326,7 +330,7 @@ def sweep_lowest(
                 overlaps = np.abs(prev @ evecs)
                 pick = int(np.argmax(overlaps))
                 if overlaps[pick] ** 2 <= BRANCH_MAJORITY:
-                    # the branch left the k-window (exact sector crossing at
+                    # the branch left the window (exact sector crossing at
                     # zero anisotropy): resolve against the full spectrum
                     _, evecs = _eigh(h0, workspace, diagonal=diagonal)
                     pick = int(np.argmax(np.abs(prev @ evecs)))

@@ -13,7 +13,7 @@ import pytest
 import critgyro as cg
 from critgyro.curves import curve_diagnostics
 from critgyro.estimate import ProtocolConfig, run_ensemble, run_protocol
-from critgyro.melem import canonical_quad, integral_i1, integral_i2
+from critgyro.melem import integral_i1, integral_i2
 from critgyro.observables import (
     adiabatic_time,
     crossing_offset,
@@ -87,8 +87,6 @@ def test_criterion_1_integrals_match_gamma_oracle(system6):
             worst = max(worst, abs(quad - exact) / max(abs(exact), 1e-12))
             checked += 1
     for key in cache.u_raw:
-        if canonical_quad(*key) != key:
-            continue
         quad_modes = [modes[t] for t in key]
         quad = integral_i2(*quad_modes)
         exact = oracle_i2(*quad_modes)

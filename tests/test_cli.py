@@ -202,6 +202,40 @@ def test_offset_command(tmp_path, catalog_file):
     )
 
 
+def _details(primary_output):
+    return json.loads(Path(f"{primary_output}.manifest.json").read_text())["details"]
+
+
+def test_curve_manifest_records_what_replays_the_run(tmp_path):
+    out = tmp_path / "curve.csv"
+    assert main(["curve", "--n", "3", "--l-max", "6", "--g", "0.6", "--A", "0.03",
+                 "--grid", "0.85:0.95:3", "--out", str(out)]) == 0
+    assert _details(out) == {"pairs": [[0.6, 0.03]], "n": 3, "n_ll": 2, "l_max": 6,
+                             "grid": [0.85, 0.95, 3]}
+
+
+def test_catalog_manifest_records_what_replays_the_run(tmp_path):
+    out = tmp_path / "cat.json"
+    assert main(["catalog", "--pairs", "0.5:0.04", "--out", str(out)]) == 0
+    details = _details(out)
+    assert details == {"pairs": [[0.5, 0.04]], "n": 6, "n_ll": 2, "l_max": 8, "grid": None}
+    solver = json.loads(out.read_text())["provenance"]["solver"]
+    assert [solver[key] for key in ("n_particles", "n_ll", "l_max")] == \
+        [details[key] for key in ("n", "n_ll", "l_max")]
+
+
+def test_offset_manifest_records_what_replays_the_run(tmp_path, catalog_file):
+    out = tmp_path / "offset.csv"
+    assert main(["offset", "--catalog", catalog_file, "--offsets=-0.1:0:6",
+                 "--prior-lo", "0.88", "--prior-hi", "0.92", "--gap-points", "61",
+                 "--out", str(out)]) == 0
+    assert _details(out) == {
+        "g": 0.5, "A": 0.04, "eps": 0.1, "omega_perp_hz": 200.0,
+        "catalog": catalog_file, "n": 6, "n_ll": 2, "l_max": 8,
+        "offsets": [-0.1, 0.0, 6], "prior_lo": 0.88, "prior_hi": 0.92, "gap_points": 61,
+    }
+
+
 def test_offset_requires_known_pair(tmp_path, catalog_file):
     code = main([
         "offset", "--catalog", catalog_file, "--g", "0.9", "--A", "0.5",

@@ -452,3 +452,14 @@ def test_curves_and_gap_profile_share_one_operator_build(monkeypatch):
     gap_profile(basis, cache, 0.5, 0.04, curve.omega, center=curve.center)
     assert len(builds) == 1
     assert len(index_builds) == 1
+
+
+@pytest.mark.parametrize("pair", [(0.5, 0.04), (0.6, 0.025)])
+def test_gap_profile_and_diagnostics_share_one_sweep_rule(system6, catalog_default, pair):
+    """On a catalog curve's own grid, the gap profile and the curve
+    diagnostics read the same sector sweep: the same gap, bit for bit."""
+    basis, cache = system6
+    curve = catalog_default.find(*pair)
+    diag = curve_diagnostics(basis, cache, curve)
+    profile = gap_profile(basis, cache, *pair, curve.omega, center=curve.center)
+    assert np.array_equal(profile.gap, diag.gap)

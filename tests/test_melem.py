@@ -6,7 +6,6 @@ from critgyro.errors import ParameterError
 from critgyro.fock import Mode, enumerate_basis, enumerate_modes
 from critgyro.melem import (
     ElementCache,
-    canonical_quad,
     integral_i1,
     integral_i2,
     u_element,
@@ -135,26 +134,38 @@ def test_quadrature_matches_oracle_over_small_mode_set():
             )
 
 
+def _images(a, b, c, d):
+    """The index quadruple under the two-body symmetries: swaps within the
+    creation pair, within the annihilation pair, and of the two pairs."""
+    return {(a, b, c, d), (b, a, c, d), (a, b, d, c), (b, a, d, c),
+            (c, d, a, b), (d, c, a, b), (c, d, b, a), (d, c, b, a)}
+
+
 def test_cache_matches_free_functions():
     modes = enumerate_modes(2, 3)
     cache = ElementCache.build(modes)
     for i, k1 in enumerate(modes):
         for j, k2 in enumerate(modes):
-            assert cache.v_of(i, j, 0.05) == pytest.approx(
+            assert cache.v_raw[i, j] * 0.05 == pytest.approx(
                 v_element(k1, k2, 0.05), rel=1e-12, abs=1e-15
             )
-    rng = np.random.default_rng(11)
-    hits = 0
-    while hits < 30:
-        a, b, c, d = rng.integers(0, len(modes), 4)
-        if modes[a].m + modes[b].m != modes[c].m + modes[d].m:
-            assert cache.u_of(a, b, c, d, 0.5) == 0.0
-            continue
-        hits += 1
-        assert cache.u_of(a, b, c, d, 0.5) == pytest.approx(
-            u_element(modes[a], modes[b], modes[c], modes[d], 0.5),
-            rel=1e-12, abs=1e-15,
-        )
+    covered = set()
+    for key, raw in cache.u_raw.items():
+        for a, b, c, d in _images(*key):
+            assert raw * 0.5 == pytest.approx(
+                u_element(modes[a], modes[b], modes[c], modes[d], 0.5),
+                rel=1e-12, abs=1e-15,
+            )
+        covered |= _images(*key)
+    # every quadruple that conserves m is an image of a stored key, and
+    # every other one has a vanishing element
+    nm = len(modes)
+    for quad in np.ndindex(nm, nm, nm, nm):
+        a, b, c, d = (modes[t] for t in quad)
+        conserving = a.m + b.m == c.m + d.m
+        assert (quad in covered) == conserving
+        if not conserving:
+            assert u_element(a, b, c, d, 0.5) == 0.0
 
 
 def test_cache_equals_free_functions_exactly_on_production_modes():
@@ -162,29 +173,25 @@ def test_cache_equals_free_functions_exactly_on_production_modes():
     cache = ElementCache.build(modes)
     for i, k1 in enumerate(modes):
         for j, k2 in enumerate(modes):
-            assert cache.v_of(i, j, 0.04) == v_element(k1, k2, 0.04)
+            assert cache.v_raw[i, j] * 0.04 == v_element(k1, k2, 0.04)
     assert len(cache.u_raw) == 1330
-    for key in cache.u_raw:
-        assert canonical_quad(*key) == key
+    for key, raw in cache.u_raw.items():
+        a, b, c, d = key
+        assert a <= b and c <= d and (a, b) <= (c, d)
         quad = [modes[t] for t in key]
-        assert cache.u_of(*key, 0.5) == u_element(*quad, 0.5)
-        assert cache.u_of(*key[::-1], 0.5) == u_element(*quad[::-1], 0.5)
+        assert raw * 0.5 == u_element(*quad, 0.5)
+        assert raw * 0.5 == u_element(*quad[::-1], 0.5)
 
 
 def test_cache_is_parameter_free():
     modes = enumerate_modes(2, 3)
     cache = ElementCache.build(modes)
     i, j = modes.index(Mode(0, 0)), modes.index(Mode(0, 2))
-    assert cache.v_of(i, j, 0.08) == pytest.approx(2 * cache.v_of(i, j, 0.04))
-    assert cache.u_of(0, 0, 0, 0, 1.0) == pytest.approx(2 * cache.u_of(0, 0, 0, 0, 0.5))
-
-
-def test_canonical_quad_is_invariant():
-    images = [
-        (1, 2, 3, 4), (2, 1, 3, 4), (1, 2, 4, 3), (2, 1, 4, 3),
-        (3, 4, 1, 2), (4, 3, 1, 2), (3, 4, 2, 1), (4, 3, 2, 1),
-    ]
-    assert len({canonical_quad(*img) for img in images}) == 1
+    ground = (i, i, i, i)
+    for anisotropy in (0.04, 0.08):
+        assert cache.v_raw[i, j] * anisotropy == v_element(modes[i], modes[j], anisotropy)
+    for g in (0.5, 1.0):
+        assert cache.u_raw[ground] * g == u_element(*(modes[t] for t in ground), g)
 
 
 def test_cache_dump(tmp_path):
@@ -194,5 +201,15 @@ def test_cache_dump(tmp_path):
     cache.dump_csv(path)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "kind,i,j,k,l,raw"
-    assert any(line.startswith("V,") for line in lines[1:])
-    assert any(line.startswith("U,") for line in lines[1:])
+    v_dumped, u_dumped = {}, {}
+    for line in lines[1:]:
+        kind, *index, raw = line.split(",")
+        if kind == "V":
+            v_dumped[int(index[0]), int(index[1])] = float(raw)
+        else:
+            assert kind == "U"
+            u_dumped[tuple(map(int, index))] = float(raw)
+    # every raw field parses as a number and round-trips bit for bit
+    assert v_dumped and u_dumped
+    assert v_dumped == {(i, j): cache.v_raw[i, j] for i, j in zip(*np.nonzero(cache.v_raw))}
+    assert u_dumped == cache.u_raw

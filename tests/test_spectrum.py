@@ -157,7 +157,7 @@ def test_gap_positive_with_anisotropy():
     cache = ElementCache.build(basis.modes)
     ham0 = System(basis, cache).operators.hamiltonian(0.5, 0.03, 0.0)
     omegas = np.linspace(0.8, 1.0, 41)
-    sweep = sweep_lowest(ham0.toarray(), basis.L.astype(float), omegas, k=2)
+    sweep = sweep_lowest(ham0.toarray(), basis.L.astype(float), omegas)
     gap = sweep.energies[:, 1] - sweep.energies[:, 0]
     assert (gap > 0).all()
 
@@ -191,7 +191,7 @@ def test_sector_sweep_reproduces_full_space_p0():
 @pytest.mark.parametrize("g,a", [(0.6, 0.025), (0.5, 0.012)])
 def test_lost_branch_resolves_like_the_full_spectrum(system6, monkeypatch, g, a):
     """On the curve pre-scan of these pairs the ground state loses the
-    followed branch; the k-window rule keeps the branch a full-spectrum
+    followed branch; the BRANCH_WINDOW rule keeps the branch a full-spectrum
     resolution picks, with fewer full-spectrum solves."""
     basis, cache = system6
     rows = np.flatnonzero(basis.L % 2 == 0)
@@ -244,7 +244,7 @@ def _diagonals(h0, l_diag, omegas):
 
 @pytest.mark.parametrize("case", ["0.6:0.025", "0.5:0.012", "exact crossing"])
 def test_sweep_widens_only_where_the_follow_rule_needs(system6, monkeypatch, case):
-    """Each point solves two pairs; the k-window is solved exactly where
+    """Each point solves two pairs; the BRANCH_WINDOW is solved exactly where
     E1 - E0 ties or the ground state holds less than FOLLOW_FLOOR of the
     followed state, and the followed branch is the full-spectrum one."""
     if case == "exact crossing":
@@ -383,9 +383,9 @@ def test_a_failed_solve_propagates_from_the_sweep(monkeypatch, workers):
 
 
 def test_one_state_sweep_runs_on_the_pool(monkeypatch):
-    h0, l_diag = np.diag([3.0, 1.0, 2.0]), np.array([0.0, 1.0, 2.0])
+    h0, l_diag = np.array([[3.0]]), np.array([1.0])
     omegas = np.linspace(0.0, 0.5, 9)
-    serial, threaded = (_on_workers(monkeypatch, workers, h0, l_diag, omegas, k=1)
+    serial, threaded = (_on_workers(monkeypatch, workers, h0, l_diag, omegas)
                         for workers in (1, 2))
     assert threaded.energies.shape == (9, 1)
     assert np.array_equal(threaded.vec0, threaded.vec1)
