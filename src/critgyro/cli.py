@@ -36,6 +36,8 @@ from ._backend import active_backend
 from ._svg import line_chart
 from .curves import (
     DEFAULT_CATALOG_PAIRS,
+    CurveCatalog,
+    ResonanceCurve,
     catalog_build,
     catalog_load,
     catalog_save,
@@ -245,7 +247,8 @@ def _ensemble_health(ens) -> dict:
     """Numerical health of one ensemble, for the run manifest."""
     return {"max_dropped_mass": ens.max_dropped_mass,
             "n_aborted": ens.n_aborted,
-            "abort_indices": list(ens.abort_indices)}
+            "abort_indices": list(ens.abort_indices),
+            "workers": ens.workers}
 
 
 def cmd_estimate(args) -> int:
@@ -478,6 +481,22 @@ def cmd_selftest(args) -> int:
                    all(np.array_equal(getattr(sweeps[0], name), getattr(sweeps[1], name))
                        for name in ("energies", "vec0", "vec1", "followed",
                                     "followed_rank"))))
+    # the ensemble's worker processes give the bits of a serial ensemble
+    omega = np.linspace(0.8, 1.0, 401)
+    catalog = CurveCatalog(curves=tuple(
+        ResonanceCurve.from_values(0.5, a, omega, 1 / (1 + np.exp((omega - 0.9) / tau)))
+        for a, tau in ((0.01, 0.01), (0.02, 0.002))))
+    config = ProtocolConfig(seed=7, n_measurements=50, schedule=(20,),
+                            initial_g=0.5, initial_anisotropy=0.01)
+    ensembles = []
+    for workers in (1, 2):
+        with mock.patch.object(spectrum, "_workers", return_value=workers):
+            ensembles.append(run_ensemble(config, catalog, n_trajectories=5))
+    checks.append(("ensemble on 2 workers equals 1 worker",
+                   all(np.array_equal(getattr(ensembles[0], name),
+                                      getattr(ensembles[1], name))
+                       for name in ("sigma", "seeds", "n_aborted", "abort_indices",
+                                    "max_dropped_mass"))))
     ok = all(passed for _, passed in checks)
     for name, passed in checks:
         print(f"[{'ok' if passed else 'FAIL'}] {name}")

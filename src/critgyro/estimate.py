@@ -7,6 +7,20 @@ arrays: per-measurement sigma, outcome and applied shift, the stage
 parameters, and the final `Posterior`. `run_ensemble` repeats it from
 split seeds and keeps the sigma traces.
 
+Ensembles run on every CPU, with the bits of a serial run. Trajectory
+`index` draws from `trajectory_rng(master, index)` alone, so `run_ensemble`
+forks a process pool with one worker per CPU the process may use
+(`spectrum._workers`, which also sizes the sweep pool), never more workers
+than trajectories. Worker w runs indices w, w + W, w + 2W, ... through the
+unchanged `run_protocol`, on one BLAS thread, and the parent reassembles
+rows, seeds, aborts and dropped mass in index order: the `EnsembleResult`
+is the serial one bit for bit, whatever W. The config and catalog reach the
+workers through the fork, not through pickling. There is no pool for one
+CPU or one trajectory, where `fork` is not a start method, or while another
+thread is alive in the process (a fork copies no thread, and a lock one
+held would stay locked in the child); those ensembles run serially. The
+pool was measured on 2 CPUs only.
+
 A trajectory draws Bernoulli outcomes from the likelihood curve at the
 true rotation (plus the recentering shift), multiplies the posterior by
 P(0|Omega+delta) or its complement, and renormalizes. The shift delta is
@@ -31,11 +45,12 @@ at 1e-30 they stay within 7e-14 (the `_kernels` docstring has the details).
 import math
 import numbers
 import os
+import threading
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import _kernels
+from . import _kernels, spectrum
 from .curves import CurveCatalog, ResonanceCurve, lookup_by_width
 from .errors import DegenerateUpdateError, ParameterError
 
@@ -299,6 +314,7 @@ class EnsembleResult:
     n_aborted: int
     abort_indices: list
     max_dropped_mass: float    # largest dropped_mass of a completed row
+    workers: int = 1           # processes that ran the trajectories
 
     def median_sigma(self, mu: int | None = None):
         """Ensemble median sigma at measurement count mu in [1, n_measurements]
@@ -316,31 +332,91 @@ def trajectory_rng(master_seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(index,)))
 
 
+def _run_slice(config, catalog, seed, indices) -> list:
+    """(index, sigma trace or None, abort measurement index or None, dropped
+    mass) of each trajectory in `indices`; a degenerate one aborts."""
+    done = []
+    for index in indices:
+        try:
+            res = run_protocol(config, catalog, rng=trajectory_rng(seed, index))
+        except DegenerateUpdateError as exc:
+            done.append((index, None, exc.measurement_index, 0.0))
+        else:
+            done.append((index, res.sigma_trace, None, res.dropped_mass))
+    return done
+
+
+_inherited = None  # (config, catalog, seed); set by the pool initializer, in workers only
+
+
+def _inherit(config, catalog, seed) -> None:
+    global _inherited
+    _inherited = (config, catalog, seed)
+
+
+def _forked_slice(indices) -> list:
+    return _run_slice(*_inherited, indices)
+
+
+def _ensemble_workers(n_traj: int) -> int:
+    """Processes an ensemble of n_traj trajectories runs on (module docstring)."""
+    workers = min(spectrum._workers(), n_traj)
+    if workers < 2 or threading.active_count() > 1:
+        return 1
+    import multiprocessing  # only where a pool may run: CLI start-up skips it
+
+    return workers if "fork" in multiprocessing.get_all_start_methods() else 1
+
+
+def _run_forked(config, catalog, seed, n_traj: int, workers: int) -> list:
+    """`_run_slice` of every index, worker w taking w, w + workers, ...; the
+    pool is joined on every exit, and a worker's error propagates as is."""
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    for curve in catalog.curves:
+        # cached curve constants: computed once here, inherited by every worker
+        curve.uniform_grid, curve._center_offset
+    slices = [range(w, n_traj, workers) for w in range(workers)]
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                             initializer=_inherit,
+                             initargs=(config, catalog, seed)) as pool:
+        return [row for part in pool.map(_forked_slice, slices) for row in part]
+
+
 def run_ensemble(config: ProtocolConfig, catalog: CurveCatalog,
                  n_trajectories: int | None = None,
                  master_seed: int | None = None) -> EnsembleResult:
     """Independent trajectories from a split master seed.
 
-    Degenerate trajectories abort and are counted, not retried.
+    Degenerate trajectories abort and are counted, not retried. The
+    trajectories run on a fork-context process pool of `workers` processes
+    (one per CPU, at most one per trajectory; the module docstring says when
+    there is none), each on one BLAS thread. The parent puts rows, seeds,
+    abort indices and the dropped mass back in trajectory order, so the
+    result equals a serial run's bit for bit. Any other error of a
+    trajectory propagates with its own type, and no worker process or pool
+    thread outlives the call.
     """
     n_traj = config.n_trajectories if n_trajectories is None else n_trajectories
     if n_traj < 1:
         raise ParameterError(f"n_trajectories must be >= 1, got {n_traj}")
     seed = resolve_seed(config.seed if master_seed is None else master_seed)
+    workers = _ensemble_workers(n_traj)
+    with spectrum._one_blas_thread():  # the workers inherit it through the fork
+        done = (_run_slice(config, catalog, seed, range(n_traj)) if workers < 2
+                else _run_forked(config, catalog, seed, n_traj, workers))
     rows = []
     seeds = []
     aborted = []
     max_dropped = 0.0
-    for index in range(n_traj):
-        rng = trajectory_rng(seed, index)
-        try:
-            res = run_protocol(config, catalog, rng=rng)
-        except DegenerateUpdateError as exc:
-            aborted.append(exc.measurement_index)
+    for index, sigma_trace, abort_index, dropped in sorted(done, key=lambda row: row[0]):
+        if sigma_trace is None:
+            aborted.append(abort_index)
             continue
-        rows.append(res.sigma_trace)
+        rows.append(sigma_trace)
         seeds.append((seed, index))
-        max_dropped = max(max_dropped, res.dropped_mass)
+        max_dropped = max(max_dropped, dropped)
     if not rows:
         raise DegenerateUpdateError(
             "every trajectory in the ensemble aborted", measurement_index=None
@@ -351,6 +427,7 @@ def run_ensemble(config: ProtocolConfig, catalog: CurveCatalog,
         n_aborted=len(aborted),
         abort_indices=aborted,
         max_dropped_mass=max_dropped,
+        workers=workers,
     )
 
 

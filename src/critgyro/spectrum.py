@@ -219,7 +219,8 @@ def _one_blas_thread():
 
 
 def _workers() -> int:
-    """Solver threads of a sweep: one per CPU this process may use."""
+    """Solver threads of a sweep, and worker processes of an ensemble
+    (`estimate.run_ensemble`): one per CPU this process may use."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity query on this platform

@@ -24,7 +24,8 @@ def system6():
 
 @pytest.fixture(scope="session")
 def catalog_default(system6) -> CurveCatalog:
-    """The standard curve catalog; computed once per session (~2 min)."""
+    """The standard curve catalog; computed once per session (3.5-8.5 s on
+    a 2-CPU machine)."""
     basis, cache = system6
     return catalog_build(basis, cache, DEFAULT_CATALOG_PAIRS)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -10,6 +11,7 @@ import pytest
 
 import critgyro
 import critgyro.cli as cli
+import critgyro.estimate as estimate
 import critgyro.spectrum as spectrum
 from critgyro.cli import main
 from critgyro.curves import catalog_save
@@ -269,18 +271,20 @@ def test_selftest_fails_when_the_solver_drifts_from_scipy_eigh(monkeypatch):
 
 
 def test_import_leaves_sparse_linalg_unloaded():
+    """Nor the process-pool modules: run_ensemble imports them when it forks."""
     code = (
         "import importlib, pkgutil, sys\n"
         "import critgyro\n"
         "for mod in pkgutil.iter_modules(critgyro.__path__):\n"
         "    importlib.import_module('critgyro.' + mod.name)\n"
         "assert 'critgyro.cli' in sys.modules\n"
-        "print('scipy.sparse.linalg' in sys.modules)\n"
+        "print([name in sys.modules for name in ('scipy.sparse.linalg', "
+        "'multiprocessing', 'concurrent.futures.process')])\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(critgyro.__file__).parents[1]))
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+    assert out.strip() == "[False, False, False]"
 
 
 def test_stale_catalog_reports_numerical_failure(tmp_path):
@@ -372,6 +376,7 @@ def test_manifest_records_ensemble_health(tmp_path, catalog_file):
         assert 0.0 < health["max_dropped_mass"] <= 2001 * 1e-30
         assert health["n_aborted"] == 0
         assert health["abort_indices"] == []
+        assert health["workers"] == min(len(os.sched_getaffinity(0)), 4)
 
 
 def test_selftest_fails_when_solver_threads_drift(monkeypatch):
@@ -384,6 +389,20 @@ def test_selftest_fails_when_solver_threads_drift(monkeypatch):
         return energies, vectors
 
     monkeypatch.setattr(spectrum, "_eigh", drifting)
+    assert main(["selftest"]) == 4
+
+
+def test_selftest_fails_when_ensemble_workers_drift(monkeypatch):
+    parent = os.getpid()
+    real = estimate.run_protocol
+
+    def drifting(config, catalog, rng=None):
+        res = real(config, catalog, rng=rng)
+        if os.getpid() != parent:
+            res = dataclasses.replace(res, sigma_trace=res.sigma_trace * (1 + 1e-15))
+        return res
+
+    monkeypatch.setattr(estimate, "run_protocol", drifting)
     assert main(["selftest"]) == 4
 
 

@@ -1,3 +1,6 @@
+import multiprocessing
+import threading
+
 import numpy as np
 import pytest
 
@@ -5,9 +8,10 @@ import critgyro._kernels as kernels
 import critgyro.cli as cli
 import critgyro.curves as curves
 import critgyro.estimate as estimate
+import critgyro.spectrum as spectrum
 from conftest import make_logistic_curve
 from critgyro.curves import CurveCatalog, ResonanceCurve, lookup_by_width
-from critgyro.errors import DegenerateUpdateError, ParameterError
+from critgyro.errors import DegenerateUpdateError, ParameterError, RangeError
 from critgyro.estimate import (
     Posterior,
     ProtocolConfig,
@@ -355,23 +359,101 @@ def test_non_integer_seed_env_is_a_parameter_error(monkeypatch):
         run_protocol(cfg, synthetic_catalog())
 
 
+def _trajectory_index(rng) -> int:
+    """Index of the trajectory an ensemble made `rng` for (`trajectory_rng`)."""
+    return rng.bit_generator.seed_seq.spawn_key[0]
+
+
+def _aborting_every_third(real):
+    """run_protocol, except that trajectories 2, 5, 8, ... abort; keyed by
+    the trajectory index, so the same ones abort in every worker process."""
+    def flaky(config, catalog, rng=None):
+        index = _trajectory_index(rng)
+        if index % 3 == 2:
+            raise DegenerateUpdateError("boom", measurement_index=index + 1)
+        return real(config, catalog, rng=rng)
+    return flaky
+
+
 def test_ensemble_counts_aborts(monkeypatch):
     cat = synthetic_catalog()
     cfg = ProtocolConfig(seed=31, n_measurements=10,
                          initial_g=0.5, initial_anisotropy=0.01)
-    calls = {"n": 0}
-    real = estimate.run_protocol
-
-    def flaky(config, catalog, rng=None):
-        calls["n"] += 1
-        if calls["n"] % 3 == 0:
-            raise DegenerateUpdateError("boom", measurement_index=calls["n"])
-        return real(config, catalog, rng=rng)
-
-    monkeypatch.setattr(estimate, "run_protocol", flaky)
+    monkeypatch.setattr(estimate, "run_protocol", _aborting_every_third(estimate.run_protocol))
     ens = run_ensemble(cfg, cat, n_trajectories=9)
     assert ens.n_aborted == 3
     assert ens.sigma.shape[0] == 6
+    assert ens.abort_indices == [3, 6, 9]
+    assert ens.seeds == [(31, i) for i in (0, 1, 3, 4, 6, 7)]
+
+
+def _ensembles_on(workers, monkeypatch, cfg, cat, n_trajectories):
+    """The ensemble run with `_workers` patched to each count in `workers`."""
+    out = []
+    for count in workers:
+        monkeypatch.setattr(spectrum, "_workers", lambda count=count: count)
+        ens = run_ensemble(cfg, cat, n_trajectories=n_trajectories)
+        assert ens.workers == min(count, n_trajectories)
+        out.append(ens)
+    return out
+
+
+def _assert_same_bits(a, b):
+    assert np.array_equal(a.sigma, b.sigma)
+    assert np.array_equal(a.seeds, b.seeds)
+    assert np.array_equal(a.n_aborted, b.n_aborted)
+    assert np.array_equal(a.abort_indices, b.abort_indices)
+    assert np.array_equal(a.max_dropped_mass, b.max_dropped_mass)
+
+
+@pytest.mark.parametrize("n_trajectories,schedule", [(9, ()), (7, ()), (8, (12, 32))])
+def test_ensemble_on_two_workers_equals_one(n_trajectories, schedule, monkeypatch):
+    """7 is not a multiple of the worker count; (12, 32) retunes twice."""
+    cfg = ProtocolConfig(seed=31, n_measurements=300, schedule=schedule,
+                         initial_g=0.5, initial_anisotropy=0.01)
+    serial, pooled = _ensembles_on((1, 2), monkeypatch, cfg, synthetic_catalog(),
+                                   n_trajectories)
+    _assert_same_bits(serial, pooled)
+    assert serial.max_dropped_mass > 0.0
+
+
+def test_ensemble_with_aborts_on_two_workers_equals_one(monkeypatch):
+    cfg = ProtocolConfig(seed=31, n_measurements=60,
+                         initial_g=0.5, initial_anisotropy=0.01)
+    monkeypatch.setattr(estimate, "run_protocol", _aborting_every_third(estimate.run_protocol))
+    serial, pooled = _ensembles_on((1, 2), monkeypatch, cfg, synthetic_catalog(), 8)
+    _assert_same_bits(serial, pooled)
+    assert pooled.abort_indices == [3, 6]
+
+
+def test_ensemble_pool_leaves_no_process_or_thread(monkeypatch):
+    threads = threading.active_count()
+    cfg = ProtocolConfig(seed=31, n_measurements=20,
+                         initial_g=0.5, initial_anisotropy=0.01)
+    monkeypatch.setattr(spectrum, "_workers", lambda: 2)
+    assert run_ensemble(cfg, synthetic_catalog(), n_trajectories=5).workers == 2
+    assert multiprocessing.active_children() == []
+    assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("error", [ParameterError, RangeError])
+def test_worker_error_reaches_the_caller_with_its_type(error, monkeypatch):
+    threads = threading.active_count()
+    real = estimate.run_protocol
+
+    def fails_at_three(config, catalog, rng=None):
+        if _trajectory_index(rng) == 3:
+            raise error("trajectory 3 failed")
+        return real(config, catalog, rng=rng)
+
+    monkeypatch.setattr(estimate, "run_protocol", fails_at_three)
+    monkeypatch.setattr(spectrum, "_workers", lambda: 2)
+    cfg = ProtocolConfig(seed=31, n_measurements=20,
+                         initial_g=0.5, initial_anisotropy=0.01)
+    with pytest.raises(error, match="trajectory 3 failed"):
+        run_ensemble(cfg, synthetic_catalog(), n_trajectories=6)
+    assert multiprocessing.active_children() == []
+    assert threading.active_count() == threads
 
 
 @pytest.mark.parametrize("n_trajectories", [0, -1])
