@@ -8,13 +8,16 @@ resolved, and each `lo:hi:n` grid as [lo, hi, n] (`null` when
 auto-located). Exit codes:
 0 success, 2 usage (including a ParameterError or InputError from the
 package), 3 numerical failure (any other package error), 4 self-check or
-preset mismatch. `estimate` exits 2 and writes no output file when its
-`--config` file cannot be read, is not a JSON object, or breaks the schema
-in `estimate.ProtocolConfig` (an unknown key, a wrong type, a value out of
-range), when the seed (config or CRITGYRO_SEED) is negative, and when the
-catalog lacks the initial (g, A) pair. `offset` also exits 2, before any
-sweep, on a non-finite or non-positive `--eps`, when an offset puts the
-ramp's end outside its fixed range [center - 0.25, center + 0.02],
+preset mismatch. A sweep that meets a degenerate point (its two lowest
+sector energies tie, as in the non-interacting lowest Landau level at
+Omega = 1) exits 2 and writes no output file. `estimate` exits 2 and
+writes no output file on `--trajectories` without `--preset fig4` or
+`array`, the presets it sizes, when its `--config` file cannot be read,
+is not a JSON object, or breaks the schema in `estimate.ProtocolConfig`
+(an unknown key, a wrong type, a value out of range), when the seed (config or CRITGYRO_SEED) is negative, and
+when the catalog lacks the initial (g, A) pair. `offset` also exits 2,
+before any sweep, on a non-finite or non-positive `--eps`, when an offset
+puts the ramp's end outside its fixed range [center - 0.25, center + 0.02],
 and when the catalog's provenance does not record the system it would
 sweep: `solver.n_particles`, `n_ll` and `l_max` must equal `--n`, `--n-ll`
 and `--l-max` (default n + 2).
@@ -244,8 +247,9 @@ def _write_trajectory(path, result):
 
 
 def _ensemble_health(ens) -> dict:
-    """Numerical health of one ensemble, for the run manifest."""
-    return {"max_dropped_mass": ens.max_dropped_mass,
+    """Size and numerical health of one ensemble, for the run manifest."""
+    return {"n_trajectories": len(ens.seeds) + ens.n_aborted,
+            "max_dropped_mass": ens.max_dropped_mass,
             "n_aborted": ens.n_aborted,
             "abort_indices": list(ens.abort_indices),
             "workers": ens.workers}
@@ -277,6 +281,7 @@ def cmd_estimate(args) -> int:
                "seed_source": SEED_ENV if os.environ.get(SEED_ENV) else "config"}
     ensembles = {}
     status = EXIT_OK
+    preset_trajectories = args.trajectories or 200
 
     if args.preset == "fig3":
         cfg = replace(config, schedule=(), n_measurements=100)
@@ -284,7 +289,8 @@ def cmd_estimate(args) -> int:
         _write_trajectory(out("trajectory.csv"), result)
         outputs.append(out("trajectory.csv"))
         for mu in (1, 10, 100):
-            snap = run_protocol(replace(cfg, n_measurements=mu), catalog)
+            # the mu = 100 snapshot is `result`: the same config and seed
+            snap = result if mu == 100 else run_protocol(replace(cfg, n_measurements=mu), catalog)
             path = out(f"posterior_mu{mu}.csv")
             _write_csv(path, ("omega", "mass"),
                        zip(snap.posterior.omega, snap.posterior.mass))
@@ -298,7 +304,7 @@ def cmd_estimate(args) -> int:
         medians = {}
         for name, schedule in _FIG4_VARIANTS:
             cfg = replace(config, schedule=schedule, n_measurements=100)
-            ens = run_ensemble(cfg, catalog, n_trajectories=args.trajectories)
+            ens = run_ensemble(cfg, catalog, n_trajectories=preset_trajectories)
             ensembles[name] = _ensemble_health(ens)
             med = ens.median_sigma()
             medians[name] = med
@@ -318,7 +324,7 @@ def cmd_estimate(args) -> int:
               f"improvement x{factor:.1f}")
     elif args.preset == "array":
         cfg = replace(config, schedule=(200,), batch_size=200, n_measurements=400)
-        ens = run_ensemble(cfg, catalog, n_trajectories=args.trajectories)
+        ens = run_ensemble(cfg, catalog, n_trajectories=preset_trajectories)
         ensembles["array"] = _ensemble_health(ens)
         med = ens.median_sigma()
         _write_csv(out("sigma_vs_mu.csv"), ("mu", "sigma"),
@@ -546,8 +552,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="JSON protocol config")
     p.add_argument("--catalog")
     p.add_argument("--preset", choices=("fig3", "fig4", "array"))
-    p.add_argument("--trajectories", type=_positive_int, default=200,
-                   help="ensemble size for presets")
+    p.add_argument("--trajectories", type=_positive_int,
+                   help="ensemble size of the fig4 and array presets (default 200)")
     p.add_argument("--out-dir", default="estimate_out", dest="out_dir")
     p.set_defaults(func=cmd_estimate)
 
@@ -582,6 +588,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "trajectories", None) is not None and args.preset not in ("fig4", "array"):
+        parser.error("--trajectories sizes the fig4 and array ensembles; a run without "
+                     "a preset takes its size from the config's n_trajectories")
     try:
         return args.func(args)
     except (ParameterError, InputError) as exc:

@@ -6,30 +6,21 @@ pre-scan of PRESCAN_POINTS points over PRESCAN_RANGE brackets the 0.9/0.1
 crossings, stopping at the first point after both first crossings, then a
 refined uniform grid of REFINED_POINTS spans the transition with generous
 padding so that the flat extension outside the grid only ever sees plateau
-values. Sweeps run in the sector of the basis's `hamiltonian.System`: the
-L-parity sector of the condensate (0,0)^N, the only states the followed
-state couples to.
+values. Sweeps run in the L-parity sector of the condensate (0,0)^N, the
+only states the followed state couples to.
 
-The System keeps the last curve sweep: the followed states and the two
-lowest sector energies at each point, keyed by g, A and the exact values
-of the points swept (a pre-scan that stopped early holds only its prefix
-of the grid). Every curve sweep drops it before it starts and replaces it
-when done, and `System.of` keeps one System, so one sweep is kept at most
-and never sits beside a sweep in progress. Only `curve_diagnostics` reads
-it: on a match it skips its own sweep, so diagnostics of the curve just
-computed cost no second sweep. `locate_grid`, `compute_curve` and
-`catalog_build` always sweep.
+`hamiltonian.System.sweep` runs and keeps every sweep, so the diagnostics
+of the curve just computed cost no second sweep.
 """
 
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import __version__ as _code_version
-from . import spectrum
 from .errors import ParameterError, RangeError, StaleCatalogError
 from .fock import FockBasis
 from .hamiltonian import System
@@ -138,32 +129,10 @@ class CurveDiagnostics:
     spdm_trace: np.ndarray
 
 
-class _Sweep(NamedTuple):
-    """A condensate-sector sweep and its key (g, anisotropy, omegas)."""
-
-    g: float
-    anisotropy: float
-    omegas: np.ndarray
-    followed: np.ndarray   # (n, dim) followed state per grid point, full basis
-    energies: np.ndarray   # (n, 2) two lowest sector energies
-
-
-def _sweep_p0(system: System, g, anisotropy, omegas, stop=None):
-    """Sweep of the condensate's L-parity sector and p0 of its followed
-    state; the sweep becomes the System's last sweep. `stop`, when given,
-    sees p0 after each point and ends the sweep once it returns True."""
-    system.last_sweep = None  # freed before the new sweep allocates its arrays
-    omegas = np.array(omegas, dtype=float)  # a copy: the key outlives the caller's array
-    basis = system.basis
-    sweep = spectrum.sweep_lowest(
-        system.sector_h0(g, anisotropy), system.sector_l, omegas,
-        anchor_index=system.sector_anchor,
-        stop=None if stop is None else lambda state: stop(p_zero(system.lift(state), basis)))
-    followed = system.lift(sweep.followed)
-    # keyed by the points swept: a pre-scan that stopped early matches no grid
-    system.last_sweep = entry = _Sweep(g, anisotropy, sweep.omegas, followed,
-                                       sweep.energies)
-    return entry, p_zero(followed, basis)
+def _sweep_p0(system: System, g, anisotropy, omegas, stop=None) -> np.ndarray:
+    """p0 of each followed state of `system.sweep(g, anisotropy, omegas, stop)`."""
+    sweep = system.sweep(g, anisotropy, omegas, stop)
+    return p_zero(system.lift(sweep.followed), system.basis)
 
 
 def _transition_grid(basis: FockBasis, cache: ElementCache, g: float,
@@ -178,14 +147,15 @@ def _transition_grid(basis: FockBasis, cache: ElementCache, g: float,
     coarse = np.linspace(*PRESCAN_RANGE, PRESCAN_POINTS)
     pending, last = {0.9, 0.1}, -np.inf
 
-    def bracketed(p: float) -> bool:
-        # drop each threshold whose first downward crossing p brackets
+    def bracketed(state: np.ndarray) -> bool:
+        # drop each threshold whose first downward crossing p0 brackets
         nonlocal pending, last
+        p = p_zero(state, basis)
         pending = {t for t in pending if not last >= t > p}
         last = p
         return not pending
 
-    _, pc = _sweep_p0(System.of(basis, cache), g, anisotropy, coarse, stop=bracketed)
+    pc = _sweep_p0(System.of(basis, cache), g, anisotropy, coarse, stop=bracketed)
     step = coarse[1] - coarse[0]
     rel_hi = crossing_offset(coarse[:len(pc)], pc, 0.9)
     rel_lo = crossing_offset(coarse[:len(pc)], pc, 0.1)
@@ -212,7 +182,7 @@ def compute_curve(basis: FockBasis, cache: ElementCache, g: float,
     if grid is None:
         grid = locate_grid(basis, cache, g, anisotropy)
     grid = np.asarray(grid, dtype=float)
-    _, pvals = _sweep_p0(System.of(basis, cache), g, anisotropy, grid)
+    pvals = _sweep_p0(System.of(basis, cache), g, anisotropy, grid)
     return ResonanceCurve.from_values(g, anisotropy, grid, pvals)
 
 
@@ -222,17 +192,15 @@ def curve_diagnostics(basis: FockBasis, cache: ElementCache,
 
     The gap is E1 - E0 within the condensate's L-parity sector, the only
     states the followed state couples to; a sector of one state has none
-    (ParameterError). When the System's last sweep is the curve's (same
-    g, A and grid), its states are reused.
+    (ParameterError). The sweep is `System.sweep`'s, so right after
+    `compute_curve` on the same grid its kept sweep is reused.
     """
     system = System.of(basis, cache)
-    sweep = system.last_sweep
-    if sweep is None or (sweep.g, sweep.anisotropy) != (curve.g, curve.anisotropy) \
-            or not np.array_equal(sweep.omegas, curve.omega):
-        sweep, _ = _sweep_p0(system, curve.g, curve.anisotropy, curve.omega)
+    sweep = system.sweep(curve.g, curve.anisotropy, curve.omega)
     if sweep.energies.shape[1] < 2:
         raise ParameterError("the condensate sector has one state: its gap is undefined")
-    dens = spdm_batch(sweep.followed, basis)
+    followed = system.lift(sweep.followed)
+    dens = spdm_batch(followed, basis)
     return CurveDiagnostics(
         omegas=curve.omega.copy(),
         gap=sweep.energies[:, 1] - sweep.energies[:, 0],
@@ -240,7 +208,7 @@ def curve_diagnostics(basis: FockBasis, cache: ElementCache,
         lam2=np.array([d.eigenvalues[1] if len(d.eigenvalues) > 1 else 0.0
                        for d in dens]),
         branch_gap=np.array([spdm_branch_gap(d, basis) for d in dens]),
-        exp_L=sweep.followed**2 @ system.operators.l,
+        exp_L=followed**2 @ system.operators.l,
         spdm_trace=np.array([np.trace(d.matrix) for d in dens]),
     )
 

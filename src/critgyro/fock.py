@@ -146,12 +146,10 @@ def enumerate_basis(n_particles: int, n_ll: int, l_max: int) -> FockBasis:
     weights = [landau_weight(mode) for mode in modes]
     ms = [mode.m for mode in modes]
     n_modes = len(modes)
-    # suffix extrema of m for pruning the L bound during the scan
+    # suffix minima of m for pruning the L bound during the scan
     suf_min = [0] * (n_modes + 1)
-    suf_max = [0] * (n_modes + 1)
     for i in range(n_modes - 1, -1, -1):
         suf_min[i] = min(ms[i], suf_min[i + 1]) if i < n_modes - 1 else ms[i]
-        suf_max[i] = max(ms[i], suf_max[i + 1]) if i < n_modes - 1 else ms[i]
 
     found: list[tuple[int, tuple[int, ...]]] = []
     occ = [0] * n_modes

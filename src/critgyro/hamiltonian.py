@@ -20,13 +20,16 @@ in the package (the sweeps' dense sector matrix, `spectrum.lowest_k`'s
 input, the CLI's matrix dump) is that matrix or a slice of it.
 
 A `System` holds what does not depend on (g, A) over one basis and its
-element cache: the operators, the condensate's L-parity sector and the
-last curve sweep (see `curves`). The package reaches it through
-`System.of(basis, cache)`, which keeps one System and returns it while
-called with the same basis and cache objects (matched by identity, held by
-strong references, so a recycled id() never matches). Every caller then
-sees one `Operators` object, so callers must not mutate its arrays or
-matrices; D and L are read-only arrays.
+element cache: the operators and the condensate's L-parity sector. It owns
+the sector sweeps: `System.sweep` is the one call into
+`spectrum.sweep_lowest` that curves, their diagnostics and gap profiles
+make, and it keeps the last sweep for its (g, A) and points. The package
+reaches it through `System.of(basis, cache)`, which keeps one System and
+returns it while called with the same basis and cache objects (matched by
+identity, held by strong references, so a recycled id() never matches).
+Every caller then sees one `Operators` object and one kept sweep, so
+callers must not mutate their arrays or matrices; D and L are read-only
+arrays.
 """
 
 import warnings
@@ -37,6 +40,7 @@ from math import isfinite, pi, sqrt
 import numpy as np
 import scipy.sparse as sp
 
+from . import spectrum
 from .errors import ParameterError, StructureError
 from .fock import FockBasis, Mode, ladder_entries
 from .melem import ElementCache
@@ -146,10 +150,10 @@ class System:
     otherwise), with `operators` built on first use.
 
     H conserves L parity (the deformation changes L by 2), so sweeps from
-    the condensate (0,0)^N run in its sector: the basis rows `sector_rows`,
-    the condensate at `sector_anchor` among them and L on them `sector_l`,
-    all read-only; `lift` puts sector states back in the full basis.
-    `last_sweep` is the last curve sweep, or None; `curves` keeps it.
+    the condensate (0,0)^N run in its sector: the basis rows `sector_rows`
+    and L on them `sector_l`, both read-only; `lift` puts sector states
+    back in the full basis. `last_sweep` is ((g, A), SweepResult) of the
+    last `sweep`, or None.
     """
 
     def __init__(self, basis: FockBasis, cache: ElementCache):
@@ -158,7 +162,6 @@ class System:
         self.basis, self.cache = basis, cache
         condensate = basis.index_of({Mode(0, 0): basis.n_particles})
         self.sector_rows = np.flatnonzero(basis.L % 2 == basis.L[condensate] % 2)
-        self.sector_anchor = int(np.searchsorted(self.sector_rows, condensate))
         self.sector_l = basis.L[self.sector_rows].astype(np.float64)
         self.sector_rows.flags.writeable = self.sector_l.flags.writeable = False
         self.last_sweep = None
@@ -180,6 +183,28 @@ class System:
         `sector_rows` x `sector_rows` of `operators.hamiltonian`."""
         h0 = self.operators.hamiltonian(g, anisotropy, 0.0).toarray()
         return h0[np.ix_(self.sector_rows, self.sector_rows)]
+
+    def sweep(self, g: float, anisotropy: float, omegas,
+              stop=None) -> spectrum.SweepResult:
+        """`spectrum.sweep_lowest` of H(g, A) on the condensate's sector,
+        its states in sector coordinates; `stop` sees them lifted.
+
+        The result is kept with its (g, A) as `last_sweep`, and a call
+        without `stop` for the same g, A and points returns it. Any other
+        call drops it before it starts, so one sweep is kept at most, and
+        one that `stop` ended early matches no whole grid.
+        """
+        if stop is None and self.last_sweep is not None:
+            key, kept = self.last_sweep
+            if key == (g, anisotropy) and np.array_equal(kept.omegas, omegas):
+                return kept
+        self.last_sweep = None  # freed before the new sweep allocates its arrays
+        omegas = np.array(omegas, dtype=float)  # a copy: the key outlives the caller's array
+        result = spectrum.sweep_lowest(
+            self.sector_h0(g, anisotropy), self.sector_l, omegas,
+            stop=None if stop is None else lambda state: stop(self.lift(state)))
+        self.last_sweep = ((g, anisotropy), result)
+        return result
 
     def lift(self, vectors: np.ndarray) -> np.ndarray:
         """Sector vectors (along the last axis) in full-basis coordinates,

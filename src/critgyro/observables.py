@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import spectrum
 from .errors import InputError, ParameterError, RangeError
 from .fock import FockBasis, Mode
 from .hamiltonian import System
@@ -223,8 +222,7 @@ def gap_profile(basis: FockBasis, cache: ElementCache, g: float,
     if anisotropy <= 0:
         raise ParameterError("gap profile needs a positive anisotropy")
     system = System.of(basis, cache)
-    sweep = spectrum.sweep_lowest(system.sector_h0(g, anisotropy), system.sector_l,
-                                  omegas, anchor_index=system.sector_anchor)
+    sweep = system.sweep(g, anisotropy, omegas)
     gap = sweep.energies[:, 1] - sweep.energies[:, 0]
     l01 = np.abs(np.einsum("ij,j,ij->i", sweep.vec1, system.sector_l, sweep.vec0))
     return GapProfile(

@@ -6,40 +6,40 @@ form. Sweeps take a dense symmetric H0 and the diagonal of L.
 
 The production basis for six particles has dimension 322, and its sweeps
 run in the 191-dim condensate sector. Sweeps over rotation rates follow the
-state adiabatically: ties inside a degenerate ground space are broken by
-overlap with the previous point, and if the ground state loses all overlap
-with the followed branch (exact sector crossings at zero anisotropy) the
-sweep keeps the branch instead. Curve and gap-profile sweeps run on the
-condensate-sector matrices of a `hamiltonian.System`, which lifts their
-states back to the full basis.
+state adiabatically from the ground state of the first point. If the ground
+state loses all overlap with the followed branch (exact sector crossings at
+zero anisotropy) the sweep keeps the branch instead. A point whose two
+lowest energies lie within DEGENERACY_TIE has no defined followed state,
+and the sweep fails closed there with InputError: no tie is broken. Curve
+and gap-profile sweeps run through `hamiltonian.System.sweep`, on the
+condensate-sector matrices, and the System lifts their states back to the
+full basis.
 
 A sweep solves the two lowest eigenpairs at each point: E0, E1 and their
 vectors are all that its callers read. It widens to the BRANCH_WINDOW
-lowest pairs only where the follow rule needs more: where E1 - E0 falls
-below DEGENERACY_TIE, since the tie may extend past two states, and where
-the ground state holds less than FOLLOW_FLOOR of the followed state. A
-lost branch is resolved in that window first. The followed state is the
-eigenvector of maximal overlap with the previous one over the whole
-spectrum. The squared overlaps of a unit vector with an orthonormal
-eigenbasis sum to 1, so at most one eigenvector can have overlap^2 above
-1/2, and one that does is that maximum. When one of the window's vectors
-passes BRANCH_MAJORITY it is taken as it is; only otherwise does the sweep
-solve the full spectrum to find the maximum. The window is a constant:
-with two pairs only, a lost branch would go straight to the full-spectrum
-solve, which costs about three times the BRANCH_WINDOW solve at sector
-dimension 191.
+lowest pairs only where the ground state holds less than FOLLOW_FLOOR of
+the followed state, to resolve the lost branch in that window. The
+followed state is the eigenvector of maximal overlap with the previous one
+over the whole spectrum. The squared overlaps of a unit vector with an
+orthonormal eigenbasis sum to 1, so at most one eigenvector can have
+overlap^2 above 1/2, and one that does is that maximum. When one of the
+window's vectors passes BRANCH_MAJORITY it is taken as it is; only
+otherwise does the sweep solve the full spectrum to find the maximum. The
+window is a constant: with two pairs only, a lost branch would go straight
+to the full-spectrum solve, which costs about three times the BRANCH_WINDOW
+solve at sector dimension 191.
 
 Every solve is one call of scipy's own float64 LAPACK `dsyevr`, made
 through ctypes with the arguments `scipy.linalg.eigh` passes, so the call
 runs without the GIL. A sweep checks its inputs are finite and sizes the
 LAPACK workspace once. It then hands the two-pair solve of each point to a
 thread pool, one worker per CPU the process may use, with up to
-LOOKAHEAD_PER_WORKER solves per worker in flight. The follow rule, its
-window and full-spectrum widenings and `stop` run on the calling thread,
-point by point in order. Each solve works on its own copy of the matrix
-with the point's diagonal, so the same routine gets the same arguments at
-every point whichever thread makes the call: the results are the bits a
-serial sweep gives.
+LOOKAHEAD_PER_WORKER solves per worker in flight. The tie check, the
+follow rule, its window and full-spectrum widenings and `stop` run on the
+calling thread, point by point in order. Each solve works on its own copy
+of the matrix with the point's diagonal, so the same routine gets the same
+arguments at every point whichever thread makes the call: the results are
+the bits a serial sweep gives.
 
 Sweeps run their solves on one OpenBLAS thread per worker: at these
 dimensions a second BLAS thread gains little, and on a busy machine it
@@ -258,28 +258,27 @@ def sweep_lowest(
     h0_dense: np.ndarray,
     l_diag: np.ndarray,
     omegas: np.ndarray,
-    anchor_index: int | None = None,
     stop: Callable[[np.ndarray], bool] | None = None,
 ) -> SweepResult:
     """Diagonalize H0 - Omega * diag(L) along a rotation grid.
 
-    The followed state starts from the ground state (ties broken by weight
-    on `anchor_index`) and continues by maximal overlap whenever the ground
-    state decouples from the followed branch. Each point solves the two
-    lowest pairs; the BRANCH_WINDOW lowest are solved at a point only
-    where E1 - E0 < DEGENERACY_TIE (the first point included) or where the
-    ground state's overlap^2 with the followed state falls below
-    FOLLOW_FLOOR. The full spectrum is solved only where no vector of the
-    window holds a majority of the followed state.
+    The followed state starts from the ground state and continues by
+    maximal overlap whenever the ground state decouples from the followed
+    branch. Each point solves the two lowest pairs; the BRANCH_WINDOW
+    lowest are solved at a point only where the ground state's overlap^2
+    with the followed state falls below FOLLOW_FLOOR. The full spectrum is
+    solved only where no vector of the window holds a majority of the
+    followed state. A point where E1 - E0 < DEGENERACY_TIE raises
+    InputError naming its Omega: the followed state is not defined there.
 
     `stop`, when given, sees the followed state after each point; once it
     returns True the sweep ends there and the result holds the points
     swept so far.
 
     The two-pair solves run ahead on a thread pool (see the module
-    docstring); the follow rule, its widenings and `stop` run on the
-    calling thread, in point order. An error in any solve propagates from
-    here, and no pool thread outlives the call.
+    docstring); the tie check, the follow rule, its widenings and `stop`
+    run on the calling thread, in point order. An error in any solve, or
+    a tie, propagates from here, and no pool thread outlives the call.
 
     The inputs must be finite (InputError otherwise); so then is the
     matrix at every point.
@@ -307,22 +306,14 @@ def sweep_lowest(
     swept = n
     with _one_blas_thread(), _solved_in_order(two_pairs, n) as solved:
         for i, (diagonal, (evals, evecs)) in enumerate(zip(diagonals, solved)):
+            if pairs > 1 and evals[1] - evals[0] < DEGENERACY_TIE:
+                raise InputError(f"degenerate ground state at Omega = {float(omegas[i])}: "
+                                 f"E1 - E0 = {evals[1] - evals[0]:.3g} leaves the followed "
+                                 f"state undefined")
             energies[i] = evals
             vec0[i] = evecs[:, 0]
             vec1[i] = evecs[:, pairs - 1]
-            tied = pairs > 1 and evals[1] - evals[0] < DEGENERACY_TIE
-            if tied and k > pairs:
-                evals, evecs = _eigh(h0, workspace, subset_by_index=(0, k - 1),
-                                     diagonal=diagonal)
-            if prev is None:
-                pick = 0
-                if anchor_index is not None:
-                    ties = np.flatnonzero(evals - evals[0] < DEGENERACY_TIE)
-                    pick = ties[np.argmax(np.abs(evecs[anchor_index, ties]))]
-            elif tied:
-                ties = np.flatnonzero(evals - evals[0] < DEGENERACY_TIE)
-                pick = ties[np.argmax(np.abs(prev @ evecs[:, ties]))]
-            elif (prev @ evecs[:, 0]) ** 2 >= FOLLOW_FLOOR:
+            if prev is None or (prev @ evecs[:, 0]) ** 2 >= FOLLOW_FLOOR:
                 pick = 0
             else:
                 if k > pairs:

@@ -152,6 +152,26 @@ def test_estimate_fig3_snapshots(tmp_path, catalog_file):
         assert mass.sum() == pytest.approx(1.0, abs=1e-9)
 
 
+def test_estimate_fig3_runs_each_trajectory_once(tmp_path, catalog_file, monkeypatch):
+    """The mu = 100 snapshot is the 100-measurement trajectory itself."""
+    runs = []
+    real = cli.run_protocol
+
+    def counting(config, catalog, rng=None):
+        runs.append(config.n_measurements)
+        return real(config, catalog, rng=rng)
+
+    monkeypatch.setattr(cli, "run_protocol", counting)
+    out = tmp_path / "fig3"
+    assert main(["estimate", "--catalog", catalog_file, "--preset", "fig3",
+                 "--out-dir", str(out)]) == 0
+    assert runs == [100, 1, 10]
+    final = (out / "trajectory.csv").read_text().strip().splitlines()[-1]
+    omega, mass = np.loadtxt(out / "posterior_mu100.csv", delimiter=",", skiprows=1).T
+    sigma = np.sqrt(mass @ (omega - mass @ omega) ** 2)
+    assert sigma == pytest.approx(float(final.split(",")[-1]), rel=1e-9)
+
+
 def test_estimate_fig4_preset(tmp_path, catalog_file):
     out = tmp_path / "fig4"
     code = main([
@@ -336,6 +356,8 @@ def test_invalid_config_exits_2(tmp_path, capsys):
     ["estimate", "--preset", "array", "--trajectories", "-1"],
     ["estimate", "--preset", "fig4", "--trajectories", "0"],
     ["estimate", "--preset", "fig4", "--trajectories", "2.5"],
+    ["estimate", "--trajectories", "7"],
+    ["estimate", "--preset", "fig3", "--trajectories", "7"],
 ])
 def test_malformed_specs_exit_2(argv, capsys):
     with pytest.raises(SystemExit) as err:
@@ -373,6 +395,7 @@ def test_manifest_records_ensemble_health(tmp_path, catalog_file):
     ensembles = details["ensembles"]
     assert sorted(ensembles) == ["one_tuning", "two_tunings", "untuned"]
     for health in ensembles.values():
+        assert health["n_trajectories"] == 4
         assert 0.0 < health["max_dropped_mass"] <= 2001 * 1e-30
         assert health["n_aborted"] == 0
         assert health["abort_indices"] == []
@@ -413,6 +436,18 @@ def test_curve_of_a_one_state_sector_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "Traceback" not in err and len(err.strip().splitlines()) == 1
     assert not out.exists()
+
+
+def test_curve_with_a_degenerate_point_exits_2(tmp_path, capsys):
+    """At Omega = 1 the non-interacting lowest Landau level is exactly
+    degenerate: the sweep fails closed, and no CSV or manifest is written."""
+    out = tmp_path / "curve.csv"
+    assert main(["curve", "--n", "2", "--g", "0", "--A", "0", "--grid", "0.9:1.0:3",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+    assert "Omega = 1.0:" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("argv", [

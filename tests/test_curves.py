@@ -289,19 +289,19 @@ def test_diagnostics_reuse_the_curve_sweep(system6, monkeypatch):
     curve = compute_curve(basis, cache, 0.5, 0.04, grid=grid)
     diag = curve_diagnostics(basis, cache, curve)
     assert len(sweeps) == 1
-    # a curve never reuses a sweep; another grid or pair sweeps again
+    # the same curve reuses the kept sweep too; another grid or pair sweeps again
     assert np.array_equal(compute_curve(basis, cache, 0.5, 0.04, grid=grid).p0, curve.p0)
-    assert len(sweeps) == 2
+    assert len(sweeps) == 1
     curve_diagnostics(basis, cache, ResonanceCurve.from_values(
         0.5, 0.04, grid[:-1], curve.p0[:-1]))
-    assert len(sweeps) == 3
+    assert len(sweeps) == 2
     curve_diagnostics(basis, cache, ResonanceCurve.from_values(
         0.5, 0.032, grid, curve.p0))
-    assert len(sweeps) == 4
+    assert len(sweeps) == 3
     # the reused sweep gives what a fresh basis and cache compute
     fresh_basis = enumerate_basis(6, 2, 8)
     fresh = curve_diagnostics(fresh_basis, ElementCache.build(fresh_basis.modes), curve)
-    assert len(sweeps) == 5
+    assert len(sweeps) == 4
     for field in dataclasses.fields(diag):
         assert np.array_equal(getattr(diag, field.name), getattr(fresh, field.name))
 
@@ -338,7 +338,8 @@ def test_prescan_stops_at_its_crossings(system6, monkeypatch, g, a):
     grid = locate_grid(basis, cache, g, a)
     monkeypatch.setattr(spectrum, "sweep_lowest", whole)
     assert np.array_equal(grid, locate_grid(basis, cache, g, a))
-    full = System.of(basis, cache).last_sweep.followed
+    system = System.of(basis, cache)
+    full = system.lift(system.last_sweep[1].followed)
     assert len(full) == PRESCAN_POINTS
     p = (full[:, basis.zero_momentum_mask] ** 2).sum(axis=1)
     if a == 0.0:  # no transition: the pre-scan runs in full
@@ -361,7 +362,7 @@ def test_diagnostics_do_not_reuse_an_early_stopped_prescan(system6, monkeypatch)
     monkeypatch.setattr(spectrum, "sweep_lowest", counting)
     locate_grid(basis, cache, 0.5, 0.04)
     coarse = np.linspace(*PRESCAN_RANGE, PRESCAN_POINTS)
-    assert len(System.of(basis, cache).last_sweep.omegas) < PRESCAN_POINTS
+    assert len(System.of(basis, cache).last_sweep[1].omegas) < PRESCAN_POINTS
     curve = ResonanceCurve.from_values(0.5, 0.04, coarse,
                                        np.linspace(1.0, 0.0, PRESCAN_POINTS))
     diag = curve_diagnostics(basis, cache, curve)
@@ -414,7 +415,8 @@ def test_catalog_build_refuses_a_pair_without_transition_after_its_prescan(
 def test_p_zero_of_each_followed_state_is_the_curve_p0(system6):
     basis, cache = system6
     curve = compute_curve(basis, cache, 0.5, 0.04, grid=np.linspace(0.85, 0.95, 41))
-    followed = System.of(basis, cache).last_sweep.followed
+    system = System.of(basis, cache)
+    followed = system.lift(system.last_sweep[1].followed)
     assert np.array_equal([p_zero(state, basis) for state in followed], curve.p0)
     assert np.array_equal(p_zero(followed, basis), curve.p0)
 

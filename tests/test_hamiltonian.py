@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from math import inf, nan, pi, sqrt
 
+import critgyro.spectrum as spectrum
 from critgyro.cli import _build_system
 from critgyro.curves import compute_curve
 from critgyro.errors import ParameterError, StructureError
@@ -164,6 +165,47 @@ def test_system_operators_are_shared_per_basis_and_cache():
     assert System.of(basis, other).operators is rebuilt
     with pytest.raises(ValueError):
         ops.d[0] = 0.0
+
+
+def test_system_sweep_returns_the_kept_sweep_for_its_key(monkeypatch):
+    """A sweep without `stop` for the kept g, A and points is the kept
+    result; a new g, A or grid, and any call with `stop`, sweep again, and
+    the kept sweep is released before each new one."""
+    basis = enumerate_basis(4, 2, 6)
+    system = System(basis, ElementCache.build(basis.modes))
+    sweeps = []
+    real = spectrum.sweep_lowest
+
+    def counting(*args, **kwargs):
+        sweeps.append(1)
+        assert system.last_sweep is None
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(spectrum, "sweep_lowest", counting)
+    grid = np.linspace(0.85, 0.95, 11)
+    first = system.sweep(0.5, 0.04, grid)
+    assert system.last_sweep[0] == (0.5, 0.04) and system.last_sweep[1] is first
+    grid[-1] = 2.0  # the key is a copy of the caller's points
+    grid = np.linspace(0.85, 0.95, 11)
+    assert system.sweep(0.5, 0.04, list(grid)) is first
+    assert len(sweeps) == 1
+    for g, a, points in ((0.6, 0.04, grid), (0.5, 0.03, grid), (0.5, 0.04, grid[:-1]),
+                         (0.5, 0.04, grid)):
+        again = system.sweep(g, a, points)
+        assert again is not first
+    assert len(sweeps) == 5
+    for name in ("omegas", "energies", "vec0", "vec1", "followed", "followed_rank"):
+        assert np.array_equal(getattr(again, name), getattr(first, name)), name
+    # `stop` sees full-basis states; a call with it always sweeps
+    seen = []
+    whole = system.sweep(0.5, 0.04, grid, stop=lambda state: seen.append(state) and False)
+    assert len(sweeps) == 6 and whole is not again
+    assert np.array_equal(np.array(seen), system.lift(whole.followed))
+    part = system.sweep(0.5, 0.04, grid, stop=lambda state: True)
+    assert len(sweeps) == 7 and len(part.omegas) == 1
+    # the kept sweep stopped early and matches no whole grid
+    assert system.sweep(0.5, 0.04, grid) is not part
+    assert len(sweeps) == 8
 
 
 @pytest.mark.parametrize("g,a,omega", [(nan, 0.04, 0.9), (inf, 0.04, 0.9),

@@ -164,7 +164,7 @@ def test_spdm_contraction_keeps_the_bits_of_the_hop_row_product(system6):
     basis, cache = system6
     system = System(basis, cache)
     sweep = sweep_lowest(system.sector_h0(0.5, 0.04), system.sector_l,
-                         np.linspace(0.8, 0.95, 16), anchor_index=system.sector_anchor)
+                         np.linspace(0.8, 0.95, 16))
     followed = system.lift(sweep.followed)
     src, tgt, table_t = basis.spdm_hop_table
     table = sp.csr_matrix(table_t.T)

@@ -141,10 +141,8 @@ def test_sweep_follows_sector_through_exact_crossing():
     basis = enumerate_basis(4, 2, 6)
     cache = ElementCache.build(basis.modes)
     ham0 = System(basis, cache).operators.hamiltonian(0.5, 0.0, 0.0)
-    anchor = basis.index_of({Mode(0, 0): 4})
     omegas = np.linspace(0.7, 1.0, 61)
-    sweep = sweep_lowest(ham0.toarray(), basis.L.astype(float), omegas,
-                         anchor_index=anchor)
+    sweep = sweep_lowest(ham0.toarray(), basis.L.astype(float), omegas)
     # the followed state keeps total L = 0 across the whole scan
     follow_l = np.array([vec**2 @ basis.L for vec in sweep.followed])
     assert np.max(np.abs(follow_l)) < 1e-8
@@ -166,13 +164,11 @@ def test_sector_sweep_reproduces_full_space_p0():
     basis = enumerate_basis(4, 2, 6)
     cache = ElementCache.build(basis.modes)
     ham0 = System(basis, cache).operators.hamiltonian(0.5, 0.04, 0.0)
-    anchor = basis.index_of({Mode(0, 0): 4})
     l_diag = basis.L.astype(float)
     omegas = np.linspace(0.7, 1.0, 61)
-    full = sweep_lowest(ham0.toarray(), l_diag, omegas, anchor_index=anchor)
+    full = sweep_lowest(ham0.toarray(), l_diag, omegas)
     system = System(basis, cache)
-    sector = sweep_lowest(system.sector_h0(0.5, 0.04), system.sector_l, omegas,
-                          anchor_index=system.sector_anchor)
+    sector = sweep_lowest(system.sector_h0(0.5, 0.04), system.sector_l, omegas)
     followed = system.lift(sector.followed)
     even = basis.L % 2 == 0
     assert followed.shape == full.followed.shape
@@ -211,7 +207,7 @@ def test_lost_branch_resolves_like_the_full_spectrum(system6, monkeypatch, g, a)
         return real(mat, *args, **kwargs)
 
     monkeypatch.setattr(spectrum, "_eigh", counting)
-    sweep = sweep_lowest(h0, l_diag, omegas, anchor_index=anchor)
+    sweep = sweep_lowest(h0, l_diag, omegas)
     mask = basis.zero_momentum_mask[rows]
     p_ref = (ref[:, mask] ** 2).sum(axis=1)
     p_got = (sweep.followed[:, mask] ** 2).sum(axis=1)
@@ -265,7 +261,7 @@ def test_sweep_widens_only_where_the_follow_rule_needs(system6, monkeypatch, cas
         return real(mat, *args, **kwargs)
 
     monkeypatch.setattr(spectrum, "_eigh", spying)
-    sweep = sweep_lowest(h0, l_diag, omegas, anchor_index=anchor)
+    sweep = sweep_lowest(h0, l_diag, omegas)
     assert sweep.energies.shape == (len(omegas), 2)
     assert len(solves) == len(omegas)
     solves = [solves[i] for i in range(len(omegas))]
@@ -285,15 +281,15 @@ def test_sweep_widens_only_where_the_follow_rule_needs(system6, monkeypatch, cas
 
 
 def test_sweep_stop_ends_after_the_point_it_accepts():
-    h0, l_diag, omegas, anchor, _ = _exact_crossing_sweep()
-    whole = sweep_lowest(h0, l_diag, omegas, anchor_index=anchor)
+    h0, l_diag, omegas, _, _ = _exact_crossing_sweep()
+    whole = sweep_lowest(h0, l_diag, omegas)
     seen = []
 
     def stop(state):
         seen.append(state)
         return len(seen) == 7
 
-    part = sweep_lowest(h0, l_diag, omegas, anchor_index=anchor, stop=stop)
+    part = sweep_lowest(h0, l_diag, omegas, stop=stop)
     assert len(seen) == 7
     assert np.array_equal(part.omegas, omegas[:7])
     for name in ("energies", "vec0", "vec1", "followed", "followed_rank"):
@@ -304,7 +300,6 @@ def test_sweep_stop_ends_after_the_point_it_accepts():
     system = System(basis, ElementCache.build(basis.modes))
     lifted = []
     sector = sweep_lowest(system.sector_h0(0.5, 0.0), system.sector_l, omegas,
-                          anchor_index=system.sector_anchor,
                           stop=lambda state: lifted.append(system.lift(state)) or True)
     assert len(sector.omegas) == 1
     assert np.array_equal(lifted[0], system.lift(sector.followed)[0])
@@ -327,18 +322,18 @@ def _on_workers(monkeypatch, workers, *args, **kwargs):
 @pytest.mark.parametrize("case", ["0.6:0.025", "exact crossing"])
 def test_threaded_sweep_gives_the_bits_of_a_serial_one(system6, monkeypatch, case):
     if case == "exact crossing":
-        h0, l_diag, omegas, anchor, _ = _exact_crossing_sweep()
+        h0, l_diag, omegas, _, _ = _exact_crossing_sweep()
     else:
-        h0, l_diag, omegas, anchor, _ = _sector_prescan(
+        h0, l_diag, omegas, _, _ = _sector_prescan(
             *system6, *map(float, case.split(":")))
-    serial, threaded = (_on_workers(monkeypatch, workers, h0, l_diag, omegas,
-                                    anchor_index=anchor) for workers in (1, 2))
+    serial, threaded = (_on_workers(monkeypatch, workers, h0, l_diag, omegas)
+                        for workers in (1, 2))
     for name in _SWEEP_FIELDS:
         assert np.array_equal(getattr(serial, name), getattr(threaded, name)), name
 
 
 def test_threaded_sweep_solves_at_most_the_lookahead_past_a_stop(monkeypatch):
-    h0, l_diag, omegas, anchor, _ = _exact_crossing_sweep()
+    h0, l_diag, omegas, _, _ = _exact_crossing_sweep()
     index_of = {d.tobytes(): i for i, d in enumerate(_diagonals(h0, l_diag, omegas))}
     two_pair_points = []
     real = spectrum._eigh
@@ -349,10 +344,10 @@ def test_threaded_sweep_solves_at_most_the_lookahead_past_a_stop(monkeypatch):
         return real(mat, *args, **kwargs)
 
     monkeypatch.setattr(spectrum, "_eigh", spying)
-    whole = _on_workers(monkeypatch, 2, h0, l_diag, omegas, anchor_index=anchor)
+    whole = _on_workers(monkeypatch, 2, h0, l_diag, omegas)
     seen = []
     two_pair_points.clear()
-    part = _on_workers(monkeypatch, 2, h0, l_diag, omegas, anchor_index=anchor,
+    part = _on_workers(monkeypatch, 2, h0, l_diag, omegas,
                        stop=lambda state: seen.append(state) or len(seen) == 7)
     assert len(part.omegas) == 7
     for name in _SWEEP_FIELDS:
@@ -365,7 +360,7 @@ def test_threaded_sweep_solves_at_most_the_lookahead_past_a_stop(monkeypatch):
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_a_failed_solve_propagates_from_the_sweep(monkeypatch, workers):
-    h0, l_diag, omegas, anchor, _ = _exact_crossing_sweep()
+    h0, l_diag, omegas, _, _ = _exact_crossing_sweep()
     failing = _diagonals(h0, l_diag, omegas)[23].tobytes()
     real = spectrum._eigh
 
@@ -377,9 +372,23 @@ def test_a_failed_solve_propagates_from_the_sweep(monkeypatch, workers):
     monkeypatch.setattr(spectrum, "_eigh", breaking)
     seen = []
     with pytest.raises(sla.LinAlgError):
-        _on_workers(monkeypatch, workers, h0, l_diag, omegas, anchor_index=anchor,
+        _on_workers(monkeypatch, workers, h0, l_diag, omegas,
                     stop=lambda state: seen.append(state) and False)
     assert len(seen) == 23  # every point before the failing one, none after
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_an_exact_tie_fails_closed(monkeypatch, workers):
+    """diag(3, 1 - Omega, 2 - 2 Omega) has its two lowest levels tied
+    exactly at Omega = 1: the sweep raises InputError naming that Omega as
+    a plain float, after the points before it, and no pool thread outlives
+    it (`_on_workers` checks)."""
+    h0, l_diag = np.diag([3.0, 1.0, 2.0]), np.array([0.0, 1.0, 2.0])
+    seen = []
+    with pytest.raises(InputError, match=r"at Omega = 1\.0: "):
+        _on_workers(monkeypatch, workers, h0, l_diag, np.linspace(0.0, 1.5, 7),
+                    stop=lambda state: seen.append(state) and False)
+    assert len(seen) == 4
 
 
 def test_one_state_sweep_runs_on_the_pool(monkeypatch):
