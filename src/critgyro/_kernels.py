@@ -28,6 +28,21 @@ the peak regrows to matter. At 1e-20 single trajectories still moved by
 6e-12. At 1e-30 every median stays within 7e-14 and every trajectory
 within 4e-13.
 
+Cost. A window holds ~120 points on a long trajectory, so the stage's time
+is the fixed cost of each numpy call, not arithmetic. A measurement makes
+seven calls: the in-place multiply by the likelihood, the `np.add.reduce`
+norm, the in-place divide, the mean's `np.dot`, then sigma as a subtract
+and a square in one stage-long scratch buffer and a second `np.dot`; the
+first nonzero outcome after a recentering also forms 1 - like. A
+recentering adds a `searchsorted`, the shifted query points written into a
+second scratch buffer, and two interpolations. Those call the compiled
+routine behind `np.interp` directly: for a real curve `np.interp` only adds
+a complex-type check and its keyword handling, which cost as much as a
+120-point interpolation. The draws are read as Python floats. Every trim
+keeps every bit the stage writes and returns; `tests/oracle.py` keeps the
+untrimmed loop as `reference_windowed_stage`, and a test holds the two to
+the same bits on the reference catalog.
+
 All positions are offsets: posterior grid offsets x (from the prior origin),
 curve grid offsets xc (from the curve origin), the curve midpoint rel_center
 and the true rotation true_off. Keeping the arithmetic purely relative makes
@@ -37,6 +52,10 @@ a rigid shift of every absolute input reproduce trajectories bit for bit.
 from math import sqrt
 
 import numpy as np
+from numpy._core.multiarray import interp as _interp  # what np.interp calls
+
+_add, _subtract, _multiply, _divide = np.add, np.subtract, np.multiply, np.divide
+_sum, _dot = np.add.reduce, np.dot
 
 #: points holding at most this share of the mass at the posterior mean are
 #: dropped from the window at a recentering
@@ -61,7 +80,9 @@ def bayes_stage(
     support = np.flatnonzero(mass)
     lo, hi = int(support[0]), int(support[-1]) + 1
     w, xw = mass[lo:hi], x[lo:hi]
-    mean = float(w @ xw)
+    query, dev = np.empty(hi - lo), np.empty(hi - lo)  # stage-long scratch
+    draws = uniforms.tolist()
+    mean = _dot(w, xw)
     for i in range(n_meas):  # i = 0 recenters, which sets shift, like, p_meas
         if i % recenter_every == 0:
             j = min(lo + int(xw.searchsorted(mean)), hi - 1)
@@ -79,20 +100,22 @@ def bayes_stage(
             if span != (lo, hi):
                 out_dropped[i] = dropped
                 w, xw = mass[lo:hi], x[lo:hi]
+                query, dev = query[:hi - lo], dev[:hi - lo]
             shift = rel_center - mean
-            like = np.interp(xw + shift, xc, pc)
+            like = _interp(_add(xw, shift, out=query), xc, pc)
             anti = None
-            p_meas = float(np.interp(true_off + shift, xc, pc))
-        zero = uniforms[i] <= p_meas
+            p_meas = float(_interp(true_off + shift, xc, pc))
+        zero = draws[i] <= p_meas
         out_outcome[i] = 1 if zero else 0
         out_shift[i] = shift
         if not zero and anti is None:
             anti = 1.0 - like
-        w *= like if zero else anti
-        norm = float(w.sum())
+        _multiply(w, like if zero else anti, out=w)
+        norm = _sum(w)
         if norm <= 0.0:  # the outcome has zero likelihood on the whole support
             return i
-        w /= norm
-        mean = float(w @ xw)
-        out_sigma[i] = sqrt(float(w @ ((xw - mean) ** 2)))
+        _divide(w, norm, out=w)
+        mean = _dot(w, xw)
+        _subtract(xw, mean, out=dev)
+        out_sigma[i] = sqrt(_dot(w, _multiply(dev, dev, out=dev)))
     return n_meas

@@ -237,9 +237,6 @@ class CurveCatalog:
             tuple(sorted(self.curves, key=lambda c: c.width)),
         )
 
-    def widest(self) -> ResonanceCurve:
-        return self.curves[-1]
-
     def find(self, g: float, anisotropy: float) -> ResonanceCurve:
         for c in self.curves:
             if c.key == (g, anisotropy):

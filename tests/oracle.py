@@ -4,8 +4,9 @@ Nothing here touches the package's computational paths: integrals are done
 by exact monomial expansion over rationals or by a Gauss-Laguerre rule,
 bases by generate-and-filter, Hamiltonians by explicit ladder-operator
 action on occupation dictionaries, Bayesian updates by plain loops, a
-Bayesian stage over the full grid, and an adiabatic sweep that resolves
-every lost branch on the full spectrum.
+Bayesian stage over the full grid, the windowed stage as it was written
+before its per-call trims (it shares only `WINDOW_FLOOR` with the package),
+and an adiabatic sweep that resolves every lost branch on the full spectrum.
 """
 
 import itertools
@@ -16,6 +17,8 @@ from math import comb, factorial, pi, sqrt
 
 import numpy as np
 import scipy.linalg as sla
+
+from critgyro._kernels import WINDOW_FLOOR
 
 
 # ---------------------------------------------------------------------------
@@ -270,9 +273,13 @@ def oracle_bayes_update(mass, likelihood, zero_outcome: bool):
 
 def reference_bayes_stage(mass, x, xc, pc, rel_center, true_off,
                           uniforms, recenter_every,
-                          out_sigma, out_outcome, out_shift):
+                          out_sigma, out_outcome, out_shift, applied=None):
     """Full-grid Bayesian stage: `_kernels.bayes_stage` without the support
-    window (every update touches every grid point, nothing is dropped)."""
+    window (every update touches every grid point, nothing is dropped).
+
+    With `applied` (one shift per measurement), each recentering updates
+    with applied[i] in place of the stage's own choice; `out_shift` still
+    receives the own choice, rel_center - mean."""
     n_meas = uniforms.shape[0]
     shift = 0.0
     like = None
@@ -280,8 +287,9 @@ def reference_bayes_stage(mass, x, xc, pc, rel_center, true_off,
     for i in range(n_meas):
         if i % recenter_every == 0:
             shift = rel_center - float(mass @ x)
-            like = np.interp(x + shift, xc, pc)
-            p_meas = float(np.interp(true_off + shift, xc, pc))
+            used = shift if applied is None else applied[i]
+            like = np.interp(x + used, xc, pc)
+            p_meas = float(np.interp(true_off + used, xc, pc))
         zero = bool(uniforms[i] <= p_meas)
         out_outcome[i] = 1 if zero else 0
         out_shift[i] = shift
@@ -292,6 +300,55 @@ def reference_bayes_stage(mass, x, xc, pc, rel_center, true_off,
         mass /= norm
         mean = float(mass @ x)
         out_sigma[i] = float(np.sqrt(mass @ ((x - mean) ** 2)))
+    return n_meas
+
+
+def reference_windowed_stage(
+    mass, x, xc, pc, rel_center, true_off,
+    uniforms, recenter_every,
+    out_sigma, out_outcome, out_shift, out_dropped,
+):
+    """`_kernels.bayes_stage` as it was written before its per-call trims:
+    plain numpy operators, `np.interp` and a fresh temporary per step. The
+    kernel must reproduce every bit it writes and returns."""
+    n_meas = uniforms.shape[0]
+    support = np.flatnonzero(mass)
+    lo, hi = int(support[0]), int(support[-1]) + 1
+    w, xw = mass[lo:hi], x[lo:hi]
+    mean = float(w @ xw)
+    for i in range(n_meas):  # i = 0 recenters, which sets shift, like, p_meas
+        if i % recenter_every == 0:
+            j = min(lo + int(xw.searchsorted(mean)), hi - 1)
+            k = j - 1 if j > lo and mean - x[j - 1] < x[j] - mean else j
+            floor = WINDOW_FLOOR * mass[k]
+            span, dropped = (lo, hi), 0.0
+            while lo < k and mass[lo] <= floor:
+                dropped += mass[lo]
+                mass[lo] = 0.0
+                lo += 1
+            while hi - 1 > k and mass[hi - 1] <= floor:
+                hi -= 1
+                dropped += mass[hi]
+                mass[hi] = 0.0
+            if span != (lo, hi):
+                out_dropped[i] = dropped
+                w, xw = mass[lo:hi], x[lo:hi]
+            shift = rel_center - mean
+            like = np.interp(xw + shift, xc, pc)
+            anti = None
+            p_meas = float(np.interp(true_off + shift, xc, pc))
+        zero = uniforms[i] <= p_meas
+        out_outcome[i] = 1 if zero else 0
+        out_shift[i] = shift
+        if not zero and anti is None:
+            anti = 1.0 - like
+        w *= like if zero else anti
+        norm = float(w.sum())
+        if norm <= 0.0:  # the outcome has zero likelihood on the whole support
+            return i
+        w /= norm
+        mean = float(w @ xw)
+        out_sigma[i] = sqrt(float(w @ ((xw - mean) ** 2)))
     return n_meas
 
 

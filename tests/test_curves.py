@@ -79,7 +79,6 @@ def test_catalog_sorted_by_width():
     cat = CurveCatalog(curves=curves)
     widths = [c.width for c in cat.curves]
     assert widths == sorted(widths)
-    assert cat.widest().width == max(widths)
 
 
 def test_lookup_by_width_rules():

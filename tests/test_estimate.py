@@ -188,7 +188,7 @@ def test_recenter_offset_examples():
 def test_retune_boundaries():
     cat = synthetic_catalog(widths=(0.05, 0.02, 0.008))
     wide_sigma = 1 / np.sqrt(12)  # a flat prior over [0, 1], way over all widths
-    assert lookup_by_width(cat, 4.0 * wide_sigma) is cat.widest()
+    assert lookup_by_width(cat, 4.0 * wide_sigma) is cat.curves[-1]  # sorted by width
     single = CurveCatalog(curves=(make_logistic_curve(width=0.03),))
     assert lookup_by_width(single, estimate.KAPPA_DEFAULT * wide_sigma) is single.curves[0]
 
