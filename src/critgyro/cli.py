@@ -48,13 +48,7 @@ from .curves import (
     curve_diagnostics,
 )
 from .errors import CritgyroError, InputError, ParameterError
-from .estimate import (
-    SEED_ENV,
-    ProtocolConfig,
-    resolve_seed,
-    run_ensemble,
-    run_protocol,
-)
+from .estimate import ProtocolConfig, run_ensemble, run_protocol
 from .fock import enumerate_basis
 from .hamiltonian import System
 from .melem import ElementCache, integral_i1, integral_i2
@@ -66,6 +60,9 @@ EXIT_NUMERICAL = 3
 EXIT_MISMATCH = 4
 
 DEFAULT_OMEGA_PERP_HZ = 200.0
+
+#: environment variable that replaces the config's seed in `estimate`
+SEED_ENV = "CRITGYRO_SEED"
 
 
 def _fmt(value) -> str:
@@ -101,7 +98,7 @@ def _write_manifest(primary_output, command, details, outputs, t_start) -> str:
 
 
 def _build_system(n, n_ll, l_max):
-    basis = enumerate_basis(n, n_ll, l_max if l_max is not None else n + 2)
+    basis = enumerate_basis(n, n_ll, l_max)
     cache = ElementCache.build(basis.modes)
     return basis, cache
 
@@ -255,6 +252,19 @@ def _ensemble_health(ens) -> dict:
             "workers": ens.workers}
 
 
+def resolve_seed(config_seed: int) -> tuple[int, str]:
+    """(seed, source) of an estimate run: CRITGYRO_SEED when set, else the
+    config's seed. Either must be an integer >= 0 (ParameterError)."""
+    env = os.environ.get(SEED_ENV)
+    try:
+        seed = int(env) if env else int(config_seed)
+    except ValueError:
+        raise ParameterError(f"{SEED_ENV} must be an integer, got {env!r}") from None
+    if seed < 0:
+        raise ParameterError(f"the seed must be >= 0, got {seed}")
+    return seed, SEED_ENV if env else "config"
+
+
 def cmd_estimate(args) -> int:
     t0 = time.time()
     cfg_data = {}
@@ -265,7 +275,7 @@ def cmd_estimate(args) -> int:
         except (OSError, ValueError) as exc:  # ValueError: malformed JSON or text
             raise ParameterError(f"cannot read --config {args.config}: {exc}") from None
     config = ProtocolConfig.from_dict(cfg_data)
-    seed = resolve_seed(config.seed)
+    seed, seed_source = resolve_seed(config.seed)
     catalog_path = args.catalog or config.catalog_path
     if not catalog_path:
         print("error: no catalog given (--catalog or config catalog_path)",
@@ -277,8 +287,8 @@ def cmd_estimate(args) -> int:
     outputs = []
     details = {"config": config.to_dict(), "preset": args.preset,
                "catalog": str(catalog_path),
-               "seed": seed,
-               "seed_source": SEED_ENV if os.environ.get(SEED_ENV) else "config"}
+               "seed": seed, "seed_source": seed_source}
+    config = replace(config, seed=seed)  # every run below draws from the resolved seed
     ensembles = {}
     status = EXIT_OK
     preset_trajectories = args.trajectories or 200
@@ -384,8 +394,7 @@ def cmd_offset(args) -> int:
         print(f"error: catalog has no curve for (g={args.g}, A={args.A})",
               file=sys.stderr)
         return EXIT_USAGE
-    system = {"n_particles": args.n, "n_ll": args.n_ll,
-              "l_max": args.l_max if args.l_max is not None else args.n + 2}
+    system = {"n_particles": args.n, "n_ll": args.n_ll, "l_max": args.l_max}
     provenance = catalog.provenance if isinstance(catalog.provenance, dict) else {}
     solver = provenance.get("solver")
     if not isinstance(solver, dict) or {key: solver.get(key) for key in system} != system:
@@ -440,8 +449,7 @@ def cmd_offset(args) -> int:
 
 def cmd_basis(args) -> int:
     t0 = time.time()
-    basis = enumerate_basis(args.n, args.n_ll,
-                            args.l_max if args.l_max is not None else args.n + 2)
+    basis = enumerate_basis(args.n, args.n_ll, args.l_max)
     basis.dump_csv(args.out)
     print(f"basis: {basis.size} states over {len(basis.modes)} modes")
     _write_manifest(args.out, "basis", _system_details(basis), [args.out], t0)
@@ -588,6 +596,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "l_max", 0) is None:  # the one place --l-max gets its default
+        args.l_max = args.n + 2
     if getattr(args, "trajectories", None) is not None and args.preset not in ("fig4", "array"):
         parser.error("--trajectories sizes the fig4 and array ensembles; a run without "
                      "a preset takes its size from the config's n_trajectories")

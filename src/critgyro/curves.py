@@ -15,7 +15,6 @@ of the curve just computed cost no second sweep.
 
 import json
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -55,12 +54,21 @@ DEFAULT_CATALOG_PAIRS: tuple[tuple[float, float], ...] = (
 
 @dataclass(frozen=True)
 class ResonanceCurve:
+    """P(0|Omega) of one (g, A) pair on a strictly ascending grid.
+
+    `rel_center` is the 0.5 crossing as an offset from the grid origin,
+    `center` the same crossing as a rotation rate (omega[0] + rel_center);
+    both are None when p0 never crosses 0.5. `width` is the 0.9 to 0.1
+    distance, or None. All three are computed once, by `from_values`.
+    """
+
     g: float
     anisotropy: float
     omega: np.ndarray
     p0: np.ndarray
     center: float | None
     width: float | None
+    rel_center: float | None
 
     @classmethod
     def from_values(cls, g, anisotropy, omega, p0) -> "ResonanceCurve":
@@ -76,6 +84,7 @@ class ResonanceCurve:
             raise ParameterError("p0 values must lie in [0, 1]")
         p0 = np.clip(p0, 0.0, 1.0)
         rel = crossing_offset(omega, p0, 0.5)
+        rel = None if rel is None else float(rel)
         center = None if rel is None else float(omega[0] + rel)
         try:
             width = transition_width(omega, p0)
@@ -83,7 +92,7 @@ class ResonanceCurve:
             width = None
         return cls(
             g=float(g), anisotropy=float(anisotropy),
-            omega=omega, p0=p0, center=center, width=width,
+            omega=omega, p0=p0, center=center, width=width, rel_center=rel,
         )
 
     @property
@@ -93,23 +102,6 @@ class ResonanceCurve:
     def offsets(self) -> np.ndarray:
         """Grid relative to its own origin (shift-covariant)."""
         return self.omega - self.omega[0]
-
-    @cached_property
-    def _center_offset(self) -> float | None:
-        return crossing_offset(self.omega, self.p0, 0.5)
-
-    @cached_property
-    def uniform_grid(self) -> bool:
-        """Whether the grid steps agree to 1e-9 of their mean."""
-        d = np.diff(self.omega)
-        return not d.max() - d.min() > 1e-9 * d.mean()
-
-    def rel_center(self) -> float:
-        """Center as an offset from the grid origin."""
-        rel = self._center_offset
-        if rel is None:
-            raise RangeError("curve has no 0.5 crossing")
-        return float(rel)
 
     def evaluate(self, points) -> np.ndarray:
         """Linear interpolation with flat extension beyond the grid."""

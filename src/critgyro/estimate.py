@@ -7,6 +7,11 @@ arrays: per-measurement sigma, outcome and applied shift, the stage
 parameters, and the final `Posterior`. `run_ensemble` repeats it from
 split seeds and keeps the sigma traces.
 
+The estimator's inputs are its arguments: the config, the catalog and the
+generator or master seed. It reads no environment variable (the CLI
+applies CRITGYRO_SEED to the config), and it takes curves on any strictly
+ascending grid.
+
 Ensembles run on every CPU, with the bits of a serial run. Trajectory
 `index` draws from `trajectory_rng(master, index)` alone, so `run_ensemble`
 forks a process pool with one worker per CPU the process may use
@@ -44,21 +49,19 @@ at 1e-30 they stay within 7e-14 (the `_kernels` docstring has the details).
 
 import math
 import numbers
-import os
 import threading
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import _kernels, spectrum
-from .curves import CurveCatalog, ResonanceCurve, lookup_by_width
+from .curves import CurveCatalog, lookup_by_width
 from .errors import DegenerateUpdateError, ParameterError
 
 KAPPA_DEFAULT = 4.0
 DEFAULT_PRIOR = (0.87, 0.93)
 DEFAULT_OMEGA_TRUE = 0.90
 DEFAULT_GRID_SIZE = 2001
-SEED_ENV = "CRITGYRO_SEED"
 
 
 @dataclass(frozen=True)
@@ -117,7 +120,9 @@ class ProtocolConfig:
         Ends of the flat prior.
     grid_size: int >= 2, default 2001. Points of the posterior grid.
     seed: int >= 0, default 0. Seed of a single trajectory and master seed
-        of an ensemble; the CRITGYRO_SEED environment variable overrides it.
+        of an ensemble. `critgyro estimate` replaces it with the
+        CRITGYRO_SEED environment variable when that is set; the package
+        itself never reads the variable.
     n_measurements: int >= 1, default 100. Set to 100 by `--preset fig3`
         and `fig4`, to 400 by `--preset array`.
     schedule: list of ints, each >= 1 and strictly increasing (multiples of
@@ -225,38 +230,18 @@ class ProtocolResult:
         return float(self.sigma_trace[-1])
 
 
-def resolve_seed(config_seed: int) -> int:
-    """The seed a run uses: CRITGYRO_SEED when set, else the config's.
-    Either must be an integer >= 0."""
-    env = os.environ.get(SEED_ENV)
-    try:
-        seed = int(env) if env else int(config_seed)
-    except ValueError:
-        raise ParameterError(f"{SEED_ENV} must be an integer, got {env!r}") from None
-    if seed < 0:
-        raise ParameterError(f"the seed must be >= 0, got {seed}")
-    return seed
-
-
-def _check_uniform(curve: ResonanceCurve) -> None:
-    if not curve.uniform_grid:
-        raise ParameterError(
-            "run_protocol needs curves on uniform grids "
-            f"(curve {curve.key} is not)"
-        )
-
-
 def run_protocol(config: ProtocolConfig, catalog: CurveCatalog,
                  rng=None) -> ProtocolResult:
-    """Execute one trajectory; raises DegenerateUpdateError with the
-    measurement index if an update annihilates the posterior."""
+    """Execute one trajectory, drawing from `rng` or, when it is None, from
+    a generator seeded with `config.seed`; raises DegenerateUpdateError
+    with the measurement index if an update annihilates the posterior."""
     try:
         curve = catalog.find(config.initial_g, config.initial_anisotropy)
     except KeyError:
         raise ParameterError(f"catalog has no curve for the initial pair (g={config.initial_g}, "
                              f"A={config.initial_anisotropy})") from None
     if rng is None:
-        rng = np.random.default_rng(resolve_seed(config.seed))
+        rng = np.random.default_rng(config.seed)
     n = config.n_measurements
     uniforms = rng.random(n)
 
@@ -276,12 +261,9 @@ def run_protocol(config: ProtocolConfig, catalog: CurveCatalog,
 
     boundaries = [0] + [s for s in config.schedule if s < n] + [n]
     for start, end in zip(boundaries, boundaries[1:]):
-        _check_uniform(curve)
         stage_params.append((start + 1, curve.g, curve.anisotropy))
-        xc = curve.offsets()
-        rel_center = curve.rel_center()
         done = _kernels.bayes_stage(
-            mass, x, xc, curve.p0, rel_center, true_off,
+            mass, x, curve.offsets(), curve.p0, curve.rel_center, true_off,
             uniforms[start:end], recenter_every,
             sigma[start:end], outcomes[start:end], shifts[start:end],
             dropped[start:end],
@@ -374,9 +356,6 @@ def _run_forked(config, catalog, seed, n_traj: int, workers: int) -> list:
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    for curve in catalog.curves:
-        # cached curve constants: computed once here, inherited by every worker
-        curve.uniform_grid, curve._center_offset
     slices = [range(w, n_traj, workers) for w in range(workers)]
     with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
                              initializer=_inherit,
@@ -387,7 +366,9 @@ def _run_forked(config, catalog, seed, n_traj: int, workers: int) -> list:
 def run_ensemble(config: ProtocolConfig, catalog: CurveCatalog,
                  n_trajectories: int | None = None,
                  master_seed: int | None = None) -> EnsembleResult:
-    """Independent trajectories from a split master seed.
+    """Independent trajectories from a split master seed: `master_seed`
+    (an integer >= 0, ParameterError otherwise) or, when it is None,
+    `config.seed`.
 
     Degenerate trajectories abort and are counted, not retried. The
     trajectories run on a fork-context process pool of `workers` processes
@@ -401,7 +382,9 @@ def run_ensemble(config: ProtocolConfig, catalog: CurveCatalog,
     n_traj = config.n_trajectories if n_trajectories is None else n_trajectories
     if n_traj < 1:
         raise ParameterError(f"n_trajectories must be >= 1, got {n_traj}")
-    seed = resolve_seed(config.seed if master_seed is None else master_seed)
+    seed = config.seed if master_seed is None else _integer("master_seed", master_seed)
+    if seed < 0:
+        raise ParameterError(f"master_seed must be >= 0, got {seed}")
     workers = _ensemble_workers(n_traj)
     with spectrum._one_blas_thread():  # the workers inherit it through the fork
         done = (_run_slice(config, catalog, seed, range(n_traj)) if workers < 2

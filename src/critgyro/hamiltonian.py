@@ -43,7 +43,7 @@ import scipy.sparse as sp
 from . import spectrum
 from .errors import ParameterError, StructureError
 from .fock import FockBasis, Mode, ladder_entries
-from .melem import ElementCache
+from .melem import ElementCache, pairs_by_total_m
 
 HBAR = 1.054571817e-34  # J s
 
@@ -100,9 +100,8 @@ def build_operators(basis: FockBasis, cache: ElementCache) -> Operators:
     """D, L, V and U over the basis, from the parameter-free element cache
     built over its modes (`System` checks that)."""
     occ = basis.occupations
-    ns, nm = occ.shape
+    ns = occ.shape[0]
     index = basis.key_index
-    ms = [mode.m for mode in basis.modes]
 
     def symmetric(terms) -> sp.csr_matrix:
         """Sum of (annihilation, creations, coefficients) terms, computed on
@@ -123,12 +122,8 @@ def build_operators(basis: FockBasis, cache: ElementCache) -> Operators:
     # contact a+_a a+_b a_c a_d: bosonic operators commute, so each unordered
     # annihilation pair (c, d) takes all unordered creation pairs (a, b) of
     # equal total m at once, weighted by the number of orderings
-    pairs_by_total: dict[int, list[tuple[int, int]]] = {}
-    for a in range(nm):
-        for b in range(a, nm):
-            pairs_by_total.setdefault(ms[a] + ms[b], []).append((a, b))
     terms = []
-    for pairs in pairs_by_total.values():
+    for pairs in pairs_by_total_m(basis.modes).values():
         for cd in pairs:
             raw = [cache.u_raw[min(ab + cd, cd + ab)] for ab in pairs]
             cre = [ab for ab, val in zip(pairs, raw) if val != 0.0]

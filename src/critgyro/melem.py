@@ -128,6 +128,16 @@ def u_element(k1: Mode, k2: Mode, l1: Mode, l2: Mode, interaction: float) -> flo
     return interaction * _u_raw((k1, k2, l1, l2))
 
 
+def pairs_by_total_m(modes) -> dict[int, list[tuple[int, int]]]:
+    """Mode index pairs (a, b), a <= b, grouped by m_a + m_b: the pairs a
+    contact element can couple. Groups and pairs run in first-seen order."""
+    table: dict[int, list[tuple[int, int]]] = {}
+    for a in range(len(modes)):
+        for b in range(a, len(modes)):
+            table.setdefault(modes[a].m + modes[b].m, []).append((a, b))
+    return table
+
+
 @dataclass
 class ElementCache:
     """Parameter-free element tables over a fixed mode list.
@@ -158,13 +168,8 @@ class ElementCache:
                     v_raw[i, j] = _v_raw(ki, kj)
 
         # canonical keys are (p, q) for sorted pairs p <= q of equal total m
-        pairs_by_total: dict[int, list[tuple[int, int]]] = {}
-        for a in range(nm):
-            for b in range(a, nm):
-                pairs_by_total.setdefault(modes[a].m + modes[b].m, []).append((a, b))
-
         u_raw: dict[tuple[int, int, int, int], float] = {}
-        for pairs in pairs_by_total.values():
+        for pairs in pairs_by_total_m(modes).values():
             for i, p in enumerate(pairs):
                 for q in pairs[i:]:
                     key = p + q

@@ -6,7 +6,8 @@ bases by generate-and-filter, Hamiltonians by explicit ladder-operator
 action on occupation dictionaries, Bayesian updates by plain loops, a
 Bayesian stage over the full grid, the windowed stage as it was written
 before its per-call trims (it shares only `WINDOW_FLOOR` with the package),
-and an adiabatic sweep that resolves every lost branch on the full spectrum.
+and an adiabatic sweep that resolves every lost branch on the full spectrum
+and fails closed where the two lowest levels tie.
 """
 
 import itertools
@@ -356,13 +357,13 @@ def reference_windowed_stage(
 # adiabatic sweep resolving every lost branch on the full spectrum
 # ---------------------------------------------------------------------------
 
-def reference_sweep_followed(h0_dense, l_diag, omegas, anchor_index,
-                             k=6, tie=1e-12, floor=0.1):
+def reference_sweep_followed(h0_dense, l_diag, omegas, k=6, tie=1e-12, floor=0.1):
     """(followed states, number of full-spectrum solves) of an adiabatic
     sweep of H0 - Omega diag(L) that follows the branch like
     `spectrum.sweep_lowest` but, whenever the ground state holds less than
     `floor` of the followed state, takes the maximal-overlap eigenvector of
-    the full spectrum."""
+    the full spectrum. A point where E1 - E0 < `tie` raises ValueError
+    naming its Omega: the followed state is not defined there."""
     dim = h0_dense.shape[0]
     work = np.array(h0_dense, dtype=float)
     followed = np.empty((len(omegas), dim))
@@ -371,12 +372,9 @@ def reference_sweep_followed(h0_dense, l_diag, omegas, anchor_index,
     for i, om in enumerate(omegas):
         work[np.diag_indices(dim)] = np.diag(h0_dense) - om * l_diag
         evals, evecs = sla.eigh(work, subset_by_index=(0, k - 1))
-        ties = np.flatnonzero(evals - evals[0] < tie)
-        if prev is None:
-            vec = evecs[:, ties[np.argmax(np.abs(evecs[anchor_index, ties]))]]
-        elif len(ties) > 1:
-            vec = evecs[:, ties[np.argmax(np.abs(prev @ evecs[:, ties]))]]
-        elif (prev @ evecs[:, 0]) ** 2 >= floor:
+        if evals[1] - evals[0] < tie:
+            raise ValueError(f"degenerate ground state at Omega = {float(om)}")
+        if prev is None or (prev @ evecs[:, 0]) ** 2 >= floor:
             vec = evecs[:, 0]
         else:
             _, all_vecs = sla.eigh(work)

@@ -210,6 +210,37 @@ def test_kernel_writes_the_pre_trim_oracles_bits(config, n_stages,
     assert len(stages) == n_stages and sum(stages) == config.n_measurements
 
 
+def test_protocol_runs_a_curve_on_a_jittered_grid_with_the_oracles_bits(monkeypatch):
+    """run_protocol takes a curve on any strictly ascending grid: each point
+    of a 401-point grid jittered by up to 20% of its step, 2000 measurements
+    with one retune, every stage the pre-trim oracle's bits."""
+    rng = np.random.default_rng(17)
+
+    def jittered(anisotropy, width):
+        curve = make_logistic_curve(anisotropy=anisotropy, width=width, points=401)
+        step = curve.omega[1] - curve.omega[0]
+        omega = curve.omega + rng.uniform(-0.2, 0.2, 401) * step
+        tau = width / (2 * np.log(9.0))
+        return ResonanceCurve.from_values(0.5, anisotropy, omega,
+                                          1.0 / (1.0 + np.exp((omega - 0.90) / tau)))
+
+    catalog = CurveCatalog(curves=(jittered(0.01, 0.05), jittered(0.02, 0.008)))
+    steps = np.diff(catalog.curves[0].omega)
+    assert steps.max() - steps.min() > 0.5 * steps.mean()
+    stages, kernel = [], kernels.bayes_stage
+
+    def checked(*args):
+        stages.append(args[6].shape[0])
+        return _kernel_and_oracle(kernel, args)
+
+    monkeypatch.setattr(kernels, "bayes_stage", checked)
+    config = ProtocolConfig(seed=5, n_measurements=2000, schedule=(20,),
+                            initial_g=0.5, initial_anisotropy=0.01)
+    result = run_protocol(config, catalog)
+    assert stages == [20, 1980]
+    assert [a for _, _, a in result.stage_params] == [0.01, 0.02]
+
+
 def test_kernel_matches_the_oracle_on_a_stage_that_annihilates():
     """A trimmed first recentering, two zero outcomes that leave mass only
     left of a step, then a one outcome with zero likelihood there: the

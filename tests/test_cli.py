@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import json
 import os
@@ -48,6 +49,7 @@ def test_basis_command(tmp_path):
     manifest = json.loads((tmp_path / "basis.csv.manifest.json").read_text())
     assert manifest["command"] == "basis"
     assert str(out) in manifest["outputs"]
+    assert manifest["details"] == {"n": 3, "n_ll": 2, "l_max": 5}  # --l-max defaults to n + 2
 
 
 def test_curve_command_with_explicit_grid(tmp_path):
@@ -387,6 +389,29 @@ def test_manifest_records_the_seed_used(tmp_path, catalog_file, monkeypatch):
     assert details["seed_source"] == "CRITGYRO_SEED"
 
 
+def test_seed_variable_gives_the_bits_of_a_config_with_that_seed(tmp_path, catalog_file,
+                                                                 monkeypatch):
+    """CRITGYRO_SEED=77 over a config with seed 5 writes the trajectory and
+    the ensemble median of the same config with seed 77, byte for byte."""
+    runs = {}
+    for name, seed, env in (("env", 5, "77"), ("config", 77, None)):
+        cfg = tmp_path / f"{name}.json"
+        cfg.write_text(json.dumps({"seed": seed, "n_measurements": 60, "schedule": [12],
+                                   "n_trajectories": 3}))
+        if env is None:
+            monkeypatch.delenv("CRITGYRO_SEED")
+        else:
+            monkeypatch.setenv("CRITGYRO_SEED", env)
+        out = tmp_path / name
+        assert main(["estimate", "--config", str(cfg), "--catalog", catalog_file,
+                     "--out-dir", str(out)]) == 0
+        runs[name] = out
+    for output in ("trajectory.csv", "sigma_vs_mu.csv"):
+        assert (runs["env"] / output).read_bytes() == (runs["config"] / output).read_bytes()
+    details = json.loads((runs["env"] / "run.manifest.json").read_text())["details"]
+    assert (details["config"]["seed"], details["seed"]) == (5, 77)
+
+
 def test_manifest_records_ensemble_health(tmp_path, catalog_file):
     out = tmp_path / "fig4"
     assert main(["estimate", "--catalog", catalog_file, "--preset", "fig4",
@@ -541,3 +566,18 @@ def test_estimate_refuses_a_bad_config(config, seed_env, tmp_path, catalog_file,
     assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
     assert not (out / "trajectory.csv").exists()
     assert not (out / "run.manifest.json").exists()
+
+
+def test_only_the_cli_reads_the_environment():
+    """Of the package's modules only `cli` reads os.environ or calls os.getenv
+    (by attribute or by import): every other input comes as an argument.
+    CPU affinity and count queries are not environment reads."""
+    names = {"environ", "environb", "getenv", "getenvb"}
+    package = Path(critgyro.__file__).parent
+    readers = set()
+    for path in package.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Attribute) and node.attr in names
+                    or isinstance(node, ast.alias) and node.name in names):
+                readers.add(path.relative_to(package).as_posix())
+    assert readers == {"cli.py"}

@@ -138,7 +138,7 @@ def test_update_matches_loop_oracle_randomized():
     x = np.linspace(0.85, 0.95, 301) - 0.85
     mass = np.full(301, 1.0 / 301)
     ref = list(mass)
-    xc, rel_center = curve.offsets(), curve.rel_center()
+    xc, rel_center = curve.offsets(), curve.rel_center
     uniforms = np.random.default_rng(3).random(5)
     done, sigma, outcomes, shifts = _stage(mass, x, xc, curve.p0, rel_center,
                                            0.9 - 0.85, uniforms, recenter_every=5)
@@ -242,18 +242,32 @@ def test_protocol_is_deterministic():
     assert np.array_equal(r1.posterior.mass, r2.posterior.mass)
 
 
-def test_seed_env_overrides_config(monkeypatch):
+def test_estimator_reads_no_seed_variable(monkeypatch):
+    """run_protocol seeds from config.seed and run_ensemble from master_seed
+    (or config.seed); CRITGYRO_SEED changes neither."""
     cat = synthetic_catalog()
-    cfg = ProtocolConfig(seed=1, n_measurements=50,
+    cfg = ProtocolConfig(seed=1, n_measurements=50, schedule=(12,),
                          initial_g=0.5, initial_anisotropy=0.01)
-    base = run_protocol(cfg, cat)
+
+    def runs():
+        return (run_protocol(cfg, cat), run_ensemble(cfg, cat, n_trajectories=3),
+                run_ensemble(cfg, cat, n_trajectories=3, master_seed=7))
+
+    base = runs()
     monkeypatch.setenv("CRITGYRO_SEED", "999")
-    overridden = run_protocol(cfg, cat)
-    alt = run_protocol(
-        ProtocolConfig(seed=999, n_measurements=50, initial_g=0.5,
-                       initial_anisotropy=0.01), cat)
-    assert np.array_equal(overridden.sigma_trace, alt.sigma_trace)
-    assert not np.array_equal(overridden.sigma_trace, base.sigma_trace)
+    with_env = runs()
+    assert np.array_equal(with_env[0].sigma_trace, base[0].sigma_trace)
+    assert with_env[1].seeds == [(1, 0), (1, 1), (1, 2)]
+    assert with_env[2].seeds == [(7, 0), (7, 1), (7, 2)]
+    for got, want in zip(with_env[1:], base[1:]):
+        assert np.array_equal(got.sigma, want.sigma)
+
+
+@pytest.mark.parametrize("master_seed", [-1, 2.5, True, "7"])
+def test_ensemble_refuses_a_master_seed_that_is_no_integer_at_least_0(master_seed):
+    cfg = ProtocolConfig(n_measurements=5, initial_g=0.5, initial_anisotropy=0.01)
+    with pytest.raises(ParameterError, match="master_seed"):
+        run_ensemble(cfg, synthetic_catalog(), n_trajectories=2, master_seed=master_seed)
 
 
 def test_records_follow_stages(tmp_path):
@@ -350,13 +364,6 @@ def test_ensemble_seeds_replay_each_trajectory():
     for row, seed in zip(ens.sigma, ens.seeds):
         replay = run_protocol(cfg, cat, rng=trajectory_rng(*seed))
         assert np.array_equal(replay.sigma_trace, row)
-
-
-def test_non_integer_seed_env_is_a_parameter_error(monkeypatch):
-    monkeypatch.setenv("CRITGYRO_SEED", "abc")
-    cfg = ProtocolConfig(n_measurements=5, initial_g=0.5, initial_anisotropy=0.01)
-    with pytest.raises(ParameterError):
-        run_protocol(cfg, synthetic_catalog())
 
 
 def _trajectory_index(rng) -> int:
@@ -495,16 +502,23 @@ def test_median_sigma_reads_only_measured_counts():
 
 
 def test_curve_constants_are_computed_once_per_curve(monkeypatch):
-    cat = synthetic_catalog()
-    offsets = []
+    """Each curve finds its 0.5 crossing once, when it is made; an ensemble
+    (its forked workers included) finds none."""
+    thresholds = []
     real = curves.crossing_offset
     monkeypatch.setattr(curves, "crossing_offset",
-                        lambda *args: offsets.append(1) or real(*args))
+                        lambda *args: thresholds.append(args[2]) or real(*args))
+    cat = synthetic_catalog()
+    assert thresholds == [0.5] * len(cat.curves)
+
+    def refused(*args):
+        raise AssertionError("a curve constant was computed during the ensemble")
+
+    monkeypatch.setattr(curves, "crossing_offset", refused)
     cfg = ProtocolConfig(seed=5, n_measurements=40, schedule=(12, 32),
                          initial_g=0.5, initial_anisotropy=0.01)
     ens = run_ensemble(cfg, cat, n_trajectories=6)
-    assert ens.n_aborted == 0
-    assert 1 <= len(offsets) <= len(cat.curves)
+    assert ens.n_aborted == 0 and len(ens.seeds) == 6
 
 
 @pytest.mark.parametrize("k", [0, 3])
@@ -538,14 +552,3 @@ def test_protocol_refuses_a_prior_that_excludes_the_truth():
     with pytest.raises(ParameterError, match="omega_true 2.0 lies outside"):
         run_protocol(ProtocolConfig(n_measurements=50, omega_true=2.0,
                                     initial_anisotropy=0.01), synthetic_catalog())
-
-
-def test_protocol_refuses_a_curve_on_a_non_uniform_grid():
-    curve = make_logistic_curve(anisotropy=0.01)
-    omega = curve.omega.copy()
-    omega[len(omega) // 2] += 0.25 * (omega[1] - omega[0])
-    cat = CurveCatalog(curves=(ResonanceCurve.from_values(0.5, 0.01, omega, curve.p0),))
-    cfg = ProtocolConfig(seed=5, n_measurements=10,
-                         initial_g=0.5, initial_anisotropy=0.01)
-    with pytest.raises(ParameterError, match="uniform"):
-        run_protocol(cfg, cat)

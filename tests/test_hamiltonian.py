@@ -3,7 +3,6 @@ import pytest
 from math import inf, nan, pi, sqrt
 
 import critgyro.spectrum as spectrum
-from critgyro.cli import _build_system
 from critgyro.curves import compute_curve
 from critgyro.errors import ParameterError, StructureError
 from critgyro.fock import Mode, enumerate_basis
@@ -25,8 +24,6 @@ def test_params_validation():
         enumerate_basis(-1, 2, 4)
     with pytest.raises(ParameterError):
         build(2, -0.1, 0.0, 0.0)
-    basis, _ = _build_system(4, 2, None)
-    assert basis.l_max == 6
 
 
 def test_params_warns_on_large_anisotropy():

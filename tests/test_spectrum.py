@@ -194,9 +194,8 @@ def test_lost_branch_resolves_like_the_full_spectrum(system6, monkeypatch, g, a)
     h0 = build_operators(basis, cache).hamiltonian(g, a, 0.0).toarray()
     h0 = h0[np.ix_(rows, rows)]
     l_diag = basis.L[rows].astype(float)
-    anchor = int(np.searchsorted(rows, basis.index_of({Mode(0, 0): 6})))
     omegas = np.linspace(*PRESCAN_RANGE, PRESCAN_POINTS)
-    ref, ref_full_solves = reference_sweep_followed(h0, l_diag, omegas, anchor)
+    ref, ref_full_solves = reference_sweep_followed(h0, l_diag, omegas)
 
     full_solves = []
     real = spectrum._eigh
@@ -220,17 +219,14 @@ def _sector_prescan(basis, cache, g, a):
     rows = np.flatnonzero(basis.L % 2 == 0)
     h0 = build_operators(basis, cache).hamiltonian(g, a, 0.0).toarray()
     return (h0[np.ix_(rows, rows)], basis.L[rows].astype(float),
-            np.linspace(*PRESCAN_RANGE, PRESCAN_POINTS),
-            int(np.searchsorted(rows, basis.index_of({Mode(0, 0): 6}))),
-            basis.zero_momentum_mask[rows])
+            np.linspace(*PRESCAN_RANGE, PRESCAN_POINTS), basis.zero_momentum_mask[rows])
 
 
 def _exact_crossing_sweep():
     basis = enumerate_basis(4, 2, 6)
     cache = ElementCache.build(basis.modes)
     h0 = System(basis, cache).operators.hamiltonian(0.5, 0.0, 0.0).toarray()
-    return (h0, basis.L.astype(float), np.linspace(0.7, 1.0, 61),
-            basis.index_of({Mode(0, 0): 4}), basis.zero_momentum_mask)
+    return h0, basis.L.astype(float), np.linspace(0.7, 1.0, 61), basis.zero_momentum_mask
 
 
 def _diagonals(h0, l_diag, omegas):
@@ -244,11 +240,10 @@ def test_sweep_widens_only_where_the_follow_rule_needs(system6, monkeypatch, cas
     E1 - E0 ties or the ground state holds less than FOLLOW_FLOOR of the
     followed state, and the followed branch is the full-spectrum one."""
     if case == "exact crossing":
-        h0, l_diag, omegas, anchor, mask = _exact_crossing_sweep()
+        h0, l_diag, omegas, mask = _exact_crossing_sweep()
     else:
-        h0, l_diag, omegas, anchor, mask = _sector_prescan(
-            *system6, *map(float, case.split(":")))
-    ref, _ = reference_sweep_followed(h0, l_diag, omegas, anchor)
+        h0, l_diag, omegas, mask = _sector_prescan(*system6, *map(float, case.split(":")))
+    ref, _ = reference_sweep_followed(h0, l_diag, omegas)
 
     # solves run on several threads, so each is keyed by its point's diagonal
     index_of = {d.tobytes(): i for i, d in enumerate(_diagonals(h0, l_diag, omegas))}
@@ -281,7 +276,7 @@ def test_sweep_widens_only_where_the_follow_rule_needs(system6, monkeypatch, cas
 
 
 def test_sweep_stop_ends_after_the_point_it_accepts():
-    h0, l_diag, omegas, _, _ = _exact_crossing_sweep()
+    h0, l_diag, omegas, _ = _exact_crossing_sweep()
     whole = sweep_lowest(h0, l_diag, omegas)
     seen = []
 
@@ -322,9 +317,9 @@ def _on_workers(monkeypatch, workers, *args, **kwargs):
 @pytest.mark.parametrize("case", ["0.6:0.025", "exact crossing"])
 def test_threaded_sweep_gives_the_bits_of_a_serial_one(system6, monkeypatch, case):
     if case == "exact crossing":
-        h0, l_diag, omegas, _, _ = _exact_crossing_sweep()
+        h0, l_diag, omegas, _ = _exact_crossing_sweep()
     else:
-        h0, l_diag, omegas, _, _ = _sector_prescan(
+        h0, l_diag, omegas, _ = _sector_prescan(
             *system6, *map(float, case.split(":")))
     serial, threaded = (_on_workers(monkeypatch, workers, h0, l_diag, omegas)
                         for workers in (1, 2))
@@ -333,7 +328,7 @@ def test_threaded_sweep_gives_the_bits_of_a_serial_one(system6, monkeypatch, cas
 
 
 def test_threaded_sweep_solves_at_most_the_lookahead_past_a_stop(monkeypatch):
-    h0, l_diag, omegas, _, _ = _exact_crossing_sweep()
+    h0, l_diag, omegas, _ = _exact_crossing_sweep()
     index_of = {d.tobytes(): i for i, d in enumerate(_diagonals(h0, l_diag, omegas))}
     two_pair_points = []
     real = spectrum._eigh
@@ -360,7 +355,7 @@ def test_threaded_sweep_solves_at_most_the_lookahead_past_a_stop(monkeypatch):
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_a_failed_solve_propagates_from_the_sweep(monkeypatch, workers):
-    h0, l_diag, omegas, _, _ = _exact_crossing_sweep()
+    h0, l_diag, omegas, _ = _exact_crossing_sweep()
     failing = _diagonals(h0, l_diag, omegas)[23].tobytes()
     real = spectrum._eigh
 
@@ -389,6 +384,8 @@ def test_an_exact_tie_fails_closed(monkeypatch, workers):
         _on_workers(monkeypatch, workers, h0, l_diag, np.linspace(0.0, 1.5, 7),
                     stop=lambda state: seen.append(state) and False)
     assert len(seen) == 4
+    with pytest.raises(ValueError, match=r"at Omega = 1\.0$"):  # so does the oracle
+        reference_sweep_followed(h0, l_diag, np.linspace(0.0, 1.5, 7), k=3)
 
 
 def test_one_state_sweep_runs_on_the_pool(monkeypatch):
