@@ -3,11 +3,12 @@
 A curve is computed by sweeping the ground state across the vortex
 transition of one (g, A) pair. The sweep grid is auto-located: a coarse
 pre-scan of PRESCAN_POINTS points over PRESCAN_RANGE brackets the 0.9/0.1
-crossings, stopping at the first point after both first crossings, then a
-refined uniform grid of REFINED_POINTS spans the transition with generous
-padding so that the flat extension outside the grid only ever sees plateau
-values. Sweeps run in the L-parity sector of the condensate (0,0)^N, the
-only states the followed state couples to.
+crossings, then a refined uniform grid of REFINED_POINTS spans the
+transition with generous padding so that the flat extension outside the
+grid only ever sees plateau values. The pre-scan computes each point's p0
+once, as its sweep reaches it, and stops at the first point after both
+first downward crossings. Sweeps run in the L-parity sector of the
+condensate (0,0)^N, the only states the followed state couples to.
 
 `hamiltonian.System.sweep` runs and keeps every sweep, so the diagnostics
 of the curve just computed cost no second sweep.
@@ -74,8 +75,8 @@ class ResonanceCurve:
     def from_values(cls, g, anisotropy, omega, p0) -> "ResonanceCurve":
         omega = np.asarray(omega, dtype=float)
         p0 = np.asarray(p0, dtype=float)
-        if omega.ndim != 1 or omega.shape != p0.shape:
-            raise ParameterError("omega and p0 must be matching 1-d arrays")
+        if omega.ndim != 1 or omega.shape != p0.shape or omega.size == 0:
+            raise ParameterError("omega and p0 must be matching non-empty 1-d arrays")
         if not (np.isfinite(omega).all() and np.isfinite(p0).all()):
             raise ParameterError("omega and p0 must be finite")
         if np.any(np.diff(omega) <= 0):
@@ -121,33 +122,28 @@ class CurveDiagnostics:
     spdm_trace: np.ndarray
 
 
-def _sweep_p0(system: System, g, anisotropy, omegas, stop=None) -> np.ndarray:
-    """p0 of each followed state of `system.sweep(g, anisotropy, omegas, stop)`."""
-    sweep = system.sweep(g, anisotropy, omegas, stop)
-    return p_zero(system.lift(sweep.followed), system.basis)
-
-
 def _transition_grid(basis: FockBasis, cache: ElementCache, g: float,
                      anisotropy: float) -> np.ndarray | None:
     """Refined grid spanning the transition, or None when the pre-scan's
     likelihood never crosses both 0.9 and 0.1 (e.g. zero anisotropy).
 
-    The pre-scan ends at the first point after both first downward
-    crossings (0.9 and 0.1) are bracketed; the grid depends on those
-    crossings alone, so it is the one the whole pre-scan gives.
+    Stop rule: the sweep appends each point's p0 to `pc` and drops from
+    `pending` each threshold t the last step brackets (previous p0 >= t >
+    p0), and ends once both first downward crossings, 0.9 and 0.1, are
+    bracketed. The grid depends on those crossings alone, so it is the one
+    the whole pre-scan gives.
     """
     coarse = np.linspace(*PRESCAN_RANGE, PRESCAN_POINTS)
-    pending, last = {0.9, 0.1}, -np.inf
+    pc, pending = [], {0.9, 0.1}
 
     def bracketed(state: np.ndarray) -> bool:
-        # drop each threshold whose first downward crossing p0 brackets
-        nonlocal pending, last
         p = p_zero(state, basis)
-        pending = {t for t in pending if not last >= t > p}
-        last = p
+        if pc:
+            pending.difference_update([t for t in pending if pc[-1] >= t > p])
+        pc.append(p)
         return not pending
 
-    pc = _sweep_p0(System.of(basis, cache), g, anisotropy, coarse, stop=bracketed)
+    System.of(basis, cache).sweep(g, anisotropy, coarse, stop=bracketed)
     step = coarse[1] - coarse[0]
     rel_hi = crossing_offset(coarse[:len(pc)], pc, 0.9)
     rel_lo = crossing_offset(coarse[:len(pc)], pc, 0.1)
@@ -174,28 +170,29 @@ def compute_curve(basis: FockBasis, cache: ElementCache, g: float,
     if grid is None:
         grid = locate_grid(basis, cache, g, anisotropy)
     grid = np.asarray(grid, dtype=float)
-    pvals = _sweep_p0(System.of(basis, cache), g, anisotropy, grid)
-    return ResonanceCurve.from_values(g, anisotropy, grid, pvals)
+    system = System.of(basis, cache)
+    followed = system.lift(system.sweep(g, anisotropy, grid).followed)
+    return ResonanceCurve.from_values(g, anisotropy, grid, p_zero(followed, basis))
 
 
 def curve_diagnostics(basis: FockBasis, cache: ElementCache,
                       curve: ResonanceCurve) -> CurveDiagnostics:
     """Gap, SPDM spectrum and <L> along an existing curve's grid.
 
-    The gap is E1 - E0 within the condensate's L-parity sector, the only
-    states the followed state couples to; a sector of one state has none
-    (ParameterError). The sweep is `System.sweep`'s, so right after
-    `compute_curve` on the same grid its kept sweep is reused.
+    The gap is `SweepResult.gap`, E1 - E0 within the condensate's L-parity
+    sector, the only states the followed state couples to; a sector of one
+    state has none (ParameterError, before any SPDM work). The sweep is
+    `System.sweep`'s, so right after `compute_curve` on the same grid its
+    kept sweep is reused.
     """
     system = System.of(basis, cache)
     sweep = system.sweep(curve.g, curve.anisotropy, curve.omega)
-    if sweep.energies.shape[1] < 2:
-        raise ParameterError("the condensate sector has one state: its gap is undefined")
+    gap = sweep.gap
     followed = system.lift(sweep.followed)
     dens = spdm_batch(followed, basis)
     return CurveDiagnostics(
         omegas=curve.omega.copy(),
-        gap=sweep.energies[:, 1] - sweep.energies[:, 0],
+        gap=gap,
         lam1=np.array([d.eigenvalues[0] for d in dens]),
         lam2=np.array([d.eigenvalues[1] if len(d.eigenvalues) > 1 else 0.0
                        for d in dens]),

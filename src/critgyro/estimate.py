@@ -16,15 +16,15 @@ Ensembles run on every CPU, with the bits of a serial run. Trajectory
 `index` draws from `trajectory_rng(master, index)` alone, so `run_ensemble`
 forks a process pool with one worker per CPU the process may use
 (`spectrum._workers`, which also sizes the sweep pool), never more workers
-than trajectories. Worker w runs indices w, w + W, w + 2W, ... through the
-unchanged `run_protocol`, on one BLAS thread, and the parent reassembles
-rows, seeds, aborts and dropped mass in index order: the `EnsembleResult`
-is the serial one bit for bit, whatever W. The config and catalog reach the
-workers through the fork, not through pickling. There is no pool for one
-CPU or one trajectory, where `fork` is not a start method, or while another
-thread is alive in the process (a fork copies no thread, and a lock one
-held would stay locked in the child); those ensembles run serially. The
-pool was measured on 2 CPUs only.
+than trajectories. The W workers take the indices in contiguous blocks of
+ceil(n / W), each trajectory through the unchanged `run_protocol` on one
+BLAS thread, and the pool returns the rows in index order: the
+`EnsembleResult` is the serial one bit for bit, whatever W. The config and
+catalog reach the workers through the fork, not through pickling. There is
+no pool for one CPU or one trajectory, where `fork` is not a start method,
+or while another thread is alive in the process (a fork copies no thread,
+and a lock one held would stay locked in the child); those ensembles run
+serially. The pool was measured on 2 CPUs only.
 
 A trajectory draws Bernoulli outcomes from the likelihood curve at the
 true rotation (plus the recentering shift), multiplies the posterior by
@@ -41,10 +41,8 @@ prior, true rotation and curve grid (when the shifted inputs are exact).
 grid points holding at most `_kernels.WINDOW_FLOOR` (1e-30) of the mass at
 the posterior mean are set to zero and leave the window for good. Their
 total is `ProtocolResult.dropped_mass` (at most grid_size * 1e-30), and
-`EnsembleResult.max_dropped_mass` is the largest per ensemble. A floor of
-1e-16 was rejected: mass below it regrows after a retune to a narrow curve,
-and fig4 medians moved by up to 1.3e-9 relative from the full-grid update;
-at 1e-30 they stay within 7e-14 (the `_kernels` docstring has the details).
+`EnsembleResult.max_dropped_mass` is the largest per ensemble. The
+`_kernels` docstring records how the floor was chosen.
 """
 
 import math
@@ -314,18 +312,14 @@ def trajectory_rng(master_seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(index,)))
 
 
-def _run_slice(config, catalog, seed, indices) -> list:
-    """(index, sigma trace or None, abort measurement index or None, dropped
-    mass) of each trajectory in `indices`; a degenerate one aborts."""
-    done = []
-    for index in indices:
-        try:
-            res = run_protocol(config, catalog, rng=trajectory_rng(seed, index))
-        except DegenerateUpdateError as exc:
-            done.append((index, None, exc.measurement_index, 0.0))
-        else:
-            done.append((index, res.sigma_trace, None, res.dropped_mass))
-    return done
+def _run_one(config, catalog, seed, index) -> tuple:
+    """(sigma trace or None, abort measurement index or None, dropped mass)
+    of trajectory `index`; a degenerate one aborts."""
+    try:
+        res = run_protocol(config, catalog, rng=trajectory_rng(seed, index))
+    except DegenerateUpdateError as exc:
+        return None, exc.measurement_index, 0.0
+    return res.sigma_trace, None, res.dropped_mass
 
 
 _inherited = None  # (config, catalog, seed); set by the pool initializer, in workers only
@@ -336,8 +330,8 @@ def _inherit(config, catalog, seed) -> None:
     _inherited = (config, catalog, seed)
 
 
-def _forked_slice(indices) -> list:
-    return _run_slice(*_inherited, indices)
+def _forked_one(index) -> tuple:
+    return _run_one(*_inherited, index)
 
 
 def _ensemble_workers(n_traj: int) -> int:
@@ -351,35 +345,36 @@ def _ensemble_workers(n_traj: int) -> int:
 
 
 def _run_forked(config, catalog, seed, n_traj: int, workers: int) -> list:
-    """`_run_slice` of every index, worker w taking w, w + workers, ...; the
-    pool is joined on every exit, and a worker's error propagates as is."""
+    """`_run_one` of every index, in index order, the indices in contiguous
+    blocks of ceil(n_traj / workers); the pool is joined on every exit, and
+    a worker's error propagates as is."""
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    slices = [range(w, n_traj, workers) for w in range(workers)]
     with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
                              initializer=_inherit,
                              initargs=(config, catalog, seed)) as pool:
-        return [row for part in pool.map(_forked_slice, slices) for row in part]
+        return list(pool.map(_forked_one, range(n_traj),
+                             chunksize=math.ceil(n_traj / workers)))
 
 
 def run_ensemble(config: ProtocolConfig, catalog: CurveCatalog,
                  n_trajectories: int | None = None,
                  master_seed: int | None = None) -> EnsembleResult:
-    """Independent trajectories from a split master seed: `master_seed`
-    (an integer >= 0, ParameterError otherwise) or, when it is None,
-    `config.seed`.
+    """`n_trajectories` (an integer >= 1) or `config.n_trajectories`
+    independent trajectories from a split master seed, `master_seed` (an
+    integer >= 0) or `config.seed`; ParameterError for a bad argument.
 
     Degenerate trajectories abort and are counted, not retried. The
     trajectories run on a fork-context process pool of `workers` processes
     (one per CPU, at most one per trajectory; the module docstring says when
-    there is none), each on one BLAS thread. The parent puts rows, seeds,
-    abort indices and the dropped mass back in trajectory order, so the
-    result equals a serial run's bit for bit. Any other error of a
-    trajectory propagates with its own type, and no worker process or pool
-    thread outlives the call.
+    there is none), each on one BLAS thread, and come back in trajectory
+    order, so the result equals a serial run's bit for bit. Any other error
+    of a trajectory propagates with its own type, and no worker process or
+    pool thread outlives the call.
     """
-    n_traj = config.n_trajectories if n_trajectories is None else n_trajectories
+    n_traj = (config.n_trajectories if n_trajectories is None
+              else _integer("n_trajectories", n_trajectories))
     if n_traj < 1:
         raise ParameterError(f"n_trajectories must be >= 1, got {n_traj}")
     seed = config.seed if master_seed is None else _integer("master_seed", master_seed)
@@ -387,29 +382,20 @@ def run_ensemble(config: ProtocolConfig, catalog: CurveCatalog,
         raise ParameterError(f"master_seed must be >= 0, got {seed}")
     workers = _ensemble_workers(n_traj)
     with spectrum._one_blas_thread():  # the workers inherit it through the fork
-        done = (_run_slice(config, catalog, seed, range(n_traj)) if workers < 2
-                else _run_forked(config, catalog, seed, n_traj, workers))
-    rows = []
-    seeds = []
-    aborted = []
-    max_dropped = 0.0
-    for index, sigma_trace, abort_index, dropped in sorted(done, key=lambda row: row[0]):
-        if sigma_trace is None:
-            aborted.append(abort_index)
-            continue
-        rows.append(sigma_trace)
-        seeds.append((seed, index))
-        max_dropped = max(max_dropped, dropped)
-    if not rows:
+        done = ([_run_one(config, catalog, seed, index) for index in range(n_traj)]
+                if workers < 2 else _run_forked(config, catalog, seed, n_traj, workers))
+    kept = [index for index, (trace, _, _) in enumerate(done) if trace is not None]
+    aborted = [abort_index for trace, abort_index, _ in done if trace is None]
+    if not kept:
         raise DegenerateUpdateError(
             "every trajectory in the ensemble aborted", measurement_index=None
         )
     return EnsembleResult(
-        sigma=np.vstack(rows),
-        seeds=seeds,
+        sigma=np.vstack([done[index][0] for index in kept]),
+        seeds=[(seed, index) for index in kept],
         n_aborted=len(aborted),
         abort_indices=aborted,
-        max_dropped_mass=max_dropped,
+        max_dropped_mass=max(done[index][2] for index in kept),
         workers=workers,
     )
 

@@ -70,7 +70,7 @@ def spdm_batch(psis: np.ndarray, basis: FockBasis) -> list[SPDM]:
     all-rows product holds every row's hop weights at once), and the
     occupations give the diagonal.
     """
-    psis = np.array([_check_normalized(psi) for psi in psis]).reshape(len(psis), -1)
+    psis = _check_normalized(psis)
     occ = basis.occupations
     nm = occ.shape[1]
     src, tgt, table_t = basis.spdm_hop_table
@@ -155,10 +155,13 @@ def preparation_hwhm(curve, offset: float, prior_lo: float, prior_hi: float) -> 
     The likelihood is the curve truncated at the ramp endpoint (flat at the
     endpoint value beyond it), shifted so the flat prior's midpoint maps onto
     the endpoint. A proxy for the attainable single-shot resolution.
-    The prior needs finite bounds with prior_lo < prior_hi (ParameterError).
+    The prior needs finite bounds with prior_lo < prior_hi, and the curve a
+    0.5 crossing (ParameterError otherwise).
     """
     if not (np.isfinite(prior_lo) and np.isfinite(prior_hi) and prior_lo < prior_hi):
         raise ParameterError(f"prior needs finite bounds lo < hi, got [{prior_lo}, {prior_hi}]")
+    if curve.center is None:
+        raise ParameterError("the curve never crosses 0.5: it has no center to offset from")
     end = curve.center + offset
     p_end = float(curve.evaluate(end))
     omega = np.linspace(prior_lo, prior_hi, HWHM_GRID_SIZE)
@@ -218,16 +221,16 @@ class GapProfile:
 def gap_profile(basis: FockBasis, cache: ElementCache, g: float,
                 anisotropy: float, omegas: np.ndarray,
                 center: float) -> GapProfile:
-    """Gap and |<1|L|0>| within the L-parity sector of the condensate."""
+    """Gap and |<1|L|0>| within the L-parity sector of the condensate; the
+    gap is `SweepResult.gap`, so a sector of one state raises ParameterError."""
     if anisotropy <= 0:
         raise ParameterError("gap profile needs a positive anisotropy")
     system = System.of(basis, cache)
     sweep = system.sweep(g, anisotropy, omegas)
-    gap = sweep.energies[:, 1] - sweep.energies[:, 0]
     l01 = np.abs(np.einsum("ij,j,ij->i", sweep.vec1, system.sector_l, sweep.vec0))
     return GapProfile(
         omegas=np.asarray(omegas, dtype=float),
-        gap=gap, l01=l01, center=float(center),
+        gap=sweep.gap, l01=l01, center=float(center),
     )
 
 

@@ -179,6 +179,13 @@ class SweepResult:
     followed: np.ndarray    # (n, dim) adiabatically followed state
     followed_rank: np.ndarray
 
+    @property
+    def gap(self) -> np.ndarray:
+        """E1 - E0 per point; ParameterError for a sweep of a one-state matrix."""
+        if self.energies.shape[1] < 2:
+            raise ParameterError("a one-state sector has no gap: E1 is undefined")
+        return self.energies[:, 1] - self.energies[:, 0]
+
 
 @cache
 def _openblas_thread_controls() -> tuple:

@@ -530,6 +530,22 @@ def test_offset_refuses_an_offset_off_the_ramp_or_another_systems_catalog(
     assert sweeps == []
 
 
+def test_offset_on_a_one_state_system_exits_2(tmp_path, catalog_file, capsys):
+    """A catalog whose provenance names N=1, n_LL=1, l_max=0: that system's
+    condensate sector has one state, so the ramp has no gap."""
+    payload = json.loads(Path(catalog_file).read_text())
+    payload["provenance"]["solver"].update(n_particles=1, n_ll=1, l_max=0)
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps(payload))
+    out = tmp_path / "offset.csv"
+    assert main(["offset", "--catalog", str(path), "--n", "1", "--n-ll", "1",
+                 "--l-max", "0", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "one-state sector" in err
+    assert not out.exists()
+    assert not (tmp_path / "offset.csv.manifest.json").exists()
+
+
 @pytest.mark.parametrize("config,seed_env", [
     ('{"grid_size": "abc"}', None),
     ('{"n_measurements": 2.5}', None),

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import critgyro.curves as curves
 import critgyro.hamiltonian as hamiltonian
 import critgyro.spectrum as spectrum
 from conftest import make_logistic_curve
@@ -31,7 +32,13 @@ from critgyro.errors import ParameterError, StaleCatalogError
 from critgyro.fock import KeyIndex, enumerate_basis
 from critgyro.hamiltonian import System
 from critgyro.melem import ElementCache
-from critgyro.observables import critical_frequency, gap_profile, p_zero, transition_width
+from critgyro.observables import (
+    critical_frequency,
+    crossing_offset,
+    gap_profile,
+    p_zero,
+    transition_width,
+)
 
 
 def test_from_values_validation():
@@ -325,28 +332,53 @@ def test_prescan_stops_at_its_crossings(system6, monkeypatch, g, a):
     real = spectrum.sweep_lowest
     swept = []
 
-    def early(*args, **kwargs):
+    def counting(*args, **kwargs):
         result = real(*args, **kwargs)
         swept.append(len(result.omegas))
         return result
 
-    def whole(*args, stop=None, **kwargs):
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(spectrum, "sweep_lowest", early)
+    monkeypatch.setattr(spectrum, "sweep_lowest", counting)
     grid = locate_grid(basis, cache, g, a)
-    monkeypatch.setattr(spectrum, "sweep_lowest", whole)
-    assert np.array_equal(grid, locate_grid(basis, cache, g, a))
     system = System.of(basis, cache)
-    full = system.lift(system.last_sweep[1].followed)
-    assert len(full) == PRESCAN_POINTS
-    p = (full[:, basis.zero_momentum_mask] ** 2).sum(axis=1)
+    coarse = np.linspace(*PRESCAN_RANGE, PRESCAN_POINTS)
+    p = p_zero(system.lift(system.sweep(g, a, coarse).followed), basis)
+    assert len(p) == PRESCAN_POINTS
+    rel_hi, rel_lo = (crossing_offset(coarse, p, t) for t in (0.9, 0.1))
     if a == 0.0:  # no transition: the pre-scan runs in full
-        assert swept == [PRESCAN_POINTS]
+        assert rel_hi is None or rel_lo is None
+        assert swept[0] == PRESCAN_POINTS
         assert np.array_equal(grid, np.linspace(*PRESCAN_RANGE, REFINED_POINTS))
     else:
+        span = max(rel_lo - rel_hi, coarse[1] - coarse[0])
+        whole = np.linspace(coarse[0] + rel_hi - span, coarse[0] + rel_lo + span,
+                            REFINED_POINTS)
+        assert np.array_equal(grid, whole)
         last = max(_first_crossing(p, 0.9), _first_crossing(p, 0.1))
-        assert swept == [last + 2] and last + 2 < PRESCAN_POINTS
+        assert swept[0] == last + 2 and last + 2 < PRESCAN_POINTS
+
+
+@pytest.mark.parametrize("a", [0.04, 0.0])
+def test_prescan_computes_p0_once_per_swept_point(system6, monkeypatch, a):
+    """The stop rule's p0 values are the ones the located grid reads: no
+    second p_zero pass over the swept stack."""
+    basis, cache = system6
+    real_sweep, real_p0 = spectrum.sweep_lowest, curves.p_zero
+    swept, shapes = [], []
+
+    def counting_sweep(*args, **kwargs):
+        result = real_sweep(*args, **kwargs)
+        swept.append(len(result.omegas))
+        return result
+
+    def counting_p0(psi, basis):
+        shapes.append(np.shape(psi))
+        return real_p0(psi, basis)
+
+    monkeypatch.setattr(spectrum, "sweep_lowest", counting_sweep)
+    monkeypatch.setattr(curves, "p_zero", counting_p0)
+    locate_grid(basis, cache, 0.5, a)
+    assert len(swept) == 1
+    assert shapes == [(basis.size,)] * swept[0]
 
 
 def test_diagnostics_do_not_reuse_an_early_stopped_prescan(system6, monkeypatch):
@@ -426,6 +458,21 @@ def test_diagnostics_refuse_a_one_state_sector():
     curve = compute_curve(basis, cache, 0.5, 0.04, grid=np.linspace(0.8, 0.9, 3))
     with pytest.raises(ParameterError):
         curve_diagnostics(basis, cache, curve)
+
+
+def test_gap_profile_and_diagnostics_refuse_a_one_particle_one_mode_system(monkeypatch):
+    """N=1, n_LL=1, l_max=0 has one state. Both calls read `SweepResult.gap`,
+    which such a sweep does not have; the diagnostics refuse before any
+    SPDM work."""
+    basis = enumerate_basis(1, 1, 0)
+    cache = ElementCache.build(basis.modes)
+    grid = np.linspace(0.8, 0.9, 3)
+    curve = compute_curve(basis, cache, 0.5, 0.04, grid=grid)
+    monkeypatch.setattr(curves, "spdm_batch", lambda *args: pytest.fail("SPDM computed"))
+    with pytest.raises(ParameterError, match="one-state sector"):
+        curve_diagnostics(basis, cache, curve)
+    with pytest.raises(ParameterError, match="one-state sector"):
+        gap_profile(basis, cache, 0.5, 0.04, grid, center=0.85)
 
 
 def test_curves_and_gap_profile_share_one_operator_build(monkeypatch):

@@ -1,0 +1,60 @@
+"""Malformed input to a public entry point fails closed with a package error.
+
+Each case calls one entry point with one malformed input and must raise a
+`CritgyroError` subclass (the CLI maps those to its documented exit codes),
+never a bare TypeError, IndexError or numpy ValueError.
+"""
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+
+from conftest import make_logistic_curve
+from critgyro.curves import CurveCatalog, ResonanceCurve, lookup_by_width
+from critgyro.errors import CritgyroError
+from critgyro.estimate import ProtocolConfig, run_ensemble
+from critgyro.fock import enumerate_basis
+from critgyro.melem import ElementCache
+from critgyro.observables import gap_profile, preparation_hwhm
+from critgyro.spectrum import lowest_k, sweep_lowest
+
+
+def _hwhm_without_center():
+    curve = ResonanceCurve.from_values(0.5, 0.04, [0.8, 0.9, 1.0], [1.0, 0.9, 0.8])
+    assert curve.center is None
+    preparation_hwhm(curve, 0.0, 0.88, 0.92)
+
+
+def _ensemble(n_trajectories):
+    def call():
+        config = ProtocolConfig(n_measurements=5)
+        run_ensemble(config, CurveCatalog(curves=(make_logistic_curve(),)),
+                     n_trajectories=n_trajectories)
+    return call
+
+
+def _one_state_gap_profile():
+    basis = enumerate_basis(1, 1, 0)
+    gap_profile(basis, ElementCache.build(basis.modes), 0.5, 0.04,
+                np.linspace(0.8, 0.9, 3), center=0.85)
+
+
+CASES = {
+    "hwhm_of_a_curve_without_center": _hwhm_without_center,
+    "curve_from_empty_arrays": lambda: ResonanceCurve.from_values(0.5, 0.04, [], []),
+    "ensemble_of_True_trajectories": _ensemble(True),
+    "ensemble_of_2.5_trajectories": _ensemble(2.5),
+    "ensemble_of_'3'_trajectories": _ensemble("3"),
+    "gap_of_a_one_state_sector": _one_state_gap_profile,
+    "lookup_in_an_empty_catalog": lambda: lookup_by_width(CurveCatalog(curves=()), 0.01),
+    "lowest_0_eigenpairs": lambda: lowest_k(sp.identity(3, format="csr"), 0),
+    "sweep_of_a_non_finite_matrix": lambda: sweep_lowest(
+        np.array([[0.0, np.nan], [np.nan, 1.0]]), np.zeros(2), np.array([0.5])),
+}
+
+
+@pytest.mark.parametrize("call", CASES.values(), ids=CASES.keys())
+def test_malformed_input_raises_a_package_error(call):
+    with pytest.raises(Exception) as err:
+        call()
+    assert isinstance(err.value, CritgyroError), f"{type(err.value).__name__}: {err.value}"
