@@ -16,9 +16,10 @@ Ensembles run on every CPU, with the bits of a serial run. Trajectory
 `index` draws from `trajectory_rng(master, index)` alone, so `run_ensemble`
 forks a process pool with one worker per CPU the process may use
 (`spectrum._workers`, which also sizes the sweep pool), never more workers
-than trajectories. The W workers take the indices in contiguous blocks of
-ceil(n / W), each trajectory through the unchanged `run_protocol` on one
-BLAS thread, and the pool returns the rows in index order: the
+than trajectories. The pool maps the indices in chunks of ceil(n / W) and
+forks one worker per chunk (fewer than W when the chunks run out, as for
+n = 5 on W = 4: chunks 2, 2, 1), each trajectory through the unchanged
+`run_protocol` on one BLAS thread, and returns the rows in index order: the
 `EnsembleResult` is the serial one bit for bit, whatever W. The config and
 catalog reach the workers through the fork, not through pickling. There is
 no pool for one CPU or one trajectory, where `fork` is not a start method,
@@ -341,12 +342,15 @@ def _ensemble_workers(n_traj: int) -> int:
         return 1
     import multiprocessing  # only where a pool may run: CLI start-up skips it
 
-    return workers if "fork" in multiprocessing.get_all_start_methods() else 1
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return 1
+    return math.ceil(n_traj / math.ceil(n_traj / workers))  # one per chunk
 
 
 def _run_forked(config, catalog, seed, n_traj: int, workers: int) -> list:
-    """`_run_one` of every index, in index order, the indices in contiguous
-    blocks of ceil(n_traj / workers); the pool is joined on every exit, and
+    """`_run_one` of every index, in index order, the pool mapping the
+    indices in chunks of ceil(n_traj / workers) (one chunk per worker, as
+    `_ensemble_workers` counts them); the pool is joined on every exit, and
     a worker's error propagates as is."""
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
@@ -367,8 +371,8 @@ def run_ensemble(config: ProtocolConfig, catalog: CurveCatalog,
 
     Degenerate trajectories abort and are counted, not retried. The
     trajectories run on a fork-context process pool of `workers` processes
-    (one per CPU, at most one per trajectory; the module docstring says when
-    there is none), each on one BLAS thread, and come back in trajectory
+    (one per CPU, at most one per chunk of trajectories; the module
+    docstring says when there is none), each on one BLAS thread, and come back in trajectory
     order, so the result equals a serial run's bit for bit. Any other error
     of a trajectory propagates with its own type, and no worker process or
     pool thread outlives the call.

@@ -339,6 +339,7 @@ def test_prescan_stops_at_its_crossings(system6, monkeypatch, g, a):
 
     monkeypatch.setattr(spectrum, "sweep_lowest", counting)
     grid = locate_grid(basis, cache, g, a)
+    prescan = list(swept)  # before this test's own sweep
     system = System.of(basis, cache)
     coarse = np.linspace(*PRESCAN_RANGE, PRESCAN_POINTS)
     p = p_zero(system.lift(system.sweep(g, a, coarse).followed), basis)
@@ -346,7 +347,7 @@ def test_prescan_stops_at_its_crossings(system6, monkeypatch, g, a):
     rel_hi, rel_lo = (crossing_offset(coarse, p, t) for t in (0.9, 0.1))
     if a == 0.0:  # no transition: the pre-scan runs in full
         assert rel_hi is None or rel_lo is None
-        assert swept[0] == PRESCAN_POINTS
+        assert prescan == [PRESCAN_POINTS]
         assert np.array_equal(grid, np.linspace(*PRESCAN_RANGE, REFINED_POINTS))
     else:
         span = max(rel_lo - rel_hi, coarse[1] - coarse[0])
@@ -354,7 +355,7 @@ def test_prescan_stops_at_its_crossings(system6, monkeypatch, g, a):
                             REFINED_POINTS)
         assert np.array_equal(grid, whole)
         last = max(_first_crossing(p, 0.9), _first_crossing(p, 0.1))
-        assert swept[0] == last + 2 and last + 2 < PRESCAN_POINTS
+        assert prescan == [last + 2] and last + 2 < PRESCAN_POINTS
 
 
 @pytest.mark.parametrize("a", [0.04, 0.0])
@@ -452,27 +453,17 @@ def test_p_zero_of_each_followed_state_is_the_curve_p0(system6):
     assert np.array_equal(p_zero(followed, basis), curve.p0)
 
 
-def test_diagnostics_refuse_a_one_state_sector():
-    basis = enumerate_basis(0, 2, 2)
-    cache = ElementCache.build(basis.modes)
-    curve = compute_curve(basis, cache, 0.5, 0.04, grid=np.linspace(0.8, 0.9, 3))
-    with pytest.raises(ParameterError):
-        curve_diagnostics(basis, cache, curve)
-
-
-def test_gap_profile_and_diagnostics_refuse_a_one_particle_one_mode_system(monkeypatch):
-    """N=1, n_LL=1, l_max=0 has one state. Both calls read `SweepResult.gap`,
-    which such a sweep does not have; the diagnostics refuse before any
-    SPDM work."""
-    basis = enumerate_basis(1, 1, 0)
-    cache = ElementCache.build(basis.modes)
-    grid = np.linspace(0.8, 0.9, 3)
-    curve = compute_curve(basis, cache, 0.5, 0.04, grid=grid)
+def test_diagnostics_refuse_a_one_state_sector(monkeypatch):
+    """N=0 and N=1, n_LL=1, l_max=0 have one state each. The diagnostics
+    read `SweepResult.gap`, which such a sweep does not have, and refuse
+    before any SPDM work."""
     monkeypatch.setattr(curves, "spdm_batch", lambda *args: pytest.fail("SPDM computed"))
-    with pytest.raises(ParameterError, match="one-state sector"):
-        curve_diagnostics(basis, cache, curve)
-    with pytest.raises(ParameterError, match="one-state sector"):
-        gap_profile(basis, cache, 0.5, 0.04, grid, center=0.85)
+    for n, n_ll, l_max in [(0, 2, 2), (1, 1, 0)]:
+        basis = enumerate_basis(n, n_ll, l_max)
+        cache = ElementCache.build(basis.modes)
+        curve = compute_curve(basis, cache, 0.5, 0.04, grid=np.linspace(0.8, 0.9, 3))
+        with pytest.raises(ParameterError, match="one-state sector"):
+            curve_diagnostics(basis, cache, curve)
 
 
 def test_curves_and_gap_profile_share_one_operator_build(monkeypatch):

@@ -1,3 +1,4 @@
+import math
 import multiprocessing
 import threading
 
@@ -400,7 +401,8 @@ def _ensembles_on(workers, monkeypatch, cfg, cat, n_trajectories):
     for count in workers:
         monkeypatch.setattr(spectrum, "_workers", lambda count=count: count)
         ens = run_ensemble(cfg, cat, n_trajectories=n_trajectories)
-        assert ens.workers == min(count, n_trajectories)
+        chunk = math.ceil(n_trajectories / min(count, n_trajectories))
+        assert ens.workers == math.ceil(n_trajectories / chunk)
         out.append(ens)
     return out
 
@@ -422,6 +424,15 @@ def test_ensemble_on_two_workers_equals_one(n_trajectories, schedule, monkeypatc
                                    n_trajectories)
     _assert_same_bits(serial, pooled)
     assert serial.max_dropped_mass > 0.0
+
+
+def test_ensemble_forks_one_worker_per_chunk(monkeypatch):
+    """5 trajectories on 4 CPUs make chunks of 2, 2, 1: three workers."""
+    cfg = ProtocolConfig(seed=31, n_measurements=60,
+                         initial_g=0.5, initial_anisotropy=0.01)
+    serial, pooled = _ensembles_on((1, 4), monkeypatch, cfg, synthetic_catalog(), 5)
+    _assert_same_bits(serial, pooled)
+    assert pooled.workers == 3
 
 
 def test_ensemble_with_aborts_on_two_workers_equals_one(monkeypatch):
