@@ -19,11 +19,24 @@ In trap units the condensate self-element is U(0000) = g / (2 pi) and the
 lowest quadrupole element is V((0,0),(0,2)) = A / (2 sqrt 2) * I1 = A sqrt2/4.
 Raw cached values exclude the g and A factors so one cache serves every
 parameter combination.
+
+A contact element factors over its creation pair and its annihilation
+pair. Each pair contributes one `_pair_factor`: the integer product of its
+two Laguerre polynomials over an integer denominator, the products of n!
+and (n+|m|)! over both modes, and the |m| sum. `ElementCache.build` forms
+one per mode pair; `u_element` and `integral_i2` use the same helpers. The
+bits equal those of expanding all four factors at once: integer products
+are exact in any grouping, so the integral and the norm ratio are the same
+int / int quotients, each correctly rounded, and the float steps
+2^(-|m| sum / 2) / (2 pi) * norm * I2 keep one order.
 """
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import accumulate
 from math import comb, factorial, pi, sqrt
+from operator import mul
+from typing import NamedTuple
 
 import numpy as np
 
@@ -57,22 +70,21 @@ def _laguerre_ints(n: int, alpha: int, halve: bool) -> tuple[tuple[int, ...], in
     return coeffs, factorial(n) * scale**n
 
 
-def _exact_integral(factors, power: int) -> float:
-    """Integral over [0, inf) of x^power e^-x times a product of (c, d) factors.
+def _poly_mul(a, b) -> list[int]:
+    """Coefficients of the product of two integer polynomials."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
 
-    The product is one integer polynomial over one integer denominator, and
-    x^k e^-x integrates to k!, so the value is a single int / int division.
-    """
-    poly, den = [1], 1
-    for coeffs, d in factors:
-        if len(coeffs) == 1:
-            continue  # L_0 = 1
-        out = [0] * (len(poly) + len(coeffs) - 1)
-        for i, a in enumerate(poly):
-            for j, b in enumerate(coeffs):
-                out[i + j] += a * b
-        poly, den = out, den * d
-    return sum(c * factorial(power + k) for k, c in enumerate(poly)) / den
+
+def _factorials(modes) -> list[int]:
+    """0!, 1!, ... up to the highest moment a contact element over `modes`
+    integrates: half the |m| sum of four modes plus their four degrees."""
+    top = (2 * max((abs(m) for _, m in modes), default=0)
+           + 4 * max((n for n, _ in modes), default=0))
+    return list(accumulate(range(1, top + 1), mul, initial=1))
 
 
 def integral_i1(k1: Mode, k2: Mode) -> float:
@@ -81,8 +93,45 @@ def integral_i1(k1: Mode, k2: Mode) -> float:
     Exact: the only rounding is the final conversion to float.
     """
     (n1, m1), (n2, m2) = k1, k2
-    factors = (_laguerre_ints(n1, abs(m1), False), _laguerre_ints(n2, abs(m2), False))
-    return _exact_integral(factors, _half(abs(m1) + abs(m2) + 2))
+    (c1, d1), (c2, d2) = _laguerre_ints(n1, abs(m1), False), _laguerre_ints(n2, abs(m2), False)
+    power = _half(abs(m1) + abs(m2) + 2)
+    poly = _poly_mul(c1, c2)
+    return sum(c * factorial(power + k) for k, c in enumerate(poly)) / (d1 * d2)
+
+
+class _Pair(NamedTuple):
+    """What a contact element needs of one mode pair: the product of the two
+    half-argument Laguerre factors as poly / den, the products of n! and of
+    (n+|m|)! over both modes, and their |m| sum. An element pairs two."""
+
+    poly: list[int]
+    den: int
+    n_fact: int
+    nm_fact: int
+    am: int
+
+
+def _pair_factor(ka: Mode, kb: Mode) -> _Pair:
+    (na, ma), (nb, mb) = ka, kb
+    (ca, da), (cb, db) = _laguerre_ints(na, abs(ma), True), _laguerre_ints(nb, abs(mb), True)
+    return _Pair(_poly_mul(ca, cb), da * db, factorial(na) * factorial(nb),
+                 factorial(na + abs(ma)) * factorial(nb + abs(mb)), abs(ma) + abs(mb))
+
+
+def _contact_integral(p: _Pair, q: _Pair, fact) -> float:
+    """I2 of the four modes of p and q: the integral of x^(|m| sum / 2) e^-x
+    times the four Laguerre factors, as one int / int division."""
+    num = 0
+    for i, a in enumerate(p.poly, _half(p.am + q.am)):
+        for k, b in enumerate(q.poly, i):
+            num += a * b * fact[k]
+    return num / (p.den * q.den)
+
+
+def _contact_raw(p: _Pair, q: _Pair, fact) -> float:
+    """The contact element of the modes of p and q with g divided out."""
+    norm = sqrt(p.n_fact * q.n_fact / (p.nm_fact * q.nm_fact))
+    return 2.0 ** (-(p.am + q.am) / 2) / (2 * pi) * norm * _contact_integral(p, q, fact)
 
 
 def integral_i2(k1: Mode, k2: Mode, l1: Mode, l2: Mode) -> float:
@@ -91,9 +140,8 @@ def integral_i2(k1: Mode, k2: Mode, l1: Mode, l2: Mode) -> float:
     Exact and independent of the order of the modes: the only rounding is
     the final conversion to float.
     """
-    quad = (k1, k2, l1, l2)
-    factors = tuple(_laguerre_ints(n, abs(m), True) for n, m in quad)
-    return _exact_integral(factors, _half(sum(abs(m) for _, m in quad)))
+    return _contact_integral(_pair_factor(k1, k2), _pair_factor(l1, l2),
+                             _factorials((k1, k2, l1, l2)))
 
 
 def _norm_sqrt(quad) -> float:
@@ -110,8 +158,7 @@ def _v_raw(k1: Mode, k2: Mode) -> float:
 
 
 def _u_raw(quad) -> float:
-    total_am = sum(abs(m) for _, m in quad)
-    return 2.0 ** (-total_am / 2) / (2 * pi) * _norm_sqrt(quad) * integral_i2(*quad)
+    return _contact_raw(_pair_factor(*quad[:2]), _pair_factor(*quad[2:]), _factorials(quad))
 
 
 def v_element(k1: Mode, k2: Mode, anisotropy: float) -> float:
@@ -150,6 +197,10 @@ class ElementCache:
     a <= b, c <= d and (a, b) <= (c, d). Both stay valid for every (g, A)
     pair: A * v_raw[i, j] and g * u_raw[key] equal v_element and u_element
     bit for bit.
+
+    `build` forms the factor of each pair of `pairs_by_total_m` once, and
+    each key (p, q) costs one product of the two pairs' polynomials against
+    a factorial table (the module docstring says why the bits hold).
     """
 
     modes: tuple[Mode, ...]
@@ -168,12 +219,13 @@ class ElementCache:
                     v_raw[i, j] = _v_raw(ki, kj)
 
         # canonical keys are (p, q) for sorted pairs p <= q of equal total m
+        fact = _factorials(modes)
         u_raw: dict[tuple[int, int, int, int], float] = {}
         for pairs in pairs_by_total_m(modes).values():
-            for i, p in enumerate(pairs):
-                for q in pairs[i:]:
-                    key = p + q
-                    u_raw[key] = _u_raw([modes[t] for t in key])
+            factors = [_pair_factor(modes[a], modes[b]) for a, b in pairs]
+            for i, (p, fp) in enumerate(zip(pairs, factors)):
+                for q, fq in zip(pairs[i:], factors[i:]):
+                    u_raw[p + q] = _contact_raw(fp, fq, fact)
         return cls(modes=modes, v_raw=v_raw, u_raw=u_raw)
 
     def dump_csv(self, path) -> None:

@@ -23,6 +23,12 @@ NORM_TOL = 1e-8
 HWHM_GRID_SIZE = 2001
 
 
+def _require_points(*arrays) -> None:
+    """Refuse a curve or distribution given by empty arrays (InputError)."""
+    if any(np.size(a) == 0 for a in arrays):
+        raise InputError("curve arrays are empty: a grid needs at least one point")
+
+
 def _check_normalized(psi: np.ndarray) -> np.ndarray:
     """The state, or each row of a stack of states, as floats of unit norm."""
     psi = np.asarray(psi, dtype=float)
@@ -70,6 +76,8 @@ def spdm_batch(psis: np.ndarray, basis: FockBasis) -> list[SPDM]:
     all-rows product holds every row's hop weights at once), and the
     occupations give the diagonal.
     """
+    if np.ndim(psis) != 2:
+        raise InputError(f"spdm_batch needs a stack of states (one per row), got {np.ndim(psis)}-d")
     psis = _check_normalized(psis)
     occ = basis.occupations
     nm = occ.shape[1]
@@ -118,8 +126,9 @@ def crossing_offset(omega: np.ndarray, values: np.ndarray, threshold: float):
     """Grid offset of the first downward crossing, or None.
 
     Works relative to omega[0] so that rigidly shifted inputs give
-    bit-identical offsets.
+    bit-identical offsets. Empty arrays raise InputError.
     """
+    _require_points(omega, values)
     x = omega - omega[0]
     v = np.asarray(values, dtype=float)
     for i in range(len(v) - 1):
@@ -179,7 +188,9 @@ def hwhm_points(omega: np.ndarray, density: np.ndarray) -> float:
 
     The region is [first, last] interpolated crossing of max/2; edges of the
     support bound it when the density never falls below half maximum.
+    Empty arrays raise InputError.
     """
+    _require_points(omega, density)
     omega = np.asarray(omega, dtype=float)
     d = np.asarray(density, dtype=float)
     half = d.max() / 2.0

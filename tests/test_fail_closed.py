@@ -15,7 +15,14 @@ from critgyro.errors import CritgyroError
 from critgyro.estimate import ProtocolConfig, run_ensemble
 from critgyro.fock import enumerate_basis
 from critgyro.melem import ElementCache
-from critgyro.observables import gap_profile, preparation_hwhm
+from critgyro.observables import (
+    critical_frequency,
+    gap_profile,
+    hwhm_points,
+    preparation_hwhm,
+    spdm_batch,
+    transition_width,
+)
 from critgyro.spectrum import lowest_k, sweep_lowest
 
 
@@ -33,6 +40,11 @@ def _ensemble(n_trajectories):
     return call
 
 
+def _spdm_batch_of_one_state():
+    basis = enumerate_basis(2, 2, 4)
+    spdm_batch(np.eye(basis.size)[0], basis)
+
+
 def _one_state_gap_profile():
     basis = enumerate_basis(1, 1, 0)
     gap_profile(basis, ElementCache.build(basis.modes), 0.5, 0.04,
@@ -42,6 +54,10 @@ def _one_state_gap_profile():
 CASES = {
     "hwhm_of_a_curve_without_center": _hwhm_without_center,
     "curve_from_empty_arrays": lambda: ResonanceCurve.from_values(0.5, 0.04, [], []),
+    "critical_frequency_of_empty_arrays": lambda: critical_frequency([], []),
+    "transition_width_of_empty_arrays": lambda: transition_width([], []),
+    "hwhm_of_empty_arrays": lambda: hwhm_points([], []),
+    "spdm_batch_of_a_1d_state": _spdm_batch_of_one_state,
     "ensemble_of_True_trajectories": _ensemble(True),
     "ensemble_of_2.5_trajectories": _ensemble(2.5),
     "ensemble_of_'3'_trajectories": _ensemble("3"),

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
-from math import factorial, pi, sqrt
+from math import factorial, pi, prod, sqrt
 
+from critgyro import melem
 from critgyro.errors import ParameterError
 from critgyro.fock import Mode, enumerate_basis, enumerate_modes
 from critgyro.melem import (
     ElementCache,
+    pairs_by_total_m,
     integral_i1,
     integral_i2,
     u_element,
@@ -181,6 +183,47 @@ def test_cache_equals_free_functions_exactly_on_production_modes():
         quad = [modes[t] for t in key]
         assert raw * 0.5 == u_element(*quad, 0.5)
         assert raw * 0.5 == u_element(*quad[::-1], 0.5)
+
+
+@pytest.mark.parametrize("n_ll, l_max", [(3, 5), (4, 2)])
+def test_cache_equals_the_oracle_exactly_beyond_the_lowest_two_levels(n_ll, l_max):
+    """Modes with n >= 2 expand Laguerre factors of degree 2 and 3, which
+    the production modes (n <= 1) never reach. The rational oracle's I2 is
+    correctly rounded, and so is every exact division, so they agree bit for
+    bit."""
+    modes = enumerate_modes(n_ll, l_max)
+    assert max(n for n, _ in modes) == n_ll - 1
+    cache = ElementCache.build(modes)
+    for key, raw in cache.u_raw.items():
+        quad = [modes[t] for t in key]
+        s = sum(abs(m) for _, m in quad)
+        norm = sqrt(prod(factorial(n) for n, _ in quad)
+                    / prod(factorial(n + abs(m)) for n, m in quad))
+        assert raw == 2.0 ** (-s / 2) / (2 * pi) * norm * oracle_i2(*quad), key
+
+
+def test_cache_forms_each_pair_factor_once(monkeypatch):
+    """The bulk path forms one pair factor per mode pair, and no key expands
+    Laguerre factors of its own."""
+    modes = enumerate_basis(6, 2, 8).modes
+    real_pair, real_laguerre = melem._pair_factor, melem._laguerre_ints
+    pairs, halved = [], []
+
+    def counting_pair(ka, kb):
+        pairs.append((modes.index(ka), modes.index(kb)))
+        return real_pair(ka, kb)
+
+    def counting_laguerre(n, alpha, halve):
+        halved.append(halve)
+        return real_laguerre(n, alpha, halve)
+
+    monkeypatch.setattr(melem, "_pair_factor", counting_pair)
+    monkeypatch.setattr(melem, "_laguerre_ints", counting_laguerre)
+    cache = ElementCache.build(modes)
+    expected = [pair for group in pairs_by_total_m(modes).values() for pair in group]
+    assert len(expected) == 190 and len(cache.u_raw) == 1330
+    assert sorted(pairs) == sorted(expected)
+    assert halved.count(True) == 2 * len(expected)
 
 
 def test_cache_is_parameter_free():
