@@ -10,17 +10,19 @@ auto-located). Exit codes:
 package), 3 numerical failure (any other package error), 4 self-check or
 preset mismatch. A sweep that meets a degenerate point (its two lowest
 sector energies tie, as in the non-interacting lowest Landau level at
-Omega = 1) exits 2 and writes no output file. `estimate` exits 2 and
-writes no output file on `--trajectories` without `--preset fig4` or
-`array`, the presets it sizes, when its `--config` file cannot be read,
-is not a JSON object, or breaks the schema in `estimate.ProtocolConfig`
-(an unknown key, a wrong type, a value out of range), when the seed (config or CRITGYRO_SEED) is negative, and
-when the catalog lacks the initial (g, A) pair. `offset` also exits 2,
-before any sweep, on a non-finite or non-positive `--eps`, when an offset
-puts the ramp's end outside its fixed range [center - 0.25, center + 0.02],
-and when the catalog's provenance does not record the system it would
-sweep: `solver.n_particles`, `n_ll` and `l_max` must equal `--n`, `--n-ll`
-and `--l-max` (default n + 2).
+Omega = 1) exits 2 and writes no output file. `estimate --trajectories`
+sizes the ensembles of every run: 200 by default under `--preset fig4` and
+`array`, 1 without a preset (above 1, that run also writes the ensemble
+median); `fig3` runs none and refuses it. `estimate` exits 2 and writes no
+output file when its `--config` file cannot be read, is not a JSON object,
+or breaks the schema in `estimate.ProtocolConfig` (an unknown key, a wrong
+type, a value out of range), when the seed (config or CRITGYRO_SEED) is
+negative, and when the catalog lacks the initial (g, A) pair. `offset`
+sweeps the system its catalog records (provenance `solver.n_particles`,
+`n_ll` and `l_max`) and exits 2, before any sweep, when one of these is
+missing or not an integer, on a non-finite or non-positive `--eps`, and
+when an offset puts the ramp's end outside its fixed range [center - 0.25,
+center + 0.02]. A negative offset range needs `=`: `--offsets=-0.1:0:21`.
 """
 
 import argparse
@@ -48,7 +50,7 @@ from .curves import (
     curve_diagnostics,
 )
 from .errors import CritgyroError, InputError, ParameterError
-from .estimate import ProtocolConfig, run_ensemble, run_protocol
+from .estimate import DEFAULT_PRIOR, ProtocolConfig, run_ensemble, run_protocol
 from .fock import enumerate_basis
 from .hamiltonian import System
 from .melem import ElementCache, integral_i1, integral_i2
@@ -291,7 +293,7 @@ def cmd_estimate(args) -> int:
     config = replace(config, seed=seed)  # every run below draws from the resolved seed
     ensembles = {}
     status = EXIT_OK
-    preset_trajectories = args.trajectories or 200
+    n_traj = args.trajectories or (200 if args.preset else 1)
 
     if args.preset == "fig3":
         cfg = replace(config, schedule=(), n_measurements=100)
@@ -314,7 +316,7 @@ def cmd_estimate(args) -> int:
         medians = {}
         for name, schedule in _FIG4_VARIANTS:
             cfg = replace(config, schedule=schedule, n_measurements=100)
-            ens = run_ensemble(cfg, catalog, n_trajectories=preset_trajectories)
+            ens = run_ensemble(cfg, catalog, n_trajectories=n_traj)
             ensembles[name] = _ensemble_health(ens)
             med = ens.median_sigma()
             medians[name] = med
@@ -334,7 +336,7 @@ def cmd_estimate(args) -> int:
               f"improvement x{factor:.1f}")
     elif args.preset == "array":
         cfg = replace(config, schedule=(200,), batch_size=200, n_measurements=400)
-        ens = run_ensemble(cfg, catalog, n_trajectories=preset_trajectories)
+        ens = run_ensemble(cfg, catalog, n_trajectories=n_traj)
         ensembles["array"] = _ensemble_health(ens)
         med = ens.median_sigma()
         _write_csv(out("sigma_vs_mu.csv"), ("mu", "sigma"),
@@ -353,8 +355,8 @@ def cmd_estimate(args) -> int:
         result = run_protocol(config, catalog)
         _write_trajectory(out("trajectory.csv"), result)
         outputs.append(out("trajectory.csv"))
-        if config.n_trajectories > 1:
-            ens = run_ensemble(config, catalog)
+        if n_traj > 1:
+            ens = run_ensemble(config, catalog, n_trajectories=n_traj)
             ensembles["config"] = _ensemble_health(ens)
             med = ens.median_sigma()
             _write_csv(out("sigma_vs_mu.csv"), ("mu", "sigma"),
@@ -394,11 +396,13 @@ def cmd_offset(args) -> int:
         print(f"error: catalog has no curve for (g={args.g}, A={args.A})",
               file=sys.stderr)
         return EXIT_USAGE
-    system = {"n_particles": args.n, "n_ll": args.n_ll, "l_max": args.l_max}
     provenance = catalog.provenance if isinstance(catalog.provenance, dict) else {}
     solver = provenance.get("solver")
-    if not isinstance(solver, dict) or {key: solver.get(key) for key in system} != system:
-        raise ParameterError(f"catalog {args.catalog} was not computed for {system}")
+    system = ([solver.get(key) for key in ("n_particles", "n_ll", "l_max")]
+              if isinstance(solver, dict) else [None])
+    if not all(type(value) is int for value in system):  # refuses True, 8.0, '8'
+        raise ParameterError(f"catalog {args.catalog} does not record its system: "
+                             "provenance.solver needs integer n_particles, n_ll and l_max")
     offsets = args.offsets
     ramp_lo, ramp_hi = curve.center - 0.25, curve.center + 0.02
     outside = [float(off) for off in offsets
@@ -407,7 +411,7 @@ def cmd_offset(args) -> int:
         raise ParameterError(f"offsets {outside} put the ramp's end outside "
                              f"[center - 0.25, center + 0.02]")
     hwhms = [preparation_hwhm(curve, off, args.prior_lo, args.prior_hi) for off in offsets]
-    basis, cache = _build_system(args.n, args.n_ll, args.l_max)
+    basis, cache = _build_system(*system)
 
     ramp = np.linspace(ramp_lo, ramp_hi, args.gap_points)
     profile = gap_profile(basis, cache, curve.g, curve.anisotropy, ramp,
@@ -561,7 +565,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--catalog")
     p.add_argument("--preset", choices=("fig3", "fig4", "array"))
     p.add_argument("--trajectories", type=_positive_int,
-                   help="ensemble size of the fig4 and array presets (default 200)")
+                   help="ensemble size: default 200 under the fig4 and array presets, "
+                        "1 (no ensemble) without a preset; refused by fig3")
     p.add_argument("--out-dir", default="estimate_out", dest="out_dir")
     p.set_defaults(func=cmd_estimate)
 
@@ -570,17 +575,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g", type=float, default=0.5)
     p.add_argument("--A", type=float, default=0.04)
     p.add_argument("--offsets", type=_parse_grid, default="-0.1:0:21",
-                   help="lo:hi:n")
+                   help="lo:hi:n; give a negative lo as --offsets=LO:HI:N")
     p.add_argument("--eps", type=float, default=0.1,
                    help="adiabaticity slack")
     p.add_argument("--omega-perp-hz", type=float, default=DEFAULT_OMEGA_PERP_HZ,
                    dest="omega_perp_hz")
-    p.add_argument("--prior-lo", type=float, default=0.87, dest="prior_lo")
-    p.add_argument("--prior-hi", type=float, default=0.93, dest="prior_hi")
+    p.add_argument("--prior-lo", type=float, default=DEFAULT_PRIOR[0], dest="prior_lo")
+    p.add_argument("--prior-hi", type=float, default=DEFAULT_PRIOR[1], dest="prior_hi")
     p.add_argument("--gap-points", type=int, default=271, dest="gap_points")
     p.add_argument("--out", default="offset.csv")
     p.add_argument("--svg")
-    add_system_args(p)
     p.set_defaults(func=cmd_offset)
 
     p = sub.add_parser("basis", help="dump the truncated basis")
@@ -598,9 +602,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "l_max", 0) is None:  # the one place --l-max gets its default
         args.l_max = args.n + 2
-    if getattr(args, "trajectories", None) is not None and args.preset not in ("fig4", "array"):
-        parser.error("--trajectories sizes the fig4 and array ensembles; a run without "
-                     "a preset takes its size from the config's n_trajectories")
+    if getattr(args, "trajectories", None) is not None and args.preset == "fig3":
+        parser.error("--trajectories sizes an ensemble, and --preset fig3 runs none")
     try:
         return args.func(args)
     except (ParameterError, InputError) as exc:

@@ -129,18 +129,14 @@ class ProtocolConfig:
         which the curve is retuned; counts >= n_measurements are ignored.
         Set to [] by `--preset fig3`, to [], [12] and [12, 32] by `fig4`, to
         [200] by `array`.
-    batch_size: int >= 1, default 1. Measurements sharing one recentering.
-        Set to 200 by `--preset array`.
+    batch_size: int >= 1, default 1. Measurements between recenterings,
+        which share one shift. Set to 200 by `--preset array`.
     kappa: float > 0, default 4.0. A retune picks the curve whose width is
         nearest kappa * sigma.
     initial_g, initial_anisotropy: float, default 0.5 and 0.04. The first
         stage's curve; the catalog must hold this pair.
     catalog_path: str or null, default null. Catalog file, used when
         `--catalog` is not given.
-    n_trajectories: int >= 1, default 1. Above 1, a run without a preset
-        also writes the ensemble median; presets take `--trajectories`.
-    recenter_interval: int >= 1 or null, default null (recenter before
-        every batch). Measurements between recenterings.
     """
 
     omega_true: float = DEFAULT_OMEGA_TRUE
@@ -155,19 +151,13 @@ class ProtocolConfig:
     initial_g: float = 0.5
     initial_anisotropy: float = 0.04
     catalog_path: str | None = None
-    n_trajectories: int = 1
-    recenter_interval: int | None = None  # None: recenter before every batch
 
     def __post_init__(self):
         for name in ("omega_true", "prior_lo", "prior_hi", "kappa", "initial_g",
                      "initial_anisotropy"):
             object.__setattr__(self, name, _finite(name, getattr(self, name)))
-        for name in ("grid_size", "seed", "n_measurements", "batch_size",
-                     "n_trajectories"):
+        for name in ("grid_size", "seed", "n_measurements", "batch_size"):
             object.__setattr__(self, name, _integer(name, getattr(self, name)))
-        if self.recenter_interval is not None:
-            object.__setattr__(self, "recenter_interval",
-                               _integer("recenter_interval", self.recenter_interval))
         if not isinstance(self.schedule, (list, tuple)):
             raise ParameterError(f"schedule must be a list of integers, got {self.schedule!r}")
         if not (self.catalog_path is None or isinstance(self.catalog_path, str)):
@@ -196,10 +186,6 @@ class ProtocolConfig:
             raise ParameterError(
                 "retune indices must be multiples of the batch size"
             )
-        if self.n_trajectories < 1:
-            raise ParameterError("n_trajectories must be >= 1")
-        if self.recenter_interval is not None and self.recenter_interval < 1:
-            raise ParameterError("recenter_interval must be >= 1")
         object.__setattr__(self, "schedule", sched)
 
     def to_dict(self) -> dict:
@@ -233,7 +219,8 @@ def run_protocol(config: ProtocolConfig, catalog: CurveCatalog,
                  rng=None) -> ProtocolResult:
     """Execute one trajectory, drawing from `rng` or, when it is None, from
     a generator seeded with `config.seed`; raises DegenerateUpdateError
-    with the measurement index if an update annihilates the posterior."""
+    with the measurement index if an update annihilates the posterior.
+    Each stage recenters before every `config.batch_size` measurements."""
     try:
         curve = catalog.find(config.initial_g, config.initial_anisotropy)
     except KeyError:
@@ -249,7 +236,6 @@ def run_protocol(config: ProtocolConfig, catalog: CurveCatalog,
     mass = np.full(config.grid_size, 1.0 / config.grid_size)
     mass /= mass.sum()
     true_off = config.omega_true - grid[0]
-    recenter_every = config.recenter_interval or config.batch_size
 
     sigma = np.empty(n)
     outcomes = np.zeros(n, dtype=np.int8)
@@ -263,7 +249,7 @@ def run_protocol(config: ProtocolConfig, catalog: CurveCatalog,
         stage_params.append((start + 1, curve.g, curve.anisotropy))
         done = _kernels.bayes_stage(
             mass, x, curve.offsets(), curve.p0, curve.rel_center, true_off,
-            uniforms[start:end], recenter_every,
+            uniforms[start:end], config.batch_size,
             sigma[start:end], outcomes[start:end], shifts[start:end],
             dropped[start:end],
         )
@@ -362,12 +348,11 @@ def _run_forked(config, catalog, seed, n_traj: int, workers: int) -> list:
                              chunksize=math.ceil(n_traj / workers)))
 
 
-def run_ensemble(config: ProtocolConfig, catalog: CurveCatalog,
-                 n_trajectories: int | None = None,
+def run_ensemble(config: ProtocolConfig, catalog: CurveCatalog, n_trajectories: int,
                  master_seed: int | None = None) -> EnsembleResult:
-    """`n_trajectories` (an integer >= 1) or `config.n_trajectories`
-    independent trajectories from a split master seed, `master_seed` (an
-    integer >= 0) or `config.seed`; ParameterError for a bad argument.
+    """`n_trajectories` (an integer >= 1) independent trajectories from a
+    split master seed, `master_seed` (an integer >= 0) or `config.seed`;
+    ParameterError for a bad argument.
 
     Degenerate trajectories abort and are counted, not retried. The
     trajectories run on a fork-context process pool of `workers` processes
@@ -377,8 +362,7 @@ def run_ensemble(config: ProtocolConfig, catalog: CurveCatalog,
     of a trajectory propagates with its own type, and no worker process or
     pool thread outlives the call.
     """
-    n_traj = (config.n_trajectories if n_trajectories is None
-              else _integer("n_trajectories", n_trajectories))
+    n_traj = _integer("n_trajectories", n_trajectories)
     if n_traj < 1:
         raise ParameterError(f"n_trajectories must be >= 1, got {n_traj}")
     seed = config.seed if master_seed is None else _integer("master_seed", master_seed)

@@ -187,14 +187,17 @@ class System:
         The result is kept with its (g, A) as `last_sweep`, and a call
         without `stop` for the same g, A and points returns it. Any other
         call drops it before it starts, so one sweep is kept at most, and
-        one that `stop` ended early matches no whole grid.
+        one that `stop` ended early matches no whole grid. Any other grid
+        than a non-empty, strictly ascending 1-d one raises ParameterError.
         """
+        omegas = np.array(omegas, dtype=float)  # a copy: the key outlives the caller's array
+        if omegas.ndim != 1 or not omegas.size or np.any(np.diff(omegas) <= 0):
+            raise ParameterError("a sweep grid must be a non-empty, strictly ascending 1-d array")
         if stop is None and self.last_sweep is not None:
             key, kept = self.last_sweep
             if key == (g, anisotropy) and np.array_equal(kept.omegas, omegas):
                 return kept
         self.last_sweep = None  # freed before the new sweep allocates its arrays
-        omegas = np.array(omegas, dtype=float)  # a copy: the key outlives the caller's array
         result = spectrum.sweep_lowest(
             self.sector_h0(g, anisotropy), self.sector_l, omegas,
             stop=None if stop is None else lambda state: stop(self.lift(state)))

@@ -19,71 +19,10 @@ CATALOG = CurveCatalog(curves=tuple(
     make_logistic_curve(anisotropy=0.01 * (i + 1), width=w)
     for i, w in enumerate((0.05, 0.02, 0.008))
 ))
-SIGMA_RTOL = 1e-12
-
-
-def _full_grid_stage(*args):
-    return reference_bayes_stage(*args[:11])  # no window, nothing dropped
-
-
-def _windowed_and_full(monkeypatch, config, catalog=CATALOG):
-    windowed = run_protocol(config, catalog)
-    with monkeypatch.context() as patch:
-        patch.setattr(kernels, "bayes_stage", _full_grid_stage)
-        full = run_protocol(config, catalog)
-    return windowed, full
-
-
-def _assert_matches_reference(windowed, full):
-    assert np.array_equal(windowed.outcomes, full.outcomes)
-    rel = np.abs(windowed.sigma_trace - full.sigma_trace) / full.sigma_trace
-    assert rel.max() <= SIGMA_RTOL
-    assert 0.0 <= windowed.dropped_mass <= windowed.posterior.mass.size * kernels.WINDOW_FLOOR
 
 
 def _support(result) -> int:
     return int(np.count_nonzero(result.posterior.mass))
-
-
-def test_window_matches_full_grid_untuned_10k(monkeypatch):
-    cfg = ProtocolConfig(seed=3, n_measurements=10_000,
-                         initial_g=0.5, initial_anisotropy=0.01)
-    windowed, full = _windowed_and_full(monkeypatch, cfg)
-    _assert_matches_reference(windowed, full)
-    assert _support(windowed) < 0.2 * cfg.grid_size
-    assert windowed.dropped_mass > 0.0
-
-
-def test_window_matches_full_grid_two_retunes(monkeypatch):
-    cfg = ProtocolConfig(seed=3, n_measurements=300, schedule=(12, 32),
-                         initial_g=0.5, initial_anisotropy=0.01)
-    windowed, full = _windowed_and_full(monkeypatch, cfg)
-    _assert_matches_reference(windowed, full)
-    assert len(windowed.stage_params) == 3
-    assert _support(windowed) < cfg.grid_size
-
-
-def test_window_matches_full_grid_recenter_interval_200(monkeypatch):
-    cfg = ProtocolConfig(seed=3, n_measurements=2000, recenter_interval=200,
-                         initial_g=0.5, initial_anisotropy=0.01)
-    windowed, full = _windowed_and_full(monkeypatch, cfg)
-    _assert_matches_reference(windowed, full)
-    assert _support(windowed) < cfg.grid_size
-
-
-def test_shift_metamorphism_configuration_trims():
-    """The rigid-shift configuration of criterion 9b narrows the window, so
-    its bit-exact comparison runs through the trimming code."""
-    omega = np.linspace(0.84375, 0.96875, 513)
-    tau = 0.03 / (2 * np.log(9.0))
-    p = 1.0 / (1.0 + np.exp((omega - 0.90625) / tau))
-    cat = CurveCatalog(curves=(ResonanceCurve.from_values(0.5, 0.01, omega, p),))
-    res = run_protocol(ProtocolConfig(
-        seed=501, n_measurements=500, grid_size=257, initial_g=0.5,
-        initial_anisotropy=0.01, omega_true=0.90625, prior_lo=0.875,
-        prior_hi=0.9375), cat)
-    assert res.dropped_mass > 0.0
-    assert _support(res) < 257 // 2
 
 
 def _windowed_and_shadowed(config, catalog=CATALOG):
@@ -112,17 +51,7 @@ def _windowed_and_shadowed(config, catalog=CATALOG):
             np.concatenate(windowed_shifts), np.concatenate(shadow_shifts))
 
 
-@settings(max_examples=25, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1),
-       grid_size=st.integers(64, 1001),
-       n_measurements=st.integers(50, 1500),
-       recenter_interval=st.sampled_from((None, 1, 7, 50)),
-       schedule=st.sampled_from(((), (12,), (12, 32))),
-       initial_anisotropy=st.sampled_from((0.01, 0.02, 0.03)),
-       omega_true=st.floats(0.88, 0.92))
-def test_window_property_dropped_mass_bounded_and_sigma_matches(
-        seed, grid_size, n_measurements, recenter_interval, schedule,
-        initial_anisotropy, omega_true):
+def _assert_window_within_rounding(config, catalog=CATALOG):
     """The windowed stage against the full grid, one measurement at a time.
 
     Two free-running trajectories have no bound in n and G: a one-ulp change
@@ -145,14 +74,12 @@ def test_window_property_dropped_mass_bounded_and_sigma_matches(
     and the shifts, rel_center - mean, differ by at most
     (8n + 4G)uX + 2u|shift|. Mass outside the window is not in the bound:
     were the dropped mass to regrow, sigma would leave it.
+
+    Returns the windowed result.
     """
-    cfg = ProtocolConfig(seed=seed, grid_size=grid_size,
-                         n_measurements=n_measurements,
-                         recenter_interval=recenter_interval, schedule=schedule,
-                         initial_g=0.5, initial_anisotropy=initial_anisotropy,
-                         omega_true=omega_true)
-    windowed, shadow, shift_w, shift_f = _windowed_and_shadowed(cfg)
-    u, n, width = 2.0 ** -53, np.arange(1, n_measurements + 1), cfg.prior_hi - cfg.prior_lo
+    windowed, shadow, shift_w, shift_f = _windowed_and_shadowed(config, catalog)
+    u, width, grid_size = 2.0 ** -53, config.prior_hi - config.prior_lo, config.grid_size
+    n = np.arange(1, config.n_measurements + 1)
     assert np.array_equal(windowed.outcomes, shadow.outcomes)
     sigma = shadow.sigma_trace
     rel = np.abs(windowed.sigma_trace / sigma - 1.0)
@@ -161,6 +88,64 @@ def test_window_property_dropped_mass_bounded_and_sigma_matches(
     assert np.all(np.abs(shift_w - shift_f)
                   <= (8 * n + 4 * grid_size) * u * width + 2 * u * np.abs(shift_f))
     assert 0.0 <= windowed.dropped_mass <= grid_size * kernels.WINDOW_FLOOR
+    return windowed
+
+
+def test_window_matches_full_grid_untuned_10k():
+    cfg = ProtocolConfig(seed=3, n_measurements=10_000,
+                         initial_g=0.5, initial_anisotropy=0.01)
+    windowed = _assert_window_within_rounding(cfg)
+    assert _support(windowed) < 0.2 * cfg.grid_size
+    assert windowed.dropped_mass > 0.0
+
+
+def test_window_matches_full_grid_two_retunes():
+    cfg = ProtocolConfig(seed=3, n_measurements=300, schedule=(12, 32),
+                         initial_g=0.5, initial_anisotropy=0.01)
+    windowed = _assert_window_within_rounding(cfg)
+    assert len(windowed.stage_params) == 3
+    assert _support(windowed) < cfg.grid_size
+
+
+def test_window_matches_full_grid_batch_size_200():
+    cfg = ProtocolConfig(seed=3, n_measurements=2000, batch_size=200,
+                         initial_g=0.5, initial_anisotropy=0.01)
+    windowed = _assert_window_within_rounding(cfg)
+    assert _support(windowed) < cfg.grid_size
+
+
+def test_shift_metamorphism_configuration_trims():
+    """The rigid-shift configuration of criterion 9b narrows the window, so
+    its bit-exact comparison runs through the trimming code."""
+    omega = np.linspace(0.84375, 0.96875, 513)
+    tau = 0.03 / (2 * np.log(9.0))
+    p = 1.0 / (1.0 + np.exp((omega - 0.90625) / tau))
+    cat = CurveCatalog(curves=(ResonanceCurve.from_values(0.5, 0.01, omega, p),))
+    res = run_protocol(ProtocolConfig(
+        seed=501, n_measurements=500, grid_size=257, initial_g=0.5,
+        initial_anisotropy=0.01, omega_true=0.90625, prior_lo=0.875,
+        prior_hi=0.9375), cat)
+    assert res.dropped_mass > 0.0
+    assert _support(res) < 257 // 2
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       grid_size=st.integers(64, 1001),
+       n_measurements=st.integers(50, 1500),
+       batch_size=st.sampled_from((1, 7, 50)),
+       retunes=st.sampled_from(((), (12,), (12, 32))),
+       initial_anisotropy=st.sampled_from((0.01, 0.02, 0.03)),
+       omega_true=st.floats(0.88, 0.92))
+def test_window_property_dropped_mass_bounded_and_sigma_matches(
+        seed, grid_size, n_measurements, batch_size, retunes,
+        initial_anisotropy, omega_true):
+    """`_assert_window_within_rounding` over drawn configurations; a retune
+    after `r` batches comes at measurement r * batch_size."""
+    _assert_window_within_rounding(ProtocolConfig(
+        seed=seed, grid_size=grid_size, n_measurements=n_measurements,
+        batch_size=batch_size, schedule=tuple(r * batch_size for r in retunes),
+        initial_g=0.5, initial_anisotropy=initial_anisotropy, omega_true=omega_true))
 
 
 def _same_bits(a, b) -> bool:
@@ -194,9 +179,9 @@ def reference_catalog():
     (ProtocolConfig(seed=11, n_measurements=100, schedule=(12, 32)), 3),
     (ProtocolConfig(seed=11, n_measurements=400, batch_size=200,
                     schedule=(200,)), 2),
-    (ProtocolConfig(seed=11, n_measurements=1000, recenter_interval=7), 1),
+    (ProtocolConfig(seed=11, n_measurements=1000, batch_size=7), 1),
 ], ids=["untuned_10k", "fig4_untuned", "fig4_one_tuning", "fig4_two_tunings",
-        "array", "recenter_interval_7"])
+        "array", "batch_size_7"])
 def test_kernel_writes_the_pre_trim_oracles_bits(config, n_stages,
                                                   reference_catalog, monkeypatch):
     stages, kernel = [], kernels.bayes_stage

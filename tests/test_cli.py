@@ -359,7 +359,7 @@ def test_invalid_config_exits_2(tmp_path, capsys):
     ["estimate", "--preset", "array", "--trajectories", "-1"],
     ["estimate", "--preset", "fig4", "--trajectories", "0"],
     ["estimate", "--preset", "fig4", "--trajectories", "2.5"],
-    ["estimate", "--trajectories", "7"],
+    ["offset", "--catalog", "c.json", "--l-max", "9"],  # the catalog fixes the system
     ["estimate", "--preset", "fig3", "--trajectories", "7"],
 ])
 def test_malformed_specs_exit_2(argv, capsys):
@@ -397,20 +397,20 @@ def test_seed_variable_gives_the_bits_of_a_config_with_that_seed(tmp_path, catal
     runs = {}
     for name, seed, env in (("env", 5, "77"), ("config", 77, None)):
         cfg = tmp_path / f"{name}.json"
-        cfg.write_text(json.dumps({"seed": seed, "n_measurements": 60, "schedule": [12],
-                                   "n_trajectories": 3}))
+        cfg.write_text(json.dumps({"seed": seed, "n_measurements": 60, "schedule": [12]}))
         if env is None:
             monkeypatch.delenv("CRITGYRO_SEED")
         else:
             monkeypatch.setenv("CRITGYRO_SEED", env)
         out = tmp_path / name
         assert main(["estimate", "--config", str(cfg), "--catalog", catalog_file,
-                     "--out-dir", str(out)]) == 0
+                     "--trajectories", "3", "--out-dir", str(out)]) == 0
         runs[name] = out
     for output in ("trajectory.csv", "sigma_vs_mu.csv"):
         assert (runs["env"] / output).read_bytes() == (runs["config"] / output).read_bytes()
     details = json.loads((runs["env"] / "run.manifest.json").read_text())["details"]
     assert (details["config"]["seed"], details["seed"]) == (5, 77)
+    assert details["ensembles"]["config"]["n_trajectories"] == 3
 
 
 def test_manifest_records_ensemble_health(tmp_path, catalog_file):
@@ -507,8 +507,8 @@ def test_offset_refuses_bad_values(argv, tmp_path, catalog_file, capsys, monkeyp
 @pytest.mark.parametrize("argv,dropped", [
     (["--offsets=-0.5:0:3"], ()),
     (["--offsets=0:0.1:3"], ()),
-    (["--n", "2"], ()),
-    (["--l-max", "9"], ()),
+    ([], ("solver", "n_particles")),
+    ([], ("solver", "n_ll")),
     ([], ("solver",)),
     ([], ("solver", "l_max")),
 ])
@@ -532,6 +532,32 @@ def test_offset_refuses_an_offset_off_the_ramp_or_another_systems_catalog(
     assert sweeps == []
 
 
+@pytest.mark.parametrize("key,value", [("n_particles", True), ("n_ll", "2"), ("l_max", 8.0)])
+def test_offset_refuses_a_system_that_is_not_integers(key, value, tmp_path, catalog_file,
+                                                      capsys, monkeypatch):
+    payload = json.loads(Path(catalog_file).read_text())
+    payload["provenance"]["solver"][key] = value
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps(payload))
+    built = []
+    monkeypatch.setattr(cli, "enumerate_basis", lambda *args: built.append(args))
+    out = tmp_path / "offset.csv"
+    assert main(["offset", "--catalog", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "provenance.solver" in err
+    assert not out.exists() and built == []
+
+
+def test_offset_sweeps_the_system_its_catalog_records(tmp_path):
+    catalog = tmp_path / "cat.json"
+    assert main(["catalog", "--n", "3", "--l-max", "5", "--pairs", "0.5:0.04",
+                 "--out", str(catalog)]) == 0
+    out = tmp_path / "offset.csv"
+    assert main(["offset", "--catalog", str(catalog), "--offsets=-0.1:0:3",
+                 "--gap-points", "21", "--out", str(out)]) == 0
+    assert [_details(out)[key] for key in ("n", "n_ll", "l_max")] == [3, 2, 5]
+
+
 def test_offset_on_a_one_state_system_exits_2(tmp_path, catalog_file, capsys):
     """A catalog whose provenance names N=1, n_LL=1, l_max=0: that system's
     condensate sector has one state, so the ramp has no gap."""
@@ -540,8 +566,7 @@ def test_offset_on_a_one_state_system_exits_2(tmp_path, catalog_file, capsys):
     path = tmp_path / "catalog.json"
     path.write_text(json.dumps(payload))
     out = tmp_path / "offset.csv"
-    assert main(["offset", "--catalog", str(path), "--n", "1", "--n-ll", "1",
-                 "--l-max", "0", "--out", str(out)]) == 2
+    assert main(["offset", "--catalog", str(path), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err and "one-state sector" in err
     assert not out.exists()

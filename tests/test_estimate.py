@@ -1,5 +1,7 @@
+import inspect
 import math
 import multiprocessing
+import re
 import threading
 
 import numpy as np
@@ -161,7 +163,7 @@ def test_degenerate_update_raises():
     p = np.where(np.arange(201) < 100, 1.0, 0.0)
     p[100] = 0.5
     cat = CurveCatalog(curves=(ResonanceCurve.from_values(0.5, 0.01, omega, p),))
-    cfg = ProtocolConfig(grid_size=2, n_measurements=2, recenter_interval=2,
+    cfg = ProtocolConfig(grid_size=2, n_measurements=2, batch_size=2,
                          initial_g=0.5, initial_anisotropy=0.01)
     raised = []
     for seed in range(8):
@@ -226,6 +228,21 @@ def test_config_roundtrip():
     assert again == cfg
     with pytest.raises(ParameterError):
         ProtocolConfig.from_dict({"bogus": 1})
+
+
+def test_config_schema_documents_exactly_the_fields():
+    """The `ProtocolConfig` docstring is the `--config` schema: one entry
+    (`name:` or `name, name:` at the margin) per field, none more. The
+    keys that the batch size and `--trajectories` replaced are unknown."""
+    documented = []
+    for line in inspect.cleandoc(ProtocolConfig.__doc__).splitlines():
+        entry = re.match(r"([a-z_]+(?:, [a-z_]+)*): ", line)
+        if entry:
+            documented += entry.group(1).split(", ")
+    assert sorted(documented) == sorted(ProtocolConfig.__dataclass_fields__)
+    for removed in ("recenter_interval", "n_trajectories"):
+        with pytest.raises(ParameterError, match="unknown config keys"):
+            ProtocolConfig.from_dict({removed: 3})
 
 
 # ---------------------------------------------------------------------------
@@ -306,17 +323,16 @@ def test_recentering_stabilizes():
     assert np.abs(np.diff(deltas[-50:])).max() < 5e-3
 
 
-def test_batch_grouping_equals_sequential_with_same_cadence():
+def test_batch_size_sets_the_recentering_cadence():
+    """Each batch of 200 measurements shares one shift, and the shift moves
+    between batches, across the retune at 200 too."""
     cat = synthetic_catalog(widths=(0.05, 0.008))
-    base = dict(seed=21, n_measurements=400, schedule=(200,),
-                initial_g=0.5, initial_anisotropy=0.01)
-    grouped = run_protocol(
-        ProtocolConfig(batch_size=200, **base), cat)
-    sequential = run_protocol(
-        ProtocolConfig(batch_size=1, recenter_interval=200, **base), cat)
-    assert np.array_equal(grouped.sigma_trace, sequential.sigma_trace)
-    assert np.array_equal(grouped.outcomes, sequential.outcomes)
-    assert np.array_equal(grouped.deltas, sequential.deltas)
+    res = run_protocol(ProtocolConfig(seed=21, n_measurements=600, schedule=(200,),
+                                      batch_size=200, initial_g=0.5,
+                                      initial_anisotropy=0.01), cat)
+    batches = res.deltas.reshape(3, 200)
+    assert np.all(batches == batches[:, :1])
+    assert len(set(batches[:, 0])) == 3
 
 
 def test_shift_metamorphism_bit_exact():

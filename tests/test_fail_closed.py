@@ -10,7 +10,13 @@ import pytest
 import scipy.sparse as sp
 
 from conftest import make_logistic_curve
-from critgyro.curves import CurveCatalog, ResonanceCurve, lookup_by_width
+from critgyro.curves import (
+    CurveCatalog,
+    ResonanceCurve,
+    catalog_build,
+    compute_curve,
+    lookup_by_width,
+)
 from critgyro.errors import CritgyroError
 from critgyro.estimate import ProtocolConfig, run_ensemble
 from critgyro.fock import enumerate_basis
@@ -45,6 +51,22 @@ def _spdm_batch_of_one_state():
     spdm_batch(np.eye(basis.size)[0], basis)
 
 
+def _on_a_small_system(sweep, grid):
+    """`sweep(basis, cache, grid)` on N=2, n_LL=2, l_max=4."""
+    def call():
+        basis = enumerate_basis(2, 2, 4)
+        sweep(basis, ElementCache.build(basis.modes), grid)
+    return call
+
+
+def _curve(basis, cache, grid):
+    compute_curve(basis, cache, 0.5, 0.04, grid=grid)
+
+
+def _gap_profile(basis, cache, grid):
+    gap_profile(basis, cache, 0.5, 0.04, grid, center=0.9)
+
+
 def _one_state_gap_profile():
     basis = enumerate_basis(1, 1, 0)
     gap_profile(basis, ElementCache.build(basis.modes), 0.5, 0.04,
@@ -62,6 +84,13 @@ CASES = {
     "ensemble_of_2.5_trajectories": _ensemble(2.5),
     "ensemble_of_'3'_trajectories": _ensemble("3"),
     "gap_of_a_one_state_sector": _one_state_gap_profile,
+    "curve_on_a_scalar_grid": _on_a_small_system(_curve, 0.9),
+    "curve_on_a_descending_grid": _on_a_small_system(_curve, np.linspace(0.95, 0.85, 5)),
+    "catalog_on_a_scalar_grid": _on_a_small_system(
+        lambda basis, cache, grid: catalog_build(basis, cache, [(0.5, 0.04)], grid=grid), 0.9),
+    "gap_profile_on_an_empty_grid": _on_a_small_system(_gap_profile, np.array([])),
+    "gap_profile_on_a_2d_grid": _on_a_small_system(_gap_profile,
+                                                   np.linspace(0.85, 0.95, 6).reshape(2, 3)),
     "lookup_in_an_empty_catalog": lambda: lookup_by_width(CurveCatalog(curves=()), 0.01),
     "lowest_0_eigenpairs": lambda: lowest_k(sp.identity(3, format="csr"), 0),
     "sweep_of_a_non_finite_matrix": lambda: sweep_lowest(

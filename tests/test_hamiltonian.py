@@ -164,6 +164,21 @@ def test_system_operators_are_shared_per_basis_and_cache():
         ops.d[0] = 0.0
 
 
+@pytest.mark.parametrize("grid", [0.9, [], [[0.85, 0.9], [0.92, 0.95]],
+                                  [0.95, 0.9, 0.85], [0.85, 0.9, 0.9, 0.95]],
+                         ids=["scalar", "empty", "2d", "descending", "repeated"])
+def test_system_sweep_refuses_a_bad_grid_before_any_solve(grid, monkeypatch):
+    basis = enumerate_basis(2, 2, 4)
+    system = System(basis, ElementCache.build(basis.modes))
+    sweeps = []
+    monkeypatch.setattr(spectrum, "sweep_lowest", lambda *args, **kwargs: sweeps.append(1))
+    with pytest.raises(ParameterError, match="strictly ascending"):
+        system.sweep(0.5, 0.04, grid)
+    with pytest.raises(ParameterError, match="strictly ascending"):
+        compute_curve(basis, system.cache, 0.5, 0.04, grid=grid)
+    assert sweeps == []
+
+
 def test_system_sweep_returns_the_kept_sweep_for_its_key(monkeypatch):
     """A sweep without `stop` for the kept g, A and points is the kept
     result; a new g, A or grid, and any call with `stop`, sweep again, and
