@@ -13,15 +13,18 @@ sector energies tie, as in the non-interacting lowest Landau level at
 Omega = 1) exits 2 and writes no output file. `estimate --trajectories`
 sizes the ensembles of every run: 200 by default under `--preset fig4` and
 `array`, 1 without a preset (above 1, that run also writes the ensemble
-median); `fig3` runs none and refuses it. `estimate` exits 2 and writes no
-output file when its `--config` file cannot be read, is not a JSON object,
-or breaks the schema in `estimate.ProtocolConfig` (an unknown key, a wrong
-type, a value out of range), when the seed (config or CRITGYRO_SEED) is
-negative, and when the catalog lacks the initial (g, A) pair. `offset`
-sweeps the system its catalog records (provenance `solver.n_particles`,
-`n_ll` and `l_max`) and exits 2, before any sweep, when one of these is
-missing or not an integer, on a non-finite or non-positive `--eps`, and
-when an offset puts the ramp's end outside its fixed range [center - 0.25,
+median); `fig3` runs none and refuses it. `estimate --catalog` is the one
+route to the catalog (the config holds no path). `estimate` exits 2 with
+one `error:` line and writes no output file without `--catalog`, when its
+`--config` file cannot be read, is not a JSON object, or breaks the schema
+in `estimate.ProtocolConfig` (an unknown key, a wrong type, a value out of
+range), when the seed (config or CRITGYRO_SEED) is negative, and when the
+catalog lacks the initial (g, A) pair. `basis` writes the basis file;
+`curve` dumps only the element cache and one Hamiltonian. `offset` sweeps
+the system its catalog records (provenance `solver.n_particles`, `n_ll`
+and `l_max`) and exits 2, before any sweep, when one of these is missing
+or not an integer, on a non-finite or non-positive `--eps`, and when an
+offset puts the ramp's end outside its fixed range [center - 0.25,
 center + 0.02]. A negative offset range needs `=`: `--offsets=-0.1:0:21`.
 """
 
@@ -182,9 +185,6 @@ def cmd_curve(args) -> int:
         line_chart(args.svg, series, title="likelihood of the all-zero outcome",
                    xlabel="rotation rate (units of trap frequency)", ylabel="P(0)")
         outputs.append(args.svg)
-    if args.dump_basis:
-        basis.dump_csv(args.dump_basis)
-        outputs.append(args.dump_basis)
     if args.dump_elements:
         cache.dump_csv(args.dump_elements)
         outputs.append(args.dump_elements)
@@ -278,17 +278,14 @@ def cmd_estimate(args) -> int:
             raise ParameterError(f"cannot read --config {args.config}: {exc}") from None
     config = ProtocolConfig.from_dict(cfg_data)
     seed, seed_source = resolve_seed(config.seed)
-    catalog_path = args.catalog or config.catalog_path
-    if not catalog_path:
-        print("error: no catalog given (--catalog or config catalog_path)",
-              file=sys.stderr)
-        return EXIT_USAGE
-    catalog = catalog_load(catalog_path)
+    if not args.catalog:
+        raise ParameterError("no catalog given (--catalog)")
+    catalog = catalog_load(args.catalog)
     os.makedirs(args.out_dir, exist_ok=True)
     out = lambda name: os.path.join(args.out_dir, name)
     outputs = []
     details = {"config": config.to_dict(), "preset": args.preset,
-               "catalog": str(catalog_path),
+               "catalog": str(args.catalog),
                "seed": seed, "seed_source": seed_source}
     config = replace(config, seed=seed)  # every run below draws from the resolved seed
     ensembles = {}
@@ -543,7 +540,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=_parse_grid, help="explicit grid lo:hi:n")
     p.add_argument("--out", default="curve.csv")
     p.add_argument("--svg")
-    p.add_argument("--dump-basis", dest="dump_basis")
     p.add_argument("--dump-elements", dest="dump_elements")
     p.add_argument("--dump-matrix", dest="dump_matrix")
     p.add_argument("--matrix-omega", type=float, default=0.0,
@@ -562,7 +558,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("estimate", help="run the estimation protocol")
     p.add_argument("--config", help="JSON protocol config")
-    p.add_argument("--catalog")
+    p.add_argument("--catalog", help="catalog file (required; the config holds no path)")
     p.add_argument("--preset", choices=("fig3", "fig4", "array"))
     p.add_argument("--trajectories", type=_positive_int,
                    help="ensemble size: default 200 under the fig4 and array presets, "

@@ -35,7 +35,7 @@ arrays.
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from math import isfinite, pi, sqrt
+from math import inf, isfinite, pi, sqrt
 
 import numpy as np
 import scipy.sparse as sp
@@ -219,8 +219,8 @@ _shared: System | None = None
 def physical_to_g(scattering_length_m: float, mass_kg: float,
                   omega_z_rad_s: float) -> float:
     """Dimensionless interaction strength a_s * sqrt(8 pi M w_z / hbar)."""
-    if scattering_length_m < 0:
-        raise ParameterError("scattering length must be >= 0")
-    if mass_kg <= 0 or omega_z_rad_s <= 0:
-        raise ParameterError("mass and axial frequency must be positive")
+    if not 0 <= scattering_length_m < inf:  # NaN fails every comparison
+        raise ParameterError("scattering length must be finite and >= 0")
+    if not (0 < mass_kg < inf and 0 < omega_z_rad_s < inf):
+        raise ParameterError("mass and axial frequency must be finite and positive")
     return scattering_length_m * sqrt(8 * pi * mass_kg * omega_z_rad_s / HBAR)

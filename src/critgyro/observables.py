@@ -24,15 +24,18 @@ HWHM_GRID_SIZE = 2001
 
 
 def _require_points(*arrays) -> None:
-    """Refuse a curve or distribution given by empty arrays (InputError)."""
+    """Refuse a curve or distribution given by empty or non-finite arrays
+    (InputError)."""
     if any(np.size(a) == 0 for a in arrays):
         raise InputError("curve arrays are empty: a grid needs at least one point")
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise InputError("curve arrays must be finite")
 
 
 def _check_normalized(psi: np.ndarray) -> np.ndarray:
     """The state, or each row of a stack of states, as floats of unit norm."""
     psi = np.asarray(psi, dtype=float)
-    if np.any(np.abs(np.linalg.norm(psi, axis=-1) - 1.0) > NORM_TOL):
+    if not np.all(np.abs(np.linalg.norm(psi, axis=-1) - 1.0) <= NORM_TOL):  # refuses NaN
         raise InputError("state vector is not normalized")
     return psi
 
@@ -126,7 +129,7 @@ def crossing_offset(omega: np.ndarray, values: np.ndarray, threshold: float):
     """Grid offset of the first downward crossing, or None.
 
     Works relative to omega[0] so that rigidly shifted inputs give
-    bit-identical offsets. Empty arrays raise InputError.
+    bit-identical offsets. Empty or non-finite arrays raise InputError.
     """
     _require_points(omega, values)
     x = omega - omega[0]
@@ -164,13 +167,15 @@ def preparation_hwhm(curve, offset: float, prior_lo: float, prior_hi: float) -> 
     The likelihood is the curve truncated at the ramp endpoint (flat at the
     endpoint value beyond it), shifted so the flat prior's midpoint maps onto
     the endpoint. A proxy for the attainable single-shot resolution.
-    The prior needs finite bounds with prior_lo < prior_hi, and the curve a
-    0.5 crossing (ParameterError otherwise).
+    The prior needs finite bounds with prior_lo < prior_hi, the offset must
+    be finite, and the curve needs a 0.5 crossing (ParameterError otherwise).
     """
     if not (np.isfinite(prior_lo) and np.isfinite(prior_hi) and prior_lo < prior_hi):
         raise ParameterError(f"prior needs finite bounds lo < hi, got [{prior_lo}, {prior_hi}]")
     if curve.center is None:
         raise ParameterError("the curve never crosses 0.5: it has no center to offset from")
+    if not np.isfinite(offset):
+        raise ParameterError(f"offset must be finite, got {offset}")
     end = curve.center + offset
     p_end = float(curve.evaluate(end))
     omega = np.linspace(prior_lo, prior_hi, HWHM_GRID_SIZE)
@@ -188,7 +193,7 @@ def hwhm_points(omega: np.ndarray, density: np.ndarray) -> float:
 
     The region is [first, last] interpolated crossing of max/2; edges of the
     support bound it when the density never falls below half maximum.
-    Empty arrays raise InputError.
+    Empty or non-finite arrays raise InputError.
     """
     _require_points(omega, density)
     omega = np.asarray(omega, dtype=float)
@@ -233,9 +238,12 @@ def gap_profile(basis: FockBasis, cache: ElementCache, g: float,
                 anisotropy: float, omegas: np.ndarray,
                 center: float) -> GapProfile:
     """Gap and |<1|L|0>| within the L-parity sector of the condensate; the
-    gap is `SweepResult.gap`, so a sector of one state raises ParameterError."""
+    gap is `SweepResult.gap`, so a sector of one state raises ParameterError,
+    as do a non-positive anisotropy and a non-finite center."""
     if anisotropy <= 0:
         raise ParameterError("gap profile needs a positive anisotropy")
+    if not np.isfinite(center):
+        raise ParameterError(f"gap profile needs a finite center, got {center}")
     system = System.of(basis, cache)
     sweep = system.sweep(g, anisotropy, omegas)
     l01 = np.abs(np.einsum("ij,j,ij->i", sweep.vec1, system.sector_l, sweep.vec0))
@@ -256,7 +264,7 @@ def adiabatic_time(profile: GapProfile, offset: float,
         raise ParameterError(f"adiabaticity slack eps must be finite and positive, got {eps}")
     end = profile.center + offset
     om = profile.omegas
-    if end < om[0] or end > om[-1]:
+    if not om[0] <= end <= om[-1]:  # NaN fails both
         raise RangeError(
             f"ramp endpoint {end} outside profile grid [{om[0]}, {om[-1]}]"
         )

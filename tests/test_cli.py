@@ -61,7 +61,6 @@ def test_curve_command_with_explicit_grid(tmp_path):
         "curve", "--g", "0.5", "--A", "0.02",
         "--grid", "0.885:0.915:13",
         "--out", str(out), "--svg", str(svg),
-        "--dump-basis", str(tmp_path / "b.csv"),
         "--dump-elements", str(tmp_path / "e.csv"),
         "--dump-matrix", str(mat),
     ])
@@ -70,7 +69,7 @@ def test_curve_command_with_explicit_grid(tmp_path):
     assert lines[0] == "g,A,omega,p0,gap,lam1,lam2,exp_L"
     assert len(lines) == 13 + 1
     assert svg.read_text().startswith("<svg")
-    assert (tmp_path / "b.csv").exists() and (tmp_path / "e.csv").exists()
+    assert (tmp_path / "e.csv").exists()
     assert np.array_equal(_read_matrix(mat), _hamiltonian(6, 0.5, 0.02, 0.0))
 
 
@@ -201,9 +200,14 @@ def test_estimate_array_preset_runs(tmp_path, catalog_file):
     assert len(lines) == 401
 
 
-def test_estimate_requires_catalog(tmp_path):
+def test_estimate_requires_catalog(tmp_path, capsys):
+    """`--catalog` is the one route to a catalog: without it the run exits 2
+    with one error line and writes nothing."""
     code = main(["estimate", "--out-dir", str(tmp_path / "x")])
     assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "x").exists()
 
 
 def test_offset_command(tmp_path, catalog_file):
@@ -361,6 +365,7 @@ def test_invalid_config_exits_2(tmp_path, capsys):
     ["estimate", "--preset", "fig4", "--trajectories", "2.5"],
     ["offset", "--catalog", "c.json", "--l-max", "9"],  # the catalog fixes the system
     ["estimate", "--preset", "fig3", "--trajectories", "7"],
+    ["curve", "--g", "0.5", "--A", "0.04", "--dump-basis", "b.csv"],  # `basis --out` writes it
 ])
 def test_malformed_specs_exit_2(argv, capsys):
     with pytest.raises(SystemExit) as err:

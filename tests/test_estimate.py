@@ -1,3 +1,4 @@
+import ast
 import inspect
 import math
 import multiprocessing
@@ -233,16 +234,18 @@ def test_config_roundtrip():
 def test_config_schema_documents_exactly_the_fields():
     """The `ProtocolConfig` docstring is the `--config` schema: one entry
     (`name:` or `name, name:` at the margin) per field, none more. The
-    keys that the batch size and `--trajectories` replaced are unknown."""
+    keys that the batch size, `--trajectories` and `--catalog` replaced are
+    unknown."""
     documented = []
     for line in inspect.cleandoc(ProtocolConfig.__doc__).splitlines():
         entry = re.match(r"([a-z_]+(?:, [a-z_]+)*): ", line)
         if entry:
             documented += entry.group(1).split(", ")
     assert sorted(documented) == sorted(ProtocolConfig.__dataclass_fields__)
-    for removed in ("recenter_interval", "n_trajectories"):
+    for removed in ({"recenter_interval": 3}, {"n_trajectories": 3},
+                    {"catalog_path": "c.json"}):
         with pytest.raises(ParameterError, match="unknown config keys"):
-            ProtocolConfig.from_dict({removed: 3})
+            ProtocolConfig.from_dict(removed)
 
 
 # ---------------------------------------------------------------------------
@@ -458,6 +461,13 @@ def test_ensemble_with_aborts_on_two_workers_equals_one(monkeypatch):
     serial, pooled = _ensembles_on((1, 2), monkeypatch, cfg, synthetic_catalog(), 8)
     _assert_same_bits(serial, pooled)
     assert pooled.abort_indices == [3, 6]
+
+
+def test_estimate_keeps_no_global_state():
+    """Every input of the estimator, in the caller and in an ensemble's
+    workers, is an argument: `estimate` rebinds no module name."""
+    tree = ast.parse(inspect.getsource(estimate))
+    assert not [node for node in ast.walk(tree) if isinstance(node, ast.Global)]
 
 
 def test_ensemble_pool_leaves_no_process_or_thread(monkeypatch):

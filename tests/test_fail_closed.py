@@ -5,6 +5,8 @@ Each case calls one entry point with one malformed input and must raise a
 never a bare TypeError, IndexError or numpy ValueError.
 """
 
+from math import inf, nan, pi
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -18,14 +20,20 @@ from critgyro.curves import (
     lookup_by_width,
 )
 from critgyro.errors import CritgyroError
-from critgyro.estimate import ProtocolConfig, run_ensemble
+from critgyro.estimate import Posterior, ProtocolConfig, run_ensemble, sigma_scaling
 from critgyro.fock import enumerate_basis
+from critgyro.hamiltonian import physical_to_g
 from critgyro.melem import ElementCache
 from critgyro.observables import (
+    GapProfile,
+    adiabatic_time,
     critical_frequency,
+    expected_L,
     gap_profile,
     hwhm_points,
+    p_zero,
     preparation_hwhm,
+    spdm,
     spdm_batch,
     transition_width,
 )
@@ -49,6 +57,19 @@ def _ensemble(n_trajectories):
 def _spdm_batch_of_one_state():
     basis = enumerate_basis(2, 2, 4)
     spdm_batch(np.eye(basis.size)[0], basis)
+
+
+def _of_a_nan_state(observable):
+    def call():
+        basis = enumerate_basis(2, 2, 4)
+        observable(np.full(basis.size, nan), basis)
+    return call
+
+
+def _adiabatic_time_at_a_nan_offset():
+    profile = GapProfile(omegas=np.linspace(0.8, 0.9, 3), gap=np.ones(3),
+                         l01=np.ones(3), center=0.85)
+    adiabatic_time(profile, nan)
 
 
 def _on_a_small_system(sweep, grid):
@@ -95,6 +116,22 @@ CASES = {
     "lowest_0_eigenpairs": lambda: lowest_k(sp.identity(3, format="csr"), 0),
     "sweep_of_a_non_finite_matrix": lambda: sweep_lowest(
         np.array([[0.0, np.nan], [np.nan, 1.0]]), np.zeros(2), np.array([0.5])),
+    "p_zero_of_a_nan_state": _of_a_nan_state(p_zero),
+    "expected_L_of_a_nan_state": _of_a_nan_state(expected_L),
+    "spdm_of_a_nan_state": _of_a_nan_state(spdm),
+    "adiabatic_time_at_a_nan_offset": _adiabatic_time_at_a_nan_offset,
+    "hwhm_at_a_nan_offset": lambda: preparation_hwhm(make_logistic_curve(), nan, 0.87, 0.93),
+    "gap_profile_with_a_nan_center": _on_a_small_system(
+        lambda basis, cache, grid: gap_profile(basis, cache, 0.5, 0.04, grid, center=nan),
+        np.linspace(0.85, 0.95, 3)),
+    "hwhm_of_a_nan_density": lambda: hwhm_points([0.8, 0.9, 1.0], [0.2, nan, 0.1]),
+    "g_of_a_nan_scattering_length": lambda: physical_to_g(nan, 1.44e-25, 2 * pi * 1e3),
+    "g_of_an_infinite_mass": lambda: physical_to_g(5.2e-9, inf, 2 * pi * 1e3),
+    "sigma_scaling_of_a_nan_trace": lambda: sigma_scaling(np.full(100, nan)),
+    "posterior_of_a_nan_mass": lambda: Posterior(omega=np.array([0.8, 0.9]),
+                                                 mass=np.array([nan, 1.0])),
+    "transition_width_on_a_nan_grid": lambda: transition_width([0.8, nan, 1.0],
+                                                               [1.0, 0.5, 0.0]),
 }
 
 
