@@ -20,12 +20,14 @@ one `error:` line and writes no output file without `--catalog`, when its
 in `estimate.ProtocolConfig` (an unknown key, a wrong type, a value out of
 range), when the seed (config or CRITGYRO_SEED) is negative, and when the
 catalog lacks the initial (g, A) pair. `basis` writes the basis file;
-`curve` dumps only the element cache and one Hamiltonian. `offset` sweeps
-the system its catalog records (provenance `solver.n_particles`, `n_ll`
-and `l_max`) and exits 2, before any sweep, when one of these is missing
-or not an integer, on a non-finite or non-positive `--eps`, and when an
-offset puts the ramp's end outside its fixed range [center - 0.25,
-center + 0.02]. A negative offset range needs `=`: `--offsets=-0.1:0:21`.
+`curve` dumps only the element cache and one Hamiltonian, and exits 2
+unless it gets one --A per --g. `offset` sweeps the system its catalog
+records (provenance `solver.n_particles`, `n_ll` and `l_max`) and exits 2,
+before any sweep, when the catalog has no curve for its (g, A), when one
+of those three is missing or not an integer, on a non-finite or
+non-positive `--eps`, and when an offset puts the ramp's end outside its
+fixed range [center - 0.25, center + 0.02]. A negative offset range needs
+`=`: `--offsets=-0.1:0:21`.
 """
 
 import argparse
@@ -161,8 +163,7 @@ def _parse_pairs(spec: str) -> list[tuple[float, float]]:
 def cmd_curve(args) -> int:
     t0 = time.time()
     if len(args.g) != len(args.A):
-        print("error: need one --A per --g", file=sys.stderr)
-        return EXIT_USAGE
+        raise ParameterError("need one --A per --g")
     basis, cache = _build_system(args.n, args.n_ll, args.l_max)
     outputs = [args.out]
 
@@ -387,12 +388,7 @@ def cmd_offset(args) -> int:
     if not (np.isfinite(args.eps) and args.eps > 0):
         raise ParameterError(f"--eps must be finite and > 0, got {args.eps}")
     catalog = catalog_load(args.catalog)
-    try:
-        curve = catalog.find(args.g, args.A)
-    except KeyError:
-        print(f"error: catalog has no curve for (g={args.g}, A={args.A})",
-              file=sys.stderr)
-        return EXIT_USAGE
+    curve = catalog.find(args.g, args.A)
     provenance = catalog.provenance if isinstance(catalog.provenance, dict) else {}
     solver = provenance.get("solver")
     system = ([solver.get(key) for key in ("n_particles", "n_ll", "l_max")]

@@ -27,8 +27,9 @@ from .hamiltonian import System
 from .melem import ElementCache
 from .observables import (
     crossing_offset,
+    expected_L,
     p_zero,
-    spdm_batch,
+    spdm,
     spdm_branch_gap,
     transition_width,
 )
@@ -116,7 +117,7 @@ class CurveDiagnostics:
     omegas: np.ndarray
     gap: np.ndarray          # E1 - E0
     lam1: np.ndarray         # largest SPDM eigenvalue
-    lam2: np.ndarray         # second largest
+    lam2: np.ndarray         # second largest (0 for a one-mode basis)
     branch_gap: np.ndarray   # condensate-branch minus vortex-branch occupation
     exp_L: np.ndarray
     spdm_trace: np.ndarray
@@ -183,22 +184,23 @@ def curve_diagnostics(basis: FockBasis, cache: ElementCache,
     sector, the only states the followed state couples to; a sector of one
     state has none (ParameterError, before any SPDM work). The sweep is
     `System.sweep`'s, so right after `compute_curve` on the same grid its
-    kept sweep is reused.
+    kept sweep is reused. `spdm`, `spdm_branch_gap` and `expected_L` each
+    run once, on the stack of followed states.
     """
     system = System.of(basis, cache)
     sweep = system.sweep(curve.g, curve.anisotropy, curve.omega)
     gap = sweep.gap
     followed = system.lift(sweep.followed)
-    dens = spdm_batch(followed, basis)
+    dens = spdm(followed, basis)
+    lam = dens.eigenvalues
     return CurveDiagnostics(
         omegas=curve.omega.copy(),
         gap=gap,
-        lam1=np.array([d.eigenvalues[0] for d in dens]),
-        lam2=np.array([d.eigenvalues[1] if len(d.eigenvalues) > 1 else 0.0
-                       for d in dens]),
-        branch_gap=np.array([spdm_branch_gap(d, basis) for d in dens]),
-        exp_L=followed**2 @ system.operators.l,
-        spdm_trace=np.array([np.trace(d.matrix) for d in dens]),
+        lam1=lam[:, 0],
+        lam2=lam[:, 1] if lam.shape[1] > 1 else np.zeros(len(lam)),
+        branch_gap=spdm_branch_gap(dens, basis),
+        exp_L=expected_L(followed, basis),
+        spdm_trace=np.trace(dens.matrix, axis1=1, axis2=2),
     )
 
 
@@ -227,16 +229,20 @@ class CurveCatalog:
         )
 
     def find(self, g: float, anisotropy: float) -> ResonanceCurve:
+        """The pair's curve; ParameterError when the catalog has none."""
         for c in self.curves:
             if c.key == (g, anisotropy):
                 return c
-        raise KeyError(f"no curve for (g={g}, anisotropy={anisotropy})")
+        raise ParameterError(f"catalog has no curve for (g={g}, A={anisotropy})")
 
 
 def lookup_by_width(catalog: CurveCatalog, target_width: float) -> ResonanceCurve:
-    """Curve minimizing |width - target|; ties resolve to the steeper curve."""
+    """Curve minimizing |width - target|; ties resolve to the steeper curve.
+    The target must be finite and positive (ParameterError)."""
     if not catalog.curves:
         raise ParameterError("catalog is empty")
+    if not 0 < target_width < np.inf:  # NaN fails both
+        raise ParameterError(f"target width must be finite and > 0, got {target_width}")
     return min(catalog.curves, key=lambda c: (abs(c.width - target_width), c.width))
 
 

@@ -220,11 +220,7 @@ def run_protocol(config: ProtocolConfig, catalog: CurveCatalog,
     a generator seeded with `config.seed`; raises DegenerateUpdateError
     with the measurement index if an update annihilates the posterior.
     Each stage recenters before every `config.batch_size` measurements."""
-    try:
-        curve = catalog.find(config.initial_g, config.initial_anisotropy)
-    except KeyError:
-        raise ParameterError(f"catalog has no curve for the initial pair (g={config.initial_g}, "
-                             f"A={config.initial_anisotropy})") from None
+    curve = catalog.find(config.initial_g, config.initial_anisotropy)
     if rng is None:
         rng = np.random.default_rng(config.seed)
     n = config.n_measurements
@@ -283,10 +279,10 @@ class EnsembleResult:
     workers: int = 1           # processes that ran the trajectories
 
     def median_sigma(self, mu: int | None = None):
-        """Ensemble median sigma at measurement count mu in [1, n_measurements]
-        (or the full trace)."""
+        """Ensemble median sigma at the integer measurement count mu in
+        [1, n_measurements] (ParameterError otherwise), or the full trace."""
         n = self.sigma.shape[1]
-        if mu is not None and not 1 <= mu <= n:
+        if mu is not None and not 1 <= _integer("mu", mu) <= n:
             raise ParameterError(f"mu must lie in [1, {n}], got {mu}")
         med = np.median(self.sigma, axis=0)
         return med if mu is None else float(med[mu - 1])
@@ -294,7 +290,10 @@ class EnsembleResult:
 
 def trajectory_rng(master_seed: int, index: int) -> np.random.Generator:
     """Generator of trajectory `index` of an ensemble: child `index` of the
-    master seed's SeedSequence, as `SeedSequence.spawn` makes it."""
+    master seed's SeedSequence, as `SeedSequence.spawn` makes it. Both must
+    be integers >= 0 (ParameterError)."""
+    if _integer("master_seed", master_seed) < 0 or _integer("index", index) < 0:
+        raise ParameterError(f"master_seed and index must be >= 0, got {master_seed}, {index}")
     return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(index,)))
 
 

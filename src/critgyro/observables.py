@@ -1,5 +1,10 @@
 """Physical quantities extracted from ground states and likelihood curves.
 
+`p_zero`, `expected_L` and `spdm` take one state or a stack of states in
+rows (a malformed one raises InputError). For a stack, `p_zero`,
+`expected_L` and `spdm_branch_gap` give an array in place of a float, and
+the arrays of the one SPDM lead with the stack axis.
+
 The measurement likelihood p_zero is the probability that every particle
 sits in a zero-angular-momentum mode, i.e. (0,0) or (1,0). The transition
 of p_zero from its low-rotation plateau to ~0 defines the resonance whose
@@ -32,93 +37,86 @@ def _require_points(*arrays) -> None:
         raise InputError("curve arrays must be finite")
 
 
-def _check_normalized(psi: np.ndarray) -> np.ndarray:
-    """The state, or each row of a stack of states, as floats of unit norm."""
+def _check_normalized(psi: np.ndarray, basis: FockBasis) -> np.ndarray:
+    """One state, or a stack of states in rows, of the basis as floats of
+    unit norm (InputError otherwise)."""
     psi = np.asarray(psi, dtype=float)
+    if psi.ndim not in (1, 2) or psi.shape[-1] != basis.size:
+        raise InputError(f"need a state or rows of states of length {basis.size}, got {psi.shape}")
     if not np.all(np.abs(np.linalg.norm(psi, axis=-1) - 1.0) <= NORM_TOL):  # refuses NaN
         raise InputError("state vector is not normalized")
     return psi
 
 
 def p_zero(psi: np.ndarray, basis: FockBasis):
-    """Probability that all particles occupy m = 0 modes: a float for one
-    state, an array for a stack of states in rows. Summed along contiguous
-    rows, so a state gets the same bits alone as in a stack."""
-    psi = _check_normalized(psi)
+    """Probability that all particles occupy m = 0 modes. Summed along
+    contiguous rows, so a state gets the same bits alone as in a stack."""
+    psi = _check_normalized(psi, basis)
     mask = basis.zero_momentum_mask
     weight = (np.ascontiguousarray(psi[..., mask]) ** 2).sum(axis=-1)
     return float(weight) if psi.ndim == 1 else weight
 
 
-def expected_L(psi: np.ndarray, basis: FockBasis) -> float:
-    """Mean total angular momentum of the state."""
-    psi = _check_normalized(psi)
-    return float(np.sum(psi**2 * basis.L))
+def expected_L(psi: np.ndarray, basis: FockBasis):
+    """Mean total angular momentum psi**2 @ L."""
+    psi = _check_normalized(psi, basis)
+    exp_l = psi**2 @ basis.L.astype(np.float64)
+    return float(exp_l) if psi.ndim == 1 else exp_l
 
 
 @dataclass(frozen=True)
 class SPDM:
-    """Single-particle density matrix rho[k, l] = <a+_l a_k> over the modes."""
+    """Single-particle density matrix rho[k, l] = <a+_l a_k> over the modes
+    and its spectrum, each with a leading stack axis for a stack of states."""
 
-    matrix: np.ndarray
-    eigenvalues: np.ndarray   # descending
-    eigenvectors: np.ndarray  # columns matching eigenvalues
+    matrix: np.ndarray        # (..., n_modes, n_modes)
+    eigenvalues: np.ndarray   # (..., n_modes), descending
+    eigenvectors: np.ndarray  # (..., n_modes, n_modes), columns matching eigenvalues
 
 
 def spdm(psi: np.ndarray, basis: FockBasis) -> SPDM:
-    return spdm_batch(np.asarray(psi, dtype=float)[None, :], basis)[0]
-
-
-def spdm_batch(psis: np.ndarray, basis: FockBasis) -> list[SPDM]:
-    """SPDM of every row of `psis` from the basis hop table and one batched eigh.
+    """SPDM from the basis hop table and one batched eigh.
 
     `basis.spdm_hop_table` holds every move of one particle k -> l > k
     between basis states with its amplitude sqrt(n_k (n_l + 1)), stored
     transposed as read-only CSR and built once per basis. One sparse
-    product per row contracts it with psi[src] * psi[tgt] (row by row: an
-    all-rows product holds every row's hop weights at once), and the
-    occupations give the diagonal.
+    product per state contracts it with psi[src] * psi[tgt] (state by
+    state: an all-states product holds every state's hop weights at once),
+    and the occupations give the diagonal.
     """
-    if np.ndim(psis) != 2:
-        raise InputError(f"spdm_batch needs a stack of states (one per row), got {np.ndim(psis)}-d")
-    psis = _check_normalized(psis)
+    psi = _check_normalized(psi, basis)
+    psis = np.atleast_2d(psi)
     occ = basis.occupations
     nm = occ.shape[1]
     src, tgt, table_t = basis.spdm_hop_table
-    upper = np.array([table_t @ (psi[src] * psi[tgt]) for psi in psis]).reshape(-1, nm, nm)
+    upper = np.array([table_t @ (row[src] * row[tgt]) for row in psis]).reshape(-1, nm, nm)
     rho = upper + upper.transpose(0, 2, 1)
     rho[:, np.arange(nm), np.arange(nm)] = psis**2 @ occ
     evals, evecs = np.linalg.eigh(rho)
-    return [SPDM(matrix=m, eigenvalues=e[::-1].copy(), eigenvectors=v[:, ::-1].copy())
-            for m, e, v in zip(rho, evals, evecs)]
+    if psi.ndim == 1:
+        rho, evals, evecs = rho[0], evals[0], evecs[0]
+    return SPDM(matrix=rho, eigenvalues=evals[..., ::-1], eigenvectors=evecs[..., ::-1])
 
 
-def spdm_branch_gap(density: SPDM, basis: FockBasis) -> float:
+def spdm_branch_gap(density: SPDM, basis: FockBasis):
     """Occupation difference (condensate branch) - (vortex branch).
 
     The two leading natural orbitals are classified by their weight on the
     m = 0 versus m = 1 lowest modes; the sign of the difference flips where
-    the two macroscopic occupations swap.
+    the two macroscopic occupations swap. A one-mode basis gives its one
+    occupation.
     """
-    i00 = basis.modes.index(Mode(0, 0))
-    try:
-        i01 = basis.modes.index(Mode(0, 1))
-    except ValueError:
-        i01 = None
-    v = density.eigenvectors
     lam = density.eigenvalues
-    if v.shape[1] < 2:
-        return float(lam[0])
-
-    def condensate_score(col):
-        score = v[i00, col] ** 2
-        if i01 is not None:
-            score -= v[i01, col] ** 2
-        return score
-
-    if condensate_score(0) >= condensate_score(1):
-        return float(lam[0] - lam[1])
-    return float(lam[1] - lam[0])
+    if lam.shape[-1] < 2:
+        gap = lam[..., 0]
+    else:
+        v = density.eigenvectors
+        score = v[..., basis.modes.index(Mode(0, 0)), :2] ** 2
+        if Mode(0, 1) in basis.modes:
+            score = score - v[..., basis.modes.index(Mode(0, 1)), :2] ** 2
+        gap = np.where(score[..., 0] >= score[..., 1],
+                       lam[..., 0] - lam[..., 1], lam[..., 1] - lam[..., 0])
+    return float(gap) if lam.ndim == 1 else gap
 
 
 # ---------------------------------------------------------------------------
@@ -134,11 +132,12 @@ def crossing_offset(omega: np.ndarray, values: np.ndarray, threshold: float):
     _require_points(omega, values)
     x = omega - omega[0]
     v = np.asarray(values, dtype=float)
-    for i in range(len(v) - 1):
-        if v[i] >= threshold > v[i + 1]:
-            frac = (v[i] - threshold) / (v[i] - v[i + 1])
-            return x[i] + frac * (x[i + 1] - x[i])
-    return None
+    steps = np.flatnonzero((v[:-1] >= threshold) & (threshold > v[1:]))
+    if steps.size == 0:
+        return None
+    i = steps[0]
+    frac = (v[i] - threshold) / (v[i] - v[i + 1])
+    return x[i] + frac * (x[i + 1] - x[i])
 
 
 def critical_frequency(omega: np.ndarray, p0: np.ndarray) -> float:
@@ -200,18 +199,17 @@ def hwhm_points(omega: np.ndarray, density: np.ndarray) -> float:
     d = np.asarray(density, dtype=float)
     half = d.max() / 2.0
     peak = int(np.argmax(d))
-    left = omega[0]
-    for i in range(peak, 0, -1):
-        if d[i - 1] < half <= d[i]:
-            frac = (half - d[i - 1]) / (d[i] - d[i - 1])
-            left = omega[i - 1] + frac * (omega[i] - omega[i - 1])
-            break
-    right = omega[-1]
-    for i in range(peak, len(d) - 1):
-        if d[i] >= half > d[i + 1]:
-            frac = (d[i] - half) / (d[i] - d[i + 1])
-            right = omega[i] + frac * (omega[i + 1] - omega[i])
-            break
+    left, right = omega[0], omega[-1]
+    up = np.flatnonzero((d[:peak] < half) & (half <= d[1:peak + 1]))
+    if up.size:
+        i = up[-1]
+        frac = (half - d[i]) / (d[i + 1] - d[i])
+        left = omega[i] + frac * (omega[i + 1] - omega[i])
+    down = peak + np.flatnonzero((d[peak:-1] >= half) & (half > d[peak + 1:]))
+    if down.size:
+        i = down[0]
+        frac = (d[i] - half) / (d[i] - d[i + 1])
+        right = omega[i] + frac * (omega[i + 1] - omega[i])
     return float((right - left) / 2.0)
 
 

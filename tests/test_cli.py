@@ -265,6 +265,14 @@ def test_offset_manifest_records_what_replays_the_run(tmp_path, catalog_file):
     }
 
 
+def test_curve_needs_one_A_per_g(tmp_path, capsys):
+    out = tmp_path / "curve.csv"
+    assert main(["curve", "--g", "0.5", "--g", "0.6", "--A", "0.04", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: need one --A per --g\n" and captured.out == ""
+    assert not out.exists()
+
+
 def test_offset_requires_known_pair(tmp_path, catalog_file):
     code = main([
         "offset", "--catalog", catalog_file, "--g", "0.9", "--A", "0.5",

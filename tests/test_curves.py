@@ -457,7 +457,7 @@ def test_diagnostics_refuse_a_one_state_sector(monkeypatch):
     """N=0 and N=1, n_LL=1, l_max=0 have one state each. The diagnostics
     read `SweepResult.gap`, which such a sweep does not have, and refuse
     before any SPDM work."""
-    monkeypatch.setattr(curves, "spdm_batch", lambda *args: pytest.fail("SPDM computed"))
+    monkeypatch.setattr(curves, "spdm", lambda *args: pytest.fail("SPDM computed"))
     for n, n_ll, l_max in [(0, 2, 2), (1, 1, 0)]:
         basis = enumerate_basis(n, n_ll, l_max)
         cache = ElementCache.build(basis.modes)

@@ -414,6 +414,17 @@ def test_ensemble_counts_aborts(monkeypatch):
     assert ens.seeds == [(31, i) for i in (0, 1, 3, 4, 6, 7)]
 
 
+def test_ensemble_of_only_aborted_trajectories_raises(monkeypatch):
+    def aborts(config, catalog, rng=None):
+        raise DegenerateUpdateError("boom", measurement_index=_trajectory_index(rng) + 1)
+
+    monkeypatch.setattr(estimate, "run_protocol", aborts)
+    cfg = ProtocolConfig(n_measurements=10, initial_g=0.5, initial_anisotropy=0.01)
+    with pytest.raises(DegenerateUpdateError, match="every trajectory") as err:
+        run_ensemble(cfg, synthetic_catalog(), n_trajectories=3)
+    assert err.value.measurement_index is None
+
+
 def _ensembles_on(workers, monkeypatch, cfg, cat, n_trajectories):
     """The ensemble run with `_workers` patched to each count in `workers`."""
     out = []

@@ -20,8 +20,15 @@ from critgyro.curves import (
     lookup_by_width,
 )
 from critgyro.errors import CritgyroError
-from critgyro.estimate import Posterior, ProtocolConfig, run_ensemble, sigma_scaling
-from critgyro.fock import enumerate_basis
+from critgyro.estimate import (
+    EnsembleResult,
+    Posterior,
+    ProtocolConfig,
+    run_ensemble,
+    sigma_scaling,
+    trajectory_rng,
+)
+from critgyro.fock import KeyIndex, enumerate_basis
 from critgyro.hamiltonian import physical_to_g
 from critgyro.melem import ElementCache
 from critgyro.observables import (
@@ -34,7 +41,6 @@ from critgyro.observables import (
     p_zero,
     preparation_hwhm,
     spdm,
-    spdm_batch,
     transition_width,
 )
 from critgyro.spectrum import lowest_k, sweep_lowest
@@ -54,16 +60,28 @@ def _ensemble(n_trajectories):
     return call
 
 
-def _spdm_batch_of_one_state():
-    basis = enumerate_basis(2, 2, 4)
-    spdm_batch(np.eye(basis.size)[0], basis)
-
-
 def _of_a_nan_state(observable):
     def call():
         basis = enumerate_basis(2, 2, 4)
         observable(np.full(basis.size, nan), basis)
     return call
+
+
+def _of_a_3d_stack(observable):
+    def call():
+        basis = enumerate_basis(2, 2, 4)
+        observable(np.eye(basis.size)[None], basis)
+    return call
+
+
+def _median_sigma_at(mu):
+    ens = EnsembleResult(sigma=np.ones((2, 3)), seeds=[(0, 0), (0, 1)], n_aborted=0,
+                         abort_indices=[], max_dropped_mass=0.0)
+    return lambda: ens.median_sigma(mu)
+
+
+def _lookup_at(width):
+    return lambda: lookup_by_width(CurveCatalog(curves=(make_logistic_curve(),)), width)
 
 
 def _adiabatic_time_at_a_nan_offset():
@@ -100,7 +118,9 @@ CASES = {
     "critical_frequency_of_empty_arrays": lambda: critical_frequency([], []),
     "transition_width_of_empty_arrays": lambda: transition_width([], []),
     "hwhm_of_empty_arrays": lambda: hwhm_points([], []),
-    "spdm_batch_of_a_1d_state": _spdm_batch_of_one_state,
+    "spdm_of_a_3d_stack": _of_a_3d_stack(spdm),
+    "expected_L_of_a_3d_stack": _of_a_3d_stack(expected_L),
+    "p_zero_of_a_state_of_another_basis": lambda: p_zero(np.eye(5)[0], enumerate_basis(2, 2, 4)),
     "ensemble_of_True_trajectories": _ensemble(True),
     "ensemble_of_2.5_trajectories": _ensemble(2.5),
     "ensemble_of_'3'_trajectories": _ensemble("3"),
@@ -113,6 +133,18 @@ CASES = {
     "gap_profile_on_a_2d_grid": _on_a_small_system(_gap_profile,
                                                    np.linspace(0.85, 0.95, 6).reshape(2, 3)),
     "lookup_in_an_empty_catalog": lambda: lookup_by_width(CurveCatalog(curves=()), 0.01),
+    "lookup_of_a_nan_width": _lookup_at(nan),
+    "lookup_of_a_negative_width": _lookup_at(-1.0),
+    "lookup_of_an_infinite_width": _lookup_at(inf),
+    "trajectory_rng_of_a_negative_seed": lambda: trajectory_rng(-1, 0),
+    "trajectory_rng_of_a_negative_index": lambda: trajectory_rng(0, -1),
+    "median_sigma_at_True": _median_sigma_at(True),
+    "median_sigma_at_1.5": _median_sigma_at(1.5),
+    "key_index_past_63_bits": lambda: KeyIndex.build(np.ones((1, 64), dtype=np.int64)),
+    "curve_of_a_nan_omega": lambda: ResonanceCurve.from_values(0.5, 0.04, [0.8, nan, 1.0],
+                                                               [1.0, 0.5, 0.0]),
+    "curve_of_an_infinite_p0": lambda: ResonanceCurve.from_values(0.5, 0.04, [0.8, 0.9, 1.0],
+                                                                  [inf, 0.5, 0.0]),
     "lowest_0_eigenpairs": lambda: lowest_k(sp.identity(3, format="csr"), 0),
     "sweep_of_a_non_finite_matrix": lambda: sweep_lowest(
         np.array([[0.0, np.nan], [np.nan, 1.0]]), np.zeros(2), np.array([0.5])),

@@ -18,7 +18,6 @@ from critgyro.observables import (
     p_zero,
     preparation_hwhm,
     spdm,
-    spdm_batch,
     spdm_branch_gap,
     transition_width,
 )
@@ -119,17 +118,42 @@ def test_spdm_invariants(basis6):
     assert (np.diff(dens.eigenvalues) <= 1e-12).all()
 
 
-def test_spdm_batch_equals_per_vector_spdm(basis6):
+def test_spdm_of_a_stack_equals_per_vector_spdm(basis6):
     rng = np.random.default_rng(23)
     psis = rng.standard_normal((7, basis6.size))
     psis /= np.linalg.norm(psis, axis=1)[:, None]
-    batch = spdm_batch(psis, basis6)
-    assert len(batch) == len(psis)
-    for psi, dens in zip(psis, batch):
+    batch = spdm(psis, basis6)
+    nm = len(basis6.modes)
+    assert batch.matrix.shape == (7, nm, nm) and batch.eigenvalues.shape == (7, nm)
+    assert batch.eigenvectors.shape == (7, nm, nm)
+    for k, psi in enumerate(psis):
         one = spdm(psi, basis6)
-        assert np.max(np.abs(dens.matrix - one.matrix)) < 1e-14
-        assert np.max(np.abs(dens.eigenvalues - one.eigenvalues)) < 1e-14
-        assert abs(np.trace(dens.matrix) - 6.0) < 1e-12
+        assert np.max(np.abs(batch.matrix[k] - one.matrix)) < 1e-14
+        assert np.max(np.abs(batch.eigenvalues[k] - one.eigenvalues)) < 1e-14
+        assert abs(np.trace(batch.matrix[k]) - 6.0) < 1e-12
+
+
+def test_expected_L_and_branch_gap_of_a_stack_match_each_state(basis6):
+    """A stack gives an array with one entry per row; one state a float."""
+    psis = np.stack([unit_state(basis6, {Mode(0, 0): 6}),
+                     unit_state(basis6, {Mode(0, 1): 6}),
+                     unit_state(basis6, {Mode(0, 0): 3, Mode(0, 1): 3})])
+    exp_l = expected_L(psis, basis6)
+    gaps = spdm_branch_gap(spdm(psis, basis6), basis6)
+    assert exp_l.shape == gaps.shape == (3,)
+    assert np.array_equal(exp_l, [0.0, 6.0, 3.0])
+    for k, psi in enumerate(psis):
+        assert isinstance(expected_L(psi, basis6), float)
+        one = spdm_branch_gap(spdm(psi, basis6), basis6)
+        assert isinstance(one, float) and one == gaps[k]
+    assert gaps[0] > 0 > gaps[1]
+
+
+def test_branch_gap_of_a_one_mode_basis_is_its_occupation():
+    basis = enumerate_basis(3, 1, 0)
+    psi = unit_state(basis, {Mode(0, 0): 3})
+    assert spdm_branch_gap(spdm(psi, basis), basis) == 3.0
+    assert np.array_equal(spdm_branch_gap(spdm(np.stack([psi, psi]), basis), basis), [3.0, 3.0])
 
 
 def test_spdm_hop_table_is_built_once_per_basis(monkeypatch):
@@ -143,9 +167,9 @@ def test_spdm_hop_table_is_built_once_per_basis(monkeypatch):
 
     monkeypatch.setattr(fock, "ladder_entries", counting)
     psi = unit_state(basis, {Mode(0, 0): 3})
-    spdm_batch(psi[None, :], basis)
+    spdm(psi, basis)
     built = len(calls)
-    spdm_batch(psi[None, :], basis)
+    spdm(psi, basis)
     assert built == len(basis.modes)
     assert len(calls) == built
 
@@ -169,12 +193,12 @@ def test_spdm_contraction_keeps_the_bits_of_the_hop_row_product(system6):
     src, tgt, table_t = basis.spdm_hop_table
     table = sp.csr_matrix(table_t.T)
     nm = len(basis.modes)
-    dens = spdm_batch(followed, basis)
-    for psi, d in zip(followed, dens):
+    dens = spdm(followed, basis)
+    for psi, matrix in zip(followed, dens.matrix):
         upper = (psi[src] * psi[tgt] @ table).reshape(nm, nm)
         assert np.array_equal(table_t @ (psi[src] * psi[tgt]), upper.ravel())
         rows, cols = np.triu_indices(nm, 1)
-        assert np.array_equal(d.matrix[rows, cols], upper[rows, cols])
+        assert np.array_equal(matrix[rows, cols], upper[rows, cols])
 
 
 def test_spdm_branch_gap_sign(basis6):
