@@ -5,7 +5,9 @@ writes its data as CSV (authoritative), optional SVG plots derived from the
 CSV content, and a JSON run manifest written atomically last, whose
 `details` record the inputs that replay the run: the system with l_max
 resolved, and each `lo:hi:n` grid as [lo, hi, n] (`null` when
-auto-located). Exit codes:
+auto-located). `curve`'s manifest also records, per pair, the numerical
+health of the curve's sweep: its dense eigensolves and its worst certified
+sine (`spectrum.SweepResult.dense_solves` and `sine_bound`). Exit codes:
 0 success, 2 usage (including a ParameterError or InputError from the
 package), 3 numerical failure (any other package error), 4 self-check or
 preset mismatch. A sweep that meets a degenerate point (its two lowest
@@ -169,9 +171,12 @@ def cmd_curve(args) -> int:
 
     rows = []
     series = []
+    sweeps = []
     for g, a in zip(args.g, args.A):
         curve = compute_curve(basis, cache, g, a, grid=args.grid)
         diag = curve_diagnostics(basis, cache, curve)
+        sweep = System.of(basis, cache).sweep(g, a, curve.omega)  # the kept one
+        sweeps.append({"dense_solves": sweep.dense_solves, "sine_bound": sweep.sine_bound})
         for i in range(len(curve.omega)):
             rows.append((
                 g, a, curve.omega[i], curve.p0[i], diag.gap[i],
@@ -197,8 +202,8 @@ def cmd_curve(args) -> int:
                 fh.write(f"{r} {c} {_fmt(v)}\n")
         outputs.append(args.dump_matrix)
     _write_manifest(args.out, "curve",
-                    {"pairs": list(zip(args.g, args.A)), **_system_details(basis),
-                     "grid": _grid_details(args.grid)},
+                    {"pairs": list(zip(args.g, args.A)), "sweeps": sweeps,
+                     **_system_details(basis), "grid": _grid_details(args.grid)},
                     outputs, t0)
     return EXIT_OK
 

@@ -11,7 +11,10 @@ first downward crossings. Sweeps run in the L-parity sector of the
 condensate (0,0)^N, the only states the followed state couples to.
 
 `hamiltonian.System.sweep` runs and keeps every sweep, so the diagnostics
-of the curve just computed cost no second sweep.
+of the curve just computed cost no second sweep. A curve's whole-grid sweep
+is the certified continuation of `spectrum.sweep` (p0 within its
+`sine_bound` of the sector ground state's); the pre-scan, which its stop
+rule ends early, is the dense sweep `spectrum.sweep_lowest`.
 """
 
 import json
@@ -23,7 +26,7 @@ import numpy as np
 from . import __version__ as _code_version
 from .errors import ParameterError, RangeError, StaleCatalogError
 from .fock import FockBasis
-from .hamiltonian import System
+from .hamiltonian import System, _check_couplings
 from .melem import ElementCache
 from .observables import (
     crossing_offset,
@@ -74,6 +77,9 @@ class ResonanceCurve:
 
     @classmethod
     def from_values(cls, g, anisotropy, omega, p0) -> "ResonanceCurve":
+        """The curve of p0 on the grid omega. g and A must be finite real
+        numbers >= 0 (ParameterError), as a Hamiltonian needs them."""
+        _check_couplings(g, anisotropy)
         omega = np.asarray(omega, dtype=float)
         p0 = np.asarray(p0, dtype=float)
         if omega.ndim != 1 or omega.shape != p0.shape or omega.size == 0:

@@ -21,12 +21,12 @@ input, the CLI's matrix dump) is that matrix or a slice of it.
 
 A `System` holds what does not depend on (g, A) over one basis and its
 element cache: the operators and the condensate's L-parity sector. It owns
-the sector sweeps: `System.sweep` is the one call into
-`spectrum.sweep_lowest` that curves, their diagnostics and gap profiles
-make, and it keeps the last sweep for its (g, A) and points. The package
-reaches it through `System.of(basis, cache)`, which keeps one System and
-returns it while called with the same basis and cache objects (matched by
-identity, held by strong references, so a recycled id() never matches).
+the sector sweeps: `System.sweep` is the one call into `spectrum.sweep`
+that curves, their diagnostics and gap profiles make, and it keeps the
+last sweep for its (g, A) and points. The package reaches it through
+`System.of(basis, cache)`, which keeps one System and returns it while
+called with the same basis and cache objects (matched by identity, held
+by strong references, so a recycled id() never matches).
 Every caller then sees one `Operators` object and one kept sweep, so
 callers must not mutate their arrays or matrices; D and L are read-only
 arrays.
@@ -54,11 +54,14 @@ SPARSITY_EPS = 1e-14
 ANISOTROPY_WARN = 0.1
 
 
-def _check_couplings(g: float, anisotropy: float) -> None:
-    """Refuse an unphysical g or A: negative or not finite."""
+def _check_couplings(g, anisotropy) -> None:
+    """Refuse an unphysical g or A: not a real number (a string, a bool, an
+    array), negative or not finite."""
     for name, value in (("interaction g", g), ("anisotropy", anisotropy)):
-        if not (isfinite(value) and value >= 0):
-            raise ParameterError(f"{name} must be finite and >= 0, got {value!r}")
+        number = np.asarray(value)
+        if number.ndim or number.dtype.kind not in "iuf" or \
+                not (np.isfinite(number) and number >= 0):
+            raise ParameterError(f"{name} must be a finite real number >= 0, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -181,8 +184,16 @@ class System:
 
     def sweep(self, g: float, anisotropy: float, omegas,
               stop=None) -> spectrum.SweepResult:
-        """`spectrum.sweep_lowest` of H(g, A) on the condensate's sector,
-        its states in sector coordinates; `stop` sees them lifted.
+        """`spectrum.sweep` of H(g, A) on the condensate's sector, its
+        states in sector coordinates; `stop` sees them lifted.
+
+        A call with `stop` (the curve pre-scan) is the dense sweep
+        `spectrum.sweep_lowest`, point by point up the grid. A call without
+        it sweeps the whole grid by the certified continuation, whose
+        followed state is the sector ground state, within `sine_bound`;
+        where the certificate or the follow rule's overlaps refuse the grid,
+        the continuation hands it to the dense sweep (see `spectrum`).
+        `dense_solves` counts the dense eigensolves either path made.
 
         The result is kept with its (g, A) as `last_sweep`, and a call
         without `stop` for the same g, A and points returns it. Any other
@@ -198,7 +209,7 @@ class System:
             if key == (g, anisotropy) and np.array_equal(kept.omegas, omegas):
                 return kept
         self.last_sweep = None  # freed before the new sweep allocates its arrays
-        result = spectrum.sweep_lowest(
+        result = spectrum.sweep(
             self.sector_h0(g, anisotropy), self.sector_l, omegas,
             stop=None if stop is None else lambda state: stop(self.lift(state)))
         self.last_sweep = ((g, anisotropy), result)

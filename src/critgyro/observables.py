@@ -29,8 +29,11 @@ HWHM_GRID_SIZE = 2001
 
 
 def _require_points(*arrays) -> None:
-    """Refuse a curve or distribution given by empty or non-finite arrays
-    (InputError)."""
+    """Refuse a curve or distribution given by empty, non-finite or
+    mismatched arrays (InputError)."""
+    if len({np.shape(a) for a in arrays}) > 1:
+        raise InputError(f"curve arrays must match in shape, got "
+                         f"{[np.shape(a) for a in arrays]}")
     if any(np.size(a) == 0 for a in arrays):
         raise InputError("curve arrays are empty: a grid needs at least one point")
     if not all(np.isfinite(a).all() for a in arrays):
@@ -127,7 +130,8 @@ def crossing_offset(omega: np.ndarray, values: np.ndarray, threshold: float):
     """Grid offset of the first downward crossing, or None.
 
     Works relative to omega[0] so that rigidly shifted inputs give
-    bit-identical offsets. Empty or non-finite arrays raise InputError.
+    bit-identical offsets. Empty, non-finite or mismatched arrays raise
+    InputError.
     """
     _require_points(omega, values)
     x = omega - omega[0]
@@ -192,7 +196,7 @@ def hwhm_points(omega: np.ndarray, density: np.ndarray) -> float:
 
     The region is [first, last] interpolated crossing of max/2; edges of the
     support bound it when the density never falls below half maximum.
-    Empty or non-finite arrays raise InputError.
+    Empty, non-finite or mismatched arrays raise InputError.
     """
     _require_points(omega, density)
     omega = np.asarray(omega, dtype=float)

@@ -239,8 +239,14 @@ def test_curve_manifest_records_what_replays_the_run(tmp_path):
     out = tmp_path / "curve.csv"
     assert main(["curve", "--n", "3", "--l-max", "6", "--g", "0.6", "--A", "0.03",
                  "--grid", "0.85:0.95:3", "--out", str(out)]) == 0
-    assert _details(out) == {"pairs": [[0.6, 0.03]], "n": 3, "n_ll": 2, "l_max": 6,
-                             "grid": [0.85, 0.95, 3]}
+    details = _details(out)
+    health = details.pop("sweeps")
+    assert details == {"pairs": [[0.6, 0.03]], "n": 3, "n_ll": 2, "l_max": 6,
+                       "grid": [0.85, 0.95, 3]}
+    # one sweep per pair, with its dense solves and its certified sine
+    assert len(health) == 1 and set(health[0]) == {"dense_solves", "sine_bound"}
+    assert 1 <= health[0]["dense_solves"] <= 3
+    assert 0.0 <= health[0]["sine_bound"] <= spectrum.SINE_TOL
 
 
 def test_catalog_manifest_records_what_replays_the_run(tmp_path):
@@ -507,7 +513,7 @@ def test_curve_with_a_degenerate_point_exits_2(tmp_path, capsys):
 ])
 def test_offset_refuses_bad_values(argv, tmp_path, catalog_file, capsys, monkeypatch):
     sweeps = []
-    monkeypatch.setattr(spectrum, "sweep_lowest", lambda *args, **kwargs: sweeps.append(1))
+    monkeypatch.setattr(spectrum, "sweep", lambda *args, **kwargs: sweeps.append(1))
     out = tmp_path / "offset.csv"
     assert main(["offset", "--catalog", catalog_file, "--out", str(out)] + argv) == 2
     err = capsys.readouterr().err
@@ -536,7 +542,7 @@ def test_offset_refuses_an_offset_off_the_ramp_or_another_systems_catalog(
         catalog_file = tmp_path / "catalog.json"
         catalog_file.write_text(json.dumps(payload))
     sweeps = []
-    monkeypatch.setattr(spectrum, "sweep_lowest", lambda *args, **kwargs: sweeps.append(1))
+    monkeypatch.setattr(spectrum, "sweep", lambda *args, **kwargs: sweeps.append(1))
     out = tmp_path / "offset.csv"
     assert main(["offset", "--catalog", str(catalog_file), "--out", str(out)] + argv) == 2
     err = capsys.readouterr().err

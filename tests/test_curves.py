@@ -259,13 +259,13 @@ def test_curve_diagnostics_shapes(system6, catalog_default):
 def test_curve_sweeps_only_the_condensate_sector(system6, monkeypatch):
     basis, cache = system6
     dims = []
-    real = spectrum.sweep_lowest
+    real = spectrum.sweep
 
     def recording(h0_dense, *args, **kwargs):
         dims.append(h0_dense.shape[0])
         return real(h0_dense, *args, **kwargs)
 
-    monkeypatch.setattr(spectrum, "sweep_lowest", recording)
+    monkeypatch.setattr(spectrum, "sweep", recording)
     compute_curve(basis, cache, 0.5, 0.04, grid=[0.85, 0.88])
     assert dims == [int(np.sum(basis.L % 2 == 0))] == [191]
 
@@ -282,7 +282,7 @@ def test_diagnostics_gap_stays_in_the_condensate_sector(system6):
 def test_diagnostics_reuse_the_curve_sweep(system6, monkeypatch):
     basis, cache = system6
     sweeps = []
-    real = spectrum.sweep_lowest
+    real = spectrum.sweep
 
     def counting(*args, **kwargs):
         sweeps.append(1)
@@ -290,7 +290,7 @@ def test_diagnostics_reuse_the_curve_sweep(system6, monkeypatch):
         assert hamiltonian._shared.last_sweep is None
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(spectrum, "sweep_lowest", counting)
+    monkeypatch.setattr(spectrum, "sweep", counting)
     grid = np.linspace(0.86, 0.92, 13)
     curve = compute_curve(basis, cache, 0.5, 0.04, grid=grid)
     diag = curve_diagnostics(basis, cache, curve)
@@ -326,10 +326,10 @@ def _first_crossing(p, threshold):
 
 @pytest.mark.parametrize("g,a", DEFAULT_CATALOG_PAIRS + ((0.5, 0.0),))
 def test_prescan_stops_at_its_crossings(system6, monkeypatch, g, a):
-    """The located grid is the one the whole 61-point pre-scan gives, and
-    the pre-scan ends at the first point after both first crossings."""
+    """The located grid is the one the whole 61-point dense pre-scan gives,
+    and the pre-scan ends at the first point after both first crossings."""
     basis, cache = system6
-    real = spectrum.sweep_lowest
+    real = spectrum.sweep
     swept = []
 
     def counting(*args, **kwargs):
@@ -337,17 +337,17 @@ def test_prescan_stops_at_its_crossings(system6, monkeypatch, g, a):
         swept.append(len(result.omegas))
         return result
 
-    monkeypatch.setattr(spectrum, "sweep_lowest", counting)
+    monkeypatch.setattr(spectrum, "sweep", counting)
     grid = locate_grid(basis, cache, g, a)
-    prescan = list(swept)  # before this test's own sweep
     system = System.of(basis, cache)
     coarse = np.linspace(*PRESCAN_RANGE, PRESCAN_POINTS)
-    p = p_zero(system.lift(system.sweep(g, a, coarse).followed), basis)
+    whole_prescan = spectrum.sweep_lowest(system.sector_h0(g, a), system.sector_l, coarse)
+    p = p_zero(system.lift(whole_prescan.followed), basis)
     assert len(p) == PRESCAN_POINTS
     rel_hi, rel_lo = (crossing_offset(coarse, p, t) for t in (0.9, 0.1))
     if a == 0.0:  # no transition: the pre-scan runs in full
         assert rel_hi is None or rel_lo is None
-        assert prescan == [PRESCAN_POINTS]
+        assert swept == [PRESCAN_POINTS]
         assert np.array_equal(grid, np.linspace(*PRESCAN_RANGE, REFINED_POINTS))
     else:
         span = max(rel_lo - rel_hi, coarse[1] - coarse[0])
@@ -355,7 +355,7 @@ def test_prescan_stops_at_its_crossings(system6, monkeypatch, g, a):
                             REFINED_POINTS)
         assert np.array_equal(grid, whole)
         last = max(_first_crossing(p, 0.9), _first_crossing(p, 0.1))
-        assert prescan == [last + 2] and last + 2 < PRESCAN_POINTS
+        assert swept == [last + 2] and last + 2 < PRESCAN_POINTS
 
 
 @pytest.mark.parametrize("a", [0.04, 0.0])
@@ -385,13 +385,13 @@ def test_prescan_computes_p0_once_per_swept_point(system6, monkeypatch, a):
 def test_diagnostics_do_not_reuse_an_early_stopped_prescan(system6, monkeypatch):
     basis, cache = system6
     sweeps = []
-    real = spectrum.sweep_lowest
+    real = spectrum.sweep
 
     def counting(*args, **kwargs):
         sweeps.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(spectrum, "sweep_lowest", counting)
+    monkeypatch.setattr(spectrum, "sweep", counting)
     locate_grid(basis, cache, 0.5, 0.04)
     coarse = np.linspace(*PRESCAN_RANGE, PRESCAN_POINTS)
     assert len(System.of(basis, cache).last_sweep[1].omegas) < PRESCAN_POINTS
@@ -405,8 +405,7 @@ def test_diagnostics_do_not_reuse_an_early_stopped_prescan(system6, monkeypatch)
 def test_catalog_build_refuses_duplicate_pairs_before_sweeping(system6, monkeypatch,
                                                               tmp_path):
     sweeps = []
-    monkeypatch.setattr(spectrum, "sweep_lowest",
-                        lambda *args, **kwargs: sweeps.append(1))
+    monkeypatch.setattr(spectrum, "sweep", lambda *args, **kwargs: sweeps.append(1))
     with pytest.raises(ParameterError, match="duplicate"):
         catalog_build(*system6, [(0.5, 0.04), (0.5, 0.032), (0.5, 0.04)])
     out = tmp_path / "catalog.json"

@@ -5,7 +5,10 @@ Each case calls one entry point with one malformed input and must raise a
 never a bare TypeError, IndexError or numpy ValueError.
 """
 
+import json
+import tempfile
 from math import inf, nan, pi
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +19,8 @@ from critgyro.curves import (
     CurveCatalog,
     ResonanceCurve,
     catalog_build,
+    catalog_load,
+    catalog_save,
     compute_curve,
     lookup_by_width,
 )
@@ -43,7 +48,7 @@ from critgyro.observables import (
     spdm,
     transition_width,
 )
-from critgyro.spectrum import lowest_k, sweep_lowest
+from critgyro.spectrum import lowest_k, sweep, sweep_lowest
 
 
 def _hwhm_without_center():
@@ -106,6 +111,21 @@ def _gap_profile(basis, cache, grid):
     gap_profile(basis, cache, 0.5, 0.04, grid, center=0.9)
 
 
+def _catalog_with_a_nan_anisotropy():
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "catalog.json"
+        catalog_save(CurveCatalog(curves=(make_logistic_curve(),)), path)
+        payload = json.loads(path.read_text())
+        payload["curves"][0]["anisotropy"] = nan  # written as the JSON token NaN
+        path.write_text(json.dumps(payload))
+        catalog_load(path)
+
+
+def _curve_of(g, anisotropy):
+    return lambda: ResonanceCurve.from_values(g, anisotropy, [0.8, 0.9, 1.0],
+                                              [1.0, 0.5, 0.0])
+
+
 def _one_state_gap_profile():
     basis = enumerate_basis(1, 1, 0)
     gap_profile(basis, ElementCache.build(basis.modes), 0.5, 0.04,
@@ -164,6 +184,18 @@ CASES = {
                                                  mass=np.array([nan, 1.0])),
     "transition_width_on_a_nan_grid": lambda: transition_width([0.8, nan, 1.0],
                                                                [1.0, 0.5, 0.0]),
+    "critical_frequency_on_a_shorter_grid": lambda: critical_frequency([0.8, 0.9],
+                                                                       [1.0, 0.9, 0.0]),
+    "critical_frequency_on_a_longer_grid": lambda: critical_frequency([0.8, 0.9, 1.0, 1.1],
+                                                                      [1.0, 0.0]),
+    "hwhm_on_a_shorter_grid": lambda: hwhm_points([0.8, 0.9], [0.1, 1.0, 0.1]),
+    "hwhm_on_a_longer_grid": lambda: hwhm_points([0.8, 0.9, 1.0, 1.1], [0.1, 1.0, 0.1]),
+    "curve_of_a_nan_anisotropy": _curve_of(0.5, nan),
+    "curve_of_a_negative_anisotropy": _curve_of(0.5, -1.0),
+    "curve_of_a_string_g": _curve_of("0.5", 0.04),
+    "catalog_of_a_nan_anisotropy": _catalog_with_a_nan_anisotropy,
+    "continued_sweep_of_a_non_finite_matrix": lambda: sweep(
+        np.diag([0.0, nan, 1.0]), np.zeros(3), np.array([0.5, 0.6])),
 }
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import numpy as np
 import pytest
 from math import inf, nan, pi, sqrt
@@ -171,7 +172,7 @@ def test_system_sweep_refuses_a_bad_grid_before_any_solve(grid, monkeypatch):
     basis = enumerate_basis(2, 2, 4)
     system = System(basis, ElementCache.build(basis.modes))
     sweeps = []
-    monkeypatch.setattr(spectrum, "sweep_lowest", lambda *args, **kwargs: sweeps.append(1))
+    monkeypatch.setattr(spectrum, "sweep", lambda *args, **kwargs: sweeps.append(1))
     with pytest.raises(ParameterError, match="strictly ascending"):
         system.sweep(0.5, 0.04, grid)
     with pytest.raises(ParameterError, match="strictly ascending"):
@@ -186,14 +187,14 @@ def test_system_sweep_returns_the_kept_sweep_for_its_key(monkeypatch):
     basis = enumerate_basis(4, 2, 6)
     system = System(basis, ElementCache.build(basis.modes))
     sweeps = []
-    real = spectrum.sweep_lowest
+    real = spectrum.sweep
 
     def counting(*args, **kwargs):
         sweeps.append(1)
         assert system.last_sweep is None
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(spectrum, "sweep_lowest", counting)
+    monkeypatch.setattr(spectrum, "sweep", counting)
     grid = np.linspace(0.85, 0.95, 11)
     first = system.sweep(0.5, 0.04, grid)
     assert system.last_sweep[0] == (0.5, 0.04) and system.last_sweep[1] is first
@@ -206,8 +207,8 @@ def test_system_sweep_returns_the_kept_sweep_for_its_key(monkeypatch):
         again = system.sweep(g, a, points)
         assert again is not first
     assert len(sweeps) == 5
-    for name in ("omegas", "energies", "vec0", "vec1", "followed", "followed_rank"):
-        assert np.array_equal(getattr(again, name), getattr(first, name)), name
+    for field in dataclasses.fields(first):
+        assert np.array_equal(getattr(again, field.name), getattr(first, field.name)), field
     # `stop` sees full-basis states; a call with it always sweeps
     seen = []
     whole = system.sweep(0.5, 0.04, grid, stop=lambda state: seen.append(state) and False)

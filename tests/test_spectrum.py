@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -13,11 +14,20 @@ import scipy.sparse as sp
 import critgyro.spectrum as spectrum
 from critgyro.errors import InputError, ParameterError
 from critgyro.fock import Mode, enumerate_basis
-from critgyro.curves import PRESCAN_POINTS, PRESCAN_RANGE
+from critgyro.curves import (
+    DEFAULT_CATALOG_PAIRS,
+    PRESCAN_POINTS,
+    PRESCAN_RANGE,
+    REFINED_POINTS,
+    catalog_load,
+)
 from critgyro.hamiltonian import System, build_operators
 from critgyro.melem import ElementCache
-from critgyro.spectrum import ground_state, lowest_k, sweep_lowest
+from critgyro.spectrum import ground_state, lowest_k, sweep, sweep_lowest
 from oracle import oracle_hamiltonian, reference_sweep_followed
+
+REFERENCE_CATALOG = (Path(__file__).resolve().parent.parent
+                     / "perfbench" / "data" / "reference_catalog.json")
 
 
 def diag_ham(values):
@@ -77,8 +87,9 @@ def test_sweep_refuses_non_finite_inputs(where):
               "omegas": np.linspace(0.0, 0.5, 3)}
     inputs[where] = inputs[where].copy()
     inputs[where].flat[-1] = np.nan
-    with pytest.raises(InputError):
-        sweep_lowest(**inputs)
+    for swept in (sweep_lowest, sweep):  # the dense sweep and the continuation
+        with pytest.raises(InputError):
+            swept(**inputs)
 
 
 def test_ground_state_is_condensate_dominated_without_rotation():
@@ -430,8 +441,8 @@ def probe(*args, **kwargs):
     return real(*args, **kwargs)
 spectrum._eigh = probe
 before = [get() for get, _ in controls]
-spectrum.sweep_lowest(np.diag([3.0, 1.0, 2.0]), np.array([0.0, 1.0, 2.0]),
-                      np.linspace(0.0, 0.5, 3))
+for swept in (spectrum.sweep_lowest, spectrum.sweep):
+    swept(np.diag(np.arange(12.0)), np.arange(12.0), np.linspace(0.0, 0.5, 3))
 after = [get() for get, _ in controls]
 print(json.dumps({"before": before, "after": after,
                   "inside": sorted({n for counts in inside for n in counts})}))
@@ -449,3 +460,154 @@ def test_sweep_runs_on_one_blas_thread_and_restores_the_count():
         pytest.skip("no OpenBLAS with a thread control in numpy or scipy")
     assert counts["inside"] == [1]
     assert counts["after"] == counts["before"]
+
+
+# ---------------------------------------------------------------------------
+# certified continuation against the dense sweep
+# ---------------------------------------------------------------------------
+
+def _window(p0, points=81, margin=10):
+    """`points` evenly strided indices over the 0.9 -> 0.1 fall of p0,
+    reaching `margin` points past both crossings: the curves benchmark's
+    window of a reference grid."""
+    hi, lo = int(np.argmax(p0 < 0.9)), int(np.argmax(p0 < 0.1))
+    stride = max(1, -(-(lo - hi + 2 * margin) // (points - 1)))
+    span = stride * (points - 1)
+    start = min(max((hi + lo - span) // 2, 0), len(p0) - 1 - span)
+    return slice(start, start + span + 1, stride)
+
+
+def _restricted(result, rows):
+    """The sweep result at the given rows of its grid."""
+    return dataclasses.replace(result, **{name: getattr(result, name)[rows]
+                                          for name in _SWEEP_FIELDS})
+
+
+def _agree(continued, dense, mask):
+    """The continuation matches the dense sweep: the same points, its
+    followed state the ground state, p0 within its certified sine and
+    1e-10, E0 and E1 - E0 within 1e-12."""
+    assert np.array_equal(continued.omegas, dense.omegas)
+    assert not dense.followed_rank.any() and not continued.followed_rank.any()
+    assert np.array_equal(continued.followed, continued.vec0)
+    assert 0.0 < continued.sine_bound <= spectrum.SINE_TOL
+    p0 = [(s.followed[:, mask] ** 2).sum(axis=1) for s in (continued, dense)]
+    assert np.max(np.abs(p0[0] - p0[1])) <= min(continued.sine_bound, 1e-10)
+    assert np.max(np.abs(continued.energies[:, 0] - dense.energies[:, 0])) <= 1e-12
+    assert np.max(np.abs(continued.gap - dense.gap)) <= 1e-12
+
+
+def _dense_at(system, g, a, omegas, rows):
+    """The dense sweep at omegas[rows]. A dense sweep that stays at rank 0
+    solves each point alone, so these are its values on all of omegas."""
+    dense = sweep_lowest(system.sector_h0(g, a), system.sector_l, omegas[rows])
+    assert not dense.followed_rank.any()
+    return dense
+
+
+@pytest.mark.parametrize("g,a", DEFAULT_CATALOG_PAIRS)
+def test_continuation_matches_the_dense_sweep_on_the_ladder_grids(system6, catalog_default,
+                                                                  g, a):
+    """Each catalog curve is the continuation on its located 601-point grid:
+    at every tenth point and on its 81-point benchmark window, its p0 is the
+    dense sweep's within SINE_TOL and 1e-10. On the window, the continuation
+    gives the dense sweep's p0, E0 and gap from at most 30 dense solves."""
+    basis, cache = system6
+    system = System.of(basis, cache)
+    curve, mask = catalog_default.find(g, a), basis.zero_momentum_mask[system.sector_rows]
+    window = np.arange(len(curve.omega))[_window(curve.p0)]
+    rows = np.union1d(window, np.arange(0, len(curve.omega), 10))
+    dense = _dense_at(system, g, a, curve.omega, rows)
+    dense_p0 = (dense.followed[:, mask] ** 2).sum(axis=1)
+    assert np.max(np.abs(curve.p0[rows] - dense_p0)) <= min(spectrum.SINE_TOL, 1e-10)
+    continued = sweep(system.sector_h0(g, a), system.sector_l, curve.omega[window])
+    assert continued.dense_solves <= 30
+    _agree(continued, _restricted(dense, np.searchsorted(rows, window)), mask)
+
+
+def test_continuation_on_a_located_grid_takes_at_most_60_dense_solves(system6):
+    """On the (0.5, 0.04) reference grid the continuation matches the dense
+    sweep at every fifth point, from at most 60 dense solves of 601."""
+    basis, cache = system6
+    system = System.of(basis, cache)
+    grid = catalog_load(REFERENCE_CATALOG).find(0.5, 0.04).omega
+    rows = np.arange(0, len(grid), 5)
+    continued = sweep(system.sector_h0(0.5, 0.04), system.sector_l, grid)
+    assert continued.dense_solves <= 60
+    _agree(_restricted(continued, rows), _dense_at(system, 0.5, 0.04, grid, rows),
+           basis.zero_momentum_mask[system.sector_rows])
+
+
+def test_continuation_bounds_lambda_2_through_a_negative_l_min():
+    """In the n_LL = 3 sector L reaches -2, and on [0, 1] the third level
+    rises with Omega somewhere, so only the L_min term keeps the bound on
+    lambda_2 below it; the continuation still matches the dense sweep."""
+    basis = enumerate_basis(4, 3, 6)
+    system = System(basis, ElementCache.build(basis.modes))
+    h0, l_diag = system.sector_h0(0.5, 0.04), system.sector_l
+    omegas = np.linspace(0.0, 1.0, 41)
+    assert l_diag.min() == -2.0
+    lam2 = [sla.eigvalsh(h0 - om * np.diag(l_diag), subset_by_index=(2, 2))[0]
+            for om in omegas]
+    assert np.diff(lam2).max() > 0  # lambda_2 rises: L_min = 0 would overstate it
+    continued = sweep(h0, l_diag, omegas)
+    _agree(continued, sweep_lowest(h0, l_diag, omegas),
+           basis.zero_momentum_mask[system.sector_rows])
+    assert continued.dense_solves < len(omegas)
+
+
+def test_a_level_rising_with_omega_cannot_slip_past_the_lambda_2_bound():
+    """The level 1.42 + Omega (L = -1) is the second lowest only between
+    the two lowest seed points, where no dense vector holds it. The bound
+    lambda_2(Omega_b) + (Omega_b - Omega) L_min sends those points to a
+    dense solve; lambda_2(Omega_b) alone would certify the level above it
+    there and miss E1 by 0.104."""
+    e = np.r_[0.0, 1.42, 1.399, 1.803, np.arange(10.0, 22.0)]
+    l_diag = np.r_[0.0, -1.0, -2.0, 1.0, np.zeros(12)]
+    omegas = np.linspace(0.0, 1.0, 41)
+    continued = sweep(np.diag(e), l_diag, omegas)
+    assert continued.dense_solves > spectrum.SEED_POINTS
+    assert np.array_equal(continued.energies, sweep_lowest(np.diag(e), l_diag, omegas).energies)
+
+
+def test_continuation_hands_a_branch_change_to_the_dense_sweep(system6, monkeypatch):
+    """At A = 0 the ground state changes L sector inside PRESCAN_RANGE, where
+    the follow rule leaves it: the continuation hands the grid over, and the
+    result is the dense sweep's, bit for bit, with the solves spent before
+    the hand-over counted."""
+    basis, cache = system6
+    system = System.of(basis, cache)
+    omegas = np.linspace(*PRESCAN_RANGE, REFINED_POINTS)
+    dense = []
+    real = spectrum.sweep_lowest
+
+    def recording(*args, **kwargs):
+        dense.append(real(*args, **kwargs))
+        return dense[-1]
+
+    monkeypatch.setattr(spectrum, "sweep_lowest", recording)
+    result = sweep(system.sector_h0(0.5, 0.0), system.sector_l, omegas)
+    assert len(dense) == 1 and dense[0].followed_rank.any()
+    for name in _SWEEP_FIELDS + ("sine_bound",):
+        assert np.array_equal(getattr(result, name), getattr(dense[0], name)), name
+    assert result.dense_solves > dense[0].dense_solves == REFINED_POINTS
+
+
+def test_a_sector_of_two_states_takes_the_dense_path(monkeypatch):
+    h0, l_diag = np.array([[0.0, 0.1], [0.1, 1.0]]), np.array([0.0, 2.0])
+    omegas = np.linspace(0.0, 1.0, 5)
+    monkeypatch.setattr(spectrum, "_continued", None)  # never called
+    result = sweep(h0, l_diag, omegas)
+    dense = sweep_lowest(h0, l_diag, omegas)
+    for name in _SWEEP_FIELDS + ("sine_bound", "dense_solves"):
+        assert np.array_equal(getattr(result, name), getattr(dense, name)), name
+    assert result.dense_solves == len(omegas) and result.sine_bound == 0.0
+
+
+def test_a_whole_grid_through_an_exact_tie_fails_closed():
+    """A tie met by the continuation hands the grid to the dense sweep,
+    which names the first tied Omega."""
+    e = np.r_[3.0, 1.0, 2.0, np.arange(4.0, 13.0)]
+    l_diag = np.r_[0.0, 1.0, 2.0, np.zeros(9)]
+    with pytest.raises(InputError, match=r"at Omega = 1\.0: "):
+        sweep(np.diag(e), l_diag, np.linspace(0.0, 1.5, 7))
