@@ -6,8 +6,11 @@ CSV content, and a JSON run manifest written atomically last, whose
 `details` record the inputs that replay the run: the system with l_max
 resolved, and each `lo:hi:n` grid as [lo, hi, n] (`null` when
 auto-located). `curve`'s manifest also records, per pair, the numerical
-health of the curve's sweep: its dense eigensolves and its worst certified
-sine (`spectrum.SweepResult.dense_solves` and `sine_bound`). Exit codes:
+health of its sweeps (`spectrum.SweepResult`): the pre-scan's dense
+eigensolves and the point from which the dense sweep took it over
+(`prescan_dense_solves`, `prescan_dense_from`; null with an explicit
+--grid), then the curve's own sweep's dense eigensolves and worst certified
+sine (`dense_solves`, `sine_bound`). Exit codes:
 0 success, 2 usage (including a ParameterError or InputError from the
 package), 3 numerical failure (any other package error), 4 self-check or
 preset mismatch. A sweep that meets a degenerate point (its two lowest
@@ -55,6 +58,7 @@ from .curves import (
     catalog_save,
     compute_curve,
     curve_diagnostics,
+    locate_grid,
 )
 from .errors import CritgyroError, InputError, ParameterError
 from .estimate import DEFAULT_PRIOR, ProtocolConfig, run_ensemble, run_protocol
@@ -172,11 +176,19 @@ def cmd_curve(args) -> int:
     rows = []
     series = []
     sweeps = []
+    system = System.of(basis, cache)
     for g, a in zip(args.g, args.A):
-        curve = compute_curve(basis, cache, g, a, grid=args.grid)
+        grid, prescan = args.grid, None
+        if grid is None:
+            grid = locate_grid(basis, cache, g, a)
+            prescan = system.last_sweep[1]
+        curve = compute_curve(basis, cache, g, a, grid=grid)
         diag = curve_diagnostics(basis, cache, curve)
-        sweep = System.of(basis, cache).sweep(g, a, curve.omega)  # the kept one
-        sweeps.append({"dense_solves": sweep.dense_solves, "sine_bound": sweep.sine_bound})
+        sweep = system.sweep(g, a, curve.omega)  # the kept one
+        sweeps.append({
+            "prescan_dense_solves": None if prescan is None else prescan.dense_solves,
+            "prescan_dense_from": None if prescan is None else prescan.dense_from,
+            "dense_solves": sweep.dense_solves, "sine_bound": sweep.sine_bound})
         for i in range(len(curve.omega)):
             rows.append((
                 g, a, curve.omega[i], curve.p0[i], diag.gap[i],
@@ -486,18 +498,8 @@ def cmd_selftest(args) -> int:
     ref = sla.eigh(dense, subset_by_index=(0, 1))
     checks.append(("solver pairs equal scipy eigh",
                    all(np.array_equal(a, b) for a, b in zip(got, ref))))
-    # the sweep's solver threads give the bits of a serial sweep
-    from unittest import mock  # imports asyncio: only here, not on every command
-    sweeps = []
-    for workers in (1, 2):
-        with mock.patch.object(spectrum, "_workers", return_value=workers):
-            sweeps.append(spectrum.sweep_lowest(dense, basis.L.astype(float),
-                                                np.linspace(0.0, 1.0, 21)))
-    checks.append(("sweep on 2 workers equals 1 worker",
-                   all(np.array_equal(getattr(sweeps[0], name), getattr(sweeps[1], name))
-                       for name in ("energies", "vec0", "vec1", "followed",
-                                    "followed_rank"))))
     # the ensemble's worker processes give the bits of a serial ensemble
+    from unittest import mock  # imports asyncio: only here, not on every command
     omega = np.linspace(0.8, 1.0, 401)
     catalog = CurveCatalog(curves=tuple(
         ResonanceCurve.from_values(0.5, a, omega, 1 / (1 + np.exp((omega - 0.9) / tau)))

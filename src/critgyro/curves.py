@@ -11,10 +11,14 @@ first downward crossings. Sweeps run in the L-parity sector of the
 condensate (0,0)^N, the only states the followed state couples to.
 
 `hamiltonian.System.sweep` runs and keeps every sweep, so the diagnostics
-of the curve just computed cost no second sweep. A curve's whole-grid sweep
-is the certified continuation of `spectrum.sweep` (p0 within its
-`sine_bound` of the sector ground state's); the pre-scan, which its stop
-rule ends early, is the dense sweep `spectrum.sweep_lowest`.
+of the curve just computed cost no second sweep. Every sweep of one pair,
+the pre-scan and the refined sweep alike, runs through the pair's one
+certified reduced model (`spectrum.ReducedModel`), and the refined sweep
+starts from the anchors its pre-scan solved. Up to where the dense follow
+rule might leave the ground state, p0 is the sector ground state's within
+the sweep's `sine_bound`; from there on (`SweepResult.dense_from`) the
+dense sweep `spectrum.sweep_lowest` runs, so the pre-scan stops where the
+dense pre-scan stops, and the located grid is its grid to rounding.
 """
 
 import json

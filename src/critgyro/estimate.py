@@ -15,10 +15,10 @@ ascending grid.
 Ensembles run on every CPU, with the bits of a serial run. Trajectory
 `index` draws from `trajectory_rng(master, index)` alone, so `run_ensemble`
 forks a process pool with one worker per CPU the process may use
-(`spectrum._workers`, which also sizes the sweep pool), never more workers
-than trajectories. The pool maps the indices in chunks of ceil(n / W) and
-forks one worker per chunk (fewer than W when the chunks run out, as for
-n = 5 on W = 4: chunks 2, 2, 1), each trajectory through the unchanged
+(`spectrum._workers`), never more workers than trajectories. The pool
+maps the indices in chunks of ceil(n / W) and forks one worker per chunk
+(fewer than W when the chunks run out, as for n = 5 on W = 4: chunks
+2, 2, 1), each trajectory through the unchanged
 `run_protocol` on one BLAS thread, and returns the rows in index order: the
 `EnsembleResult` is the serial one bit for bit, whatever W. The config,
 the catalog and the master seed reach the workers as arguments, bound in

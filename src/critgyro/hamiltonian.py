@@ -21,9 +21,11 @@ input, the CLI's matrix dump) is that matrix or a slice of it.
 
 A `System` holds what does not depend on (g, A) over one basis and its
 element cache: the operators and the condensate's L-parity sector. It owns
-the sector sweeps: `System.sweep` is the one call into `spectrum.sweep`
-that curves, their diagnostics and gap profiles make, and it keeps the
-last sweep for its (g, A) and points. The package reaches it through
+the sector sweeps: `System.sweep` is the one call into the spectrum that
+curves, their diagnostics and gap profiles make. It keeps one
+`spectrum.ReducedModel`, that of the last (g, A) it swept, so a curve's
+refined sweep reuses the anchors of its pre-scan; and it keeps the last
+whole-grid sweep for its (g, A) and points. The package reaches it through
 `System.of(basis, cache)`, which keeps one System and returns it while
 called with the same basis and cache objects (matched by identity, held
 by strong references, so a recycled id() never matches).
@@ -151,7 +153,9 @@ class System:
     the condensate (0,0)^N run in its sector: the basis rows `sector_rows`
     and L on them `sector_l`, both read-only; `lift` puts sector states
     back in the full basis. `last_sweep` is ((g, A), SweepResult) of the
-    last `sweep`, or None.
+    last `sweep`, with the key None after a sweep with `stop`, or None.
+    `model` is ((g, A), spectrum.ReducedModel) of the last pair swept, or
+    None.
     """
 
     def __init__(self, basis: FockBasis, cache: ElementCache):
@@ -163,6 +167,7 @@ class System:
         self.sector_l = basis.L[self.sector_rows].astype(np.float64)
         self.sector_rows.flags.writeable = self.sector_l.flags.writeable = False
         self.last_sweep = None
+        self.model = None
 
     @classmethod
     def of(cls, basis: FockBasis, cache: ElementCache) -> "System":
@@ -184,35 +189,41 @@ class System:
 
     def sweep(self, g: float, anisotropy: float, omegas,
               stop=None) -> spectrum.SweepResult:
-        """`spectrum.sweep` of H(g, A) on the condensate's sector, its
-        states in sector coordinates; `stop` sees them lifted.
+        """`spectrum.ReducedModel.sweep` of H(g, A) on the condensate's
+        sector, its states in sector coordinates; `stop` sees them lifted.
 
-        A call with `stop` (the curve pre-scan) is the dense sweep
-        `spectrum.sweep_lowest`, point by point up the grid. A call without
-        it sweeps the whole grid by the certified continuation, whose
-        followed state is the sector ground state, within `sine_bound`;
-        where the certificate or the follow rule's overlaps refuse the grid,
-        the continuation hands it to the dense sweep (see `spectrum`).
-        `dense_solves` counts the dense eigensolves either path made.
+        Every sweep of one (g, A), with `stop` (the curve pre-scan) or
+        without, runs through the pair's one model, kept as `model` until
+        a sweep of another pair drops it before building its own: one model
+        is kept at most. The walk takes the sector ground state, within
+        `sine_bound`, up to where the follow rule's overlaps might leave it,
+        and the dense sweep `spectrum.sweep_lowest` takes the rest of the
+        grid from `dense_from` on (see `spectrum`). `dense_solves` counts
+        the dense eigensolves of the call.
 
-        The result is kept with its (g, A) as `last_sweep`, and a call
-        without `stop` for the same g, A and points returns it. Any other
-        call drops it before it starts, so one sweep is kept at most, and
-        one that `stop` ended early matches no whole grid. Any other grid
-        than a non-empty, strictly ascending 1-d one raises ParameterError.
+        The result is kept as `last_sweep`, and a call without `stop` for
+        the same g, A and points returns it. Any other call drops it before
+        it starts, so one sweep is kept at most. A sweep with `stop`
+        certifies only its ground state, so it is kept under the key None,
+        which no whole grid matches. Any other grid than a non-empty,
+        strictly ascending 1-d one raises ParameterError.
         """
         omegas = np.array(omegas, dtype=float)  # a copy: the key outlives the caller's array
         if omegas.ndim != 1 or not omegas.size or np.any(np.diff(omegas) <= 0):
             raise ParameterError("a sweep grid must be a non-empty, strictly ascending 1-d array")
+        key = (g, anisotropy)
         if stop is None and self.last_sweep is not None:
-            key, kept = self.last_sweep
-            if key == (g, anisotropy) and np.array_equal(kept.omegas, omegas):
+            kept_key, kept = self.last_sweep
+            if kept_key == key and np.array_equal(kept.omegas, omegas):
                 return kept
         self.last_sweep = None  # freed before the new sweep allocates its arrays
-        result = spectrum.sweep(
-            self.sector_h0(g, anisotropy), self.sector_l, omegas,
-            stop=None if stop is None else lambda state: stop(self.lift(state)))
-        self.last_sweep = ((g, anisotropy), result)
+        if self.model is None or self.model[0] != key:
+            self.model = None  # and another pair's model before the new one
+            self.model = (key, spectrum.ReducedModel(self.sector_h0(g, anisotropy),
+                                                     self.sector_l))
+        result = self.model[1].sweep(
+            omegas, stop=None if stop is None else lambda state: stop(self.lift(state)))
+        self.last_sweep = (key if stop is None else None, result)
         return result
 
     def lift(self, vectors: np.ndarray) -> np.ndarray:

@@ -14,16 +14,15 @@ lowest energies lie within DEGENERACY_TIE has no defined followed state,
 and the sweep fails closed there with InputError: no tie is broken. Curve
 and gap-profile sweeps run through `hamiltonian.System.sweep`, on the
 condensate-sector matrices, and the System lifts their states back to the
-full basis. It calls `sweep`: a certified continuation for a whole grid,
-and the dense sweep `sweep_lowest` for a stopped one or where the
-continuation hands the grid over.
+full basis. It keeps the `ReducedModel` of the last (g, A) it swept, and
+every sweep of that pair, stopped or whole, runs through that model.
 
-The dense sweep solves the two lowest eigenpairs at each point: E0, E1 and
-their vectors are all that its callers read. It widens to the
-BRANCH_WINDOW lowest pairs only where the ground state holds less than
-FOLLOW_FLOOR of the followed state, to resolve the lost branch in that
-window. The followed state is the eigenvector of maximal overlap with the
-previous one over the whole spectrum. The squared overlaps of a unit
+The dense sweep `sweep_lowest` solves the two lowest eigenpairs at each
+point: E0, E1 and their vectors are all that its callers read. It widens
+to the BRANCH_WINDOW lowest pairs only where the ground state holds less
+than FOLLOW_FLOOR of the followed state, to resolve the lost branch in
+that window. The followed state is the eigenvector of maximal overlap with
+the previous one over the whole spectrum. The squared overlaps of a unit
 vector with an orthonormal eigenbasis sum to 1, so at most one eigenvector
 can have overlap^2 above 1/2, and one that does is that maximum. When one
 of the window's vectors passes BRANCH_MAJORITY it is taken as it is; only
@@ -32,14 +31,15 @@ window is a constant: with two pairs only, a lost branch would go straight
 to the full-spectrum solve, which costs about three times the BRANCH_WINDOW
 solve at sector dimension 191.
 
-The certified continuation is eigenvector continuation (Frame et al.,
-PRL 121, 032501 (2018)) with the residual certificate of reduced-basis
-methods (Hesthaven, Rozza and Stamm, Certified Reduced Basis Methods,
-2016). H(Omega) = H0 - Omega L is a one-parameter pencil, so the two lowest
-states over a grid lie close to a small subspace. The three lowest dense
-pairs are solved at SEED_POINTS points spread over the grid, and the two
-lowest vectors of each span an orthonormal Q. One pass then runs down the
-grid from its last point. Each point takes the two lowest Ritz pairs
+The reduced model is eigenvector continuation (Frame et al., PRL 121,
+032501 (2018)) with the residual certificate of reduced-basis methods
+(Hesthaven, Rozza and Stamm, Certified Reduced Basis Methods, 2016).
+H(Omega) = H0 - Omega L is a one-parameter pencil, so its low states over a
+range of Omega lie close to a small subspace. The model's anchors are the
+points it solved densely, each with its three lowest pairs; their vectors
+span an orthonormal Q, and H0 Q and L Q are kept beside it. A fresh model
+first solves SEED_POINTS anchors spread evenly over its first grid. A sweep
+then walks up its grid. Each point takes the two lowest Ritz pairs
 (theta_k, x_k) of the small pencil Q^T H0 Q - Omega Q^T L Q, with the
 residuals r_k = ||H(Omega) x_k - theta_k x_k||, and accepts them when
 three conditions hold:
@@ -48,66 +48,85 @@ three conditions hold:
   theta_1 >= lambda_1 (interlacing), and each interval
   [theta_k - r_k, theta_k + r_k] holds an eigenvalue. The two intervals
   must lie more than DEGENERACY_TIE apart.
-- Lowest two. L is diagonal with least entry L_min, so for
-  Omega <= Omega_b, H(Omega) >= H(Omega_b) + (Omega_b - Omega) L_min, and
-  lambda_2(Omega) >= lambda_2(Omega_b) + (Omega_b - Omega) L_min =: mu.
-  Omega_b is the nearest point at or above Omega that was solved densely,
-  with three pairs. theta_1 + r_1 must lie below mu. Then only lambda_0 and
-  lambda_1 can lie in the intervals, so lambda_0 lies in the first,
-  lambda_1 in the second, and E1 - E0 > DEGENERACY_TIE.
+- Lowest two. theta_1 + r_1 must lie below mu, a lower bound on
+  lambda_2(Omega) read from the anchors alone, so that it does not depend
+  on the order in which they were solved. Let a < Omega < b be the nearest
+  anchors below and above. Weyl: L is diagonal with least entry L_min, so
+  H(Omega) >= H(b) + (b - Omega) L_min and
+  lambda_2(Omega) >= lambda_2(b) + (b - Omega) L_min. Ky Fan chord: by Ky
+  Fan's principle S3(Omega) = lambda_0 + lambda_1 + lambda_2 is the least
+  trace of X^T H(Omega) X over orthonormal n x 3 frames X. Each such trace
+  is affine in Omega, so S3, their minimum, is concave and lies above its
+  chord between two anchors: for a <= Omega <= b,
+  S3(Omega) >= ((b - Omega) S3(a) + (Omega - a) S3(b)) / (b - a). With the
+  Ritz upper bounds on lambda_0 and lambda_1,
+  lambda_2(Omega) >= chord - theta_0 - theta_1. Outside [a, b] a concave
+  function can fall below its chord's extension, so the chord is never
+  extrapolated. mu is the larger of the two bounds (below the first
+  anchor, the Weyl bound alone); above the last anchor there is none, and
+  no point there passes. Given the condition, only
+  lambda_0 and lambda_1 can lie in the intervals, so lambda_0 lies in the
+  first, lambda_1 in the second, and E1 - E0 > DEGENERACY_TIE.
 - Vectors. By the Davis-Kahan sin(theta) theorem, x_k lies within the sine
   r_k / delta_k of its eigenvector, where delta_k bounds the distance from
   theta_k to the rest of the spectrum from below:
   delta_0 = theta_1 - r_1 - theta_0 and
-  delta_1 = min(theta_1 - theta_0, mu - theta_1). Both sines must be at
-  most SINE_TOL.
+  delta_1 = min(theta_1 - theta_0, mu - theta_1). A whole-grid sweep needs
+  both sines at most SINE_TOL. A stopped sweep (the curve pre-scan, whose
+  stop rule reads the ground state alone) needs that of x_0 only; its E1
+  then lies within r_1 of theta_1, and its vec1 is not certified.
 
-A point that fails is solved densely, and its two lowest vectors join Q.
-A certified sine s bounds the error of every expectation value of an
-operator with spectrum in [0, 1], such as p0, by s, and that of theta_k by
-r_k * s. It bounds the squared overlap of two neighbouring ground states
-within s_i + s_(i+1). The dense sweep keeps the ground state as the
-followed state at rank 0 as long as every such overlap^2 is at least
-FOLLOW_FLOOR. So the continuation hands the whole grid to `sweep_lowest`
-at the first pair of points whose overlap^2 falls below FOLLOW_FLOOR plus
-that bound. It also hands over where a dense pair ties, or where Q would
-pass half the dimension (a subspace that large gains nothing on the dense
-sweep). What the certificate covers: each returned vec0 and vec1 lies
-within `sine_bound` of the matrix's ground and first excited state, and
-E0 and E1 are theirs. It does not certify a followed branch: the followed
-state is the ground state, and it is the state the dense sweep would
-follow only because the hand-over rule checks that sweep's overlaps. The
-bounds hold in exact arithmetic; the residuals are computed in float64,
-with rounding near 1e-14, against the 5e-12 to 1e-10 residuals that
-SINE_TOL asks for at the production gaps. The results are not the dense
-sweep's bits: on the reference curves p0 agrees within 1e-11, and E0 and
-E1 - E0 within 1e-13.
+A point that fails becomes an anchor: its dense pairs are taken, and its
+vectors join Q. A certified sine s bounds the error of every expectation
+value of an operator with spectrum in [0, 1], such as p0, by s, and that
+of theta_k by r_k * s. It bounds the squared overlap of two neighbouring
+ground states within s_i + s_(i+1). The dense sweep keeps the ground state
+as the followed state at rank 0 as long as every such overlap^2 is at
+least FOLLOW_FLOOR. So the walk stops at the first step i -> i + 1 whose
+overlap^2 falls below FOLLOW_FLOOR plus that bound, where the dense follow
+rule might leave rank 0, and hands the rest of the grid to `sweep_lowest`,
+starting afresh with a dense solve at point i. Up to i the dense sweep
+followed the ground state, and each of its solves depends on its point
+alone, so from i on (`SweepResult.dense_from`) the result is the dense
+sweep's, bit for bit. The walk also hands over where a dense pair ties (the
+dense sweep then fails closed there) or where Q would pass half the
+dimension (a subspace that large gains nothing on the dense sweep). `stop`
+sees every point's state once, in order. A pencil whose H0 has no element
+between states of different L (zero anisotropy) commutes with diag(L): its
+sectors cross exactly, the follow rule defines the branch, and its sweeps
+go to `sweep_lowest` at once.
+
+What the certificate covers: each returned vec0 (and, on a whole grid,
+vec1) lies within `sine_bound` of the matrix's ground (first excited)
+state, and E0 and E1 are theirs. It does not certify a followed branch:
+the followed state is the ground state, and it is the state the dense
+sweep would follow only because the hand-over rule checks that sweep's
+overlaps. The bounds hold in exact arithmetic; the residuals are computed
+in float64, with rounding near 1e-14, against the 5e-12 to 1e-10 residuals
+that SINE_TOL asks for at the production gaps. The results are not the
+dense sweep's bits: on the reference curves p0 agrees within 1e-11, and E0
+and E1 - E0 within 1e-13. A model lives as long as the System keeps its
+pair, and a sweep reads every anchor that the model's earlier sweeps
+solved: the refined sweep after a curve's pre-scan starts from the
+pre-scan's anchors. So a sweep's last bits depend on the model's earlier
+sweeps, within the certificate, and a rerun of the same calls gives the
+same bits.
 
 Every solve is one call of scipy's own float64 LAPACK `dsyevr`, made
-through ctypes with the arguments `scipy.linalg.eigh` passes, so the call
-runs without the GIL. A dense sweep checks its inputs are finite and sizes
-the LAPACK workspace once. It then hands the two-pair solve of each point
-to a thread pool, one worker per CPU the process may use, with up to
-LOOKAHEAD_PER_WORKER solves per worker in flight. The tie check, the
-follow rule, its window and full-spectrum widenings and `stop` run on the
-calling thread, point by point in order. Each solve works on its own copy
-of the matrix with the point's diagonal, so the same routine gets the same
-arguments at every point whichever thread makes the call: the results are
-the bits a serial sweep gives. The continuation runs on the calling thread
-alone, its dense solves each depending on the Q the pass has grown.
-
-Sweeps run their solves on one OpenBLAS thread per worker: at these
-dimensions a second BLAS thread gains little, and on a busy machine it
-slows each solve many times over. The pool was measured on 2 CPUs only.
+through ctypes with the arguments `scipy.linalg.eigh` passes, without its
+per-call input check and workspace query (about 4% of a two-pair solve at
+dimension 191, measured on one BLAS thread). Sweeps check their inputs are
+finite, size the LAPACK workspace once and solve on the calling thread, on
+one OpenBLAS thread: at these dimensions a second BLAS thread gains
+little, and on a busy machine it slows each solve many times over.
 """
 
 import ctypes
 import os
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cache
+from itertools import count
 from pathlib import Path
 from typing import Callable
 
@@ -125,12 +144,11 @@ FOLLOW_FLOOR = 0.1
 BRANCH_MAJORITY = 0.5
 #: eigenpairs a sweep solves where the follow rule needs more than two
 BRANCH_WINDOW = 6
-#: two-pair solves a sweep keeps in flight per worker thread
-LOOKAHEAD_PER_WORKER = 2
 #: a continued point's certified sine between each Ritz vector and its
 #: eigenvector must not exceed this
 SINE_TOL = 1e-8
-#: grid points, spread evenly from first to last, whose dense pairs seed Q
+#: points of a fresh model's first grid, spread evenly from first to last,
+#: whose dense pairs are its first anchors
 SEED_POINTS = 5
 
 
@@ -240,7 +258,9 @@ class SweepResult:
     followed: np.ndarray    # (n, dim) adiabatically followed state
     followed_rank: np.ndarray
     dense_solves: int       # dense eigensolves (dense sweep: its points)
-    sine_bound: float       # worst certified sine of a vec0 or vec1 (dense: 0)
+    sine_bound: float       # worst certified sine of a vec0, and of a vec1 without
+                            # `stop` (dense sweep: 0)
+    dense_from: int         # the points from this index on are the dense sweep's
 
     @property
     def gap(self) -> np.ndarray:
@@ -289,39 +309,12 @@ def _one_blas_thread():
 
 
 def _workers() -> int:
-    """Solver threads of a sweep, and worker processes of an ensemble
-    (`estimate.run_ensemble`): one per CPU this process may use."""
+    """Worker processes of an ensemble (`estimate.run_ensemble`): one per
+    CPU this process may use."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity query on this platform
         return os.cpu_count() or 1
-
-
-@contextmanager
-def _solved_in_order(solve: Callable, n: int):
-    """An iterator over solve(0), ..., solve(n - 1), in order. With more
-    than one worker, a thread pool computes each up to
-    LOOKAHEAD_PER_WORKER * workers points ahead of the one awaited; on
-    exit the solves still queued are cancelled and every thread has ended.
-    """
-    workers = min(_workers(), n)
-    if workers < 2:
-        yield map(solve, range(n))
-        return
-    depth = LOOKAHEAD_PER_WORKER * workers
-    pool = ThreadPoolExecutor(workers, thread_name_prefix="critgyro-solve")
-
-    def results():
-        futures = deque()
-        for i in range(n):
-            while len(futures) < min(depth, n - i):
-                futures.append(pool.submit(solve, i + len(futures)))
-            yield futures.popleft().result()
-
-    try:
-        yield results()
-    finally:
-        pool.shutdown(wait=True, cancel_futures=True)
 
 
 def _diagonals(h0: np.ndarray, l_diag, omegas) -> np.ndarray:
@@ -354,12 +347,8 @@ def sweep_lowest(
     returns True the sweep ends there and the result holds the points
     swept so far.
 
-    The two-pair solves run ahead on a thread pool (see the module
-    docstring); the tie check, the follow rule, its widenings and `stop`
-    run on the calling thread, in point order. An error in any solve, or
-    a tie, propagates from here, and no pool thread outlives the call.
-
-    The inputs must be finite (InputError otherwise); so then is the
+    An error in any solve, or a tie, propagates from here, and no point
+    past the one that `stop` accepts is solved. The inputs must be finite (InputError otherwise); so then is the
     matrix at every point.
     """
     dim = h0_dense.shape[0]
@@ -376,12 +365,11 @@ def sweep_lowest(
     diagonals = _diagonals(h0, l_diag, omegas)
     workspace = _workspace(dim)
 
-    def two_pairs(i):
-        return _eigh(h0, workspace, subset_by_index=(0, pairs - 1), diagonal=diagonals[i])
-
     swept = n
-    with _one_blas_thread(), _solved_in_order(two_pairs, n) as solved:
-        for i, (diagonal, (evals, evecs)) in enumerate(zip(diagonals, solved)):
+    with _one_blas_thread():
+        for i, diagonal in enumerate(diagonals):
+            evals, evecs = _eigh(h0, workspace, subset_by_index=(0, pairs - 1),
+                                 diagonal=diagonal)
             if pairs > 1 and evals[1] - evals[0] < DEGENERACY_TIE:
                 raise InputError(f"degenerate ground state at Omega = {float(omegas[i])}: "
                                  f"E1 - E0 = {evals[1] - evals[0]:.3g} leaves the followed "
@@ -417,64 +405,68 @@ def sweep_lowest(
         followed_rank=rank[:swept],
         dense_solves=swept,
         sine_bound=0.0,
+        dense_from=0,
     )
 
 
-def sweep(
-    h0_dense: np.ndarray,
-    l_diag: np.ndarray,
-    omegas: np.ndarray,
-    stop: Callable[[np.ndarray], bool] | None = None,
-) -> SweepResult:
-    """The two lowest pairs and the followed state of H0 - Omega * diag(L)
-    along a rotation grid, as `sweep_lowest` defines them.
+class ReducedModel:
+    """The certified reduced model of one pencil H0 - Omega * diag(L)
+    (module docstring): its dense anchors, keyed by Omega, each with its
+    three lowest energies and its two lowest vectors, and Q, H0 Q and L Q
+    over every anchor's three vectors. Each `sweep` walks its grid against
+    every anchor that earlier sweeps left, and adds its own.
 
-    A sweep with `stop`, or of fewer than three states, is `sweep_lowest`'s.
-    Any other runs the certified continuation (module docstring): its
-    followed state is the ground state at rank 0, and each point's vec0
-    and vec1 lie within `sine_bound` <= SINE_TOL of the two lowest
-    eigenvectors. Where it cannot certify the grid, it hands the whole grid
-    to `sweep_lowest`, and the result is that sweep's, with `dense_solves`
-    also counting the solves made before the hand-over. The inputs must be
-    finite (InputError otherwise).
+    A pencil of fewer than three states, or whose H0 has no element between
+    states of different L, is swept by `sweep_lowest` alone.
     """
-    h0 = np.asarray(h0_dense, dtype=float)
-    if stop is not None or h0.shape[0] < 3:
-        return sweep_lowest(h0, l_diag, omegas, stop=stop)
-    with _one_blas_thread():
-        return _continued(h0, np.asarray(l_diag, dtype=float), np.asarray(omegas, dtype=float))
 
+    def __init__(self, h0_dense: np.ndarray, l_diag: np.ndarray):
+        self.h0 = np.asarray(h0_dense, dtype=float)
+        self.l_diag = np.asarray(l_diag, dtype=float)
+        dim = self.h0.shape[0]
+        self.l_min = float(self.l_diag.min(initial=np.inf))
+        self.dense_only = dim < 3 or \
+            not self.h0[self.l_diag[:, None] != self.l_diag[None, :]].any()
+        self.q, self.hq, self.lq = (np.empty((dim, 0)) for _ in range(3))
+        self.qhq = self.qlq = None
+        self.anchors = {}  # Omega -> (three lowest energies, (dim, 2) two lowest vectors)
+        self.anchor_omegas = self.anchor_sums = self.anchor_lam2 = np.empty(0)  # ascending
 
-def _continued(h0: np.ndarray, l_diag: np.ndarray, omegas: np.ndarray) -> SweepResult:
-    """The certified continuation of `sweep`. The SEED_POINTS are solved
-    first; then one pass from the last point down takes at each point the
-    two lowest Ritz pairs when they pass the certificate, and otherwise
-    the point's dense pairs, which grow Q."""
-    dim, n = h0.shape[0], len(omegas)
-    diagonals = _diagonals(h0, l_diag, omegas)
-    workspace = _workspace(dim)
-    l_min = float(l_diag.min())
-    energies = np.empty((n, 2))
-    vecs = np.empty((2, n, dim))  # vec0, vec1
-    sines = np.zeros(n)
-    q, hq, lq = (np.empty((dim, 0)) for _ in range(3))  # Q, H0 Q, L Q
-    qhq = qlq = None
-    lam2_at = {}  # point -> lambda_2 of its dense solve
-    omega_b = lam2_b = np.inf  # the nearest dense point at or above the pass
+    def sweep(self, omegas, stop: Callable[[np.ndarray], bool] | None = None) -> SweepResult:
+        """The two lowest pairs and the followed state of the pencil along
+        the ascending grid `omegas`, as `sweep_lowest` defines them; `stop`
+        as there.
 
-    def dense(i) -> bool:
-        """Point i's three lowest dense pairs; its two lowest vectors join
-        Q. False where the grid goes to `sweep_lowest`: Q would pass half
-        the dimension, or E1 - E0 ties."""
-        nonlocal q, hq, lq, qhq, qlq
-        if q.shape[1] + 2 > dim / 2:
+        The walk up the grid takes each point's certified ground state, and
+        hands the rest of the grid to `sweep_lowest` from the last point it
+        took (module docstring): from `dense_from` on the result is that
+        sweep's, followed branch and bits. Before `dense_from` the followed
+        state is the ground state at rank 0, and vec0 lies within
+        `sine_bound` <= SINE_TOL of the lowest eigenvector; so does vec1 of
+        the second without `stop`. `dense_solves` counts the dense solves
+        of this call. The inputs must be finite (InputError otherwise).
+        """
+        omegas = np.asarray(omegas, dtype=float)
+        if self.dense_only:
+            return sweep_lowest(self.h0, self.l_diag, omegas, stop=stop)
+        with _one_blas_thread():
+            return self._walk(omegas, stop)
+
+    def _anchor(self, omega: float, diagonal: np.ndarray) -> bool:
+        """Solve the three lowest dense pairs at `omega`, the point whose
+        matrix diagonal is `diagonal`, and keep them as an anchor; their
+        vectors join Q. False, solving nothing, where Q would pass half
+        the dimension."""
+        dim = self.h0.shape[0]
+        if self.q.shape[1] + 3 > dim / 2:
             return False
-        theta, x = _eigh(h0, workspace, subset_by_index=(0, 2), diagonal=diagonals[i])
-        lam2_at[i] = theta[2]
-        if theta[1] - theta[0] < DEGENERACY_TIE:
-            return False
-        energies[i], vecs[:, i] = theta[:2], x[:, :2].T
-        for v in x[:, :2].T:
+        theta, x = _eigh(self.h0, _workspace(dim), subset_by_index=(0, 2), diagonal=diagonal)
+        self.anchors[omega] = (theta, x[:, :2])
+        self.anchor_omegas = np.array(sorted(self.anchors))
+        self.anchor_sums, self.anchor_lam2 = np.array(
+            [(self.anchors[om][0].sum(), self.anchors[om][0][2]) for om in self.anchor_omegas]).T
+        q = self.q
+        for v in x.T:
             # two Gram-Schmidt passes; a vector the second pass halves lies
             # in span(Q) to rounding and is dropped ("twice is enough")
             once = v - q @ (q.T @ v)
@@ -482,48 +474,103 @@ def _continued(h0: np.ndarray, l_diag: np.ndarray, omegas: np.ndarray) -> SweepR
             norm = np.linalg.norm(v)
             if norm > 0.5 * np.linalg.norm(once):
                 q = np.column_stack([q, v / norm])
-                hq = np.column_stack([hq, h0 @ q[:, -1]])
-                lq = np.column_stack([lq, l_diag * q[:, -1]])
-        qhq, qlq = q.T @ hq, q.T @ lq
+                self.hq = np.column_stack([self.hq, self.h0 @ q[:, -1]])
+                self.lq = np.column_stack([self.lq, self.l_diag * q[:, -1]])
+        self.q = q
+        self.qhq, self.qlq = q.T @ self.hq, q.T @ self.lq
         return True
 
-    def hand_over() -> SweepResult:
-        dense = sweep_lowest(h0, l_diag, omegas)
-        return replace(dense, dense_solves=len(lam2_at) + dense.dense_solves)
+    def _lambda2_floor(self, omega: float, theta: np.ndarray) -> float:
+        """mu: a lower bound on lambda_2(omega), at an omega that is not an
+        anchor, from the nearest anchors a < omega < b and the Ritz values
+        `theta`: the Weyl bound from b, or the Ky Fan chord between a and b
+        where that is larger (module docstring); -inf above the last
+        anchor."""
+        j = int(np.searchsorted(self.anchor_omegas, omega))
+        if j == len(self.anchor_omegas):
+            return -np.inf
+        b = self.anchor_omegas[j]
+        floor = self.anchor_lam2[j] + (b - omega) * self.l_min
+        if j:
+            a = self.anchor_omegas[j - 1]
+            chord = ((b - omega) * self.anchor_sums[j - 1]
+                     + (omega - a) * self.anchor_sums[j]) / (b - a)
+            floor = max(floor, chord - theta[0] - theta[1])
+        return floor
 
-    def ritz(om) -> tuple:
-        """(theta, x, sine): the two lowest Ritz pairs at `om` and their
-        certified sine, inf where the certificate fails."""
-        theta, y = _eigh(qhq - om * qlq, _workspace(len(qhq)), subset_by_index=(0, 1))
-        y /= np.linalg.norm(q @ y, axis=0)
-        x = q @ y
-        r = np.linalg.norm(hq @ y - om * (lq @ y) - x * theta, axis=0)
-        lam2 = lam2_b + (omega_b - om) * l_min  # a lower bound on lambda_2(om)
-        low1 = theta[1] - r[1]  # and on lambda_1(om), once certified
-        if om <= omega_b and theta[0] + r[0] + DEGENERACY_TIE < low1 \
-                and theta[1] + r[1] < lam2:
-            return theta, x, max(r[0] / (low1 - theta[0]),
-                                 r[1] / min(theta[1] - theta[0], lam2 - theta[1]))
-        return theta, x, np.inf
+    def _ritz(self, omega: float, both: bool) -> tuple:
+        """(theta, x, sine): the two lowest Ritz pairs at `omega` and the
+        certified sine of x_0, and of x_1 too when `both`; inf where the
+        certificate fails."""
+        theta, y = _eigh(self.qhq - omega * self.qlq, _workspace(len(self.qhq)),
+                         subset_by_index=(0, 1))
+        y /= np.linalg.norm(self.q @ y, axis=0)
+        x = self.q @ y
+        r = np.linalg.norm(self.hq @ y - omega * (self.lq @ y) - x * theta, axis=0)
+        lam2 = self._lambda2_floor(omega, theta)
+        low1 = theta[1] - r[1]  # a lower bound on lambda_1, once certified
+        if not (theta[0] + r[0] + DEGENERACY_TIE < low1 and theta[1] + r[1] < lam2):
+            return theta, x, np.inf
+        sine = r[0] / (low1 - theta[0])
+        if both:
+            sine = max(sine, r[1] / min(theta[1] - theta[0], lam2 - theta[1]))
+        return theta, x, sine
 
-    seeds = np.linspace(0, n - 1, min(SEED_POINTS, n)).round().astype(int)
-    if not all(dense(i) for i in seeds[::-1]):
-        return hand_over()
-    for i in range(n - 1, -1, -1):
-        if i not in lam2_at:
-            theta, x, sine = ritz(omegas[i])
-            if sine <= SINE_TOL:
-                energies[i], vecs[:, i], sines[i] = theta, x.T, sine
-            elif not dense(i):
-                return hand_over()
-        if i in lam2_at:
-            omega_b, lam2_b = omegas[i], lam2_at[i]
-        # a pair of ground states the follow rule might not join
-        if i + 1 < n and (vecs[0, i] @ vecs[0, i + 1]) ** 2 < \
-                FOLLOW_FLOOR + sines[i] + sines[i + 1]:
-            return hand_over()
-    return SweepResult(
-        omegas=omegas.copy(), energies=energies, vec0=vecs[0], vec1=vecs[1],
-        followed=vecs[0], followed_rank=np.zeros(n, dtype=np.int64),
-        dense_solves=len(lam2_at), sine_bound=float(sines.max(initial=0.0)),
-    )
+    def _walk(self, omegas: np.ndarray, stop) -> SweepResult:
+        """`sweep`'s walk up the grid (module docstring)."""
+        n, dim = len(omegas), self.h0.shape[0]
+        diagonals = _diagonals(self.h0, self.l_diag, omegas)
+        energies = np.empty((n, 2))
+        vecs = np.empty((2, n, dim))  # vec0, vec1
+        sines = np.zeros(n)
+        solves = 0
+
+        def result(head: int, tail: SweepResult | None = None) -> SweepResult:
+            """The walk's points before `head`, then the dense `tail`."""
+            parts = [(omegas[:head], energies[:head], vecs[0, :head], vecs[1, :head],
+                      vecs[0, :head], np.zeros(head, dtype=np.int64))]
+            if tail is not None:
+                parts.append((tail.omegas, tail.energies, tail.vec0, tail.vec1,
+                              tail.followed, tail.followed_rank))
+            om, en, v0, v1, followed, rank = (np.concatenate(x) for x in zip(*parts))
+            return SweepResult(
+                omegas=om, energies=en, vec0=v0, vec1=v1, followed=followed,
+                followed_rank=rank, dense_solves=solves + (tail.dense_solves if tail else 0),
+                sine_bound=float(sines[:head].max(initial=0.0)), dense_from=head)
+
+        def hand_over(i: int) -> SweepResult:
+            """The walk's points before i - 1, then the dense sweep from
+            point i - 1 (from 0 when i is 0), whose state there `stop` has
+            seen already."""
+            start = max(i - 1, 0)
+            calls = count(start - i + 1)  # from 0 when the first call repeats point i - 1
+            tail_stop = None if stop is None else (lambda state: next(calls) > 0 and stop(state))
+            return result(start, sweep_lowest(self.h0, self.l_diag, omegas[start:],
+                                              stop=tail_stop))
+
+        if not self.anchors:
+            for i in np.linspace(0, n - 1, min(SEED_POINTS, n)).round().astype(int):
+                if not self._anchor(omegas[i], diagonals[i]):
+                    return hand_over(0)
+                solves += 1
+        for i, omega in enumerate(omegas):
+            if omega not in self.anchors:
+                theta, x, sine = self._ritz(omega, both=stop is None)
+                if sine <= SINE_TOL:
+                    energies[i], vecs[:, i], sines[i] = theta, x.T, sine
+                elif not self._anchor(omega, diagonals[i]):
+                    return hand_over(i)
+                else:
+                    solves += 1
+            if omega in self.anchors:
+                theta, x = self.anchors[omega]
+                if theta[1] - theta[0] < DEGENERACY_TIE:
+                    return hand_over(i)
+                energies[i], vecs[:, i] = theta[:2], x.T
+            # a pair of ground states the dense follow rule might not join
+            if i and (vecs[0, i - 1] @ vecs[0, i]) ** 2 < FOLLOW_FLOOR + sines[i - 1] + sines[i]:
+                return hand_over(i)
+            if stop is not None and stop(vecs[0, i]):
+                n = i + 1
+                break
+        return result(n)

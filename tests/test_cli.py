@@ -5,7 +5,6 @@ import math
 import os
 import subprocess
 import sys
-import threading
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +15,7 @@ import critgyro.cli as cli
 import critgyro.estimate as estimate
 import critgyro.spectrum as spectrum
 from critgyro.cli import main
-from critgyro.curves import catalog_save
+from critgyro.curves import PRESCAN_POINTS, PRESCAN_RANGE, catalog_save
 from critgyro.fock import enumerate_basis
 from critgyro.hamiltonian import System
 from critgyro.melem import ElementCache
@@ -243,10 +242,30 @@ def test_curve_manifest_records_what_replays_the_run(tmp_path):
     health = details.pop("sweeps")
     assert details == {"pairs": [[0.6, 0.03]], "n": 3, "n_ll": 2, "l_max": 6,
                        "grid": [0.85, 0.95, 3]}
-    # one sweep per pair, with its dense solves and its certified sine
-    assert len(health) == 1 and set(health[0]) == {"dense_solves", "sine_bound"}
+    # per pair, no pre-scan on an explicit grid, then the curve's sweep
+    # with its dense solves and its certified sine
+    assert len(health) == 1 and set(health[0]) == {
+        "prescan_dense_solves", "prescan_dense_from", "dense_solves", "sine_bound"}
+    assert health[0]["prescan_dense_solves"] is None and health[0]["prescan_dense_from"] is None
     assert 1 <= health[0]["dense_solves"] <= 3
     assert 0.0 <= health[0]["sine_bound"] <= spectrum.SINE_TOL
+
+
+def test_curve_manifest_records_the_prescan_hand_over(tmp_path):
+    """On an auto grid the manifest records the pre-scan's dense solves and
+    the point from which the dense sweep took it over, the point where the
+    dense pre-scan leaves the ground state, beside the curve sweep's own."""
+    out = tmp_path / "curve.csv"
+    assert main(["curve", "--g", "0.6", "--A", "0.025", "--out", str(out)]) == 0
+    (health,) = _details(out)["sweeps"]
+    basis = enumerate_basis(6, 2, 8)
+    system = System(basis, ElementCache.build(basis.modes))
+    dense = spectrum.sweep_lowest(system.sector_h0(0.6, 0.025), system.sector_l,
+                                  np.linspace(*PRESCAN_RANGE, PRESCAN_POINTS))
+    assert health["prescan_dense_from"] == int(np.argmax(dense.followed_rank > 0)) - 1
+    assert 0 < health["prescan_dense_solves"] < PRESCAN_POINTS
+    assert 0 <= health["dense_solves"] <= 30
+    assert 0.0 < health["sine_bound"] <= spectrum.SINE_TOL
 
 
 def test_catalog_manifest_records_what_replays_the_run(tmp_path):
@@ -448,19 +467,6 @@ def test_manifest_records_ensemble_health(tmp_path, catalog_file):
         assert health["workers"] == math.ceil(4 / chunk)
 
 
-def test_selftest_fails_when_solver_threads_drift(monkeypatch):
-    real = spectrum._eigh
-
-    def drifting(*args, **kwargs):
-        energies, vectors = real(*args, **kwargs)
-        if threading.current_thread() is not threading.main_thread():
-            energies = energies * (1 + 1e-15)
-        return energies, vectors
-
-    monkeypatch.setattr(spectrum, "_eigh", drifting)
-    assert main(["selftest"]) == 4
-
-
 def test_selftest_fails_when_ensemble_workers_drift(monkeypatch):
     parent = os.getpid()
     real = estimate.run_protocol
@@ -513,7 +519,8 @@ def test_curve_with_a_degenerate_point_exits_2(tmp_path, capsys):
 ])
 def test_offset_refuses_bad_values(argv, tmp_path, catalog_file, capsys, monkeypatch):
     sweeps = []
-    monkeypatch.setattr(spectrum, "sweep", lambda *args, **kwargs: sweeps.append(1))
+    monkeypatch.setattr(spectrum.ReducedModel, "sweep",
+                        lambda *args, **kwargs: sweeps.append(1))
     out = tmp_path / "offset.csv"
     assert main(["offset", "--catalog", catalog_file, "--out", str(out)] + argv) == 2
     err = capsys.readouterr().err
@@ -542,7 +549,8 @@ def test_offset_refuses_an_offset_off_the_ramp_or_another_systems_catalog(
         catalog_file = tmp_path / "catalog.json"
         catalog_file.write_text(json.dumps(payload))
     sweeps = []
-    monkeypatch.setattr(spectrum, "sweep", lambda *args, **kwargs: sweeps.append(1))
+    monkeypatch.setattr(spectrum.ReducedModel, "sweep",
+                        lambda *args, **kwargs: sweeps.append(1))
     out = tmp_path / "offset.csv"
     assert main(["offset", "--catalog", str(catalog_file), "--out", str(out)] + argv) == 2
     err = capsys.readouterr().err

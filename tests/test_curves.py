@@ -259,13 +259,13 @@ def test_curve_diagnostics_shapes(system6, catalog_default):
 def test_curve_sweeps_only_the_condensate_sector(system6, monkeypatch):
     basis, cache = system6
     dims = []
-    real = spectrum.sweep
+    real = spectrum.ReducedModel.sweep
 
-    def recording(h0_dense, *args, **kwargs):
-        dims.append(h0_dense.shape[0])
-        return real(h0_dense, *args, **kwargs)
+    def recording(self, *args, **kwargs):
+        dims.append(self.h0.shape[0])
+        return real(self, *args, **kwargs)
 
-    monkeypatch.setattr(spectrum, "sweep", recording)
+    monkeypatch.setattr(spectrum.ReducedModel, "sweep", recording)
     compute_curve(basis, cache, 0.5, 0.04, grid=[0.85, 0.88])
     assert dims == [int(np.sum(basis.L % 2 == 0))] == [191]
 
@@ -282,7 +282,7 @@ def test_diagnostics_gap_stays_in_the_condensate_sector(system6):
 def test_diagnostics_reuse_the_curve_sweep(system6, monkeypatch):
     basis, cache = system6
     sweeps = []
-    real = spectrum.sweep
+    real = spectrum.ReducedModel.sweep
 
     def counting(*args, **kwargs):
         sweeps.append(1)
@@ -290,7 +290,7 @@ def test_diagnostics_reuse_the_curve_sweep(system6, monkeypatch):
         assert hamiltonian._shared.last_sweep is None
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(spectrum, "sweep", counting)
+    monkeypatch.setattr(spectrum.ReducedModel, "sweep", counting)
     grid = np.linspace(0.86, 0.92, 13)
     curve = compute_curve(basis, cache, 0.5, 0.04, grid=grid)
     diag = curve_diagnostics(basis, cache, curve)
@@ -304,12 +304,16 @@ def test_diagnostics_reuse_the_curve_sweep(system6, monkeypatch):
     curve_diagnostics(basis, cache, ResonanceCurve.from_values(
         0.5, 0.032, grid, curve.p0))
     assert len(sweeps) == 3
-    # the reused sweep gives what a fresh basis and cache compute
+    # the reused sweep gives what a fresh basis and cache compute: the same
+    # bits where the shared System's model of the pair was fresh too, and
+    # otherwise values within the certificate (the model then held anchors
+    # of an earlier sweep of the pair)
     fresh_basis = enumerate_basis(6, 2, 8)
     fresh = curve_diagnostics(fresh_basis, ElementCache.build(fresh_basis.modes), curve)
     assert len(sweeps) == 4
     for field in dataclasses.fields(diag):
-        assert np.array_equal(getattr(diag, field.name), getattr(fresh, field.name))
+        assert np.allclose(getattr(diag, field.name), getattr(fresh, field.name),
+                           rtol=0, atol=1e-9)
 
 
 @pytest.mark.parametrize("g,a", [(nan, 0.04), (0.5, -0.04), (0.5, nan)])
@@ -327,9 +331,12 @@ def _first_crossing(p, threshold):
 @pytest.mark.parametrize("g,a", DEFAULT_CATALOG_PAIRS + ((0.5, 0.0),))
 def test_prescan_stops_at_its_crossings(system6, monkeypatch, g, a):
     """The located grid is the one the whole 61-point dense pre-scan gives,
-    and the pre-scan ends at the first point after both first crossings."""
+    within 1e-12, and the pre-scan ends where the dense one does: at the
+    first point after both first crossings. Before `dense_from` the dense
+    pre-scan follows the ground state at rank 0; from there on the
+    pre-scan is the dense one, bit for bit."""
     basis, cache = system6
-    real = spectrum.sweep
+    real = spectrum.ReducedModel.sweep
     swept = []
 
     def counting(*args, **kwargs):
@@ -337,9 +344,10 @@ def test_prescan_stops_at_its_crossings(system6, monkeypatch, g, a):
         swept.append(len(result.omegas))
         return result
 
-    monkeypatch.setattr(spectrum, "sweep", counting)
+    monkeypatch.setattr(spectrum.ReducedModel, "sweep", counting)
     grid = locate_grid(basis, cache, g, a)
     system = System.of(basis, cache)
+    prescan = system.last_sweep[1]
     coarse = np.linspace(*PRESCAN_RANGE, PRESCAN_POINTS)
     whole_prescan = spectrum.sweep_lowest(system.sector_h0(g, a), system.sector_l, coarse)
     p = p_zero(system.lift(whole_prescan.followed), basis)
@@ -353,9 +361,13 @@ def test_prescan_stops_at_its_crossings(system6, monkeypatch, g, a):
         span = max(rel_lo - rel_hi, coarse[1] - coarse[0])
         whole = np.linspace(coarse[0] + rel_hi - span, coarse[0] + rel_lo + span,
                             REFINED_POINTS)
-        assert np.array_equal(grid, whole)
+        assert np.max(np.abs(grid - whole)) <= 1e-12
         last = max(_first_crossing(p, 0.9), _first_crossing(p, 0.1))
         assert swept == [last + 2] and last + 2 < PRESCAN_POINTS
+    tail = slice(prescan.dense_from, len(prescan.omegas))
+    assert not whole_prescan.followed_rank[:prescan.dense_from].any()
+    for name in ("energies", "vec0", "vec1", "followed", "followed_rank"):
+        assert np.array_equal(getattr(prescan, name)[tail], getattr(whole_prescan, name)[tail])
 
 
 @pytest.mark.parametrize("a", [0.04, 0.0])
@@ -363,7 +375,7 @@ def test_prescan_computes_p0_once_per_swept_point(system6, monkeypatch, a):
     """The stop rule's p0 values are the ones the located grid reads: no
     second p_zero pass over the swept stack."""
     basis, cache = system6
-    real_sweep, real_p0 = spectrum.sweep_lowest, curves.p_zero
+    real_sweep, real_p0 = spectrum.ReducedModel.sweep, curves.p_zero
     swept, shapes = [], []
 
     def counting_sweep(*args, **kwargs):
@@ -375,7 +387,7 @@ def test_prescan_computes_p0_once_per_swept_point(system6, monkeypatch, a):
         shapes.append(np.shape(psi))
         return real_p0(psi, basis)
 
-    monkeypatch.setattr(spectrum, "sweep_lowest", counting_sweep)
+    monkeypatch.setattr(spectrum.ReducedModel, "sweep", counting_sweep)
     monkeypatch.setattr(curves, "p_zero", counting_p0)
     locate_grid(basis, cache, 0.5, a)
     assert len(swept) == 1
@@ -385,13 +397,13 @@ def test_prescan_computes_p0_once_per_swept_point(system6, monkeypatch, a):
 def test_diagnostics_do_not_reuse_an_early_stopped_prescan(system6, monkeypatch):
     basis, cache = system6
     sweeps = []
-    real = spectrum.sweep
+    real = spectrum.ReducedModel.sweep
 
     def counting(*args, **kwargs):
         sweeps.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(spectrum, "sweep", counting)
+    monkeypatch.setattr(spectrum.ReducedModel, "sweep", counting)
     locate_grid(basis, cache, 0.5, 0.04)
     coarse = np.linspace(*PRESCAN_RANGE, PRESCAN_POINTS)
     assert len(System.of(basis, cache).last_sweep[1].omegas) < PRESCAN_POINTS
@@ -405,7 +417,8 @@ def test_diagnostics_do_not_reuse_an_early_stopped_prescan(system6, monkeypatch)
 def test_catalog_build_refuses_duplicate_pairs_before_sweeping(system6, monkeypatch,
                                                               tmp_path):
     sweeps = []
-    monkeypatch.setattr(spectrum, "sweep", lambda *args, **kwargs: sweeps.append(1))
+    monkeypatch.setattr(spectrum.ReducedModel, "sweep",
+                        lambda *args, **kwargs: sweeps.append(1))
     with pytest.raises(ParameterError, match="duplicate"):
         catalog_build(*system6, [(0.5, 0.04), (0.5, 0.032), (0.5, 0.04)])
     out = tmp_path / "catalog.json"
@@ -417,14 +430,14 @@ def test_catalog_build_refuses_duplicate_pairs_before_sweeping(system6, monkeypa
 
 def test_catalog_build_refuses_a_pair_without_transition_after_its_prescan(
         system6, monkeypatch, tmp_path):
-    real = spectrum.sweep_lowest
+    real = spectrum.ReducedModel.sweep
     swept = []
 
-    def counting(*args, **kwargs):
-        swept.append(len(args[2]))
-        return real(*args, **kwargs)
+    def counting(self, omegas, *args, **kwargs):
+        swept.append(len(omegas))
+        return real(self, omegas, *args, **kwargs)
 
-    monkeypatch.setattr(spectrum, "sweep_lowest", counting)
+    monkeypatch.setattr(spectrum.ReducedModel, "sweep", counting)
     with pytest.raises(ParameterError, match="positive widths"):
         catalog_build(*system6, [(0.5, 0.0)])
     assert swept == [PRESCAN_POINTS]

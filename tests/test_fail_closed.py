@@ -48,7 +48,7 @@ from critgyro.observables import (
     spdm,
     transition_width,
 )
-from critgyro.spectrum import lowest_k, sweep, sweep_lowest
+from critgyro.spectrum import ReducedModel, lowest_k, sweep_lowest
 
 
 def _hwhm_without_center():
@@ -194,8 +194,9 @@ CASES = {
     "curve_of_a_negative_anisotropy": _curve_of(0.5, -1.0),
     "curve_of_a_string_g": _curve_of("0.5", 0.04),
     "catalog_of_a_nan_anisotropy": _catalog_with_a_nan_anisotropy,
-    "continued_sweep_of_a_non_finite_matrix": lambda: sweep(
-        np.diag([0.0, nan, 1.0]), np.zeros(3), np.array([0.5, 0.6])),
+    "continued_sweep_of_a_non_finite_matrix": lambda: ReducedModel(
+        np.array([[0.0, 0.1, 0.0], [0.1, nan, 0.0], [0.0, 0.0, 1.0]]),
+        np.array([0.0, 1.0, 2.0])).sweep(np.array([0.5, 0.6])),
 }
 
 

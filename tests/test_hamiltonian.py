@@ -172,7 +172,8 @@ def test_system_sweep_refuses_a_bad_grid_before_any_solve(grid, monkeypatch):
     basis = enumerate_basis(2, 2, 4)
     system = System(basis, ElementCache.build(basis.modes))
     sweeps = []
-    monkeypatch.setattr(spectrum, "sweep", lambda *args, **kwargs: sweeps.append(1))
+    monkeypatch.setattr(spectrum.ReducedModel, "sweep",
+                        lambda *args, **kwargs: sweeps.append(1))
     with pytest.raises(ParameterError, match="strictly ascending"):
         system.sweep(0.5, 0.04, grid)
     with pytest.raises(ParameterError, match="strictly ascending"):
@@ -183,42 +184,48 @@ def test_system_sweep_refuses_a_bad_grid_before_any_solve(grid, monkeypatch):
 def test_system_sweep_returns_the_kept_sweep_for_its_key(monkeypatch):
     """A sweep without `stop` for the kept g, A and points is the kept
     result; a new g, A or grid, and any call with `stop`, sweep again, and
-    the kept sweep is released before each new one."""
+    the kept sweep is released before each new one. Every sweep of one
+    pair runs through that pair's one model, which a sweep of another pair
+    replaces."""
     basis = enumerate_basis(4, 2, 6)
     system = System(basis, ElementCache.build(basis.modes))
     sweeps = []
-    real = spectrum.sweep
+    real = spectrum.ReducedModel.sweep
 
-    def counting(*args, **kwargs):
-        sweeps.append(1)
+    def counting(self, *args, **kwargs):
+        sweeps.append(self)
         assert system.last_sweep is None
-        return real(*args, **kwargs)
+        return real(self, *args, **kwargs)
 
-    monkeypatch.setattr(spectrum, "sweep", counting)
+    monkeypatch.setattr(spectrum.ReducedModel, "sweep", counting)
     grid = np.linspace(0.85, 0.95, 11)
     first = system.sweep(0.5, 0.04, grid)
     assert system.last_sweep[0] == (0.5, 0.04) and system.last_sweep[1] is first
+    assert system.model[0] == (0.5, 0.04) and sweeps == [system.model[1]]
     grid[-1] = 2.0  # the key is a copy of the caller's points
     grid = np.linspace(0.85, 0.95, 11)
     assert system.sweep(0.5, 0.04, list(grid)) is first
     assert len(sweeps) == 1
-    for g, a, points in ((0.6, 0.04, grid), (0.5, 0.03, grid), (0.5, 0.04, grid[:-1]),
+    for g, a, points in ((0.5, 0.04, grid[:-1]), (0.6, 0.04, grid), (0.5, 0.03, grid),
                          (0.5, 0.04, grid)):
         again = system.sweep(g, a, points)
         assert again is not first
     assert len(sweeps) == 5
-    for field in dataclasses.fields(first):
+    assert sweeps[1] is sweeps[0] and len({id(model) for model in sweeps}) == 4
+    for field in dataclasses.fields(first):  # a fresh model on the same grid
         assert np.array_equal(getattr(again, field.name), getattr(first, field.name)), field
-    # `stop` sees full-basis states; a call with it always sweeps
+    # `stop` sees full-basis states; a call with it always sweeps, and its
+    # result, which certifies the ground state alone, matches no whole grid
     seen = []
     whole = system.sweep(0.5, 0.04, grid, stop=lambda state: seen.append(state) and False)
     assert len(sweeps) == 6 and whole is not again
     assert np.array_equal(np.array(seen), system.lift(whole.followed))
+    assert system.last_sweep[0] is None and system.last_sweep[1] is whole
+    assert len(whole.omegas) == len(grid)
     part = system.sweep(0.5, 0.04, grid, stop=lambda state: True)
     assert len(sweeps) == 7 and len(part.omegas) == 1
-    # the kept sweep stopped early and matches no whole grid
     assert system.sweep(0.5, 0.04, grid) is not part
-    assert len(sweeps) == 8
+    assert len(sweeps) == 8 and len(set(map(id, sweeps[4:]))) == 1
 
 
 @pytest.mark.parametrize("g,a,omega", [(nan, 0.04, 0.9), (inf, 0.04, 0.9),

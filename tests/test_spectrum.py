@@ -20,14 +20,21 @@ from critgyro.curves import (
     PRESCAN_RANGE,
     REFINED_POINTS,
     catalog_load,
+    locate_grid,
 )
 from critgyro.hamiltonian import System, build_operators
 from critgyro.melem import ElementCache
-from critgyro.spectrum import ground_state, lowest_k, sweep, sweep_lowest
+from critgyro.observables import p_zero
+from critgyro.spectrum import ReducedModel, ground_state, lowest_k, sweep_lowest
 from oracle import oracle_hamiltonian, reference_sweep_followed
 
 REFERENCE_CATALOG = (Path(__file__).resolve().parent.parent
                      / "perfbench" / "data" / "reference_catalog.json")
+
+
+def sweep(h0_dense, l_diag, omegas, stop=None):
+    """One sweep of a fresh reduced model."""
+    return ReducedModel(h0_dense, l_diag).sweep(omegas, stop)
 
 
 def diag_ham(values):
@@ -256,7 +263,7 @@ def test_sweep_widens_only_where_the_follow_rule_needs(system6, monkeypatch, cas
         h0, l_diag, omegas, mask = _sector_prescan(*system6, *map(float, case.split(":")))
     ref, _ = reference_sweep_followed(h0, l_diag, omegas)
 
-    # solves run on several threads, so each is keyed by its point's diagonal
+    # each solve is keyed by its point's diagonal
     index_of = {d.tobytes(): i for i, d in enumerate(_diagonals(h0, l_diag, omegas))}
     solves = {}  # per point, the number of pairs each solve asked for
     real = spectrum._eigh
@@ -315,8 +322,8 @@ _SWEEP_FIELDS = ("omegas", "energies", "vec0", "vec1", "followed", "followed_ran
 
 
 def _on_workers(monkeypatch, workers, *args, **kwargs):
-    """sweep_lowest(*args, **kwargs) with its solves on `workers` threads;
-    no thread outlives it."""
+    """sweep_lowest(*args, **kwargs) with `_workers` reporting `workers`
+    CPUs, which the sweep does not read: no thread outlives it."""
     monkeypatch.setattr(spectrum, "_workers", lambda: workers)
     threads = threading.active_count()
     try:
@@ -325,43 +332,40 @@ def _on_workers(monkeypatch, workers, *args, **kwargs):
         assert threading.active_count() == threads
 
 
-@pytest.mark.parametrize("case", ["0.6:0.025", "exact crossing"])
-def test_threaded_sweep_gives_the_bits_of_a_serial_one(system6, monkeypatch, case):
-    if case == "exact crossing":
-        h0, l_diag, omegas, _ = _exact_crossing_sweep()
-    else:
-        h0, l_diag, omegas, _ = _sector_prescan(
-            *system6, *map(float, case.split(":")))
-    serial, threaded = (_on_workers(monkeypatch, workers, h0, l_diag, omegas)
-                        for workers in (1, 2))
-    for name in _SWEEP_FIELDS:
-        assert np.array_equal(getattr(serial, name), getattr(threaded, name)), name
-
-
-def test_threaded_sweep_solves_at_most_the_lookahead_past_a_stop(monkeypatch):
+def test_a_stopped_sweep_solves_nothing_past_its_stop(system6, monkeypatch):
+    """The dense sweep solves exactly the points up to the one `stop`
+    accepts. So does the model's walk, but for the seed anchors it solves
+    before it starts: on the (0.6, 0.025) pre-scan grid, the dense tail
+    that takes the grid over makes no solve past the stop either."""
     h0, l_diag, omegas, _ = _exact_crossing_sweep()
     index_of = {d.tobytes(): i for i, d in enumerate(_diagonals(h0, l_diag, omegas))}
-    two_pair_points = []
+    points = []
     real = spectrum._eigh
 
     def spying(mat, *args, **kwargs):
-        if kwargs.get("subset_by_index") == (0, 1):
-            two_pair_points.append(index_of[kwargs["diagonal"].tobytes()])
+        if kwargs.get("diagonal") is not None:
+            points.append(index_of[kwargs["diagonal"].tobytes()])
         return real(mat, *args, **kwargs)
 
     monkeypatch.setattr(spectrum, "_eigh", spying)
-    whole = _on_workers(monkeypatch, 2, h0, l_diag, omegas)
+    whole = sweep_lowest(h0, l_diag, omegas)
     seen = []
-    two_pair_points.clear()
-    part = _on_workers(monkeypatch, 2, h0, l_diag, omegas,
-                       stop=lambda state: seen.append(state) or len(seen) == 7)
-    assert len(part.omegas) == 7
+    points.clear()
+    part = sweep_lowest(h0, l_diag, omegas, stop=lambda state: seen.append(state) or len(seen) == 7)
+    assert len(part.omegas) == 7 and part.dense_solves == 7
     for name in _SWEEP_FIELDS:
         assert np.array_equal(getattr(part, name), getattr(whole, name)[:7]), name
-    lookahead = 2 * spectrum.LOOKAHEAD_PER_WORKER
-    assert sorted(two_pair_points)[:7] == list(range(7))
-    assert len(two_pair_points) == len(set(two_pair_points))
-    assert len(two_pair_points) - 7 <= lookahead
+    assert sorted(set(points)) == list(range(7))
+
+    h0, l_diag, omegas, _ = _sector_prescan(*system6, 0.6, 0.025)
+    index_of = {d.tobytes(): i for i, d in enumerate(_diagonals(h0, l_diag, omegas))}
+    points.clear()
+    seen.clear()
+    stopped = ReducedModel(h0, l_diag).sweep(
+        omegas, stop=lambda state: seen.append(state) or len(seen) == 37)
+    assert len(stopped.omegas) == 37 and stopped.dense_from < 36  # stopped in the tail
+    seeds = np.linspace(0, len(omegas) - 1, spectrum.SEED_POINTS).round().astype(int)
+    assert {i for i in points if i >= 37} <= set(seeds.tolist())
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -387,8 +391,8 @@ def test_a_failed_solve_propagates_from_the_sweep(monkeypatch, workers):
 def test_an_exact_tie_fails_closed(monkeypatch, workers):
     """diag(3, 1 - Omega, 2 - 2 Omega) has its two lowest levels tied
     exactly at Omega = 1: the sweep raises InputError naming that Omega as
-    a plain float, after the points before it, and no pool thread outlives
-    it (`_on_workers` checks)."""
+    a plain float, after the points before it, and no thread outlives it
+    (`_on_workers` checks)."""
     h0, l_diag = np.diag([3.0, 1.0, 2.0]), np.array([0.0, 1.0, 2.0])
     seen = []
     with pytest.raises(InputError, match=r"at Omega = 1\.0: "):
@@ -399,15 +403,15 @@ def test_an_exact_tie_fails_closed(monkeypatch, workers):
         reference_sweep_followed(h0, l_diag, np.linspace(0.0, 1.5, 7), k=3)
 
 
-def test_one_state_sweep_runs_on_the_pool(monkeypatch):
+def test_a_one_state_sweep_repeats_its_one_vector():
     h0, l_diag = np.array([[3.0]]), np.array([1.0])
     omegas = np.linspace(0.0, 0.5, 9)
-    serial, threaded = (_on_workers(monkeypatch, workers, h0, l_diag, omegas)
-                        for workers in (1, 2))
-    assert threaded.energies.shape == (9, 1)
-    assert np.array_equal(threaded.vec0, threaded.vec1)
-    for name in _SWEEP_FIELDS:
-        assert np.array_equal(getattr(serial, name), getattr(threaded, name)), name
+    for swept in (sweep_lowest, sweep):
+        result = swept(h0, l_diag, omegas)
+        assert result.energies.shape == (9, 1)
+        assert np.array_equal(result.energies[:, 0], 3.0 - omegas)
+        assert np.array_equal(result.vec0, result.vec1)
+        assert result.dense_solves == 9 and result.dense_from == 0
 
 
 def test_workers_fall_back_to_the_cpu_count(monkeypatch):
@@ -441,8 +445,10 @@ def probe(*args, **kwargs):
     return real(*args, **kwargs)
 spectrum._eigh = probe
 before = [get() for get, _ in controls]
-for swept in (spectrum.sweep_lowest, spectrum.sweep):
-    swept(np.diag(np.arange(12.0)), np.arange(12.0), np.linspace(0.0, 0.5, 3))
+h0 = np.diag(np.arange(12.0))
+h0[0, 1] = h0[1, 0] = 0.1  # couples L = 0 to L = 1: the model's walk runs
+spectrum.sweep_lowest(h0, np.arange(12.0), np.linspace(0.0, 0.5, 3))
+spectrum.ReducedModel(h0, np.arange(12.0)).sweep(np.linspace(0.0, 0.5, 3))
 after = [get() for get, _ in controls]
 print(json.dumps({"before": before, "after": after,
                   "inside": sorted({n for counts in inside for n in counts})}))
@@ -525,6 +531,28 @@ def test_continuation_matches_the_dense_sweep_on_the_ladder_grids(system6, catal
     _agree(continued, _restricted(dense, np.searchsorted(rows, window)), mask)
 
 
+@pytest.mark.parametrize("g,a", DEFAULT_CATALOG_PAIRS)
+def test_located_grids_match_the_reference_catalog(system6, g, a):
+    """The benchmark's correctness gate on every ladder pair: the located
+    grid is the reference catalog's within 1e-9 (perfbench's GRID_TOL).
+    The refined sweep of the 81-point benchmark window reuses the
+    pre-scan's model: its p0 is the reference's within 1e-10, and the two
+    sweeps take at most 30 dense solves."""
+    basis, cache = system6
+    system = System.of(basis, cache)
+    reference = catalog_load(REFERENCE_CATALOG).find(g, a)
+    grid = locate_grid(basis, cache, g, a)
+    assert grid.shape == reference.omega.shape
+    assert np.max(np.abs(grid - reference.omega)) <= 1e-9
+    prescan, model = system.last_sweep[1], system.model[1]
+    window = _window(reference.p0)
+    refined = system.sweep(g, a, reference.omega[window])
+    assert system.model[1] is model
+    assert prescan.dense_solves + refined.dense_solves <= 30
+    p0 = p_zero(system.lift(refined.followed), basis)
+    assert np.max(np.abs(p0 - reference.p0[window])) <= 1e-10
+
+
 def test_continuation_on_a_located_grid_takes_at_most_60_dense_solves(system6):
     """On the (0.5, 0.04) reference grid the continuation matches the dense
     sweep at every fifth point, from at most 60 dense solves of 601."""
@@ -556,6 +584,17 @@ def test_continuation_bounds_lambda_2_through_a_negative_l_min():
     assert continued.dense_solves < len(omegas)
 
 
+def _levels(e, l_diag):
+    """diag(e) with one weak coupling between its two highest states, which
+    must differ in L: an H0 that does not commute with diag(L), so its
+    sweeps run the model's walk, while its low states stay the levels
+    e_k - Omega L_k."""
+    assert l_diag[-1] != l_diag[-2]
+    h0 = np.diag(np.asarray(e, dtype=float))
+    h0[-1, -2] = h0[-2, -1] = 0.01
+    return h0
+
+
 def test_a_level_rising_with_omega_cannot_slip_past_the_lambda_2_bound():
     """The level 1.42 + Omega (L = -1) is the second lowest only between
     the two lowest seed points, where no dense vector holds it. The bound
@@ -563,18 +602,40 @@ def test_a_level_rising_with_omega_cannot_slip_past_the_lambda_2_bound():
     dense solve; lambda_2(Omega_b) alone would certify the level above it
     there and miss E1 by 0.104."""
     e = np.r_[0.0, 1.42, 1.399, 1.803, np.arange(10.0, 22.0)]
-    l_diag = np.r_[0.0, -1.0, -2.0, 1.0, np.zeros(12)]
+    l_diag = np.r_[0.0, -1.0, -2.0, 1.0, np.zeros(11), 1.0]
     omegas = np.linspace(0.0, 1.0, 41)
-    continued = sweep(np.diag(e), l_diag, omegas)
+    h0 = _levels(e, l_diag)
+    continued = sweep(h0, l_diag, omegas)
     assert continued.dense_solves > spectrum.SEED_POINTS
-    assert np.array_equal(continued.energies, sweep_lowest(np.diag(e), l_diag, omegas).energies)
+    assert continued.dense_from == len(omegas)  # the walk took every point
+    assert np.array_equal(continued.energies, sweep_lowest(h0, l_diag, omegas).energies)
+
+
+def test_the_chord_bound_is_never_extrapolated():
+    """Anchors from a first grid on [0.5, 0.9] hold the levels 0, 1 and
+    2.5 - 2 Omega; the level 0.7 + 2 Omega (L = -2) lies above them there
+    but below 1 at Omega < 0.15. A second grid from 0.1 walks below the
+    first anchor: the Weyl bound from it sends that point to a dense solve,
+    while the Ky Fan chord of the two lowest anchors, extrapolated, would
+    certify E1 = 1, 0.1 too high."""
+    e = np.r_[0.0, 1.0, 0.7, 2.5, np.arange(10.0, 22.0)]
+    l_diag = np.r_[0.0, 0.0, -2.0, 2.0, np.zeros(11), 1.0]
+    h0 = _levels(e, l_diag)
+    model = ReducedModel(h0, l_diag)
+    first = model.sweep(np.linspace(0.5, 0.9, 9))
+    assert first.dense_from == 9
+    omegas = np.linspace(0.1, 0.9, 17)
+    second = model.sweep(omegas)
+    assert second.dense_from == len(omegas) and 0.1 in model.anchors
+    assert np.array_equal(second.energies, sweep_lowest(h0, l_diag, omegas).energies)
+    assert second.energies[0, 1] == pytest.approx(0.9, abs=1e-12)
 
 
 def test_continuation_hands_a_branch_change_to_the_dense_sweep(system6, monkeypatch):
-    """At A = 0 the ground state changes L sector inside PRESCAN_RANGE, where
-    the follow rule leaves it: the continuation hands the grid over, and the
-    result is the dense sweep's, bit for bit, with the solves spent before
-    the hand-over counted."""
+    """At A = 0 H0 commutes with diag(L), the ground state changes L sector
+    inside PRESCAN_RANGE, and the follow rule leaves it: the sweep goes to
+    the dense sweep at once, and the result is that sweep's, bit for bit,
+    from its 601 dense solves and no other."""
     basis, cache = system6
     system = System.of(basis, cache)
     omegas = np.linspace(*PRESCAN_RANGE, REFINED_POINTS)
@@ -588,26 +649,26 @@ def test_continuation_hands_a_branch_change_to_the_dense_sweep(system6, monkeypa
     monkeypatch.setattr(spectrum, "sweep_lowest", recording)
     result = sweep(system.sector_h0(0.5, 0.0), system.sector_l, omegas)
     assert len(dense) == 1 and dense[0].followed_rank.any()
-    for name in _SWEEP_FIELDS + ("sine_bound",):
+    for name in _SWEEP_FIELDS + ("sine_bound", "dense_solves", "dense_from"):
         assert np.array_equal(getattr(result, name), getattr(dense[0], name)), name
-    assert result.dense_solves > dense[0].dense_solves == REFINED_POINTS
+    assert result.dense_solves == REFINED_POINTS and result.dense_from == 0
 
 
 def test_a_sector_of_two_states_takes_the_dense_path(monkeypatch):
     h0, l_diag = np.array([[0.0, 0.1], [0.1, 1.0]]), np.array([0.0, 2.0])
     omegas = np.linspace(0.0, 1.0, 5)
-    monkeypatch.setattr(spectrum, "_continued", None)  # never called
+    monkeypatch.setattr(spectrum.ReducedModel, "_walk", None)  # never called
     result = sweep(h0, l_diag, omegas)
     dense = sweep_lowest(h0, l_diag, omegas)
-    for name in _SWEEP_FIELDS + ("sine_bound", "dense_solves"):
+    for name in _SWEEP_FIELDS + ("sine_bound", "dense_solves", "dense_from"):
         assert np.array_equal(getattr(result, name), getattr(dense, name)), name
     assert result.dense_solves == len(omegas) and result.sine_bound == 0.0
 
 
 def test_a_whole_grid_through_an_exact_tie_fails_closed():
-    """A tie met by the continuation hands the grid to the dense sweep,
-    which names the first tied Omega."""
+    """A tie met by the walk, at a seed anchor here, hands the grid to the
+    dense sweep, which names the first tied Omega."""
     e = np.r_[3.0, 1.0, 2.0, np.arange(4.0, 13.0)]
-    l_diag = np.r_[0.0, 1.0, 2.0, np.zeros(9)]
+    l_diag = np.r_[0.0, 1.0, 2.0, np.zeros(8), 1.0]
     with pytest.raises(InputError, match=r"at Omega = 1\.0: "):
-        sweep(np.diag(e), l_diag, np.linspace(0.0, 1.5, 7))
+        sweep(_levels(e, l_diag), l_diag, np.linspace(0.0, 1.5, 7))
