@@ -1,16 +1,15 @@
 """critgyro: rotating-BEC gyroscope simulation and adaptive Bayesian estimation.
 
 H takes one form: `System(basis, cache).operators.hamiltonian(g, A, omega)`
-returns it as a full symmetric `scipy.sparse` CSR matrix, and `lowest_k` and
-`ground_state` take that matrix.
+returns it as a full symmetric `scipy.sparse` CSR matrix, and
+`System.sweep` solves its condensate sector along a rotation grid.
 """
 
 __version__ = "0.1.0"
 
 from .fock import Mode, FockBasis, enumerate_basis, enumerate_modes, total_L
 from .melem import ElementCache
-from .hamiltonian import System, physical_to_g
-from .spectrum import EigenResult, ground_state, lowest_k
+from .hamiltonian import System
 from .observables import (
     GapProfile,
     SPDM,
@@ -44,8 +43,7 @@ __all__ = [
     "__version__",
     "Mode", "FockBasis", "enumerate_basis", "enumerate_modes", "total_L",
     "ElementCache",
-    "System", "physical_to_g",
-    "EigenResult", "ground_state", "lowest_k",
+    "System",
     "GapProfile", "SPDM", "adiabatic_time", "critical_frequency",
     "expected_L", "gap_profile", "p_zero", "spdm", "transition_width",
     "CurveCatalog", "ResonanceCurve", "catalog_build", "catalog_load",

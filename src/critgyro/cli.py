@@ -46,7 +46,7 @@ from math import pi
 import numpy as np
 import scipy.linalg as sla
 
-from . import __version__, spectrum
+from . import __version__, estimate, spectrum
 from ._backend import active_backend
 from ._svg import line_chart
 from .curves import (
@@ -65,7 +65,7 @@ from .estimate import DEFAULT_PRIOR, ProtocolConfig, run_ensemble, run_protocol
 from .fock import enumerate_basis
 from .hamiltonian import System
 from .melem import ElementCache, integral_i1, integral_i2
-from .observables import adiabatic_time, gap_profile, preparation_hwhm
+from .observables import adiabatic_time, gap_profile, p_zero, preparation_hwhm
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -207,8 +207,7 @@ def cmd_curve(args) -> int:
         cache.dump_csv(args.dump_elements)
         outputs.append(args.dump_elements)
     if args.dump_matrix:
-        ham = System.of(basis, cache).operators.hamiltonian(
-            args.g[0], args.A[0], args.matrix_omega).tocoo()
+        ham = system.operators.hamiltonian(args.g[0], args.A[0], args.matrix_omega).tocoo()
         with open(args.dump_matrix, "w") as fh:
             for r, c, v in zip(ham.row, ham.col, ham.data):
                 fh.write(f"{r} {c} {_fmt(v)}\n")
@@ -498,6 +497,20 @@ def cmd_selftest(args) -> int:
     ref = sla.eigh(dense, subset_by_index=(0, 1))
     checks.append(("solver pairs equal scipy eigh",
                    all(np.array_equal(a, b) for a, b in zip(got, ref))))
+    # the certified walk the curves run takes every point of this grid, and
+    # agrees with the dense sweep within its certificate
+    basis = enumerate_basis(4, 2, 6)
+    system = System(basis, ElementCache.build(basis.modes))
+    h0, omegas = system.sector_h0(0.5, 0.04), np.linspace(0.3, 0.9, 41)
+    walk = spectrum.ReducedModel(h0, system.sector_l).sweep(omegas)
+    dense_sweep = spectrum.sweep_lowest(h0, system.sector_l, omegas)
+    p0_err = np.abs(p_zero(system.lift(walk.vec0), basis)
+                    - p_zero(system.lift(dense_sweep.vec0), basis)).max()
+    checks.append(("reduced sweep certified on every point, within its bound of the dense",
+                   walk.dense_from == len(omegas)
+                   and 0 < walk.sine_bound <= spectrum.SINE_TOL
+                   and p0_err <= walk.sine_bound
+                   and np.abs(walk.energies - dense_sweep.energies).max() <= 1e-12))
     # the ensemble's worker processes give the bits of a serial ensemble
     from unittest import mock  # imports asyncio: only here, not on every command
     omega = np.linspace(0.8, 1.0, 401)
@@ -508,13 +521,14 @@ def cmd_selftest(args) -> int:
                             initial_g=0.5, initial_anisotropy=0.01)
     ensembles = []
     for workers in (1, 2):
-        with mock.patch.object(spectrum, "_workers", return_value=workers):
+        with mock.patch.object(estimate, "_workers", return_value=workers):
             ensembles.append(run_ensemble(config, catalog, n_trajectories=5))
     checks.append(("ensemble on 2 workers equals 1 worker",
-                   all(np.array_equal(getattr(ensembles[0], name),
-                                      getattr(ensembles[1], name))
-                       for name in ("sigma", "seeds", "n_aborted", "abort_indices",
-                                    "max_dropped_mass"))))
+                   ensembles[1].workers == 2
+                   and all(np.array_equal(getattr(ensembles[0], name),
+                                          getattr(ensembles[1], name))
+                           for name in ("sigma", "seeds", "n_aborted", "abort_indices",
+                                        "max_dropped_mass"))))
     ok = all(passed for _, passed in checks)
     for name, passed in checks:
         print(f"[{'ok' if passed else 'FAIL'}] {name}")

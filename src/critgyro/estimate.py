@@ -15,7 +15,7 @@ ascending grid.
 Ensembles run on every CPU, with the bits of a serial run. Trajectory
 `index` draws from `trajectory_rng(master, index)` alone, so `run_ensemble`
 forks a process pool with one worker per CPU the process may use
-(`spectrum._workers`), never more workers than trajectories. The pool
+(`_workers`), never more workers than trajectories. The pool
 maps the indices in chunks of ceil(n / W) and forks one worker per chunk
 (fewer than W when the chunks run out, as for n = 5 on W = 4: chunks
 2, 2, 1), each trajectory through the unchanged
@@ -52,6 +52,7 @@ total is `ProtocolResult.dropped_mass` (at most grid_size * 1e-30), and
 import functools
 import math
 import numbers
+import os
 import threading
 from dataclasses import asdict, dataclass
 
@@ -307,9 +308,17 @@ def _run_one(config, catalog, seed, index) -> tuple:
     return res.sigma_trace, None, res.dropped_mass
 
 
+def _workers() -> int:
+    """One per CPU this process may use."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity query on this platform
+        return os.cpu_count() or 1
+
+
 def _ensemble_workers(n_traj: int) -> int:
     """Processes an ensemble of n_traj trajectories runs on (module docstring)."""
-    workers = min(spectrum._workers(), n_traj)
+    workers = min(_workers(), n_traj)
     if workers < 2 or threading.active_count() > 1:
         return 1
     import multiprocessing  # only where a pool may run: CLI start-up skips it

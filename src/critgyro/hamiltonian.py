@@ -16,8 +16,8 @@ costs one sparse linear combination. V and U are computed on the upper
 triangle and mirrored, so hermiticity holds by construction.
 `Operators.hamiltonian` is the one place that combines the terms: it
 returns H as a full real symmetric `scipy.sparse` CSR matrix. Every other H
-in the package (the sweeps' dense sector matrix, `spectrum.lowest_k`'s
-input, the CLI's matrix dump) is that matrix or a slice of it.
+in the package (the sweeps' dense sector matrix, the CLI's matrix dump) is
+that matrix or a slice of it.
 
 A `System` holds what does not depend on (g, A) over one basis and its
 element cache: the operators and the condensate's L-parity sector. It owns
@@ -37,7 +37,7 @@ arrays.
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from math import inf, isfinite, pi, sqrt
+from math import isfinite
 
 import numpy as np
 import scipy.sparse as sp
@@ -46,8 +46,6 @@ from . import spectrum
 from .errors import ParameterError, StructureError
 from .fock import FockBasis, Mode, ladder_entries
 from .melem import ElementCache, pairs_by_total_m
-
-HBAR = 1.054571817e-34  # J s
 
 #: entries below this magnitude are numerical noise and dropped
 SPARSITY_EPS = 1e-14
@@ -236,13 +234,3 @@ class System:
 
 #: the one System `System.of` keeps
 _shared: System | None = None
-
-
-def physical_to_g(scattering_length_m: float, mass_kg: float,
-                  omega_z_rad_s: float) -> float:
-    """Dimensionless interaction strength a_s * sqrt(8 pi M w_z / hbar)."""
-    if not 0 <= scattering_length_m < inf:  # NaN fails every comparison
-        raise ParameterError("scattering length must be finite and >= 0")
-    if not (0 < mass_kg < inf and 0 < omega_z_rad_s < inf):
-        raise ParameterError("mass and axial frequency must be finite and positive")
-    return scattering_length_m * sqrt(8 * pi * mass_kg * omega_z_rad_s / HBAR)

@@ -1,9 +1,9 @@
 """Lowest eigenpairs of the Hamiltonian by dense symmetric diagonalization,
-and sweeps of them along a rotation grid.
+swept along a rotation grid.
 
-`lowest_k` and `ground_state` take H as `hamiltonian.Operators.hamiltonian`
-returns it, the full symmetric `scipy.sparse` matrix, and solve its dense
-form. Sweeps take a dense symmetric H0 and the diagonal of L.
+Sweeps are the module's only entry point: `sweep_lowest` and
+`ReducedModel.sweep` take a dense symmetric H0 and the diagonal of L, and
+return the two lowest pairs of H0 - Omega diag(L) along a rotation grid.
 
 The production basis for six particles has dimension 322, and its sweeps
 run in the 191-dim condensate sector. Sweeps over rotation rates follow the
@@ -122,7 +122,6 @@ little, and on a busy machine it slows each solve many times over.
 """
 
 import ctypes
-import os
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cache
@@ -133,7 +132,6 @@ from typing import Callable
 import numpy as np
 import scipy
 import scipy.linalg as sla
-import scipy.sparse as sp
 from scipy.linalg import cython_lapack
 
 from .errors import InputError, ParameterError
@@ -150,18 +148,6 @@ SINE_TOL = 1e-8
 #: points of a fresh model's first grid, spread evenly from first to last,
 #: whose dense pairs are its first anchors
 SEED_POINTS = 5
-
-
-@dataclass(frozen=True)
-class EigenResult:
-    energies: np.ndarray   # ascending, shape (k,)
-    vectors: np.ndarray    # orthonormal columns, shape (dim, k)
-    residuals: np.ndarray  # ||H v - E v|| per pair
-
-
-def _residuals(ham: sp.csr_matrix, energies, vectors) -> np.ndarray:
-    res = ham @ vectors - vectors * energies[None, :]
-    return np.linalg.norm(res, axis=0)
 
 
 @cache
@@ -224,31 +210,6 @@ def _eigh(a: np.ndarray, workspace: tuple, subset_by_index=None, diagonal=None):
     return w[:m.value], z[:, :m.value]
 
 
-def lowest_k(ham: sp.csr_matrix, k: int) -> EigenResult:
-    """k lowest eigenpairs, ascending, of the full symmetric sparse matrix
-    `ham`, solved in dense form."""
-    dim = ham.shape[0]
-    if k < 1:
-        raise ParameterError(f"k must be >= 1, got {k}")
-    if k > dim:
-        raise ParameterError(f"k={k} exceeds dimension {dim}")
-    dense = ham.toarray()
-    if not np.isfinite(dense).all():
-        raise InputError("Hamiltonian has non-finite entries")
-    energies, vectors = _eigh(dense, _workspace(dim), subset_by_index=(0, k - 1))
-    return EigenResult(
-        energies=energies,
-        vectors=vectors,
-        residuals=_residuals(ham, energies, vectors),
-    )
-
-
-def ground_state(ham: sp.csr_matrix):
-    """(energy, vector) of the lowest eigenpair."""
-    res = lowest_k(ham, 1)
-    return float(res.energies[0]), res.vectors[:, 0]
-
-
 @dataclass(frozen=True)
 class SweepResult:
     omegas: np.ndarray      # (n,) the points swept
@@ -308,15 +269,6 @@ def _one_blas_thread():
             put(count)
 
 
-def _workers() -> int:
-    """Worker processes of an ensemble (`estimate.run_ensemble`): one per
-    CPU this process may use."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity query on this platform
-        return os.cpu_count() or 1
-
-
 def _diagonals(h0: np.ndarray, l_diag, omegas) -> np.ndarray:
     """Row i: the diagonal of H0 - omegas[i] * diag(L). InputError unless
     H0 and every row are finite."""
@@ -348,8 +300,8 @@ def sweep_lowest(
     swept so far.
 
     An error in any solve, or a tie, propagates from here, and no point
-    past the one that `stop` accepts is solved. The inputs must be finite (InputError otherwise); so then is the
-    matrix at every point.
+    past the one that `stop` accepts is solved. The inputs must be finite
+    (InputError otherwise); so then is the matrix at every point.
     """
     dim = h0_dense.shape[0]
     k = min(BRANCH_WINDOW, dim)

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -479,6 +480,32 @@ def test_selftest_fails_when_ensemble_workers_drift(monkeypatch):
 
     monkeypatch.setattr(estimate, "run_protocol", drifting)
     assert main(["selftest"]) == 4
+
+
+def test_selftest_fails_when_the_ensemble_pool_falls_back_to_serial(capsys):
+    """A live thread keeps `run_ensemble` from forking: the "2 workers" run
+    is then serial and equals the serial one, which must not pass."""
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        assert main(["selftest"]) == 4
+    finally:
+        release.set()
+        thread.join()
+    assert "[FAIL] ensemble on 2 workers equals 1 worker" in capsys.readouterr().out
+
+
+def test_selftest_fails_when_the_reduced_sweep_drifts(monkeypatch, capsys):
+    real = spectrum.ReducedModel._ritz
+
+    def drifting(self, omega, both):
+        theta, x, sine = real(self, omega, both)
+        return theta * (1 + 1e-11), x, sine
+
+    monkeypatch.setattr(spectrum.ReducedModel, "_ritz", drifting)
+    assert main(["selftest"]) == 4
+    assert "[FAIL] reduced sweep" in capsys.readouterr().out
 
 
 def test_curve_of_a_one_state_sector_exits_2(tmp_path, capsys):

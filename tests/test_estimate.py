@@ -2,6 +2,7 @@ import ast
 import inspect
 import math
 import multiprocessing
+import os
 import re
 import threading
 
@@ -12,7 +13,6 @@ import critgyro._kernels as kernels
 import critgyro.cli as cli
 import critgyro.curves as curves
 import critgyro.estimate as estimate
-import critgyro.spectrum as spectrum
 from conftest import make_logistic_curve
 from critgyro.curves import CurveCatalog, ResonanceCurve, lookup_by_width
 from critgyro.errors import DegenerateUpdateError, ParameterError, RangeError
@@ -425,11 +425,17 @@ def test_ensemble_of_only_aborted_trajectories_raises(monkeypatch):
     assert err.value.measurement_index is None
 
 
+def test_workers_fall_back_to_the_cpu_count(monkeypatch):
+    assert estimate._workers() == len(os.sched_getaffinity(0))
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert estimate._workers() == (os.cpu_count() or 1)
+
+
 def _ensembles_on(workers, monkeypatch, cfg, cat, n_trajectories):
     """The ensemble run with `_workers` patched to each count in `workers`."""
     out = []
     for count in workers:
-        monkeypatch.setattr(spectrum, "_workers", lambda count=count: count)
+        monkeypatch.setattr(estimate, "_workers", lambda count=count: count)
         ens = run_ensemble(cfg, cat, n_trajectories=n_trajectories)
         chunk = math.ceil(n_trajectories / min(count, n_trajectories))
         assert ens.workers == math.ceil(n_trajectories / chunk)
@@ -485,7 +491,7 @@ def test_ensemble_pool_leaves_no_process_or_thread(monkeypatch):
     threads = threading.active_count()
     cfg = ProtocolConfig(seed=31, n_measurements=20,
                          initial_g=0.5, initial_anisotropy=0.01)
-    monkeypatch.setattr(spectrum, "_workers", lambda: 2)
+    monkeypatch.setattr(estimate, "_workers", lambda: 2)
     assert run_ensemble(cfg, synthetic_catalog(), n_trajectories=5).workers == 2
     assert multiprocessing.active_children() == []
     assert threading.active_count() == threads
@@ -502,7 +508,7 @@ def test_worker_error_reaches_the_caller_with_its_type(error, monkeypatch):
         return real(config, catalog, rng=rng)
 
     monkeypatch.setattr(estimate, "run_protocol", fails_at_three)
-    monkeypatch.setattr(spectrum, "_workers", lambda: 2)
+    monkeypatch.setattr(estimate, "_workers", lambda: 2)
     cfg = ProtocolConfig(seed=31, n_measurements=20,
                          initial_g=0.5, initial_anisotropy=0.01)
     with pytest.raises(error, match="trajectory 3 failed"):

@@ -7,12 +7,11 @@ never a bare TypeError, IndexError or numpy ValueError.
 
 import json
 import tempfile
-from math import inf, nan, pi
+from math import inf, nan
 from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from conftest import make_logistic_curve
 from critgyro.curves import (
@@ -34,7 +33,6 @@ from critgyro.estimate import (
     trajectory_rng,
 )
 from critgyro.fock import KeyIndex, enumerate_basis
-from critgyro.hamiltonian import physical_to_g
 from critgyro.melem import ElementCache
 from critgyro.observables import (
     GapProfile,
@@ -48,7 +46,7 @@ from critgyro.observables import (
     spdm,
     transition_width,
 )
-from critgyro.spectrum import ReducedModel, lowest_k, sweep_lowest
+from critgyro.spectrum import ReducedModel, sweep_lowest
 
 
 def _hwhm_without_center():
@@ -165,7 +163,6 @@ CASES = {
                                                                [1.0, 0.5, 0.0]),
     "curve_of_an_infinite_p0": lambda: ResonanceCurve.from_values(0.5, 0.04, [0.8, 0.9, 1.0],
                                                                   [inf, 0.5, 0.0]),
-    "lowest_0_eigenpairs": lambda: lowest_k(sp.identity(3, format="csr"), 0),
     "sweep_of_a_non_finite_matrix": lambda: sweep_lowest(
         np.array([[0.0, np.nan], [np.nan, 1.0]]), np.zeros(2), np.array([0.5])),
     "p_zero_of_a_nan_state": _of_a_nan_state(p_zero),
@@ -177,8 +174,6 @@ CASES = {
         lambda basis, cache, grid: gap_profile(basis, cache, 0.5, 0.04, grid, center=nan),
         np.linspace(0.85, 0.95, 3)),
     "hwhm_of_a_nan_density": lambda: hwhm_points([0.8, 0.9, 1.0], [0.2, nan, 0.1]),
-    "g_of_a_nan_scattering_length": lambda: physical_to_g(nan, 1.44e-25, 2 * pi * 1e3),
-    "g_of_an_infinite_mass": lambda: physical_to_g(5.2e-9, inf, 2 * pi * 1e3),
     "sigma_scaling_of_a_nan_trace": lambda: sigma_scaling(np.full(100, nan)),
     "posterior_of_a_nan_mass": lambda: Posterior(omega=np.array([0.8, 0.9]),
                                                  mass=np.array([nan, 1.0])),

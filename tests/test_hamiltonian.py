@@ -7,7 +7,7 @@ import critgyro.spectrum as spectrum
 from critgyro.curves import compute_curve
 from critgyro.errors import ParameterError, StructureError
 from critgyro.fock import Mode, enumerate_basis
-from critgyro.hamiltonian import System, build_operators, physical_to_g
+from critgyro.hamiltonian import System, build_operators
 from critgyro.melem import ElementCache, v_element
 from critgyro.observables import gap_profile
 from oracle import oracle_hamiltonian
@@ -237,15 +237,3 @@ def test_hamiltonian_refuses_unphysical_parameters(g, a, omega):
     with pytest.raises(ParameterError):
         ops.hamiltonian(g, a, omega)
 
-
-def test_physical_to_g():
-    assert physical_to_g(0.0, 1e-25, 2 * pi * 1000) == 0.0
-    g1 = physical_to_g(5.2e-9, 1.44e-25, 2 * pi * 1000)
-    g4 = physical_to_g(5.2e-9, 1.44e-25, 4 * 2 * pi * 1000)
-    assert g4 == pytest.approx(2 * g1, rel=1e-12)
-    # rubidium-like numbers land at a dimensionless strength of order 0.1
-    assert 0.01 < g1 < 1.0
-    with pytest.raises(ParameterError):
-        physical_to_g(1e-9, -1.0, 1.0)
-    with pytest.raises(ParameterError):
-        physical_to_g(1e-9, 1e-25, 0.0)

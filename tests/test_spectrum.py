@@ -9,10 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg as sla
-import scipy.sparse as sp
 
 import critgyro.spectrum as spectrum
-from critgyro.errors import InputError, ParameterError
+from critgyro.errors import InputError
 from critgyro.fock import Mode, enumerate_basis
 from critgyro.curves import (
     DEFAULT_CATALOG_PAIRS,
@@ -25,8 +24,8 @@ from critgyro.curves import (
 from critgyro.hamiltonian import System, build_operators
 from critgyro.melem import ElementCache
 from critgyro.observables import p_zero
-from critgyro.spectrum import ReducedModel, ground_state, lowest_k, sweep_lowest
-from oracle import oracle_hamiltonian, reference_sweep_followed
+from critgyro.spectrum import ReducedModel, sweep_lowest
+from oracle import reference_sweep_followed
 
 REFERENCE_CATALOG = (Path(__file__).resolve().parent.parent
                      / "perfbench" / "data" / "reference_catalog.json")
@@ -37,37 +36,16 @@ def sweep(h0_dense, l_diag, omegas, stop=None):
     return ReducedModel(h0_dense, l_diag).sweep(omegas, stop)
 
 
-def diag_ham(values):
-    return sp.diags(np.asarray(values, dtype=float), format="csr")
-
-
-def physical(n, g, a, omega):
+def physical(n):
+    """The basis of n particles and its System."""
     basis = enumerate_basis(n, 2, n + 2)
-    cache = ElementCache.build(basis.modes)
-    ham = System(basis, cache).operators.hamiltonian(g, a, omega)
-    return basis, ham
+    return basis, System(basis, ElementCache.build(basis.modes))
 
 
 def test_diagonal_matrix_ground_state():
-    res = lowest_k(diag_ham([3.0, 1.0, 2.0]), 1)
-    assert res.energies[0] == pytest.approx(1.0, abs=1e-12)
-    assert np.abs(res.vectors[:, 0]) == pytest.approx([0, 1, 0], abs=1e-12)
-
-
-def test_k_validation():
-    ham = diag_ham([1.0, 2.0])
-    with pytest.raises(ParameterError):
-        lowest_k(ham, 0)
-    with pytest.raises(ParameterError):
-        lowest_k(ham, 3)
-
-
-def test_matches_dense_oracle_n2():
-    basis, ham = physical(2, 0.5, 0.04, 0.6)
-    _, _, ref = oracle_hamiltonian(2, 0.5, 0.04, 0.6, 2, 4)
-    res = lowest_k(ham, 2)
-    expect = np.sort(np.linalg.eigvalsh(ref))[:2]
-    assert np.allclose(res.energies, expect, atol=1e-10)
+    res = sweep_lowest(np.diag([3.0, 1.0, 2.0]), np.zeros(3), [0.0])
+    assert res.energies[0, 0] == pytest.approx(1.0, abs=1e-12)
+    assert np.abs(res.vec0[0]) == pytest.approx([0, 1, 0], abs=1e-12)
 
 
 @pytest.mark.parametrize("subset", [(0, 1), (0, 5), None])
@@ -81,11 +59,6 @@ def test_solver_gives_the_bits_of_scipy_eigh(subset):
     assert np.array_equal(energies, ref_energies)
     assert np.array_equal(vectors, ref_vectors)
     assert np.array_equal(a, kept)
-
-
-def test_lowest_k_refuses_a_non_finite_matrix():
-    with pytest.raises(InputError):
-        lowest_k(diag_ham([1.0, np.nan, 2.0]), 1)
 
 
 @pytest.mark.parametrize("where", ["h0_dense", "l_diag", "omegas"])
@@ -104,53 +77,55 @@ def test_ground_state_is_condensate_dominated_without_rotation():
     sector is the interaction-dressed condensate: the bare occupation-basis
     state is dominant but not exact, because the contact term couples it to
     pair and radial excitations inside the sector."""
-    basis, ham = physical(6, 0.5, 0.0, 0.0)
-    energy, vec = ground_state(ham)
-    dense_spectrum = np.linalg.eigvalsh(ham.toarray())
-    assert energy == pytest.approx(dense_spectrum[0], abs=1e-10)
+    basis, system = physical(6)
+    res = system.sweep(0.5, 0.0, [0.0])
+    energy, vec = res.energies[0, 0], system.lift(res.vec0[0])
+    dense = system.operators.hamiltonian(0.5, 0.0, 0.0).toarray()
+    assert energy == pytest.approx(np.linalg.eigvalsh(dense)[0], abs=1e-10)
     i = basis.index_of({Mode(0, 0): 6})
     assert vec[i] ** 2 > 0.80
     # dressing lowers the energy strictly below the diagonal entry
-    assert energy < ham.toarray()[i, i] - 1e-3
+    assert energy < dense[i, i] - 1e-3
 
 
 def test_uniform_shift_moves_ground_energy():
-    base = diag_ham([0.4, 1.7, 2.2])
-    shifted = diag_ham([0.4 + 5.0, 1.7 + 5.0, 2.2 + 5.0])
-    e0, _ = ground_state(base)
-    e1, _ = ground_state(shifted)
+    l_diag = np.zeros(3)
+    e0 = sweep_lowest(np.diag([0.4, 1.7, 2.2]), l_diag, [0.0]).energies[0, 0]
+    e1 = sweep_lowest(np.diag([0.4 + 5.0, 1.7 + 5.0, 2.2 + 5.0]), l_diag, [0.0]).energies[0, 0]
     assert e1 - e0 == pytest.approx(5.0, abs=1e-12)
 
 
 def test_variational_bound():
-    _, ham = physical(3, 0.5, 0.04, 0.7)
-    e0, _ = ground_state(ham)
-    dense = ham.toarray()
+    """No state of the condensate's sector lies below its swept E0."""
+    _, system = physical(3)
+    e0 = system.sweep(0.5, 0.04, [0.7]).energies[0, 0]
+    dense = system.operators.hamiltonian(0.5, 0.04, 0.7).toarray()
     rng = np.random.default_rng(42)
     for _ in range(100):
-        v = rng.standard_normal(ham.shape[0])
+        v = system.lift(rng.standard_normal(len(system.sector_rows)))
         v /= np.linalg.norm(v)
         assert v @ dense @ v >= e0 - 1e-10
 
 
 def test_ground_energy_is_lipschitz_in_omega():
-    basis = enumerate_basis(3, 2, 5)
-    ops = System(basis, ElementCache.build(basis.modes)).operators
+    _, system = physical(3)
     delta = 1e-3
     for om in (0.0, 0.5, 0.9):
-        e1, _ = ground_state(ops.hamiltonian(0.5, 0.04, om))
-        e2, _ = ground_state(ops.hamiltonian(0.5, 0.04, om + delta))
+        e1, e2 = system.sweep(0.5, 0.04, [om, om + delta]).energies[:, 0]
         assert abs(e2 - e1) <= delta * 5 + 1e-12
 
 
 def test_orthonormality_and_residuals():
-    _, ham = physical(3, 0.6, 0.03, 0.8)
-    res = lowest_k(ham, 4)
-    overlap = res.vectors.T @ res.vectors
+    _, system = physical(3)
+    res = system.sweep(0.6, 0.03, [0.8])
+    vectors = np.column_stack([res.vec0[0], res.vec1[0]])
+    overlap = vectors.T @ vectors
     assert np.allclose(np.diag(overlap), 1.0, atol=1e-12)
-    assert np.max(np.abs(overlap - np.eye(4))) < 1e-10
-    assert (res.residuals < 1e-9).all()
-    assert (np.diff(res.energies) >= -1e-12).all()
+    assert np.max(np.abs(overlap - np.eye(2))) < 1e-10
+    ham = system.sector_h0(0.6, 0.03) - 0.8 * np.diag(system.sector_l)
+    residuals = np.linalg.norm(ham @ vectors - vectors * res.energies[0], axis=0)
+    assert (residuals < 1e-9).all()
+    assert (np.diff(res.energies[0]) >= -1e-12).all()
 
 
 def test_sweep_follows_sector_through_exact_crossing():
@@ -321,17 +296,6 @@ def test_sweep_stop_ends_after_the_point_it_accepts():
 _SWEEP_FIELDS = ("omegas", "energies", "vec0", "vec1", "followed", "followed_rank")
 
 
-def _on_workers(monkeypatch, workers, *args, **kwargs):
-    """sweep_lowest(*args, **kwargs) with `_workers` reporting `workers`
-    CPUs, which the sweep does not read: no thread outlives it."""
-    monkeypatch.setattr(spectrum, "_workers", lambda: workers)
-    threads = threading.active_count()
-    try:
-        return sweep_lowest(*args, **kwargs)
-    finally:
-        assert threading.active_count() == threads
-
-
 def test_a_stopped_sweep_solves_nothing_past_its_stop(system6, monkeypatch):
     """The dense sweep solves exactly the points up to the one `stop`
     accepts. So does the model's walk, but for the seed anchors it solves
@@ -368,8 +332,7 @@ def test_a_stopped_sweep_solves_nothing_past_its_stop(system6, monkeypatch):
     assert {i for i in points if i >= 37} <= set(seeds.tolist())
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_a_failed_solve_propagates_from_the_sweep(monkeypatch, workers):
+def test_a_failed_solve_propagates_from_the_sweep(monkeypatch):
     h0, l_diag, omegas, _ = _exact_crossing_sweep()
     failing = _diagonals(h0, l_diag, omegas)[23].tobytes()
     real = spectrum._eigh
@@ -382,23 +345,22 @@ def test_a_failed_solve_propagates_from_the_sweep(monkeypatch, workers):
     monkeypatch.setattr(spectrum, "_eigh", breaking)
     seen = []
     with pytest.raises(sla.LinAlgError):
-        _on_workers(monkeypatch, workers, h0, l_diag, omegas,
-                    stop=lambda state: seen.append(state) and False)
+        sweep_lowest(h0, l_diag, omegas, stop=lambda state: seen.append(state) and False)
     assert len(seen) == 23  # every point before the failing one, none after
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_an_exact_tie_fails_closed(monkeypatch, workers):
+def test_an_exact_tie_fails_closed():
     """diag(3, 1 - Omega, 2 - 2 Omega) has its two lowest levels tied
     exactly at Omega = 1: the sweep raises InputError naming that Omega as
-    a plain float, after the points before it, and no thread outlives it
-    (`_on_workers` checks)."""
+    a plain float, after the points before it, and no thread outlives it."""
     h0, l_diag = np.diag([3.0, 1.0, 2.0]), np.array([0.0, 1.0, 2.0])
     seen = []
+    threads = threading.active_count()
     with pytest.raises(InputError, match=r"at Omega = 1\.0: "):
-        _on_workers(monkeypatch, workers, h0, l_diag, np.linspace(0.0, 1.5, 7),
-                    stop=lambda state: seen.append(state) and False)
+        sweep_lowest(h0, l_diag, np.linspace(0.0, 1.5, 7),
+                     stop=lambda state: seen.append(state) and False)
     assert len(seen) == 4
+    assert threading.active_count() == threads
     with pytest.raises(ValueError, match=r"at Omega = 1\.0$"):  # so does the oracle
         reference_sweep_followed(h0, l_diag, np.linspace(0.0, 1.5, 7), k=3)
 
@@ -412,12 +374,6 @@ def test_a_one_state_sweep_repeats_its_one_vector():
         assert np.array_equal(result.energies[:, 0], 3.0 - omegas)
         assert np.array_equal(result.vec0, result.vec1)
         assert result.dense_solves == 9 and result.dense_from == 0
-
-
-def test_workers_fall_back_to_the_cpu_count(monkeypatch):
-    assert spectrum._workers() == len(os.sched_getaffinity(0))
-    monkeypatch.delattr(os, "sched_getaffinity")
-    assert spectrum._workers() == (os.cpu_count() or 1)
 
 
 def test_solver_diagonal_replaces_the_copy_diagonal_only():
