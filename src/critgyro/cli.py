@@ -7,10 +7,12 @@ CSV content, and a JSON run manifest written atomically last, whose
 resolved, and each `lo:hi:n` grid as [lo, hi, n] (`null` when
 auto-located). `curve`'s manifest also records, per pair, the numerical
 health of its sweeps (`spectrum.SweepResult`): the pre-scan's dense
-eigensolves and the point from which the dense sweep took it over
-(`prescan_dense_solves`, `prescan_dense_from`; null with an explicit
---grid), then the curve's own sweep's dense eigensolves and worst certified
-sine (`dense_solves`, `sine_bound`). Exit codes:
+eigensolves, those that read the located grid's crossing values included,
+the point from which the dense sweep took it over and its worst certified
+sine (`prescan_dense_solves`, `prescan_dense_from`, `prescan_sine_bound`;
+null with an explicit --grid), then the curve's own sweep's dense
+eigensolves and worst certified sine (`dense_solves`, `sine_bound`). Exit
+codes:
 0 success, 2 usage (including a ParameterError or InputError from the
 package), 3 numerical failure (any other package error), 4 self-check or
 preset mismatch. A sweep that meets a degenerate point (its two lowest
@@ -51,6 +53,8 @@ from ._backend import active_backend
 from ._svg import line_chart
 from .curves import (
     DEFAULT_CATALOG_PAIRS,
+    PRESCAN_POINTS,
+    PRESCAN_RANGE,
     CurveCatalog,
     ResonanceCurve,
     catalog_build,
@@ -59,6 +63,7 @@ from .curves import (
     compute_curve,
     curve_diagnostics,
     locate_grid,
+    _refined_grid,
 )
 from .errors import CritgyroError, InputError, ParameterError
 from .estimate import DEFAULT_PRIOR, ProtocolConfig, run_ensemble, run_protocol
@@ -188,6 +193,7 @@ def cmd_curve(args) -> int:
         sweeps.append({
             "prescan_dense_solves": None if prescan is None else prescan.dense_solves,
             "prescan_dense_from": None if prescan is None else prescan.dense_from,
+            "prescan_sine_bound": None if prescan is None else prescan.sine_bound,
             "dense_solves": sweep.dense_solves, "sine_bound": sweep.sine_bound})
         for i in range(len(curve.omega)):
             rows.append((
@@ -511,6 +517,13 @@ def cmd_selftest(args) -> int:
                    and 0 < walk.sine_bound <= spectrum.SINE_TOL
                    and p0_err <= walk.sine_bound
                    and np.abs(walk.energies - dense_sweep.energies).max() <= 1e-12))
+    # the located grid is the one the whole dense pre-scan gives, bit for bit
+    coarse = np.linspace(*PRESCAN_RANGE, PRESCAN_POINTS)
+    dense_prescan = spectrum.sweep_lowest(h0, system.sector_l, coarse)
+    reference = _refined_grid(p_zero(system.lift(dense_prescan.followed), basis))
+    checks.append(("located grid equals the dense pre-scan's, bit for bit",
+                   reference is not None
+                   and np.array_equal(locate_grid(basis, system.cache, 0.5, 0.04), reference)))
     # the ensemble's worker processes give the bits of a serial ensemble
     from unittest import mock  # imports asyncio: only here, not on every command
     omega = np.linspace(0.8, 1.0, 401)

@@ -5,9 +5,12 @@ transition of one (g, A) pair. The sweep grid is auto-located: a coarse
 pre-scan of PRESCAN_POINTS points over PRESCAN_RANGE brackets the 0.9/0.1
 crossings, then a refined uniform grid of REFINED_POINTS spans the
 transition with generous padding so that the flat extension outside the
-grid only ever sees plateau values. The pre-scan computes each point's p0
-once, as its sweep reaches it, and stops at the first point after both
-first downward crossings. Sweeps run in the L-parity sector of the
+grid only ever sees plateau values. The pre-scan stops at the first point
+after both first downward crossings. It computes p0 once per state its
+sweep hands it, as the sweep reaches it: once per point, again where a
+point's certificate left the stop decision open and the point was solved
+densely, and once more at each bracket point it re-reads from a dense
+solve. Sweeps run in the L-parity sector of the
 condensate (0,0)^N, the only states the followed state couples to.
 
 `hamiltonian.System.sweep` runs and keeps every sweep, so the diagnostics
@@ -17,12 +20,15 @@ certified reduced model (`spectrum.ReducedModel`), and the refined sweep
 starts from the anchors its pre-scan solved. Up to where the dense follow
 rule might leave the ground state, p0 is the sector ground state's within
 the sweep's `sine_bound`; from there on (`SweepResult.dense_from`) the
-dense sweep `spectrum.sweep_lowest` runs, so the pre-scan stops where the
-dense pre-scan stops, and the located grid is its grid to rounding.
+dense sweep `spectrum.sweep_lowest` runs. The pre-scan accepts a point
+once its certificate settles the stop decision, so it stops where the
+dense pre-scan stops, with the same brackets, and the crossing values the
+grid reads come from dense solves: the located grid is the dense
+pre-scan's bit for bit, whatever anchors the pair's model held before.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -40,6 +46,7 @@ from .observables import (
     spdm_branch_gap,
     transition_width,
 )
+from .spectrum import sweep_lowest
 
 CATALOG_VERSION = "critgyro-catalog-1"
 PRESCAN_RANGE = (0.70, 1.02)
@@ -138,32 +145,62 @@ def _transition_grid(basis: FockBasis, cache: ElementCache, g: float,
     """Refined grid spanning the transition, or None when the pre-scan's
     likelihood never crosses both 0.9 and 0.1 (e.g. zero anisotropy).
 
-    Stop rule: the sweep appends each point's p0 to `pc` and drops from
-    `pending` each threshold t the last step brackets (previous p0 >= t >
-    p0), and ends once both first downward crossings, 0.9 and 0.1, are
-    bracketed. The grid depends on those crossings alone, so it is the one
-    the whole pre-scan gives.
+    Stop rule: each state the sweep hands it gets its p0 p; the rule drops
+    from `pending` each threshold t the last step brackets (previous p0 >=
+    t > p), appends p to `pc`, and ends the sweep once both first downward
+    crossings, 0.9 and 0.1, are bracketed. A state within `sine` of the
+    ground state has its p0 within `sine` of the ground state's, so the
+    rule answers None, deciding nothing, while p - sine and p + sine lie on
+    either side of a pending threshold. Every point it answers is then on
+    the dense pre-scan's side of each pending threshold: the sweep stops
+    where that pre-scan stops, with the same brackets. The grid reads p0
+    only at the bracket points. Each one up to `dense_from` (the walk
+    answered that point itself) takes it from a two-pair dense solve at
+    that one point, the solve the dense pre-scan makes there; past
+    `dense_from` the rule saw the dense sweep's own states. So the grid is
+    the whole dense pre-scan's, bit for bit. The pre-scan kept as
+    `System.last_sweep` counts these solves in its `dense_solves`.
     """
     coarse = np.linspace(*PRESCAN_RANGE, PRESCAN_POINTS)
-    pc, pending = [], {0.9, 0.1}
+    pc, pending, brackets = [], {0.9, 0.1}, set()
 
-    def bracketed(state: np.ndarray) -> bool:
+    def bracketed(state: np.ndarray, sine: float) -> bool | None:
         p = p_zero(state, basis)
-        if pc:
-            pending.difference_update([t for t in pending if pc[-1] >= t > p])
+        if any((p - sine >= t) != (p + sine >= t) for t in pending):
+            return None
+        crossed = [t for t in pending if pc and pc[-1] >= t > p]
+        if crossed:
+            pending.difference_update(crossed)
+            brackets.update((len(pc) - 1, len(pc)))
         pc.append(p)
         return not pending
 
-    System.of(basis, cache).sweep(g, anisotropy, coarse, stop=bracketed)
-    step = coarse[1] - coarse[0]
+    system = System.of(basis, cache)
+    prescan = system.sweep(g, anisotropy, coarse, stop=bracketed)
+    if pending:
+        return None
+    model = system.model[1]
+    exact = [i for i in brackets if i <= prescan.dense_from]
+    for i in exact:
+        dense = sweep_lowest(model.h0, model.l_diag, coarse[i:i + 1])
+        pc[i] = p_zero(system.lift(dense.followed[0]), basis)
+    system.last_sweep = (None, replace(prescan,
+                                       dense_solves=prescan.dense_solves + len(exact)))
+    return _refined_grid(pc)
+
+
+def _refined_grid(pc) -> np.ndarray | None:
+    """REFINED_POINTS spanning the first downward 0.9 and 0.1 crossings
+    of the p0 values `pc` on the first points of the pre-scan grid, padded
+    on each side by their distance (at least one pre-scan step); None
+    unless `pc` crosses both."""
+    coarse = np.linspace(*PRESCAN_RANGE, PRESCAN_POINTS)
     rel_hi = crossing_offset(coarse[:len(pc)], pc, 0.9)
     rel_lo = crossing_offset(coarse[:len(pc)], pc, 0.1)
     if rel_hi is None or rel_lo is None:
         return None
-    span = max(rel_lo - rel_hi, step)
-    lo = coarse[0] + rel_hi - span
-    hi = coarse[0] + rel_lo + span
-    return np.linspace(lo, hi, REFINED_POINTS)
+    span = max(rel_lo - rel_hi, coarse[1] - coarse[0])
+    return np.linspace(coarse[0] + rel_hi - span, coarse[0] + rel_lo + span, REFINED_POINTS)
 
 
 def locate_grid(basis: FockBasis, cache: ElementCache, g: float,

@@ -151,7 +151,9 @@ class System:
     the condensate (0,0)^N run in its sector: the basis rows `sector_rows`
     and L on them `sector_l`, both read-only; `lift` puts sector states
     back in the full basis. `last_sweep` is ((g, A), SweepResult) of the
-    last `sweep`, with the key None after a sweep with `stop`, or None.
+    last `sweep`, with the key None after a sweep with `stop` (the curve
+    pre-scan's also counts the dense solves that read its crossings), or
+    None.
     `model` is ((g, A), spectrum.ReducedModel) of the last pair swept, or
     None.
     """
@@ -188,7 +190,10 @@ class System:
     def sweep(self, g: float, anisotropy: float, omegas,
               stop=None) -> spectrum.SweepResult:
         """`spectrum.ReducedModel.sweep` of H(g, A) on the condensate's
-        sector, its states in sector coordinates; `stop` sees them lifted.
+        sector, its states in sector coordinates. `stop(state, sine)` sees
+        them lifted, with their certified sine, and follows the contract
+        there: True or False only where the answer holds for every state
+        within `sine`, None otherwise.
 
         Every sweep of one (g, A), with `stop` (the curve pre-scan) or
         without, runs through the pair's one model, kept as `model` until
@@ -219,8 +224,8 @@ class System:
             self.model = None  # and another pair's model before the new one
             self.model = (key, spectrum.ReducedModel(self.sector_h0(g, anisotropy),
                                                      self.sector_l))
-        result = self.model[1].sweep(
-            omegas, stop=None if stop is None else lambda state: stop(self.lift(state)))
+        result = self.model[1].sweep(omegas, stop=None if stop is None else
+                                     lambda state, sine: stop(self.lift(state), sine))
         self.last_sweep = (key if stop is None else None, result)
         return result
 

@@ -73,8 +73,13 @@ three conditions hold:
   delta_0 = theta_1 - r_1 - theta_0 and
   delta_1 = min(theta_1 - theta_0, mu - theta_1). A whole-grid sweep needs
   both sines at most SINE_TOL. A stopped sweep (the curve pre-scan, whose
-  stop rule reads the ground state alone) needs that of x_0 only; its E1
-  then lies within r_1 of theta_1, and its vec1 is not certified.
+  stop rule reads the ground state alone) needs only a finite sine of x_0,
+  and only as small as its stop decision needs: `stop(state, sine)`
+  answers True or False where its answer holds for every state within
+  `sine` of the given one, and None, with no side effect, where it does
+  not. A point answered None becomes an anchor, sine 0, and is asked
+  again; at sine 0 `stop` must answer. A stopped sweep's E1 lies within
+  r_1 of theta_1, and its vec1 is not certified.
 
 A point that fails becomes an anchor: its dense pairs are taken, and its
 vectors join Q. A certified sine s bounds the error of every expectation
@@ -91,34 +96,38 @@ alone, so from i on (`SweepResult.dense_from`) the result is the dense
 sweep's, bit for bit. The walk also hands over where a dense pair ties (the
 dense sweep then fails closed there) or where Q would pass half the
 dimension (a subspace that large gains nothing on the dense sweep). `stop`
-sees every point's state once, in order. A pencil whose H0 has no element
+answers every point once, in order. A pencil whose H0 has no element
 between states of different L (zero anisotropy) commutes with diag(L): its
 sectors cross exactly, the follow rule defines the branch, and its sweeps
 go to `sweep_lowest` at once.
 
 What the certificate covers: each returned vec0 (and, on a whole grid,
 vec1) lies within `sine_bound` of the matrix's ground (first excited)
-state, and E0 and E1 are theirs. It does not certify a followed branch:
-the followed state is the ground state, and it is the state the dense
-sweep would follow only because the hand-over rule checks that sweep's
-overlaps. The bounds hold in exact arithmetic; the residuals are computed
-in float64, with rounding near 1e-14, against the 5e-12 to 1e-10 residuals
-that SINE_TOL asks for at the production gaps. The results are not the
-dense sweep's bits: on the reference curves p0 agrees within 1e-11, and E0
-and E1 - E0 within 1e-13. A model lives as long as the System keeps its
+state, and E0 and E1 are theirs. On a whole grid `sine_bound` is at most
+SINE_TOL; on a stopped one it is what the stop decisions let pass. It
+does not certify a followed branch: the followed state is the ground
+state, and it is the state the dense sweep would follow only because the
+hand-over rule checks that sweep's overlaps. The bounds hold in exact
+arithmetic; the residuals are computed in float64, with rounding near
+1e-14, against the 5e-12 to 1e-10 residuals that SINE_TOL asks for at the
+production gaps. The results are not the dense sweep's bits: on the
+reference curves p0 agrees within 1e-11, and E0 and E1 - E0 within 1e-13.
+A model lives as long as the System keeps its
 pair, and a sweep reads every anchor that the model's earlier sweeps
 solved: the refined sweep after a curve's pre-scan starts from the
 pre-scan's anchors. So a sweep's last bits depend on the model's earlier
 sweeps, within the certificate, and a rerun of the same calls gives the
 same bits.
 
-Every solve is one call of scipy's own float64 LAPACK `dsyevr`, made
-through ctypes with the arguments `scipy.linalg.eigh` passes, without its
-per-call input check and workspace query (about 4% of a two-pair solve at
-dimension 191, measured on one BLAS thread). Sweeps check their inputs are
-finite, size the LAPACK workspace once and solve on the calling thread, on
-one OpenBLAS thread: at these dimensions a second BLAS thread gains
-little, and on a busy machine it slows each solve many times over.
+Every solve is one call of scipy's own float64 LAPACK `dsyevr` through its
+f2py wrapper `scipy.linalg.lapack.dsyevr`, with the arguments
+`scipy.linalg.eigh` passes, so with its bits, but without its per-call
+input check and workspace query (about 15 us, against 27-84 us for the
+whole Ritz solve at m = 24-51, measured on one BLAS thread). Sweeps check
+their inputs are finite, size the LAPACK workspace once and solve on the
+calling thread, on one OpenBLAS thread: at these dimensions a second BLAS
+thread gains little, and on a busy machine it slows each solve many times
+over.
 """
 
 import ctypes
@@ -132,7 +141,6 @@ from typing import Callable
 import numpy as np
 import scipy
 import scipy.linalg as sla
-from scipy.linalg import cython_lapack
 
 from .errors import InputError, ParameterError
 
@@ -161,18 +169,6 @@ def _workspace(dim: int) -> tuple:
     return int(lwork), int(liwork)
 
 
-@cache
-def _dsyevr():
-    """scipy's own float64 LAPACK `dsyevr` as a ctypes function, whose
-    calls release the GIL. Every argument is a pointer."""
-    capsule = cython_lapack.__pyx_capi__["dsyevr"]
-    name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
-        ("PyCapsule_GetName", ctypes.pythonapi))
-    address = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
-        ("PyCapsule_GetPointer", ctypes.pythonapi))(capsule, name(capsule))
-    return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * 21)(address)
-
-
 def _eigh(a: np.ndarray, workspace: tuple, subset_by_index=None, diagonal=None):
     """(energies, vectors) of the finite symmetric float64 matrix `a`, read
     from its lower triangle, with its diagonal replaced by `diagonal` when
@@ -180,34 +176,19 @@ def _eigh(a: np.ndarray, workspace: tuple, subset_by_index=None, diagonal=None):
 
     The `?syevr` call `scipy.linalg.eigh(a, subset_by_index=...)` makes,
     without its per-call input check and workspace query, on a
-    Fortran-order copy of `a`; `a` is left as it was. The call runs
-    without the GIL.
+    Fortran-order copy of `a`; `a` is left as it was.
     """
     lwork, liwork = workspace
-    n = a.shape[0]
     a = np.array(a, dtype=np.float64, order="F")
     if diagonal is not None:
         np.fill_diagonal(a, diagonal)
-    lo, hi = (0, n - 1) if subset_by_index is None else subset_by_index
-    w = np.empty(n)
-    z = np.empty((n, hi - lo + 1), order="F")
-    isuppz = np.empty(2 * n, dtype=np.intc)
-    work = np.empty(lwork)
-    iwork = np.empty(liwork, dtype=np.intc)
-    m, info = ctypes.c_int(), ctypes.c_int()
-
-    def ints(*values):
-        return [ctypes.byref(ctypes.c_int(x)) for x in values]
-
-    n_, il, iu, lwork_, liwork_ = ints(n, lo + 1, hi + 1, lwork, liwork)
-    vl, vu, abstol = (ctypes.byref(ctypes.c_double(x)) for x in (0.0, 1.0, 0.0))
-    _dsyevr()(b"V", b"A" if subset_by_index is None else b"I", b"L", n_, a.ctypes.data,
-              n_, vl, vu, il, iu, abstol, ctypes.byref(m), w.ctypes.data, z.ctypes.data,
-              n_, isuppz.ctypes.data, work.ctypes.data, lwork_, iwork.ctypes.data,
-              liwork_, ctypes.byref(info))
-    if info.value != 0:
-        raise sla.LinAlgError(f"syevr failed: {info.value}")
-    return w[:m.value], z[:, :m.value]
+    subset = {} if subset_by_index is None else \
+        {"range": "I", "il": subset_by_index[0] + 1, "iu": subset_by_index[1] + 1}
+    w, z, m, _, info = sla.lapack.dsyevr(a, lower=1, lwork=lwork, liwork=liwork,
+                                         overwrite_a=1, **subset)
+    if info != 0:
+        raise sla.LinAlgError(f"syevr failed: {info}")
+    return w[:m], z[:, :m]
 
 
 @dataclass(frozen=True)
@@ -220,7 +201,8 @@ class SweepResult:
     followed_rank: np.ndarray
     dense_solves: int       # dense eigensolves (dense sweep: its points)
     sine_bound: float       # worst certified sine of a vec0, and of a vec1 without
-                            # `stop` (dense sweep: 0)
+                            # `stop`: at most SINE_TOL on a whole grid, what `stop`'s
+                            # answers allowed on a stopped one (dense sweep: 0)
     dense_from: int         # the points from this index on are the dense sweep's
 
     @property
@@ -282,7 +264,7 @@ def sweep_lowest(
     h0_dense: np.ndarray,
     l_diag: np.ndarray,
     omegas: np.ndarray,
-    stop: Callable[[np.ndarray], bool] | None = None,
+    stop: Callable[[np.ndarray, float], bool | None] | None = None,
 ) -> SweepResult:
     """Diagonalize H0 - Omega * diag(L) along a rotation grid.
 
@@ -295,9 +277,10 @@ def sweep_lowest(
     followed state. A point where E1 - E0 < DEGENERACY_TIE raises
     InputError naming its Omega: the followed state is not defined there.
 
-    `stop`, when given, sees the followed state after each point; once it
-    returns True the sweep ends there and the result holds the points
-    swept so far.
+    `stop`, when given, is called as stop(followed state, 0.0) after each
+    point: the state is exact, so it must answer True or False (None
+    counts as False). Once it returns True the sweep ends there and the
+    result holds the points swept so far.
 
     An error in any solve, or a tie, propagates from here, and no point
     past the one that `stop` accepts is solved. The inputs must be finite
@@ -345,7 +328,7 @@ def sweep_lowest(
             followed[i] = evecs[:, pick]
             rank[i] = pick
             prev = followed[i]
-            if stop is not None and stop(prev):
+            if stop is not None and stop(prev, 0.0):
                 swept = i + 1
                 break
     return SweepResult(
@@ -384,19 +367,26 @@ class ReducedModel:
         self.anchors = {}  # Omega -> (three lowest energies, (dim, 2) two lowest vectors)
         self.anchor_omegas = self.anchor_sums = self.anchor_lam2 = np.empty(0)  # ascending
 
-    def sweep(self, omegas, stop: Callable[[np.ndarray], bool] | None = None) -> SweepResult:
+    def sweep(self, omegas,
+              stop: Callable[[np.ndarray, float], bool | None] | None = None) -> SweepResult:
         """The two lowest pairs and the followed state of the pencil along
-        the ascending grid `omegas`, as `sweep_lowest` defines them; `stop`
-        as there.
+        the ascending grid `omegas`, as `sweep_lowest` defines them.
+        `stop(state, sine)` sees each point's ground state with its
+        certified sine. It returns True (end the sweep after this point) or
+        False only where that answer holds for every state within `sine`
+        of the given one; otherwise None, with no side effect, and the walk
+        solves the point densely and asks again at sine 0, where `stop`
+        must answer.
 
         The walk up the grid takes each point's certified ground state, and
         hands the rest of the grid to `sweep_lowest` from the last point it
         took (module docstring): from `dense_from` on the result is that
         sweep's, followed branch and bits. Before `dense_from` the followed
         state is the ground state at rank 0, and vec0 lies within
-        `sine_bound` <= SINE_TOL of the lowest eigenvector; so does vec1 of
-        the second without `stop`. `dense_solves` counts the dense solves
-        of this call. The inputs must be finite (InputError otherwise).
+        `sine_bound` of the lowest eigenvector; without `stop` the bound
+        is at most SINE_TOL and holds for vec1 and the second too.
+        `dense_solves` counts the dense solves of this call. The inputs
+        must be finite (InputError otherwise).
         """
         omegas = np.asarray(omegas, dtype=float)
         if self.dense_only:
@@ -493,12 +483,31 @@ class ReducedModel:
         def hand_over(i: int) -> SweepResult:
             """The walk's points before i - 1, then the dense sweep from
             point i - 1 (from 0 when i is 0), whose state there `stop` has
-            seen already."""
+            answered already."""
             start = max(i - 1, 0)
             calls = count(start - i + 1)  # from 0 when the first call repeats point i - 1
-            tail_stop = None if stop is None else (lambda state: next(calls) > 0 and stop(state))
+            tail_stop = None if stop is None else \
+                (lambda state, sine: next(calls) > 0 and stop(state, sine))
             return result(start, sweep_lowest(self.h0, self.l_diag, omegas[start:],
                                               stop=tail_stop))
+
+        def solve(i: int) -> bool:
+            """Take point i's dense pairs, anchoring it unless it is an
+            anchor; False where the walk must hand over instead."""
+            nonlocal solves
+            if omegas[i] not in self.anchors:
+                if not self._anchor(omegas[i], diagonals[i]):
+                    return False
+                solves += 1
+            theta, x = self.anchors[omegas[i]]
+            energies[i], vecs[:, i], sines[i] = theta[:2], x.T, 0.0
+            return theta[1] - theta[0] >= DEGENERACY_TIE
+
+        def joined(i: int) -> bool:
+            """False for a pair of ground states the dense follow rule
+            might not join."""
+            return not i or \
+                (vecs[0, i - 1] @ vecs[0, i]) ** 2 >= FOLLOW_FLOOR + sines[i - 1] + sines[i]
 
         if not self.anchors:
             for i in np.linspace(0, n - 1, min(SEED_POINTS, n)).round().astype(int):
@@ -506,23 +515,23 @@ class ReducedModel:
                     return hand_over(0)
                 solves += 1
         for i, omega in enumerate(omegas):
+            sine = np.inf
             if omega not in self.anchors:
                 theta, x, sine = self._ritz(omega, both=stop is None)
-                if sine <= SINE_TOL:
-                    energies[i], vecs[:, i], sines[i] = theta, x.T, sine
-                elif not self._anchor(omega, diagonals[i]):
-                    return hand_over(i)
-                else:
-                    solves += 1
-            if omega in self.anchors:
-                theta, x = self.anchors[omega]
-                if theta[1] - theta[0] < DEGENERACY_TIE:
-                    return hand_over(i)
-                energies[i], vecs[:, i] = theta[:2], x.T
-            # a pair of ground states the dense follow rule might not join
-            if i and (vecs[0, i - 1] @ vecs[0, i]) ** 2 < FOLLOW_FLOOR + sines[i - 1] + sines[i]:
+            if sine <= SINE_TOL or (stop is not None and sine < np.inf):
+                energies[i], vecs[:, i], sines[i] = theta, x.T, sine
+            elif not solve(i):
                 return hand_over(i)
-            if stop is not None and stop(vecs[0, i]):
+            if not joined(i):
+                return hand_over(i)
+            if stop is None:
+                continue
+            decided = stop(vecs[0, i], sines[i])
+            if decided is None:  # the certificate does not settle it: solve densely
+                if not (solve(i) and joined(i)):
+                    return hand_over(i)
+                decided = stop(vecs[0, i], 0.0)
+            if decided:
                 n = i + 1
                 break
         return result(n)

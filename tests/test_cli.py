@@ -13,6 +13,7 @@ import pytest
 
 import critgyro
 import critgyro.cli as cli
+import critgyro.curves as curves
 import critgyro.estimate as estimate
 import critgyro.spectrum as spectrum
 from critgyro.cli import main
@@ -246,8 +247,10 @@ def test_curve_manifest_records_what_replays_the_run(tmp_path):
     # per pair, no pre-scan on an explicit grid, then the curve's sweep
     # with its dense solves and its certified sine
     assert len(health) == 1 and set(health[0]) == {
-        "prescan_dense_solves", "prescan_dense_from", "dense_solves", "sine_bound"}
+        "prescan_dense_solves", "prescan_dense_from", "prescan_sine_bound", "dense_solves",
+        "sine_bound"}
     assert health[0]["prescan_dense_solves"] is None and health[0]["prescan_dense_from"] is None
+    assert health[0]["prescan_sine_bound"] is None
     assert 1 <= health[0]["dense_solves"] <= 3
     assert 0.0 <= health[0]["sine_bound"] <= spectrum.SINE_TOL
 
@@ -265,6 +268,7 @@ def test_curve_manifest_records_the_prescan_hand_over(tmp_path):
                                   np.linspace(*PRESCAN_RANGE, PRESCAN_POINTS))
     assert health["prescan_dense_from"] == int(np.argmax(dense.followed_rank > 0)) - 1
     assert 0 < health["prescan_dense_solves"] < PRESCAN_POINTS
+    assert 0.0 < health["prescan_sine_bound"] < 1.0  # what its stop decisions let pass
     assert 0 <= health["dense_solves"] <= 30
     assert 0.0 < health["sine_bound"] <= spectrum.SINE_TOL
 
@@ -506,6 +510,25 @@ def test_selftest_fails_when_the_reduced_sweep_drifts(monkeypatch, capsys):
     monkeypatch.setattr(spectrum.ReducedModel, "_ritz", drifting)
     assert main(["selftest"]) == 4
     assert "[FAIL] reduced sweep" in capsys.readouterr().out
+
+
+def test_selftest_fails_when_a_bracket_p0_drifts(monkeypatch, capsys):
+    """The pre-scan's dense solves at its bracket points are the only
+    `sweep_lowest` calls `curves` makes: a state off by 1e-9 there moves the
+    located grid off the dense pre-scan's."""
+    real = curves.sweep_lowest
+
+    def drifting(*args, **kwargs):
+        result = real(*args, **kwargs)
+        followed = result.followed.copy()
+        followed[:, 0] += 1e-9
+        followed /= np.linalg.norm(followed, axis=1, keepdims=True)
+        return dataclasses.replace(result, followed=followed)
+
+    monkeypatch.setattr(curves, "sweep_lowest", drifting)
+    assert main(["selftest"]) == 4
+    out = capsys.readouterr().out
+    assert "[FAIL] located grid" in out and "[ok] reduced sweep" in out
 
 
 def test_curve_of_a_one_state_sector_exits_2(tmp_path, capsys):

@@ -331,7 +331,7 @@ def _first_crossing(p, threshold):
 @pytest.mark.parametrize("g,a", DEFAULT_CATALOG_PAIRS + ((0.5, 0.0),))
 def test_prescan_stops_at_its_crossings(system6, monkeypatch, g, a):
     """The located grid is the one the whole 61-point dense pre-scan gives,
-    within 1e-12, and the pre-scan ends where the dense one does: at the
+    bit for bit, and the pre-scan ends where the dense one does: at the
     first point after both first crossings. Before `dense_from` the dense
     pre-scan follows the ground state at rank 0; from there on the
     pre-scan is the dense one, bit for bit."""
@@ -361,7 +361,7 @@ def test_prescan_stops_at_its_crossings(system6, monkeypatch, g, a):
         span = max(rel_lo - rel_hi, coarse[1] - coarse[0])
         whole = np.linspace(coarse[0] + rel_hi - span, coarse[0] + rel_lo + span,
                             REFINED_POINTS)
-        assert np.max(np.abs(grid - whole)) <= 1e-12
+        assert np.array_equal(grid, whole)
         last = max(_first_crossing(p, 0.9), _first_crossing(p, 0.1))
         assert swept == [last + 2] and last + 2 < PRESCAN_POINTS
     tail = slice(prescan.dense_from, len(prescan.omegas))
@@ -370,18 +370,48 @@ def test_prescan_stops_at_its_crossings(system6, monkeypatch, g, a):
         assert np.array_equal(getattr(prescan, name)[tail], getattr(whole_prescan, name)[tail])
 
 
+@pytest.mark.parametrize("g,a", [(0.5, 0.04), (0.5, 0.012)])
+def test_the_located_grid_is_history_free(system6, g, a):
+    """Locating a pair again, after its refined sweep added anchors to the
+    pair's model, gives the grid a fresh System locates, bit for bit."""
+    basis, cache = system6
+    first = locate_grid(basis, cache, g, a)
+    system = System.of(basis, cache)
+    model = system.model[1]
+    anchors = len(model.anchors)
+    system.sweep(g, a, first)
+    assert system.model[1] is model and len(model.anchors) > anchors
+    again = locate_grid(basis, cache, g, a)
+    assert system.model[1] is model
+    fresh_basis = enumerate_basis(6, 2, 8)
+    fresh = locate_grid(fresh_basis, ElementCache.build(fresh_basis.modes), g, a)
+    assert np.array_equal(again, fresh) and np.array_equal(first, fresh)
+
+
 @pytest.mark.parametrize("a", [0.04, 0.0])
 def test_prescan_computes_p0_once_per_swept_point(system6, monkeypatch, a):
-    """The stop rule's p0 values are the ones the located grid reads: no
-    second p_zero pass over the swept stack."""
+    """The stop rule computes p0 once per state it is handed: once per
+    swept point, again at each point it answered None and got back at
+    sine 0, and once per bracket point read from a dense solve. There is
+    no second p_zero pass over the swept stack."""
     basis, cache = system6
     real_sweep, real_p0 = spectrum.ReducedModel.sweep, curves.p_zero
-    swept, shapes = [], []
+    real_dense = curves.sweep_lowest
+    swept, shapes, undecided, brackets = [], [], [], []
 
-    def counting_sweep(*args, **kwargs):
-        result = real_sweep(*args, **kwargs)
+    def counting_sweep(self, omegas, stop=None):
+        def answering(state, sine):
+            answer = stop(state, sine)
+            undecided.append(answer is None)
+            return answer
+
+        result = real_sweep(self, omegas, answering)
         swept.append(len(result.omegas))
         return result
+
+    def counting_dense(*args, **kwargs):
+        brackets.append(1)
+        return real_dense(*args, **kwargs)
 
     def counting_p0(psi, basis):
         shapes.append(np.shape(psi))
@@ -389,9 +419,12 @@ def test_prescan_computes_p0_once_per_swept_point(system6, monkeypatch, a):
 
     monkeypatch.setattr(spectrum.ReducedModel, "sweep", counting_sweep)
     monkeypatch.setattr(curves, "p_zero", counting_p0)
+    monkeypatch.setattr(curves, "sweep_lowest", counting_dense)
     locate_grid(basis, cache, 0.5, a)
     assert len(swept) == 1
-    assert shapes == [(basis.size,)] * swept[0]
+    assert shapes == [(basis.size,)] * (swept[0] + sum(undecided) + len(brackets))
+    # (0.5, 0.04) reads its two brackets from 4 dense solves; A = 0 crosses neither
+    assert len(brackets) == (4 if a else 0)
 
 
 def test_diagnostics_do_not_reuse_an_early_stopped_prescan(system6, monkeypatch):

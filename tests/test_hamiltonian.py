@@ -217,12 +217,12 @@ def test_system_sweep_returns_the_kept_sweep_for_its_key(monkeypatch):
     # `stop` sees full-basis states; a call with it always sweeps, and its
     # result, which certifies the ground state alone, matches no whole grid
     seen = []
-    whole = system.sweep(0.5, 0.04, grid, stop=lambda state: seen.append(state) and False)
+    whole = system.sweep(0.5, 0.04, grid, stop=lambda state, sine: seen.append(state) or False)
     assert len(sweeps) == 6 and whole is not again
     assert np.array_equal(np.array(seen), system.lift(whole.followed))
     assert system.last_sweep[0] is None and system.last_sweep[1] is whole
     assert len(whole.omegas) == len(grid)
-    part = system.sweep(0.5, 0.04, grid, stop=lambda state: True)
+    part = system.sweep(0.5, 0.04, grid, stop=lambda state, sine: True)
     assert len(sweeps) == 7 and len(part.omegas) == 1
     assert system.sweep(0.5, 0.04, grid) is not part
     assert len(sweeps) == 8 and len(set(map(id, sweeps[4:]))) == 1

@@ -273,7 +273,8 @@ def test_sweep_stop_ends_after_the_point_it_accepts():
     whole = sweep_lowest(h0, l_diag, omegas)
     seen = []
 
-    def stop(state):
+    def stop(state, sine):
+        assert sine == 0.0  # the dense sweep's states are exact
         seen.append(state)
         return len(seen) == 7
 
@@ -288,7 +289,7 @@ def test_sweep_stop_ends_after_the_point_it_accepts():
     system = System(basis, ElementCache.build(basis.modes))
     lifted = []
     sector = sweep_lowest(system.sector_h0(0.5, 0.0), system.sector_l, omegas,
-                          stop=lambda state: lifted.append(system.lift(state)) or True)
+                          stop=lambda state, sine: lifted.append(system.lift(state)) or True)
     assert len(sector.omegas) == 1
     assert np.array_equal(lifted[0], system.lift(sector.followed)[0])
 
@@ -315,7 +316,8 @@ def test_a_stopped_sweep_solves_nothing_past_its_stop(system6, monkeypatch):
     whole = sweep_lowest(h0, l_diag, omegas)
     seen = []
     points.clear()
-    part = sweep_lowest(h0, l_diag, omegas, stop=lambda state: seen.append(state) or len(seen) == 7)
+    part = sweep_lowest(h0, l_diag, omegas,
+                        stop=lambda state, sine: seen.append(state) or len(seen) == 7)
     assert len(part.omegas) == 7 and part.dense_solves == 7
     for name in _SWEEP_FIELDS:
         assert np.array_equal(getattr(part, name), getattr(whole, name)[:7]), name
@@ -326,10 +328,37 @@ def test_a_stopped_sweep_solves_nothing_past_its_stop(system6, monkeypatch):
     points.clear()
     seen.clear()
     stopped = ReducedModel(h0, l_diag).sweep(
-        omegas, stop=lambda state: seen.append(state) or len(seen) == 37)
+        omegas, stop=lambda state, sine: seen.append(state) or len(seen) == 37)
     assert len(stopped.omegas) == 37 and stopped.dense_from < 36  # stopped in the tail
     seeds = np.linspace(0, len(omegas) - 1, spectrum.SEED_POINTS).round().astype(int)
     assert {i for i in points if i >= 37} <= set(seeds.tolist())
+
+
+def test_a_stop_undecided_at_every_positive_sine_makes_every_point_dense(system6):
+    """A `stop` that answers None wherever the sine is above 0 gets each
+    walked point again as a dense anchor, at sine 0, and answers each point
+    of the result once: the walk's points are its anchors, and the result
+    certifies them with sine 0."""
+    h0, l_diag, omegas, _ = _sector_prescan(*system6, 0.5, 0.04)
+    asked, answered = [], []
+
+    def exact_only(state, sine):
+        asked.append(sine)
+        if sine > 0:
+            return None
+        answered.append(state)
+        return False
+
+    model = ReducedModel(h0, l_diag)
+    result = model.sweep(omegas, stop=exact_only)
+    walked = result.omegas[:result.dense_from]
+    assert len(answered) == len(result.omegas) == len(omegas)
+    assert 0 < result.dense_from and set(walked) <= set(model.anchors)
+    assert result.sine_bound == 0.0 and any(sine > 0 for sine in asked)
+    assert np.array_equal(np.array(answered[:result.dense_from]), result.vec0[:result.dense_from])
+    # the tail's first point repeats the walk's last, which `stop` answered
+    assert np.array_equal(np.array(answered[result.dense_from + 1:]),
+                          result.followed[result.dense_from + 1:])
 
 
 def test_a_failed_solve_propagates_from_the_sweep(monkeypatch):
@@ -345,7 +374,7 @@ def test_a_failed_solve_propagates_from_the_sweep(monkeypatch):
     monkeypatch.setattr(spectrum, "_eigh", breaking)
     seen = []
     with pytest.raises(sla.LinAlgError):
-        sweep_lowest(h0, l_diag, omegas, stop=lambda state: seen.append(state) and False)
+        sweep_lowest(h0, l_diag, omegas, stop=lambda state, sine: seen.append(state) or False)
     assert len(seen) == 23  # every point before the failing one, none after
 
 
@@ -358,7 +387,7 @@ def test_an_exact_tie_fails_closed():
     threads = threading.active_count()
     with pytest.raises(InputError, match=r"at Omega = 1\.0: "):
         sweep_lowest(h0, l_diag, np.linspace(0.0, 1.5, 7),
-                     stop=lambda state: seen.append(state) and False)
+                     stop=lambda state, sine: seen.append(state) or False)
     assert len(seen) == 4
     assert threading.active_count() == threads
     with pytest.raises(ValueError, match=r"at Omega = 1\.0$"):  # so does the oracle
