@@ -7,7 +7,7 @@ returns it as a full symmetric `scipy.sparse` CSR matrix, and
 
 __version__ = "0.1.0"
 
-from .fock import Mode, FockBasis, enumerate_basis, enumerate_modes, total_L
+from .fock import Mode, FockBasis, enumerate_basis, enumerate_modes
 from .melem import ElementCache
 from .hamiltonian import System
 from .observables import (
@@ -41,7 +41,7 @@ from .estimate import (
 
 __all__ = [
     "__version__",
-    "Mode", "FockBasis", "enumerate_basis", "enumerate_modes", "total_L",
+    "Mode", "FockBasis", "enumerate_basis", "enumerate_modes",
     "ElementCache",
     "System",
     "GapProfile", "SPDM", "adiabatic_time", "critical_frequency",

@@ -6,9 +6,10 @@ CSV content, and a JSON run manifest written atomically last, whose
 `details` record the inputs that replay the run: the system with l_max
 resolved, and each `lo:hi:n` grid as [lo, hi, n] (`null` when
 auto-located). `curve`'s manifest also records, per pair, the numerical
-health of its sweeps (`spectrum.SweepResult`): the pre-scan's dense
-eigensolves, those that read the located grid's crossing values included,
-the point from which the dense sweep took it over and its worst certified
+health of its sweeps (`spectrum.SweepResult`): of the one pre-scan that
+located its grid (`curves._transition_grid` returns it), the dense
+eigensolves, those that read the grid's crossing values included, the
+point from which the dense sweep took it over and its worst certified
 sine (`prescan_dense_solves`, `prescan_dense_from`, `prescan_sine_bound`;
 null with an explicit --grid), then the curve's own sweep's dense
 eigensolves and worst certified sine (`dense_solves`, `sine_bound`). Exit
@@ -55,6 +56,7 @@ from .curves import (
     DEFAULT_CATALOG_PAIRS,
     PRESCAN_POINTS,
     PRESCAN_RANGE,
+    REFINED_POINTS,
     CurveCatalog,
     ResonanceCurve,
     catalog_build,
@@ -64,6 +66,7 @@ from .curves import (
     curve_diagnostics,
     locate_grid,
     _refined_grid,
+    _transition_grid,
 )
 from .errors import CritgyroError, InputError, ParameterError
 from .estimate import DEFAULT_PRIOR, ProtocolConfig, run_ensemble, run_protocol
@@ -184,9 +187,10 @@ def cmd_curve(args) -> int:
     system = System.of(basis, cache)
     for g, a in zip(args.g, args.A):
         grid, prescan = args.grid, None
-        if grid is None:
-            grid = locate_grid(basis, cache, g, a)
-            prescan = system.last_sweep[1]
+        if grid is None:  # locate_grid's grid, with the pre-scan that located it
+            grid, prescan = _transition_grid(basis, cache, g, a)
+            if grid is None:
+                grid = np.linspace(*PRESCAN_RANGE, REFINED_POINTS)
         curve = compute_curve(basis, cache, g, a, grid=grid)
         diag = curve_diagnostics(basis, cache, curve)
         sweep = system.sweep(g, a, curve.omega)  # the kept one

@@ -13,18 +13,20 @@ densely, and once more at each bracket point it re-reads from a dense
 solve. Sweeps run in the L-parity sector of the
 condensate (0,0)^N, the only states the followed state couples to.
 
-`hamiltonian.System.sweep` runs and keeps every sweep, so the diagnostics
-of the curve just computed cost no second sweep. Every sweep of one pair,
-the pre-scan and the refined sweep alike, runs through the pair's one
-certified reduced model (`spectrum.ReducedModel`), and the refined sweep
-starts from the anchors its pre-scan solved. Up to where the dense follow
-rule might leave the ground state, p0 is the sector ground state's within
-the sweep's `sine_bound`; from there on (`SweepResult.dense_from`) the
-dense sweep `spectrum.sweep_lowest` runs. The pre-scan accepts a point
-once its certificate settles the stop decision, so it stops where the
-dense pre-scan stops, with the same brackets, and the crossing values the
-grid reads come from dense solves: the located grid is the dense
-pre-scan's bit for bit, whatever anchors the pair's model held before.
+`hamiltonian.System.sweep` runs every sweep and keeps the last whole-grid
+one, so the diagnostics of the curve just computed cost no second sweep;
+the pre-scan goes back to its caller alone, with the grid it located.
+Every sweep of one pair, the pre-scan and the refined sweep alike, runs
+through the pair's one certified reduced model (`spectrum.ReducedModel`),
+and the refined sweep starts from the anchors its pre-scan solved. Up to
+where the dense follow rule might leave the ground state, p0 is the sector
+ground state's within the sweep's `sine_bound`; from there on
+(`SweepResult.dense_from`) the dense sweep `spectrum.sweep_lowest` runs.
+The pre-scan accepts a point once its certificate settles the stop
+decision, so it stops where the dense pre-scan stops, with the same
+brackets, and the crossing values the grid reads come from dense solves:
+the located grid is the dense pre-scan's bit for bit, whatever anchors the
+pair's model held before.
 """
 
 import json
@@ -46,7 +48,7 @@ from .observables import (
     spdm_branch_gap,
     transition_width,
 )
-from .spectrum import sweep_lowest
+from .spectrum import SweepResult, sweep_lowest
 
 CATALOG_VERSION = "critgyro-catalog-1"
 PRESCAN_RANGE = (0.70, 1.02)
@@ -141,9 +143,10 @@ class CurveDiagnostics:
 
 
 def _transition_grid(basis: FockBasis, cache: ElementCache, g: float,
-                     anisotropy: float) -> np.ndarray | None:
-    """Refined grid spanning the transition, or None when the pre-scan's
-    likelihood never crosses both 0.9 and 0.1 (e.g. zero anisotropy).
+                     anisotropy: float) -> tuple[np.ndarray | None, SweepResult]:
+    """(grid, pre-scan): the refined grid spanning the transition, or None
+    when the pre-scan's likelihood never crosses both 0.9 and 0.1 (e.g.
+    zero anisotropy), and the pre-scan's sweep.
 
     Stop rule: each state the sweep hands it gets its p0 p; the rule drops
     from `pending` each threshold t the last step brackets (previous p0 >=
@@ -158,8 +161,8 @@ def _transition_grid(basis: FockBasis, cache: ElementCache, g: float,
     answered that point itself) takes it from a two-pair dense solve at
     that one point, the solve the dense pre-scan makes there; past
     `dense_from` the rule saw the dense sweep's own states. So the grid is
-    the whole dense pre-scan's, bit for bit. The pre-scan kept as
-    `System.last_sweep` counts these solves in its `dense_solves`.
+    the whole dense pre-scan's, bit for bit. The returned pre-scan counts
+    these solves in its `dense_solves`.
     """
     coarse = np.linspace(*PRESCAN_RANGE, PRESCAN_POINTS)
     pc, pending, brackets = [], {0.9, 0.1}, set()
@@ -178,15 +181,13 @@ def _transition_grid(basis: FockBasis, cache: ElementCache, g: float,
     system = System.of(basis, cache)
     prescan = system.sweep(g, anisotropy, coarse, stop=bracketed)
     if pending:
-        return None
+        return None, prescan
     model = system.model[1]
     exact = [i for i in brackets if i <= prescan.dense_from]
     for i in exact:
         dense = sweep_lowest(model.h0, model.l_diag, coarse[i:i + 1])
         pc[i] = p_zero(system.lift(dense.followed[0]), basis)
-    system.last_sweep = (None, replace(prescan,
-                                       dense_solves=prescan.dense_solves + len(exact)))
-    return _refined_grid(pc)
+    return _refined_grid(pc), replace(prescan, dense_solves=prescan.dense_solves + len(exact))
 
 
 def _refined_grid(pc) -> np.ndarray | None:
@@ -208,7 +209,7 @@ def locate_grid(basis: FockBasis, cache: ElementCache, g: float,
     """Auto-located refined grid of REFINED_POINTS spanning the transition,
     or the PRESCAN_RANGE window when the likelihood never crosses (e.g.
     zero anisotropy)."""
-    grid = _transition_grid(basis, cache, g, anisotropy)
+    grid, _ = _transition_grid(basis, cache, g, anisotropy)
     return np.linspace(*PRESCAN_RANGE, REFINED_POINTS) if grid is None else grid
 
 
@@ -306,7 +307,7 @@ def catalog_build(basis: FockBasis, cache: ElementCache,
     grids = [grid] * len(pairs)
     if grid is None:
         for i, (g, anisotropy) in enumerate(pairs):
-            grids[i] = _transition_grid(basis, cache, g, anisotropy)
+            grids[i], _ = _transition_grid(basis, cache, g, anisotropy)
             if grids[i] is None:
                 raise ParameterError(f"catalog curves need positive widths, offender "
                                      f"{(g, anisotropy)}: its pre-scan never crosses")

@@ -25,10 +25,6 @@ class Mode(NamedTuple):
     m: int
 
 
-#: A many-body state as occupation counts per mode.
-FockState = Mapping[Mode, int]
-
-
 def landau_weight(mode: Mode) -> int:
     """Landau index n + (|m| - m)/2 of a single-particle mode."""
     n, m = mode
@@ -47,11 +43,6 @@ def enumerate_modes(n_ll: int, l_max: int) -> list[Mode]:
         for m in range(-(n_ll - 1 - n), l_max + 1):
             modes.append(Mode(n, m))
     return sorted(modes)
-
-
-def total_L(state: FockState) -> int:
-    """Total angular momentum sum(m_k * N_k) of an occupation mapping."""
-    return sum(Mode(*k).m * c for k, c in state.items())
 
 
 @dataclass(frozen=True)

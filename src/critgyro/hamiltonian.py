@@ -151,9 +151,7 @@ class System:
     the condensate (0,0)^N run in its sector: the basis rows `sector_rows`
     and L on them `sector_l`, both read-only; `lift` puts sector states
     back in the full basis. `last_sweep` is ((g, A), SweepResult) of the
-    last `sweep`, with the key None after a sweep with `stop` (the curve
-    pre-scan's also counts the dense solves that read its crossings), or
-    None.
+    last `sweep` if it swept a whole grid, or None.
     `model` is ((g, A), spectrum.ReducedModel) of the last pair swept, or
     None.
     """
@@ -183,9 +181,10 @@ class System:
 
     def sector_h0(self, g: float, anisotropy: float) -> np.ndarray:
         """Dense H(g, A, Omega = 0) on the condensate's sector: the block
-        `sector_rows` x `sector_rows` of `operators.hamiltonian`."""
-        h0 = self.operators.hamiltonian(g, anisotropy, 0.0).toarray()
-        return h0[np.ix_(self.sector_rows, self.sector_rows)]
+        `sector_rows` x `sector_rows` of `operators.hamiltonian`, sliced
+        before it is densified."""
+        rows = self.sector_rows
+        return self.operators.hamiltonian(g, anisotropy, 0.0)[rows][:, rows].toarray()
 
     def sweep(self, g: float, anisotropy: float, omegas,
               stop=None) -> spectrum.SweepResult:
@@ -204,12 +203,12 @@ class System:
         grid from `dense_from` on (see `spectrum`). `dense_solves` counts
         the dense eigensolves of the call.
 
-        The result is kept as `last_sweep`, and a call without `stop` for
-        the same g, A and points returns it. Any other call drops it before
-        it starts, so one sweep is kept at most. A sweep with `stop`
-        certifies only its ground state, so it is kept under the key None,
-        which no whole grid matches. Any other grid than a non-empty,
-        strictly ascending 1-d one raises ParameterError.
+        A whole-grid result (no `stop`) is kept as `last_sweep`, and a call
+        without `stop` for the same g, A and points returns it. Any other
+        call drops it before it starts, so one sweep is kept at most. A
+        sweep with `stop` certifies only its ground state and is kept
+        nowhere: it goes to its caller alone. Any other grid than a
+        non-empty, strictly ascending 1-d one raises ParameterError.
         """
         omegas = np.array(omegas, dtype=float)  # a copy: the key outlives the caller's array
         if omegas.ndim != 1 or not omegas.size or np.any(np.diff(omegas) <= 0):
@@ -226,7 +225,8 @@ class System:
                                                      self.sector_l))
         result = self.model[1].sweep(omegas, stop=None if stop is None else
                                      lambda state, sine: stop(self.lift(state), sine))
-        self.last_sweep = (key if stop is None else None, result)
+        if stop is None:
+            self.last_sweep = (key, result)
         return result
 
     def lift(self, vectors: np.ndarray) -> np.ndarray:

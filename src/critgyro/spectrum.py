@@ -89,14 +89,16 @@ ground states within s_i + s_(i+1). The dense sweep keeps the ground state
 as the followed state at rank 0 as long as every such overlap^2 is at
 least FOLLOW_FLOOR. So the walk stops at the first step i -> i + 1 whose
 overlap^2 falls below FOLLOW_FLOOR plus that bound, where the dense follow
-rule might leave rank 0, and hands the rest of the grid to `sweep_lowest`,
-starting afresh with a dense solve at point i. Up to i the dense sweep
-followed the ground state, and each of its solves depends on its point
-alone, so from i on (`SweepResult.dense_from`) the result is the dense
-sweep's, bit for bit. The walk also hands over where a dense pair ties (the
-dense sweep then fails closed there) or where Q would pass half the
-dimension (a subspace that large gains nothing on the dense sweep). `stop`
-answers every point once, in order. A pencil whose H0 has no element
+rule might leave rank 0, and hands the rest of the grid to the dense
+follow rule, the loop `sweep_lowest` runs, which starts afresh with a
+dense solve at point i and writes into the walk's own arrays. Up to i the
+dense sweep followed the ground state, and each of its solves depends on
+its point alone, so from i on (`SweepResult.dense_from`) the result is the
+dense sweep's, bit for bit. The walk also hands over where a dense pair
+ties (the dense sweep then fails closed there) or where Q would pass half
+the dimension (a subspace that large gains nothing on the dense sweep).
+`stop` answers every point once, in order: the dense loop does not ask
+it again about a point the walk settled. A pencil whose H0 has no element
 between states of different L (zero anisotropy) commutes with diag(L): its
 sectors cross exactly, the follow rule defines the branch, and its sweeps
 go to `sweep_lowest` at once.
@@ -134,7 +136,6 @@ import ctypes
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cache
-from itertools import count
 from pathlib import Path
 from typing import Callable
 
@@ -260,6 +261,57 @@ def _diagonals(h0: np.ndarray, l_diag, omegas) -> np.ndarray:
     return diagonals
 
 
+def _follow(h0: np.ndarray, omegas, diagonals, out: tuple, start: int = 0,
+            stop=None, ask_from: int = 0) -> int:
+    """The dense follow rule (`sweep_lowest`) from point `start` to the end
+    of the grid, the followed state starting afresh from the ground state
+    there. Point i, whose matrix diagonal is diagonals[i], goes into row i
+    of each array of `out`: (energies, vec0, vec1, followed, rank).
+    stop(followed state, 0.0) is asked from point `ask_from` on; the loop
+    ends after the point it accepts. Returns the end of the rows written."""
+    energies, vec0, vec1, followed, rank = out
+    dim, pairs = vec0.shape[1], energies.shape[1]
+    k = min(BRANCH_WINDOW, dim)
+    workspace = _workspace(dim)
+    prev = None
+    for i in range(start, len(omegas)):
+        evals, evecs = _eigh(h0, workspace, subset_by_index=(0, pairs - 1),
+                             diagonal=diagonals[i])
+        if pairs > 1 and evals[1] - evals[0] < DEGENERACY_TIE:
+            raise InputError(f"degenerate ground state at Omega = {float(omegas[i])}: "
+                             f"E1 - E0 = {evals[1] - evals[0]:.3g} leaves the followed "
+                             f"state undefined")
+        energies[i] = evals
+        vec0[i] = evecs[:, 0]
+        vec1[i] = evecs[:, pairs - 1]
+        if prev is None or (prev @ evecs[:, 0]) ** 2 >= FOLLOW_FLOOR:
+            pick = 0
+        else:
+            if k > pairs:
+                evals, evecs = _eigh(h0, workspace, subset_by_index=(0, k - 1),
+                                     diagonal=diagonals[i])
+            overlaps = np.abs(prev @ evecs)
+            pick = int(np.argmax(overlaps))
+            if overlaps[pick] ** 2 <= BRANCH_MAJORITY:
+                # the branch left the window (exact sector crossing at
+                # zero anisotropy): resolve against the full spectrum
+                _, evecs = _eigh(h0, workspace, diagonal=diagonals[i])
+                pick = int(np.argmax(np.abs(prev @ evecs)))
+        followed[i] = evecs[:, pick]
+        rank[i] = pick
+        prev = followed[i]
+        if stop is not None and i >= ask_from and stop(prev, 0.0):
+            return i + 1
+    return len(omegas)
+
+
+def _arrays(n: int, dim: int) -> tuple:
+    """Uninitialized (energies, vec0, vec1, followed, rank) of n points of
+    a dim-state sweep, which solves min(2, dim) pairs."""
+    return (np.empty((n, min(2, dim))), np.empty((n, dim)), np.empty((n, dim)),
+            np.empty((n, dim)), np.zeros(n, dtype=np.int64))
+
+
 def sweep_lowest(
     h0_dense: np.ndarray,
     l_diag: np.ndarray,
@@ -286,62 +338,14 @@ def sweep_lowest(
     past the one that `stop` accepts is solved. The inputs must be finite
     (InputError otherwise); so then is the matrix at every point.
     """
-    dim = h0_dense.shape[0]
-    k = min(BRANCH_WINDOW, dim)
-    pairs = min(2, k)
-    n = len(omegas)
-    energies = np.empty((n, pairs))
-    vec0 = np.empty((n, dim))
-    vec1 = np.empty((n, dim))
-    followed = np.empty((n, dim))
-    rank = np.zeros(n, dtype=np.int64)
-    prev = None
     h0 = np.asarray(h0_dense, dtype=float)
+    omegas = np.asarray(omegas, dtype=float)
     diagonals = _diagonals(h0, l_diag, omegas)
-    workspace = _workspace(dim)
-
-    swept = n
+    out = _arrays(len(omegas), h0.shape[0])
     with _one_blas_thread():
-        for i, diagonal in enumerate(diagonals):
-            evals, evecs = _eigh(h0, workspace, subset_by_index=(0, pairs - 1),
-                                 diagonal=diagonal)
-            if pairs > 1 and evals[1] - evals[0] < DEGENERACY_TIE:
-                raise InputError(f"degenerate ground state at Omega = {float(omegas[i])}: "
-                                 f"E1 - E0 = {evals[1] - evals[0]:.3g} leaves the followed "
-                                 f"state undefined")
-            energies[i] = evals
-            vec0[i] = evecs[:, 0]
-            vec1[i] = evecs[:, pairs - 1]
-            if prev is None or (prev @ evecs[:, 0]) ** 2 >= FOLLOW_FLOOR:
-                pick = 0
-            else:
-                if k > pairs:
-                    evals, evecs = _eigh(h0, workspace, subset_by_index=(0, k - 1),
-                                         diagonal=diagonal)
-                overlaps = np.abs(prev @ evecs)
-                pick = int(np.argmax(overlaps))
-                if overlaps[pick] ** 2 <= BRANCH_MAJORITY:
-                    # the branch left the window (exact sector crossing at
-                    # zero anisotropy): resolve against the full spectrum
-                    _, evecs = _eigh(h0, workspace, diagonal=diagonal)
-                    pick = int(np.argmax(np.abs(prev @ evecs)))
-            followed[i] = evecs[:, pick]
-            rank[i] = pick
-            prev = followed[i]
-            if stop is not None and stop(prev, 0.0):
-                swept = i + 1
-                break
-    return SweepResult(
-        omegas=np.asarray(omegas, dtype=float)[:swept],
-        energies=energies[:swept],
-        vec0=vec0[:swept],
-        vec1=vec1[:swept],
-        followed=followed[:swept],
-        followed_rank=rank[:swept],
-        dense_solves=swept,
-        sine_bound=0.0,
-        dense_from=0,
-    )
+        swept = _follow(h0, omegas, diagonals, out, stop=stop)
+    return SweepResult(omegas[:swept], *(a[:swept] for a in out), dense_solves=swept,
+                       sine_bound=0.0, dense_from=0)
 
 
 class ReducedModel:
@@ -379,12 +383,13 @@ class ReducedModel:
         must answer.
 
         The walk up the grid takes each point's certified ground state, and
-        hands the rest of the grid to `sweep_lowest` from the last point it
-        took (module docstring): from `dense_from` on the result is that
-        sweep's, followed branch and bits. Before `dense_from` the followed
-        state is the ground state at rank 0, and vec0 lies within
-        `sine_bound` of the lowest eigenvector; without `stop` the bound
-        is at most SINE_TOL and holds for vec1 and the second too.
+        hands the rest of the grid to the dense follow rule of
+        `sweep_lowest` from the last point it took (module docstring): from
+        `dense_from` on the result is that sweep's, followed branch and
+        bits. Before `dense_from` the followed state is the ground state at
+        rank 0, and vec0 lies within `sine_bound` of the lowest
+        eigenvector; without `stop` the bound is at most SINE_TOL and holds
+        for vec1 and the second too.
         `dense_solves` counts the dense solves of this call. The inputs
         must be finite (InputError otherwise).
         """
@@ -462,34 +467,27 @@ class ReducedModel:
         """`sweep`'s walk up the grid (module docstring)."""
         n, dim = len(omegas), self.h0.shape[0]
         diagonals = _diagonals(self.h0, self.l_diag, omegas)
-        energies = np.empty((n, 2))
-        vecs = np.empty((2, n, dim))  # vec0, vec1
+        out = _arrays(n, dim)
+        energies, vec0, vec1, followed, _ = out
         sines = np.zeros(n)
         solves = 0
 
-        def result(head: int, tail: SweepResult | None = None) -> SweepResult:
-            """The walk's points before `head`, then the dense `tail`."""
-            parts = [(omegas[:head], energies[:head], vecs[0, :head], vecs[1, :head],
-                      vecs[0, :head], np.zeros(head, dtype=np.int64))]
-            if tail is not None:
-                parts.append((tail.omegas, tail.energies, tail.vec0, tail.vec1,
-                              tail.followed, tail.followed_rank))
-            om, en, v0, v1, followed, rank = (np.concatenate(x) for x in zip(*parts))
-            return SweepResult(
-                omegas=om, energies=en, vec0=v0, vec1=v1, followed=followed,
-                followed_rank=rank, dense_solves=solves + (tail.dense_solves if tail else 0),
-                sine_bound=float(sines[:head].max(initial=0.0)), dense_from=head)
+        def result(swept: int, head: int) -> SweepResult:
+            """The first `swept` points, the walk's before `head`, where the
+            followed state is the ground state at rank 0."""
+            followed[:head] = vec0[:head]
+            return SweepResult(omegas[:swept], *(a[:swept] for a in out), dense_solves=solves,
+                               sine_bound=float(sines[:head].max(initial=0.0)), dense_from=head)
 
         def hand_over(i: int) -> SweepResult:
-            """The walk's points before i - 1, then the dense sweep from
-            point i - 1 (from 0 when i is 0), whose state there `stop` has
-            answered already."""
+            """The walk's points before i - 1, then the dense follow rule
+            from point i - 1 (from 0 when i is 0), asking `stop` from point
+            i on: it has answered point i - 1 already."""
+            nonlocal solves
             start = max(i - 1, 0)
-            calls = count(start - i + 1)  # from 0 when the first call repeats point i - 1
-            tail_stop = None if stop is None else \
-                (lambda state, sine: next(calls) > 0 and stop(state, sine))
-            return result(start, sweep_lowest(self.h0, self.l_diag, omegas[start:],
-                                              stop=tail_stop))
+            swept = _follow(self.h0, omegas, diagonals, out, start, stop, ask_from=i)
+            solves += swept - start
+            return result(swept, start)
 
         def solve(i: int) -> bool:
             """Take point i's dense pairs, anchoring it unless it is an
@@ -500,14 +498,14 @@ class ReducedModel:
                     return False
                 solves += 1
             theta, x = self.anchors[omegas[i]]
-            energies[i], vecs[:, i], sines[i] = theta[:2], x.T, 0.0
+            energies[i], (vec0[i], vec1[i]), sines[i] = theta[:2], x.T, 0.0
             return theta[1] - theta[0] >= DEGENERACY_TIE
 
         def joined(i: int) -> bool:
             """False for a pair of ground states the dense follow rule
             might not join."""
             return not i or \
-                (vecs[0, i - 1] @ vecs[0, i]) ** 2 >= FOLLOW_FLOOR + sines[i - 1] + sines[i]
+                (vec0[i - 1] @ vec0[i]) ** 2 >= FOLLOW_FLOOR + sines[i - 1] + sines[i]
 
         if not self.anchors:
             for i in np.linspace(0, n - 1, min(SEED_POINTS, n)).round().astype(int):
@@ -519,19 +517,19 @@ class ReducedModel:
             if omega not in self.anchors:
                 theta, x, sine = self._ritz(omega, both=stop is None)
             if sine <= SINE_TOL or (stop is not None and sine < np.inf):
-                energies[i], vecs[:, i], sines[i] = theta, x.T, sine
+                energies[i], (vec0[i], vec1[i]), sines[i] = theta, x.T, sine
             elif not solve(i):
                 return hand_over(i)
             if not joined(i):
                 return hand_over(i)
             if stop is None:
                 continue
-            decided = stop(vecs[0, i], sines[i])
+            decided = stop(vec0[i], sines[i])
             if decided is None:  # the certificate does not settle it: solve densely
                 if not (solve(i) and joined(i)):
                     return hand_over(i)
-                decided = stop(vecs[0, i], 0.0)
+                decided = stop(vec0[i], 0.0)
             if decided:
                 n = i + 1
                 break
-        return result(n)
+        return result(n, n)

@@ -273,6 +273,30 @@ def test_curve_manifest_records_the_prescan_hand_over(tmp_path):
     assert 0.0 < health["sine_bound"] <= spectrum.SINE_TOL
 
 
+def test_curve_runs_one_prescan_per_pair(tmp_path, monkeypatch):
+    """Each auto-grid pair runs one stopped sweep, the pre-scan whose
+    health the manifest records, then its curve's whole grid; a pair
+    without a transition takes the PRESCAN_RANGE window from that same
+    pre-scan. A = 0 runs all 61 points densely; (0.5, 0.04), on a fresh
+    model, takes 15 dense solves, its 4 bracket re-reads included."""
+    calls = []
+    real = spectrum.ReducedModel.sweep
+
+    def spying(self, omegas, stop=None):
+        calls.append((self, stop is not None))
+        return real(self, omegas, stop)
+
+    monkeypatch.setattr(spectrum.ReducedModel, "sweep", spying)
+    out = tmp_path / "curve.csv"
+    assert main(["curve", "--g", "0.5", "--A", "0.0", "--g", "0.5", "--A", "0.04",
+                 "--out", str(out)]) == 0
+    zero, aniso = calls[0][0], calls[-1][0]
+    assert zero is not aniso
+    assert calls == [(zero, True), (zero, False), (aniso, True), (aniso, False)]
+    health = _details(out)["sweeps"]
+    assert [h["prescan_dense_solves"] for h in health] == [PRESCAN_POINTS, 15]
+
+
 def test_catalog_manifest_records_what_replays_the_run(tmp_path):
     out = tmp_path / "cat.json"
     assert main(["catalog", "--pairs", "0.5:0.04", "--out", str(out)]) == 0

@@ -27,6 +27,7 @@ from critgyro.curves import (
     curve_diagnostics,
     locate_grid,
     lookup_by_width,
+    _transition_grid,
 )
 from critgyro.errors import ParameterError, StaleCatalogError
 from critgyro.fock import KeyIndex, enumerate_basis
@@ -345,9 +346,8 @@ def test_prescan_stops_at_its_crossings(system6, monkeypatch, g, a):
         return result
 
     monkeypatch.setattr(spectrum.ReducedModel, "sweep", counting)
-    grid = locate_grid(basis, cache, g, a)
+    grid, prescan = _transition_grid(basis, cache, g, a)
     system = System.of(basis, cache)
-    prescan = system.last_sweep[1]
     coarse = np.linspace(*PRESCAN_RANGE, PRESCAN_POINTS)
     whole_prescan = spectrum.sweep_lowest(system.sector_h0(g, a), system.sector_l, coarse)
     p = p_zero(system.lift(whole_prescan.followed), basis)
@@ -356,7 +356,9 @@ def test_prescan_stops_at_its_crossings(system6, monkeypatch, g, a):
     if a == 0.0:  # no transition: the pre-scan runs in full
         assert rel_hi is None or rel_lo is None
         assert swept == [PRESCAN_POINTS]
-        assert np.array_equal(grid, np.linspace(*PRESCAN_RANGE, REFINED_POINTS))
+        assert grid is None
+        assert np.array_equal(locate_grid(basis, cache, g, a),
+                              np.linspace(*PRESCAN_RANGE, REFINED_POINTS))
     else:
         span = max(rel_lo - rel_hi, coarse[1] - coarse[0])
         whole = np.linspace(coarse[0] + rel_hi - span, coarse[0] + rel_lo + span,
@@ -437,9 +439,10 @@ def test_diagnostics_do_not_reuse_an_early_stopped_prescan(system6, monkeypatch)
         return real(*args, **kwargs)
 
     monkeypatch.setattr(spectrum.ReducedModel, "sweep", counting)
-    locate_grid(basis, cache, 0.5, 0.04)
+    _, prescan = _transition_grid(basis, cache, 0.5, 0.04)
     coarse = np.linspace(*PRESCAN_RANGE, PRESCAN_POINTS)
-    assert len(System.of(basis, cache).last_sweep[1].omegas) < PRESCAN_POINTS
+    assert len(prescan.omegas) < PRESCAN_POINTS
+    assert System.of(basis, cache).last_sweep is None  # a stopped sweep is kept nowhere
     curve = ResonanceCurve.from_values(0.5, 0.04, coarse,
                                        np.linspace(1.0, 0.0, PRESCAN_POINTS))
     diag = curve_diagnostics(basis, cache, curve)

@@ -10,7 +10,6 @@ from critgyro.fock import (
     enumerate_basis,
     enumerate_modes,
     landau_weight,
-    total_L,
 )
 from oracle import oracle_basis, oracle_modes
 
@@ -44,12 +43,6 @@ def test_landau_weight():
     assert landau_weight(Mode(0, -1)) == 1
     assert landau_weight(Mode(1, 0)) == 1
     assert landau_weight(Mode(1, -1)) == 2
-
-
-def test_total_L_examples():
-    assert total_L({Mode(0, 0): 6}) == 0
-    assert total_L({Mode(0, 0): 5, Mode(0, 2): 1}) == 2
-    assert total_L({Mode(0, 0): 4, Mode(0, -1): 1, Mode(0, 3): 1}) == 2
 
 
 def test_vacuum_basis():

@@ -165,6 +165,17 @@ def test_system_operators_are_shared_per_basis_and_cache():
         ops.d[0] = 0.0
 
 
+@pytest.mark.parametrize("g,a", [(0.5, 0.04), (0.6, 0.025)])
+def test_sector_h0_is_the_sector_block_of_the_dense_h(system6, g, a):
+    """On the production basis the sector matrix, sliced from the sparse H
+    before it is densified, is the sector block of the dense H, bit for
+    bit."""
+    system = System.of(*system6)
+    full = system.operators.hamiltonian(g, a, 0.0).toarray()
+    sector = np.ix_(system.sector_rows, system.sector_rows)
+    assert np.array_equal(system.sector_h0(g, a), full[sector])
+
+
 @pytest.mark.parametrize("grid", [0.9, [], [[0.85, 0.9], [0.92, 0.95]],
                                   [0.95, 0.9, 0.85], [0.85, 0.9, 0.9, 0.95]],
                          ids=["scalar", "empty", "2d", "descending", "repeated"])
@@ -184,9 +195,9 @@ def test_system_sweep_refuses_a_bad_grid_before_any_solve(grid, monkeypatch):
 def test_system_sweep_returns_the_kept_sweep_for_its_key(monkeypatch):
     """A sweep without `stop` for the kept g, A and points is the kept
     result; a new g, A or grid, and any call with `stop`, sweep again, and
-    the kept sweep is released before each new one. Every sweep of one
-    pair runs through that pair's one model, which a sweep of another pair
-    replaces."""
+    the kept sweep is released before each new one; a call with `stop`
+    keeps nothing. Every sweep of one pair runs through that pair's one
+    model, which a sweep of another pair replaces."""
     basis = enumerate_basis(4, 2, 6)
     system = System(basis, ElementCache.build(basis.modes))
     sweeps = []
@@ -215,12 +226,12 @@ def test_system_sweep_returns_the_kept_sweep_for_its_key(monkeypatch):
     for field in dataclasses.fields(first):  # a fresh model on the same grid
         assert np.array_equal(getattr(again, field.name), getattr(first, field.name)), field
     # `stop` sees full-basis states; a call with it always sweeps, and its
-    # result, which certifies the ground state alone, matches no whole grid
+    # result, which certifies the ground state alone, is kept nowhere
     seen = []
     whole = system.sweep(0.5, 0.04, grid, stop=lambda state, sine: seen.append(state) or False)
     assert len(sweeps) == 6 and whole is not again
     assert np.array_equal(np.array(seen), system.lift(whole.followed))
-    assert system.last_sweep[0] is None and system.last_sweep[1] is whole
+    assert system.last_sweep is None
     assert len(whole.omegas) == len(grid)
     part = system.sweep(0.5, 0.04, grid, stop=lambda state, sine: True)
     assert len(sweeps) == 7 and len(part.omegas) == 1

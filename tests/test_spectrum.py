@@ -19,7 +19,7 @@ from critgyro.curves import (
     PRESCAN_RANGE,
     REFINED_POINTS,
     catalog_load,
-    locate_grid,
+    _transition_grid,
 )
 from critgyro.hamiltonian import System, build_operators
 from critgyro.melem import ElementCache
@@ -526,10 +526,10 @@ def test_located_grids_match_the_reference_catalog(system6, g, a):
     basis, cache = system6
     system = System.of(basis, cache)
     reference = catalog_load(REFERENCE_CATALOG).find(g, a)
-    grid = locate_grid(basis, cache, g, a)
+    grid, prescan = _transition_grid(basis, cache, g, a)
     assert grid.shape == reference.omega.shape
     assert np.max(np.abs(grid - reference.omega)) <= 1e-9
-    prescan, model = system.last_sweep[1], system.model[1]
+    model = system.model[1]
     window = _window(reference.p0)
     refined = system.sweep(g, a, reference.omega[window])
     assert system.model[1] is model
