@@ -14,21 +14,22 @@ ascending grid.
 
 Ensembles run on every CPU, with the bits of a serial run. Trajectory
 `index` draws from `trajectory_rng(master, index)` alone, so `run_ensemble`
-forks a process pool with one worker per CPU the process may use
-(`_workers`), never more workers than trajectories. The pool
-maps the indices in chunks of ceil(n / W) and forks one worker per chunk
-(fewer than W when the chunks run out, as for n = 5 on W = 4: chunks
-2, 2, 1), each trajectory through the unchanged
-`run_protocol` on one BLAS thread, and returns the rows in index order: the
+splits the indices into chunks of ceil(n / W), with W one per CPU the
+process may use (`_workers`) and never more than the trajectories; the
+chunks may run out before W (n = 5 on W = 4: chunks 2, 2, 1). The calling
+process runs chunk 0, and each further chunk runs in one forked
+`multiprocessing` process that sends its rows back through a one-way pipe.
+Every trajectory runs through the unchanged `run_protocol` on one BLAS
+thread, and the caller reads the children's rows in index order: the
 `EnsembleResult` is the serial one bit for bit, whatever W. The config,
-the catalog and the master seed reach the workers as arguments, bound in
-`functools.partial(_run_one, config, catalog, seed)` and pickled with each
-chunk: for the reference catalog (98 KB pickled) that costs about 0.1 ms
-to dump and 0.05 ms to load per chunk. There is no pool for one CPU or one
-trajectory, where `fork` is not a start method, or while another thread is
-alive in the process (a fork copies no thread, and a lock one held would
-stay locked in the child); those ensembles run serially. The pool was
-measured on 2 CPUs only.
+the catalog and the master seed reach a child through the fork, as the
+arguments of its target, and are never pickled; only its rows, or its
+error, cross the pipe. No child is forked for one CPU or one trajectory,
+where `fork` is not a start method, or while another thread is alive in
+the process (a fork copies no thread, and a lock one held would stay
+locked in the child); those ensembles run in the caller alone. On a no-op
+50-trajectory ensemble the fork, the pipe and the join cost 6-8 ms at best
+and 8-10 ms in the median of 30 runs; this was measured on 2 CPUs only.
 
 A trajectory draws Bernoulli outcomes from the likelihood curve at the
 true rotation (plus the recentering shift), multiplies the posterior by
@@ -317,15 +318,46 @@ def _workers() -> int:
 
 
 def _ensemble_workers(n_traj: int) -> int:
-    """Processes an ensemble of n_traj trajectories runs on (module docstring)."""
+    """Processes an ensemble of n_traj trajectories runs on, the caller
+    included: one per chunk (module docstring)."""
     workers = min(_workers(), n_traj)
     if workers < 2 or threading.active_count() > 1:
         return 1
-    import multiprocessing  # only where a pool may run: CLI start-up skips it
+    import multiprocessing  # only where a child may be forked: CLI start-up skips it
 
     if "fork" not in multiprocessing.get_all_start_methods():
         return 1
     return math.ceil(n_traj / math.ceil(n_traj / workers))  # one per chunk
+
+
+def _send_rows(one, chunk, send):
+    """Body of a forked child: `(True, rows)` of the trajectories in `chunk`,
+    or `(False, error)` for the first that raised, through `send`. `one`
+    and `chunk` are inherited through the fork, not pickled."""
+    try:
+        message = True, [one(index) for index in chunk]
+    except Exception as exc:  # re-raised in the caller with its own type
+        message = False, exc
+    send.send(message)
+
+
+def _fork(one, chunk):
+    """A started fork-context child running `_send_rows(one, chunk, ...)` and
+    the read end of its pipe; the caller's copy of the send end is closed,
+    so the read end sees EOF once the child has exited."""
+    import multiprocessing
+
+    receive, send = multiprocessing.Pipe(duplex=False)
+    child = multiprocessing.get_context("fork").Process(
+        target=_send_rows, args=(one, chunk, send))
+    try:
+        child.start()
+    except BaseException:
+        receive.close()
+        raise
+    finally:
+        send.close()
+    return child, receive
 
 
 def run_ensemble(config: ProtocolConfig, catalog: CurveCatalog, n_trajectories: int,
@@ -335,14 +367,16 @@ def run_ensemble(config: ProtocolConfig, catalog: CurveCatalog, n_trajectories: 
     ParameterError for a bad argument.
 
     Degenerate trajectories abort and are counted, not retried. The
-    trajectories run on a fork-context process pool of `workers` processes
-    (one per CPU, at most one per chunk of ceil(n_trajectories / workers)
-    indices; the module docstring says when there is none), each on one
-    BLAS thread. The pool maps `_run_one` with the config, catalog and seed
-    bound as arguments over the indices and returns the rows in trajectory
-    order, so the result equals a serial run's bit for bit. Any other error
-    of a trajectory propagates with its own type, and no worker process or
-    pool thread outlives the call.
+    indices are split into `workers` chunks of ceil(n_trajectories /
+    workers) (module docstring). The caller runs chunk 0, and each further
+    chunk runs in a fork-context `multiprocessing.Process`, all on one BLAS
+    thread. A child inherits the config, catalog and seed through the fork
+    and sends its rows through a one-way pipe; the caller reads them in
+    trajectory order, so the result equals a serial run's bit for bit. Any
+    other error of a trajectory propagates with its own type, the lowest
+    chunk's first, and a child that exits without sending its rows raises
+    ChildProcessError with its exit code. No child process or thread
+    outlives the call.
     """
     n_traj = _integer("n_trajectories", n_trajectories)
     if n_traj < 1:
@@ -351,18 +385,31 @@ def run_ensemble(config: ProtocolConfig, catalog: CurveCatalog, n_trajectories: 
     if seed < 0:
         raise ParameterError(f"master_seed must be >= 0, got {seed}")
     workers = _ensemble_workers(n_traj)
+    size = math.ceil(n_traj / workers)
+    chunks = [range(n_traj)[start:start + size] for start in range(0, n_traj, size)]
     one = functools.partial(_run_one, config, catalog, seed)
-    with spectrum._one_blas_thread():  # the workers inherit it through the fork
-        if workers < 2:
-            done = [one(index) for index in range(n_traj)]
-        else:
-            import multiprocessing
-            from concurrent.futures import ProcessPoolExecutor
-
-            with ProcessPoolExecutor(
-                    workers, mp_context=multiprocessing.get_context("fork")) as pool:
-                done = list(pool.map(one, range(n_traj),
-                                     chunksize=math.ceil(n_traj / workers)))
+    children = []
+    try:
+        with spectrum._one_blas_thread():  # the children inherit it through the fork
+            for chunk in chunks[1:]:
+                children.append(_fork(one, chunk))
+            done = [one(index) for index in chunks[0]]
+        for (child, receive), chunk in zip(children, chunks[1:]):
+            try:
+                sent, rows = receive.recv()
+            except EOFError:
+                child.join()
+                raise ChildProcessError(
+                    f"the process running trajectories {chunk.start}-{chunk.stop - 1} "
+                    f"exited with code {child.exitcode} before sending its rows") from None
+            if not sent:
+                raise rows  # the child's error, with its own type
+            done += rows
+    finally:
+        for child, receive in children:
+            child.terminate()  # no effect on a child that has exited
+            child.join()
+            receive.close()
     kept = [index for index, (trace, _, _) in enumerate(done) if trace is not None]
     aborted = [abort_index for trace, abort_index, _ in done if trace is None]
     if not kept:

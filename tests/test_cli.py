@@ -360,7 +360,7 @@ def test_selftest_fails_when_the_solver_drifts_from_scipy_eigh(monkeypatch):
 
 
 def test_import_leaves_sparse_linalg_unloaded():
-    """Nor the process-pool modules: run_ensemble imports them when it forks."""
+    """Nor multiprocessing: run_ensemble imports it when it may fork."""
     code = (
         "import importlib, pkgutil, sys\n"
         "import critgyro\n"

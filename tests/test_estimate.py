@@ -1,10 +1,14 @@
 import ast
+import contextlib
+import dataclasses
 import inspect
 import math
 import multiprocessing
 import os
 import re
+import signal
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -487,14 +491,22 @@ def test_estimate_keeps_no_global_state():
     assert not [node for node in ast.walk(tree) if isinstance(node, ast.Global)]
 
 
+def _assert_no_child_or_thread(threads):
+    """No process or thread an ensemble made is left. `active_children`
+    sees only the processes `multiprocessing` made; `waitpid` sees all."""
+    assert multiprocessing.active_children() == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert threading.active_count() == threads
+
+
 def test_ensemble_pool_leaves_no_process_or_thread(monkeypatch):
     threads = threading.active_count()
     cfg = ProtocolConfig(seed=31, n_measurements=20,
                          initial_g=0.5, initial_anisotropy=0.01)
     monkeypatch.setattr(estimate, "_workers", lambda: 2)
     assert run_ensemble(cfg, synthetic_catalog(), n_trajectories=5).workers == 2
-    assert multiprocessing.active_children() == []
-    assert threading.active_count() == threads
+    _assert_no_child_or_thread(threads)
 
 
 @pytest.mark.parametrize("error", [ParameterError, RangeError])
@@ -513,8 +525,133 @@ def test_worker_error_reaches_the_caller_with_its_type(error, monkeypatch):
                          initial_g=0.5, initial_anisotropy=0.01)
     with pytest.raises(error, match="trajectory 3 failed"):
         run_ensemble(cfg, synthetic_catalog(), n_trajectories=6)
-    assert multiprocessing.active_children() == []
-    assert threading.active_count() == threads
+    _assert_no_child_or_thread(threads)
+
+
+def _spy_on_forks(monkeypatch) -> list:
+    """The processes the ensemble forks, in the order it starts them."""
+    started = []
+    real = multiprocessing.context.ForkProcess.start
+
+    def start(self):
+        started.append(self)
+        real(self)
+
+    monkeypatch.setattr(multiprocessing.context.ForkProcess, "start", start)
+    return started
+
+
+@contextlib.contextmanager
+def _within(seconds):
+    """Fail the test instead of hanging once `seconds` have passed (not with
+    a TimeoutError: `multiprocessing` swallows an OSError from `waitpid`)."""
+    def expire(signum, frame):
+        pytest.fail(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("n_trajectories,cpus,forks", [(9, 2, 1), (5, 4, 2), (9, 1, 0)])
+def test_ensemble_runs_chunk_0_in_the_caller_and_forks_the_rest(
+        n_trajectories, cpus, forks, monkeypatch):
+    """One process per chunk after the first: 5 trajectories on 4 CPUs
+    make chunks 2, 2, 1. Each row is stamped with the pid that ran it."""
+    started = _spy_on_forks(monkeypatch)
+    real = estimate.run_protocol
+
+    def stamped(config, catalog, rng=None):
+        res = real(config, catalog, rng=rng)
+        return dataclasses.replace(res, sigma_trace=np.full_like(res.sigma_trace, os.getpid()))
+
+    monkeypatch.setattr(estimate, "run_protocol", stamped)
+    monkeypatch.setattr(estimate, "_workers", lambda: cpus)
+    cfg = ProtocolConfig(seed=31, n_measurements=10,
+                         initial_g=0.5, initial_anisotropy=0.01)
+    ens = run_ensemble(cfg, synthetic_catalog(), n_trajectories=n_trajectories)
+    assert len(started) == forks == ens.workers - 1
+    pids = ens.sigma[:, 0]
+    chunk = math.ceil(n_trajectories / ens.workers)
+    assert np.all(pids[:chunk] == os.getpid())
+    assert set(pids[chunk:]) == {child.pid for child in started}
+
+
+def test_ensemble_hands_its_inputs_to_the_children_by_fork(monkeypatch):
+    """The catalog reaches the forked process without being pickled."""
+    def refused(self, protocol):
+        raise AssertionError("catalog pickled")
+
+    monkeypatch.setattr(CurveCatalog, "__reduce_ex__", refused)
+    cfg = ProtocolConfig(seed=31, n_measurements=60, schedule=(12, 32),
+                         initial_g=0.5, initial_anisotropy=0.01)
+    serial, forked = _ensembles_on((1, 2), monkeypatch, cfg, synthetic_catalog(), 7)
+    _assert_same_bits(serial, forked)
+
+
+def test_callers_error_terminates_the_forked_process(monkeypatch):
+    """Trajectory 0 fails in the caller while the child's trajectories
+    would run for a minute: the error keeps its type, the child is
+    terminated and reaped."""
+    threads = threading.active_count()
+    started = _spy_on_forks(monkeypatch)
+
+    def fails_here_sleeps_there(config, catalog, rng=None):
+        if _trajectory_index(rng) == 0:
+            raise RangeError("trajectory 0 failed")
+        time.sleep(60)
+
+    monkeypatch.setattr(estimate, "run_protocol", fails_here_sleeps_there)
+    monkeypatch.setattr(estimate, "_workers", lambda: 2)
+    cfg = ProtocolConfig(seed=31, n_measurements=10,
+                         initial_g=0.5, initial_anisotropy=0.01)
+    with _within(30), pytest.raises(RangeError, match="trajectory 0 failed"):
+        run_ensemble(cfg, synthetic_catalog(), n_trajectories=4)
+    assert [child.exitcode for child in started] == [-signal.SIGTERM]
+    _assert_no_child_or_thread(threads)
+
+
+def test_error_of_the_lowest_chunk_is_raised_first(monkeypatch):
+    """5 trajectories on 4 CPUs make chunks 0-1, 2-3 and 4: the second
+    child's error waits behind the first child's."""
+    threads = threading.active_count()
+    real = estimate.run_protocol
+
+    def fails_at_two_and_four(config, catalog, rng=None):
+        index = _trajectory_index(rng)
+        if index in (2, 4):
+            raise (ParameterError if index == 2 else RangeError)(f"trajectory {index} failed")
+        return real(config, catalog, rng=rng)
+
+    monkeypatch.setattr(estimate, "run_protocol", fails_at_two_and_four)
+    monkeypatch.setattr(estimate, "_workers", lambda: 4)
+    cfg = ProtocolConfig(seed=31, n_measurements=10,
+                         initial_g=0.5, initial_anisotropy=0.01)
+    with pytest.raises(ParameterError, match="trajectory 2 failed"):
+        run_ensemble(cfg, synthetic_catalog(), n_trajectories=5)
+    _assert_no_child_or_thread(threads)
+
+
+def test_child_that_exits_without_its_rows_raises_child_process_error(monkeypatch):
+    threads = threading.active_count()
+    real = estimate.run_protocol
+
+    def exits_at_two(config, catalog, rng=None):
+        if _trajectory_index(rng) == 2:  # the first of the forked chunk
+            os._exit(3)
+        return real(config, catalog, rng=rng)
+
+    monkeypatch.setattr(estimate, "run_protocol", exits_at_two)
+    monkeypatch.setattr(estimate, "_workers", lambda: 2)
+    cfg = ProtocolConfig(seed=31, n_measurements=10,
+                         initial_g=0.5, initial_anisotropy=0.01)
+    with _within(30), pytest.raises(ChildProcessError, match="code 3"):
+        run_ensemble(cfg, synthetic_catalog(), n_trajectories=4)
+    _assert_no_child_or_thread(threads)
 
 
 @pytest.mark.parametrize("n_trajectories", [0, -1])
