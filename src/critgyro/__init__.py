@@ -14,7 +14,6 @@ from .observables import (
     GapProfile,
     SPDM,
     adiabatic_time,
-    critical_frequency,
     expected_L,
     gap_profile,
     p_zero,
@@ -44,8 +43,8 @@ __all__ = [
     "Mode", "FockBasis", "enumerate_basis", "enumerate_modes",
     "ElementCache",
     "System",
-    "GapProfile", "SPDM", "adiabatic_time", "critical_frequency",
-    "expected_L", "gap_profile", "p_zero", "spdm", "transition_width",
+    "GapProfile", "SPDM", "adiabatic_time", "expected_L",
+    "gap_profile", "p_zero", "spdm", "transition_width",
     "CurveCatalog", "ResonanceCurve", "catalog_build", "catalog_load",
     "catalog_save", "compute_curve", "lookup_by_width",
     "Posterior", "ProtocolConfig", "ProtocolResult",

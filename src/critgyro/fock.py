@@ -12,7 +12,7 @@ radial excitation or one particle at m = -1.
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -47,7 +47,7 @@ def enumerate_modes(n_ll: int, l_max: int) -> list[Mode]:
 
 @dataclass(frozen=True)
 class FockBasis:
-    """Ordered truncated basis with fast occupation -> index lookup.
+    """Ordered truncated basis. Rows are found through `key_index`.
 
     Three parameter-free tables are built on first use and kept on the
     instance, read-only: `key_index`, `zero_momentum_mask` and
@@ -58,23 +58,12 @@ class FockBasis:
     n_ll: int
     l_max: int
     modes: tuple[Mode, ...]
-    occupations: np.ndarray          # (size, n_modes) int64
-    L: np.ndarray                    # (size,) int64 total angular momentum
-    index: dict = field(repr=False)  # occupation tuple -> row
+    occupations: np.ndarray  # (size, n_modes) int64
+    L: np.ndarray            # (size,) int64 total angular momentum
 
     @property
     def size(self) -> int:
         return self.occupations.shape[0]
-
-    def index_of(self, state) -> int:
-        """Row of a state given as occupation tuple or Mode->count mapping."""
-        if isinstance(state, Mapping):
-            occ = [0] * len(self.modes)
-            pos = {mode: i for i, mode in enumerate(self.modes)}
-            for k, c in state.items():
-                occ[pos[Mode(*k)]] = c
-            state = tuple(occ)
-        return self.index[tuple(state)]
 
     def state_occupations(self, i: int) -> dict[Mode, int]:
         """Occupation mapping of basis state i (nonzero entries only)."""
@@ -161,12 +150,12 @@ def enumerate_basis(n_particles: int, n_ll: int, l_max: int) -> FockBasis:
         occ[i] = 0
 
     scan(0, n_particles, n_ll - 1, 0)
+    del scan  # its closure holds itself, and `found` with it, until a full GC
     found.sort()
     occupations = np.array([s for _, s in found], dtype=np.int64).reshape(
         len(found), n_modes
     )
     L = np.array([l for l, _ in found], dtype=np.int64)
-    index = {s: i for i, (_, s) in enumerate(found)}
     return FockBasis(
         n_particles=n_particles,
         n_ll=n_ll,
@@ -174,7 +163,6 @@ def enumerate_basis(n_particles: int, n_ll: int, l_max: int) -> FockBasis:
         modes=tuple(modes),
         occupations=occupations,
         L=L,
-        index=index,
     )
 
 

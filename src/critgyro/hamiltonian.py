@@ -13,7 +13,11 @@ dropped.
 H is linear in its parameters, H = D + A V + g U - Omega L: `build_operators`
 builds the parameter-free terms once per basis, and each (g, A, Omega) then
 costs one sparse linear combination. V and U are computed on the upper
-triangle and mirrored, so hermiticity holds by construction.
+triangle and mirrored, so hermiticity holds by construction. Terms of U
+that cancel exactly leave rounding remainders: on the production basis U
+holds four entries of -1.39e-17, where a particle reaches (1,0) from
+(0,0)(0,0) and from (0,0)(0,2) through elements of opposite sign. Its
+smallest true entry is 2.3e-3; every H drops entries below SPARSITY_EPS.
 `Operators.hamiltonian` is the one place that combines the terms: it
 returns H as a full real symmetric `scipy.sparse` CSR matrix. Every other H
 in the package (the sweeps' dense sector matrix, the CLI's matrix dump) is
@@ -47,7 +51,7 @@ from .errors import ParameterError, StructureError
 from .fock import FockBasis, Mode, ladder_entries
 from .melem import ElementCache, pairs_by_total_m
 
-#: entries below this magnitude are numerical noise and dropped
+#: entries below this magnitude are rounding remainders (module docstring), dropped
 SPARSITY_EPS = 1e-14
 
 #: anisotropies at or above this value undermine basis convergence
@@ -150,17 +154,17 @@ class System:
     H conserves L parity (the deformation changes L by 2), so sweeps from
     the condensate (0,0)^N run in its sector: the basis rows `sector_rows`
     and L on them `sector_l`, both read-only; `lift` puts sector states
-    back in the full basis. `last_sweep` is ((g, A), SweepResult) of the
-    last `sweep` if it swept a whole grid, or None.
-    `model` is ((g, A), spectrum.ReducedModel) of the last pair swept, or
-    None.
+    back in the full basis. `model` is ((g, A), spectrum.ReducedModel) of
+    the last pair swept, or None. `last_sweep` is the SweepResult of the
+    last `sweep` if it swept a whole grid, or None; it is always a sweep
+    of `model`'s pair.
     """
 
     def __init__(self, basis: FockBasis, cache: ElementCache):
         if tuple(cache.modes) != tuple(basis.modes):
             raise StructureError("element cache was built over a different mode list")
         self.basis, self.cache = basis, cache
-        condensate = basis.index_of({Mode(0, 0): basis.n_particles})
+        condensate = basis.occupations[:, basis.modes.index(Mode(0, 0))] == basis.n_particles
         self.sector_rows = np.flatnonzero(basis.L % 2 == basis.L[condensate] % 2)
         self.sector_l = basis.L[self.sector_rows].astype(np.float64)
         self.sector_rows.flags.writeable = self.sector_l.flags.writeable = False
@@ -204,20 +208,22 @@ class System:
         the dense eigensolves of the call.
 
         A whole-grid result (no `stop`) is kept as `last_sweep`, and a call
-        without `stop` for the same g, A and points returns it. Any other
-        call drops it before it starts, so one sweep is kept at most. A
-        sweep with `stop` certifies only its ground state and is kept
-        nowhere: it goes to its caller alone. Any other grid than a
-        non-empty, strictly ascending 1-d one raises ParameterError.
+        without `stop` for the model's g, A and the same points returns it.
+        Any other call drops it before it starts, so one sweep is kept at
+        most. A sweep with `stop` certifies only its ground state and is
+        kept nowhere: it goes to its caller alone. Any other grid than a
+        non-empty, finite, strictly ascending 1-d one raises ParameterError
+        before anything is dropped or built.
         """
-        omegas = np.array(omegas, dtype=float)  # a copy: the key outlives the caller's array
-        if omegas.ndim != 1 or not omegas.size or np.any(np.diff(omegas) <= 0):
-            raise ParameterError("a sweep grid must be a non-empty, strictly ascending 1-d array")
+        omegas = np.array(omegas, dtype=float)  # a copy, which the kept sweep holds
+        if omegas.ndim != 1 or not omegas.size or not np.isfinite(omegas).all() \
+                or np.any(np.diff(omegas) <= 0):
+            raise ParameterError("a sweep grid must be a non-empty, finite, strictly "
+                                 "ascending 1-d array")
         key = (g, anisotropy)
-        if stop is None and self.last_sweep is not None:
-            kept_key, kept = self.last_sweep
-            if kept_key == key and np.array_equal(kept.omegas, omegas):
-                return kept
+        if stop is None and self.last_sweep is not None and self.model[0] == key \
+                and np.array_equal(self.last_sweep.omegas, omegas):
+            return self.last_sweep
         self.last_sweep = None  # freed before the new sweep allocates its arrays
         if self.model is None or self.model[0] != key:
             self.model = None  # and another pair's model before the new one
@@ -226,7 +232,7 @@ class System:
         result = self.model[1].sweep(omegas, stop=None if stop is None else
                                      lambda state, sine: stop(self.lift(state), sine))
         if stop is None:
-            self.last_sweep = (key, result)
+            self.last_sweep = result
         return result
 
     def lift(self, vectors: np.ndarray) -> np.ndarray:

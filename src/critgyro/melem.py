@@ -24,9 +24,9 @@ A contact element factors over its creation pair and its annihilation
 pair. Each pair contributes one `_pair_factor`: the integer product of its
 two Laguerre polynomials over an integer denominator, the products of n!
 and (n+|m|)! over both modes, and the |m| sum. `ElementCache.build` forms
-one per mode pair; `u_element` and `integral_i2` use the same helpers. The
-bits equal those of expanding all four factors at once: integer products
-are exact in any grouping, so the integral and the norm ratio are the same
+one per mode pair, and `integral_i2` uses the same helpers. The bits
+equal those of expanding all four factors at once: integer products are
+exact in any grouping, so the integral and the norm ratio are the same
 int / int quotients, each correctly rounded, and the float steps
 2^(-|m| sum / 2) / (2 pi) * norm * I2 keep one order.
 """
@@ -153,28 +153,6 @@ def _norm_sqrt(quad) -> float:
     return sqrt(num / den)
 
 
-def _v_raw(k1: Mode, k2: Mode) -> float:
-    return 0.25 * _norm_sqrt((k1, k2)) * integral_i1(k1, k2)
-
-
-def _u_raw(quad) -> float:
-    return _contact_raw(_pair_factor(*quad[:2]), _pair_factor(*quad[2:]), _factorials(quad))
-
-
-def v_element(k1: Mode, k2: Mode, anisotropy: float) -> float:
-    """Quadrupole deformation element between modes k1 and k2."""
-    if abs(k2[1] - k1[1]) != _QUAD_DELTA_M:
-        return 0.0
-    return anisotropy * _v_raw(k1, k2)
-
-
-def u_element(k1: Mode, k2: Mode, l1: Mode, l2: Mode, interaction: float) -> float:
-    """Contact interaction element for creation pair (k1,k2), annihilation (l1,l2)."""
-    if k1[1] + k2[1] != l1[1] + l2[1]:
-        return 0.0
-    return interaction * _u_raw((k1, k2, l1, l2))
-
-
 def pairs_by_total_m(modes) -> dict[int, list[tuple[int, int]]]:
     """Mode index pairs (a, b), a <= b, grouped by m_a + m_b: the pairs a
     contact element can couple. Groups and pairs run in first-seen order."""
@@ -195,8 +173,7 @@ class ElementCache:
     each element under the two-body symmetries (swaps within the creation
     pair, within the annihilation pair, and of the two pairs): the one with
     a <= b, c <= d and (a, b) <= (c, d). Both stay valid for every (g, A)
-    pair: A * v_raw[i, j] and g * u_raw[key] equal v_element and u_element
-    bit for bit.
+    pair: A * v_raw[i, j] and g * u_raw[key] are its elements V and U.
 
     `build` forms the factor of each pair of `pairs_by_total_m` once, and
     each key (p, q) costs one product of the two pairs' polynomials against
@@ -216,7 +193,7 @@ class ElementCache:
         for i, ki in enumerate(modes):
             for j, kj in enumerate(modes):
                 if abs(kj.m - ki.m) == _QUAD_DELTA_M:
-                    v_raw[i, j] = _v_raw(ki, kj)
+                    v_raw[i, j] = 0.25 * _norm_sqrt((ki, kj)) * integral_i1(ki, kj)
 
         # canonical keys are (p, q) for sorted pairs p <= q of equal total m
         fact = _factorials(modes)

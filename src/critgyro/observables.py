@@ -8,9 +8,10 @@ the arrays of the one SPDM lead with the stack axis.
 The measurement likelihood p_zero is the probability that every particle
 sits in a zero-angular-momentum mode, i.e. (0,0) or (1,0). The transition
 of p_zero from its low-rotation plateau to ~0 defines the resonance whose
-center (0.5 crossing) and width (0.9 -> 0.1 crossing separation) drive the
-estimation protocol. `critical_frequency` and `transition_width` take the
-grid and the likelihood as arrays, and these three thresholds are fixed.
+center (0.5 crossing, `ResonanceCurve.center`) and width (0.9 -> 0.1
+crossing separation) drive the estimation protocol. `transition_width`
+takes the grid and the likelihood as arrays, and these three thresholds
+are fixed.
 `preparation_hwhm` evaluates its posterior on HWHM_GRID_SIZE prior points.
 """
 
@@ -142,15 +143,6 @@ def crossing_offset(omega: np.ndarray, values: np.ndarray, threshold: float):
     i = steps[0]
     frac = (v[i] - threshold) / (v[i] - v[i + 1])
     return x[i] + frac * (x[i + 1] - x[i])
-
-
-def critical_frequency(omega: np.ndarray, p0: np.ndarray) -> float:
-    """Rotation rate of the first downward 0.5 crossing of the likelihood."""
-    omega = np.asarray(omega)
-    rel = crossing_offset(omega, p0, 0.5)
-    if rel is None:
-        raise RangeError("likelihood never crosses 0.5 within the grid")
-    return float(omega[0] + rel)
 
 
 def transition_width(omega: np.ndarray, p0: np.ndarray) -> float:

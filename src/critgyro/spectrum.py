@@ -355,8 +355,10 @@ class ReducedModel:
     over every anchor's three vectors. Each `sweep` walks its grid against
     every anchor that earlier sweeps left, and adds its own.
 
-    A pencil of fewer than three states, or whose H0 has no element between
-    states of different L, is swept by `sweep_lowest` alone.
+    A pencil whose H0 has no element between states of different L is swept
+    by `sweep_lowest` alone. One of fewer than six states is too: its first
+    anchor would pass half the dimension, so the walk hands its whole grid
+    to the dense follow rule at point 0.
     """
 
     def __init__(self, h0_dense: np.ndarray, l_diag: np.ndarray):
@@ -364,8 +366,7 @@ class ReducedModel:
         self.l_diag = np.asarray(l_diag, dtype=float)
         dim = self.h0.shape[0]
         self.l_min = float(self.l_diag.min(initial=np.inf))
-        self.dense_only = dim < 3 or \
-            not self.h0[self.l_diag[:, None] != self.l_diag[None, :]].any()
+        self.dense_only = not self.h0[self.l_diag[:, None] != self.l_diag[None, :]].any()
         self.q, self.hq, self.lq = (np.empty((dim, 0)) for _ in range(3))
         self.qhq = self.qlq = None
         self.anchors = {}  # Omega -> (three lowest energies, (dim, 2) two lowest vectors)

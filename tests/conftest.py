@@ -35,6 +35,21 @@ def curve_05_004(catalog_default) -> ResonanceCurve:
     return catalog_default.find(0.5, 0.04)
 
 
+def row_of(basis, occupations) -> int:
+    """Basis row of the state with these Mode -> count occupations."""
+    occ = np.zeros(len(basis.modes), dtype=np.int64)
+    for mode, count in occupations.items():
+        occ[basis.modes.index(mode)] = count
+    (row,) = np.flatnonzero((basis.occupations == occ).all(axis=1))
+    return int(row)
+
+
+def rows_of(basis, states) -> list[int]:
+    """Basis rows of occupation tuples, such as an oracle's states."""
+    row = {occ: i for i, occ in enumerate(map(tuple, basis.occupations.tolist()))}
+    return [row[tuple(state)] for state in states]
+
+
 def make_logistic_curve(g=0.5, anisotropy=0.04, center=0.90, width=0.05,
                         lo=None, hi=None, points=801) -> ResonanceCurve:
     """Synthetic sigmoid curve for estimation tests (no eigensolves)."""

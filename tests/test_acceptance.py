@@ -22,6 +22,7 @@ from critgyro.observables import (
     p_zero,
     preparation_hwhm,
 )
+from conftest import rows_of
 from oracle import default_rule, oracle_hamiltonian, oracle_i1, oracle_i2
 
 # REGRESSION constants computed by this package (dense solves, Q = 40 rule)
@@ -112,7 +113,7 @@ def test_criterion_2_oracle_equivalence(n, g, a, omega):
     system = cg.System(basis, cache)
     ham = system.operators.hamiltonian(g, a, omega)
     modes, states, ref = oracle_hamiltonian(n, g, a, omega, 2, n + 2)
-    perm = [basis.index[occ] for occ in states]
+    perm = rows_of(basis, states)
     dense = ham.toarray()[np.ix_(perm, perm)]
     entry_err = float(np.max(np.abs(dense - ref)))
     ours = system.sweep(g, a, [omega]).energies[0]

@@ -34,7 +34,6 @@ from critgyro.fock import KeyIndex, enumerate_basis
 from critgyro.hamiltonian import System
 from critgyro.melem import ElementCache
 from critgyro.observables import (
-    critical_frequency,
     crossing_offset,
     gap_profile,
     p_zero,
@@ -49,10 +48,19 @@ def test_from_values_validation():
         ResonanceCurve.from_values(0.5, 0.04, [0.1, 0.2], [1.0, -0.2])
 
 
+def _first_downward_crossing(omega, p, level):
+    """The first downward crossing of `level`, interpolated linearly on the
+    grid: a loop of its own, apart from `crossing_offset`."""
+    for i in range(len(p) - 1):
+        if p[i] >= level > p[i + 1]:
+            return omega[i] + (p[i] - level) / (p[i] - p[i + 1]) * (omega[i + 1] - omega[i])
+    return None
+
+
 def test_metadata_matches_recomputation():
     curve = make_logistic_curve(width=0.03)
     assert curve.center == pytest.approx(
-        critical_frequency(curve.omega, curve.p0), abs=1e-12
+        _first_downward_crossing(curve.omega, curve.p0, 0.5), abs=1e-12
     )
     assert curve.width == pytest.approx(
         transition_width(curve.omega, curve.p0), abs=1e-9
@@ -237,7 +245,7 @@ def test_default_catalog_curve_invariants(catalog_default):
             transition_width(c.omega, c.p0), abs=1e-9
         )
         assert c.center == pytest.approx(
-            critical_frequency(c.omega, c.p0), abs=1e-9
+            _first_downward_crossing(c.omega, c.p0, 0.5), abs=1e-9
         )
 
 
@@ -282,6 +290,7 @@ def test_diagnostics_gap_stays_in_the_condensate_sector(system6):
 
 def test_diagnostics_reuse_the_curve_sweep(system6, monkeypatch):
     basis, cache = system6
+    monkeypatch.setattr(hamiltonian, "_shared", None)  # no earlier test's model
     sweeps = []
     real = spectrum.ReducedModel.sweep
 
@@ -305,16 +314,13 @@ def test_diagnostics_reuse_the_curve_sweep(system6, monkeypatch):
     curve_diagnostics(basis, cache, ResonanceCurve.from_values(
         0.5, 0.032, grid, curve.p0))
     assert len(sweeps) == 3
-    # the reused sweep gives what a fresh basis and cache compute: the same
-    # bits where the shared System's model of the pair was fresh too, and
-    # otherwise values within the certificate (the model then held anchors
-    # of an earlier sweep of the pair)
+    # the reused sweep, made on a fresh model of the pair, gives what a
+    # fresh basis and cache compute, bit for bit
     fresh_basis = enumerate_basis(6, 2, 8)
     fresh = curve_diagnostics(fresh_basis, ElementCache.build(fresh_basis.modes), curve)
     assert len(sweeps) == 4
     for field in dataclasses.fields(diag):
-        assert np.allclose(getattr(diag, field.name), getattr(fresh, field.name),
-                           rtol=0, atol=1e-9)
+        assert np.array_equal(getattr(diag, field.name), getattr(fresh, field.name)), field
 
 
 @pytest.mark.parametrize("g,a", [(nan, 0.04), (0.5, -0.04), (0.5, nan)])
@@ -496,7 +502,7 @@ def test_p_zero_of_each_followed_state_is_the_curve_p0(system6):
     basis, cache = system6
     curve = compute_curve(basis, cache, 0.5, 0.04, grid=np.linspace(0.85, 0.95, 41))
     system = System.of(basis, cache)
-    followed = system.lift(system.last_sweep[1].followed)
+    followed = system.lift(system.last_sweep.followed)
     assert np.array_equal([p_zero(state, basis) for state in followed], curve.p0)
     assert np.array_equal(p_zero(followed, basis), curve.p0)
 

@@ -37,7 +37,7 @@ from critgyro.melem import ElementCache
 from critgyro.observables import (
     GapProfile,
     adiabatic_time,
-    critical_frequency,
+    crossing_offset,
     expected_L,
     gap_profile,
     hwhm_points,
@@ -133,7 +133,7 @@ def _one_state_gap_profile():
 CASES = {
     "hwhm_of_a_curve_without_center": _hwhm_without_center,
     "curve_from_empty_arrays": lambda: ResonanceCurve.from_values(0.5, 0.04, [], []),
-    "critical_frequency_of_empty_arrays": lambda: critical_frequency([], []),
+    "crossing_offset_of_empty_arrays": lambda: crossing_offset([], [], 0.5),
     "transition_width_of_empty_arrays": lambda: transition_width([], []),
     "hwhm_of_empty_arrays": lambda: hwhm_points([], []),
     "spdm_of_a_3d_stack": _of_a_3d_stack(spdm),
@@ -179,10 +179,10 @@ CASES = {
                                                  mass=np.array([nan, 1.0])),
     "transition_width_on_a_nan_grid": lambda: transition_width([0.8, nan, 1.0],
                                                                [1.0, 0.5, 0.0]),
-    "critical_frequency_on_a_shorter_grid": lambda: critical_frequency([0.8, 0.9],
-                                                                       [1.0, 0.9, 0.0]),
-    "critical_frequency_on_a_longer_grid": lambda: critical_frequency([0.8, 0.9, 1.0, 1.1],
-                                                                      [1.0, 0.0]),
+    "crossing_offset_of_a_short_grid": lambda: crossing_offset([0.8, 0.9],
+                                                                 [1.0, 0.9, 0.0], 0.5),
+    "crossing_offset_of_a_long_grid": lambda: crossing_offset([0.8, 0.9, 1.0, 1.1],
+                                                                [1.0, 0.0], 0.5),
     "hwhm_on_a_shorter_grid": lambda: hwhm_points([0.8, 0.9], [0.1, 1.0, 0.1]),
     "hwhm_on_a_longer_grid": lambda: hwhm_points([0.8, 0.9, 1.0, 1.1], [0.1, 1.0, 0.1]),
     "curve_of_a_nan_anisotropy": _curve_of(0.5, nan),

@@ -4,13 +4,14 @@ import pytest
 from math import inf, nan, pi, sqrt
 
 import critgyro.spectrum as spectrum
-from critgyro.curves import compute_curve
+from critgyro.curves import DEFAULT_CATALOG_PAIRS, compute_curve
 from critgyro.errors import ParameterError, StructureError
 from critgyro.fock import Mode, enumerate_basis
-from critgyro.hamiltonian import System, build_operators
-from critgyro.melem import ElementCache, v_element
+from critgyro.hamiltonian import SPARSITY_EPS, System, build_operators
+from critgyro.melem import ElementCache
 from critgyro.observables import gap_profile
-from oracle import oracle_hamiltonian
+from conftest import row_of, rows_of
+from oracle import oracle_hamiltonian, oracle_v
 
 
 def build(n, g, anisotropy, omega, l_max=None):
@@ -50,7 +51,7 @@ def test_condensate_diagonal():
     # one-body N plus pair count times the condensate self-element g/(2 pi)
     basis, cache, ham = build(6, 0.5, 0.04, 0.3, l_max=8)
     dense = ham.toarray()
-    i = basis.index_of({Mode(0, 0): 6})
+    i = row_of(basis, {Mode(0, 0): 6})
     expect = 6 + 0.5 * 6 * 5 * (0.5 / (2 * pi))
     assert dense[i, i] == pytest.approx(expect, rel=1e-12)
 
@@ -70,10 +71,22 @@ def test_block_diagonal_without_anisotropy():
 def test_deformation_offdiagonal_ladder_factor():
     basis, cache, ham = build(6, 0.0, 0.04, 0.0, l_max=8)
     dense = ham.toarray()
-    s = basis.index_of({Mode(0, 0): 6})
-    t = basis.index_of({Mode(0, 0): 5, Mode(0, 2): 1})
-    expect = sqrt(6) * v_element(Mode(0, 0), Mode(0, 2), 0.04)
+    s = row_of(basis, {Mode(0, 0): 6})
+    t = row_of(basis, {Mode(0, 0): 5, Mode(0, 2): 1})
+    expect = sqrt(6) * oracle_v(Mode(0, 0), Mode(0, 2), 0.04)
     assert dense[t, s] == pytest.approx(expect, rel=1e-12)
+
+
+def test_h_drops_the_cancellation_remainders_of_u(system6):
+    """Terms of U that cancel exactly leave rounding remainders, below
+    SPARSITY_EPS and far below every true entry; H at a ladder pair holds
+    none of them."""
+    ops = System.of(*system6).operators
+    small = np.abs(ops.u.data) < SPARSITY_EPS
+    assert np.count_nonzero(small) == 4 and np.abs(ops.u.data[small]).max() < 1e-16
+    assert np.abs(ops.u.data[~small]).min() > 1e-3
+    for g, a in DEFAULT_CATALOG_PAIRS:
+        assert np.abs(ops.hamiltonian(g, a, 0.9).data).min() >= SPARSITY_EPS
 
 
 def test_omega_enters_linearly_on_the_diagonal():
@@ -105,7 +118,7 @@ def test_matches_dense_ladder_oracle(n, g, a, omega):
     modes, states, ref = oracle_hamiltonian(n, g, a, omega, 2, n + 2)
     assert [tuple(m) for m in basis.modes] == modes
     # the oracle sorts states purely lexicographically; map the orders
-    perm = [basis.index[occ] for occ in states]
+    perm = rows_of(basis, states)
     dense = ham.toarray()[np.ix_(perm, perm)]
     assert np.max(np.abs(dense - ref)) < 1e-12
 
@@ -113,7 +126,7 @@ def test_matches_dense_ladder_oracle(n, g, a, omega):
 def test_assemble_matches_oracle_n4():
     basis, _, ham = build(4, 0.5, 0.04, 0.7, l_max=6)
     modes, states, ref = oracle_hamiltonian(4, 0.5, 0.04, 0.7, 2, 6)
-    perm = [basis.index[occ] for occ in states]
+    perm = rows_of(basis, states)
     assert np.max(np.abs(ham.toarray()[np.ix_(perm, perm)] - ref)) < 1e-12
 
 
@@ -133,7 +146,7 @@ def test_matvec_matches_oracle_product():
     n = 2
     basis, cache, ham = build(n, 0.5, 0.04, 0.6)
     modes, states, ref = oracle_hamiltonian(n, 0.5, 0.04, 0.6, 2, n + 2)
-    perm = np.array([basis.index[occ] for occ in states])
+    perm = np.array(rows_of(basis, states))
     rng = np.random.default_rng(5)
     v = rng.standard_normal(ham.shape[0])
     ours = ham @ v
@@ -177,16 +190,23 @@ def test_sector_h0_is_the_sector_block_of_the_dense_h(system6, g, a):
 
 
 @pytest.mark.parametrize("grid", [0.9, [], [[0.85, 0.9], [0.92, 0.95]],
-                                  [0.95, 0.9, 0.85], [0.85, 0.9, 0.9, 0.95]],
-                         ids=["scalar", "empty", "2d", "descending", "repeated"])
+                                  [0.95, 0.9, 0.85], [0.85, 0.9, 0.9, 0.95],
+                                  [0.85, nan, 0.95], [0.5, inf]],
+                         ids=["scalar", "empty", "2d", "descending", "repeated",
+                              "nan", "inf"])
 def test_system_sweep_refuses_a_bad_grid_before_any_solve(grid, monkeypatch):
+    """The grid is refused before the kept sweep is dropped or another
+    pair's model is built."""
     basis = enumerate_basis(2, 2, 4)
     system = System(basis, ElementCache.build(basis.modes))
+    kept = system.sweep(0.5, 0.04, [0.85, 0.9])
+    model = system.model
     sweeps = []
     monkeypatch.setattr(spectrum.ReducedModel, "sweep",
                         lambda *args, **kwargs: sweeps.append(1))
     with pytest.raises(ParameterError, match="strictly ascending"):
-        system.sweep(0.5, 0.04, grid)
+        system.sweep(0.6, 0.04, grid)
+    assert system.last_sweep is kept and system.model is model
     with pytest.raises(ParameterError, match="strictly ascending"):
         compute_curve(basis, system.cache, 0.5, 0.04, grid=grid)
     assert sweeps == []
@@ -211,7 +231,7 @@ def test_system_sweep_returns_the_kept_sweep_for_its_key(monkeypatch):
     monkeypatch.setattr(spectrum.ReducedModel, "sweep", counting)
     grid = np.linspace(0.85, 0.95, 11)
     first = system.sweep(0.5, 0.04, grid)
-    assert system.last_sweep[0] == (0.5, 0.04) and system.last_sweep[1] is first
+    assert system.last_sweep is first
     assert system.model[0] == (0.5, 0.04) and sweeps == [system.model[1]]
     grid[-1] = 2.0  # the key is a copy of the caller's points
     grid = np.linspace(0.85, 0.95, 11)

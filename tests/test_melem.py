@@ -1,17 +1,17 @@
 import numpy as np
 import pytest
+from itertools import product
 from math import factorial, pi, prod, sqrt
 
 from critgyro import melem
 from critgyro.errors import ParameterError
 from critgyro.fock import Mode, enumerate_basis, enumerate_modes
+from critgyro.hamiltonian import System
 from critgyro.melem import (
     ElementCache,
     pairs_by_total_m,
     integral_i1,
     integral_i2,
-    u_element,
-    v_element,
 )
 from oracle import default_rule, make_rule, oracle_i1, oracle_i2, oracle_u, oracle_v
 
@@ -64,10 +64,46 @@ def test_integrals_reject_odd_m_sums():
         integral_i2(Mode(0, 0), Mode(0, 0), Mode(0, 0), Mode(0, 1))
 
 
+def _images(a, b, c, d):
+    """The index quadruple under the two-body symmetries: swaps within the
+    creation pair, within the annihilation pair, and of the two pairs."""
+    return {(a, b, c, d), (b, a, c, d), (a, b, d, c), (b, a, d, c),
+            (c, d, a, b), (d, c, a, b), (c, d, b, a), (d, c, b, a)}
+
+
+def _cached_u(cache, *quad):
+    """The cached contact element of the modes `quad` with g divided out:
+    the value of its stored image, the least one, or 0.0 where none is
+    stored."""
+    rows = [cache.modes.index(mode) for mode in quad]
+    return cache.u_raw.get(min(_images(*rows)), 0.0)
+
+
+def _norm(quad) -> float:
+    """sqrt of prod n!/(n+|m|)! over the modes, as one int / int quotient."""
+    return sqrt(prod(factorial(n) for n, _ in quad)
+                / prod(factorial(n + abs(m)) for n, m in quad))
+
+
+def _h_without_d(system, g, anisotropy):
+    """H(g, A, Omega = 0) minus its one-body diagonal D, dense."""
+    ops = system.operators
+    return ops.hamiltonian(g, anisotropy, 0.0).toarray() - np.diag(ops.d)
+
+
 def test_v_selection_rule_and_zero_anisotropy():
-    assert v_element(Mode(0, 0), Mode(0, 1), 0.5) == 0.0
-    assert v_element(Mode(0, 0), Mode(0, 3), 0.5) == 0.0
-    assert v_element(Mode(0, 0), Mode(0, 2), 0.0) == 0.0
+    modes = enumerate_modes(2, 3)
+    cache = ElementCache.build(modes)
+    i = modes.index(Mode(0, 0))
+    assert cache.v_raw[i, modes.index(Mode(0, 1))] == 0.0
+    assert cache.v_raw[i, modes.index(Mode(0, 3))] == 0.0
+    for (i, ki), (j, kj) in product(enumerate(modes), repeat=2):
+        if abs(ki.m - kj.m) != 2:
+            assert cache.v_raw[i, j] == 0.0
+    # at A = 0 (and g = 0) H is its one-body diagonal alone
+    basis = enumerate_basis(2, 2, 3)
+    system = System(basis, ElementCache.build(basis.modes))
+    assert np.array_equal(_h_without_d(system, 0.0, 0.0), np.zeros((basis.size,) * 2))
 
 
 def test_v_element_value():
@@ -75,54 +111,64 @@ def test_v_element_value():
     # (A/4) * sqrt(1/2) * 2 = A * sqrt(2)/4, cross-checked by the oracle
     expect = 0.04 * sqrt(2) / 4
     assert oracle_v((0, 0), (0, 2), 0.04) == pytest.approx(expect, rel=1e-12)
-    assert v_element(Mode(0, 0), Mode(0, 2), 0.04) == pytest.approx(
+    modes = enumerate_modes(2, 3)
+    i, j = modes.index(Mode(0, 0)), modes.index(Mode(0, 2))
+    assert ElementCache.build(modes).v_raw[i, j] * 0.04 == pytest.approx(
         expect, rel=1e-10
     )
 
 
 def test_u_conservation_and_values():
+    cache = ElementCache.build(enumerate_modes(2, 3))
     m0 = Mode(0, 0)
     m1 = Mode(0, 1)
-    assert u_element(m0, m0, m0, m1, 0.5) == 0.0
+    assert _cached_u(cache, m0, m0, m0, m1) * 0.5 == 0.0
     # condensate self-interaction: g / (2 pi)
-    assert u_element(m0, m0, m0, m0, 0.5) == pytest.approx(
+    assert _cached_u(cache, m0, m0, m0, m0) * 0.5 == pytest.approx(
         0.5 / (2 * pi), rel=1e-12
     )
     assert oracle_u((0, 0), (0, 0), (0, 0), (0, 0), 0.5) == pytest.approx(
         0.5 / (2 * pi), rel=1e-12
     )
     # one unit of angular momentum exchanged: extra factor 1/2
-    assert u_element(m0, m1, m1, m0, 0.5) == pytest.approx(
+    assert _cached_u(cache, m0, m1, m1, m0) * 0.5 == pytest.approx(
         0.5 / (4 * pi), rel=1e-12
     )
 
 
 def test_u_symmetries():
+    """The contact integral, the one factor of an element that is not a
+    product over its modes, is the same bits under every two-body symmetry,
+    so one stored image serves all eight."""
     rng = np.random.default_rng(3)
     modes = enumerate_modes(2, 4)
     for _ in range(40):
         k1, k2, l1, l2 = (modes[i] for i in rng.integers(0, len(modes), 4))
         if k1.m + k2.m != l1.m + l2.m:
             continue
-        base = u_element(k1, k2, l1, l2, 0.7)
-        assert u_element(k2, k1, l1, l2, 0.7) == pytest.approx(base, rel=1e-12, abs=1e-15)
-        assert u_element(k1, k2, l2, l1, 0.7) == pytest.approx(base, rel=1e-12, abs=1e-15)
-        assert u_element(l1, l2, k1, k2, 0.7) == pytest.approx(base, rel=1e-12, abs=1e-15)
+        base = integral_i2(k1, k2, l1, l2)
+        assert integral_i2(k2, k1, l1, l2) == base
+        assert integral_i2(k1, k2, l2, l1) == base
+        assert integral_i2(l1, l2, k1, k2) == base
 
 
 def test_v_symmetric_and_linear():
-    a = v_element(Mode(0, 1), Mode(0, 3), 0.03)
-    b = v_element(Mode(0, 3), Mode(0, 1), 0.03)
-    assert a == pytest.approx(b, rel=1e-12)
-    assert v_element(Mode(0, 1), Mode(0, 3), 0.06) == pytest.approx(2 * a, rel=1e-12)
+    modes = enumerate_modes(2, 3)
+    v_raw = ElementCache.build(modes).v_raw
+    i, j = modes.index(Mode(0, 1)), modes.index(Mode(0, 3))
+    assert v_raw[i, j] == v_raw[j, i] != 0.0
+    assert np.array_equal(v_raw, v_raw.T)
+    basis = enumerate_basis(3, 2, 5)
+    system = System(basis, ElementCache.build(basis.modes))
+    assert np.allclose(_h_without_d(system, 0.0, 0.06), 2 * _h_without_d(system, 0.0, 0.03),
+                       rtol=1e-12, atol=0)
 
 
 def test_u_linear_in_g():
-    m0, m2 = Mode(0, 0), Mode(0, 2)
-    one = u_element(m2, m0, Mode(0, 1), Mode(0, 1), 1.0)
-    assert u_element(m2, m0, Mode(0, 1), Mode(0, 1), 0.25) == pytest.approx(
-        0.25 * one, rel=1e-12
-    )
+    basis = enumerate_basis(3, 2, 5)
+    system = System(basis, ElementCache.build(basis.modes))
+    assert np.allclose(_h_without_d(system, 0.25, 0.0), 0.25 * _h_without_d(system, 1.0, 0.0),
+                       rtol=1e-12, atol=0)
 
 
 def test_quadrature_matches_oracle_over_small_mode_set():
@@ -136,26 +182,21 @@ def test_quadrature_matches_oracle_over_small_mode_set():
             )
 
 
-def _images(a, b, c, d):
-    """The index quadruple under the two-body symmetries: swaps within the
-    creation pair, within the annihilation pair, and of the two pairs."""
-    return {(a, b, c, d), (b, a, c, d), (a, b, d, c), (b, a, d, c),
-            (c, d, a, b), (d, c, a, b), (c, d, b, a), (d, c, b, a)}
-
-
 def test_cache_matches_free_functions():
+    """The cache against the oracle's own element functions, image by
+    image."""
     modes = enumerate_modes(2, 3)
     cache = ElementCache.build(modes)
     for i, k1 in enumerate(modes):
         for j, k2 in enumerate(modes):
             assert cache.v_raw[i, j] * 0.05 == pytest.approx(
-                v_element(k1, k2, 0.05), rel=1e-12, abs=1e-15
+                oracle_v(k1, k2, 0.05), rel=1e-12, abs=1e-15
             )
     covered = set()
     for key, raw in cache.u_raw.items():
         for a, b, c, d in _images(*key):
             assert raw * 0.5 == pytest.approx(
-                u_element(modes[a], modes[b], modes[c], modes[d], 0.5),
+                oracle_u(modes[a], modes[b], modes[c], modes[d], 0.5),
                 rel=1e-12, abs=1e-15,
             )
         covered |= _images(*key)
@@ -167,22 +208,28 @@ def test_cache_matches_free_functions():
         conserving = a.m + b.m == c.m + d.m
         assert (quad in covered) == conserving
         if not conserving:
-            assert u_element(a, b, c, d, 0.5) == 0.0
+            assert oracle_u(a, b, c, d, 0.5) == 0.0
 
 
 def test_cache_equals_free_functions_exactly_on_production_modes():
+    """Each stored element is the product of its norm, its |m| factor and
+    the integral `integral_i1` or `integral_i2` of its modes, bit for bit,
+    and a contact element reads the same for its modes in reverse."""
     modes = enumerate_basis(6, 2, 8).modes
     cache = ElementCache.build(modes)
     for i, k1 in enumerate(modes):
         for j, k2 in enumerate(modes):
-            assert cache.v_raw[i, j] * 0.04 == v_element(k1, k2, 0.04)
+            expect = 0.25 * _norm((k1, k2)) * integral_i1(k1, k2) \
+                if abs(k1.m - k2.m) == 2 else 0.0
+            assert cache.v_raw[i, j] == expect
     assert len(cache.u_raw) == 1330
     for key, raw in cache.u_raw.items():
         a, b, c, d = key
         assert a <= b and c <= d and (a, b) <= (c, d)
         quad = [modes[t] for t in key]
-        assert raw * 0.5 == u_element(*quad, 0.5)
-        assert raw * 0.5 == u_element(*quad[::-1], 0.5)
+        s = sum(abs(m) for _, m in quad)
+        assert raw == 2.0 ** (-s / 2) / (2 * pi) * _norm(quad) * integral_i2(*quad)
+        assert raw == 2.0 ** (-s / 2) / (2 * pi) * _norm(quad) * integral_i2(*quad[::-1])
 
 
 @pytest.mark.parametrize("n_ll, l_max", [(3, 5), (4, 2)])
@@ -197,9 +244,7 @@ def test_cache_equals_the_oracle_exactly_beyond_the_lowest_two_levels(n_ll, l_ma
     for key, raw in cache.u_raw.items():
         quad = [modes[t] for t in key]
         s = sum(abs(m) for _, m in quad)
-        norm = sqrt(prod(factorial(n) for n, _ in quad)
-                    / prod(factorial(n + abs(m)) for n, m in quad))
-        assert raw == 2.0 ** (-s / 2) / (2 * pi) * norm * oracle_i2(*quad), key
+        assert raw == 2.0 ** (-s / 2) / (2 * pi) * _norm(quad) * oracle_i2(*quad), key
 
 
 def test_cache_forms_each_pair_factor_once(monkeypatch):
@@ -224,17 +269,6 @@ def test_cache_forms_each_pair_factor_once(monkeypatch):
     assert len(expected) == 190 and len(cache.u_raw) == 1330
     assert sorted(pairs) == sorted(expected)
     assert halved.count(True) == 2 * len(expected)
-
-
-def test_cache_is_parameter_free():
-    modes = enumerate_modes(2, 3)
-    cache = ElementCache.build(modes)
-    i, j = modes.index(Mode(0, 0)), modes.index(Mode(0, 2))
-    ground = (i, i, i, i)
-    for anisotropy in (0.04, 0.08):
-        assert cache.v_raw[i, j] * anisotropy == v_element(modes[i], modes[j], anisotropy)
-    for g in (0.5, 1.0):
-        assert cache.u_raw[ground] * g == u_element(*(modes[t] for t in ground), g)
 
 
 def test_cache_dump(tmp_path):

@@ -4,6 +4,7 @@ import scipy.sparse as sp
 
 import critgyro.fock as fock
 
+from critgyro.curves import ResonanceCurve
 from critgyro.errors import InputError, ParameterError, RangeError
 from critgyro.fock import Mode, enumerate_basis
 from critgyro.hamiltonian import System
@@ -11,7 +12,6 @@ from critgyro.melem import ElementCache
 from critgyro.observables import (
     GapProfile,
     adiabatic_time,
-    critical_frequency,
     expected_L,
     gap_profile,
     hwhm_points,
@@ -22,7 +22,7 @@ from critgyro.observables import (
     transition_width,
 )
 from critgyro.spectrum import sweep_lowest
-from conftest import make_logistic_curve
+from conftest import make_logistic_curve, row_of, rows_of
 from oracle import oracle_hamiltonian, oracle_spdm
 
 
@@ -33,7 +33,7 @@ def basis6():
 
 def unit_state(basis, occupations):
     psi = np.zeros(basis.size)
-    psi[basis.index_of(occupations)] = 1.0
+    psi[row_of(basis, occupations)] = 1.0
     return psi
 
 
@@ -102,7 +102,7 @@ def test_spdm_matches_oracle_on_random_state():
     psi = rng.standard_normal(basis.size)
     psi /= np.linalg.norm(psi)
     dens = spdm(psi, basis)
-    perm = [basis.index[occ] for occ in states]
+    perm = rows_of(basis, states)
     ref = oracle_spdm(psi[perm], modes, states)
     assert np.max(np.abs(dens.matrix - ref)) < 1e-12
 
@@ -209,21 +209,24 @@ def test_spdm_branch_gap_sign(basis6):
 
 
 def test_critical_frequency_step():
+    """The critical frequency is a curve's first downward 0.5 crossing,
+    `ResonanceCurve.center`."""
     omega = np.linspace(0.8, 1.0, 201)
     p = np.where(omega < 0.9, 1.0, 0.0)
-    oc = critical_frequency(omega, p)
+    oc = ResonanceCurve.from_values(0.5, 0.04, omega, p).center
     assert abs(oc - 0.9) <= (omega[1] - omega[0])
 
 
 def test_critical_frequency_linear_ramp():
     omega = np.linspace(0.0, 1.0, 101)
-    assert critical_frequency(omega, 1 - omega) == pytest.approx(0.5, abs=1e-12)
+    curve = ResonanceCurve.from_values(0.5, 0.04, omega, 1 - omega)
+    assert curve.center == pytest.approx(0.5, abs=1e-12)
 
 
-def test_critical_frequency_range_error():
+def test_curve_that_never_crosses_0_5_has_no_center():
     omega = np.linspace(0.0, 1.0, 11)
-    with pytest.raises(RangeError):
-        critical_frequency(omega, np.full(11, 0.8))
+    curve = ResonanceCurve.from_values(0.5, 0.04, omega, np.full(11, 0.8))
+    assert curve.center is None and curve.rel_center is None
 
 
 def test_transition_width_step_and_ramp():

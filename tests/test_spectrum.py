@@ -25,6 +25,7 @@ from critgyro.hamiltonian import System, build_operators
 from critgyro.melem import ElementCache
 from critgyro.observables import p_zero
 from critgyro.spectrum import ReducedModel, sweep_lowest
+from conftest import row_of
 from oracle import reference_sweep_followed
 
 REFERENCE_CATALOG = (Path(__file__).resolve().parent.parent
@@ -82,7 +83,7 @@ def test_ground_state_is_condensate_dominated_without_rotation():
     energy, vec = res.energies[0, 0], system.lift(res.vec0[0])
     dense = system.operators.hamiltonian(0.5, 0.0, 0.0).toarray()
     assert energy == pytest.approx(np.linalg.eigvalsh(dense)[0], abs=1e-10)
-    i = basis.index_of({Mode(0, 0): 6})
+    i = row_of(basis, {Mode(0, 0): 6})
     assert vec[i] ** 2 > 0.80
     # dressing lowers the energy strictly below the diagonal entry
     assert energy < dense[i, i] - 1e-3
@@ -639,15 +640,44 @@ def test_continuation_hands_a_branch_change_to_the_dense_sweep(system6, monkeypa
     assert result.dense_solves == REFINED_POINTS and result.dense_from == 0
 
 
-def test_a_sector_of_two_states_takes_the_dense_path(monkeypatch):
+def test_a_sector_of_two_states_takes_the_dense_path():
+    """Its first anchor would pass half the dimension, so the walk keeps no
+    anchor and hands the whole grid to the dense follow rule."""
     h0, l_diag = np.array([[0.0, 0.1], [0.1, 1.0]]), np.array([0.0, 2.0])
     omegas = np.linspace(0.0, 1.0, 5)
-    monkeypatch.setattr(spectrum.ReducedModel, "_walk", None)  # never called
-    result = sweep(h0, l_diag, omegas)
+    model = ReducedModel(h0, l_diag)
+    result = model.sweep(omegas)
+    assert not model.dense_only and model.anchors == {} and model.q.shape == (2, 0)
     dense = sweep_lowest(h0, l_diag, omegas)
     for name in _SWEEP_FIELDS + ("sine_bound", "dense_solves", "dense_from"):
         assert np.array_equal(getattr(result, name), getattr(dense, name)), name
     assert result.dense_solves == len(omegas) and result.sine_bound == 0.0
+
+
+@pytest.mark.parametrize("dim", [1, 2, 4])
+def test_a_pencil_of_fewer_than_six_states_is_the_dense_sweep(dim):
+    """With and without `stop`, a model of fewer than six states returns
+    `sweep_lowest`'s result field for field: a 1-state pencil has no
+    coupling and goes to it at once, and a larger one hands point 0 to
+    its follow rule."""
+    rng = np.random.default_rng(dim)
+    a = 0.1 * rng.standard_normal((dim, dim))
+    h0, l_diag = np.diag(np.arange(dim) * 2.0) + a + a.T, np.arange(dim, dtype=float)
+    omegas = np.linspace(0.0, 1.0, 7)
+
+    def stop_at(last):
+        calls = []
+        return lambda state, sine: calls.append(sine) or len(calls) == last
+
+    for make_stop, points in ((lambda: None, 7), (lambda: stop_at(4), 4)):
+        model = ReducedModel(h0, l_diag)
+        result = model.sweep(omegas, make_stop())
+        dense = sweep_lowest(h0, l_diag, omegas, make_stop())
+        assert model.dense_only == (dim == 1) and model.anchors == {}
+        for field in dataclasses.fields(result):
+            assert np.array_equal(getattr(result, field.name), getattr(dense, field.name)), field
+        assert result.dense_from == 0 and result.sine_bound == 0
+        assert len(result.omegas) == points
 
 
 def test_a_whole_grid_through_an_exact_tie_fails_closed():
