@@ -1,10 +1,11 @@
 """Command-line interface.
 
 Subcommands: curve, catalog, estimate, offset, basis, selftest. Every run
-writes its data as CSV (authoritative), optional SVG plots derived from the
-CSV content, and a JSON run manifest written atomically last, whose
-`details` record the inputs that replay the run: the system with l_max
-resolved, and each `lo:hi:n` grid as [lo, hi, n] (`null` when
+but the selftest's writes its data as CSV (authoritative, all through
+`_write_csv`), optional SVG plots derived from the CSV content, and a JSON
+run manifest that `main` writes atomically last, from the `Run` the command
+returns, whose `details` record the inputs that replay the run: the system
+with l_max resolved, and each `lo:hi:n` grid as [lo, hi, n] (`null` when
 auto-located). `curve`'s manifest also records, per pair, the numerical
 health of its sweeps (`spectrum.SweepResult`): of the one pre-scan that
 located its grid (`curves._transition_grid` returns it), the dense
@@ -16,18 +17,20 @@ eigensolves and worst certified sine (`dense_solves`, `sine_bound`). Exit
 codes:
 0 success, 2 usage (including a ParameterError or InputError from the
 package), 3 numerical failure (any other package error), 4 self-check or
-preset mismatch. A sweep that meets a degenerate point (its two lowest
-sector energies tie, as in the non-interacting lowest Landau level at
-Omega = 1) exits 2 and writes no output file. `estimate --trajectories`
-sizes the ensembles of every run: 200 by default under `--preset fig4` and
-`array`, 1 without a preset (above 1, that run also writes the ensemble
-median); `fig3` runs none and refuses it. `estimate --catalog` is the one
-route to the catalog (the config holds no path). `estimate` exits 2 with
-one `error:` line and writes no output file without `--catalog`, when its
-`--config` file cannot be read, is not a JSON object, or breaks the schema
-in `estimate.ProtocolConfig` (an unknown key, a wrong type, a value out of
-range), when the seed (config or CRITGYRO_SEED) is negative, and when the
-catalog lacks the initial (g, A) pair. `basis` writes the basis file;
+preset mismatch. An output path that cannot be written exits 2 before any
+computation, and no file is written. A sweep that meets a degenerate point
+(its two lowest sector energies tie, as in the non-interacting lowest
+Landau level at Omega = 1) exits 2 and writes no output file. `estimate
+--trajectories` sizes the ensembles of every run: 200 by default under
+`--preset fig4` and `array`, 1 without a preset (above 1, that run also
+writes the ensemble median); `fig3` runs none and refuses it. `estimate
+--catalog` is the one route to the catalog (the config holds no path).
+`estimate` exits 2 with one `error:` line, and makes no output file or
+directory, without `--catalog`, when its `--config` file cannot be read,
+is not a JSON object, or breaks the schema in `estimate.ProtocolConfig`
+(an unknown key, a wrong type, a value out of range), when the seed
+(config or CRITGYRO_SEED) is negative, and when the catalog lacks the
+initial (g, A) pair. `basis` writes the basis file;
 `curve` dumps only the element cache and one Hamiltonian, and exits 2
 unless it gets one --A per --g. `offset` sweeps the system its catalog
 records (provenance `solver.n_particles`, `n_ll` and `l_max`) and exits 2,
@@ -43,6 +46,7 @@ import json
 import os
 import sys
 import time
+from collections import namedtuple
 from dataclasses import replace
 from math import pi
 
@@ -101,7 +105,26 @@ def _write_csv(path, header, rows) -> None:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def _write_manifest(primary_output, command, details, outputs, t_start) -> str:
+#: what a file-writing command hands `main`: the path its manifest is named
+#: after, the manifest's details, the files written and the exit status
+Run = namedtuple("Run", "base details outputs status", defaults=(EXIT_OK,))
+
+
+def _check_output(path, directory: bool) -> None:
+    """ParameterError naming `path` unless it is a file in a writable
+    directory, or a directory that exists or `os.makedirs` can make."""
+    target = os.path.abspath(path)
+    if os.path.exists(target) and os.path.isdir(target) != directory:
+        kind = "a file" if directory else "a directory"
+        raise ParameterError(f"cannot write {path}: it is {kind}")
+    home = target if directory else os.path.dirname(target)
+    while directory and not os.path.exists(home):
+        home = os.path.dirname(home)
+    if not (os.path.isdir(home) and os.access(home, os.W_OK)):
+        raise ParameterError(f"cannot write {path}: {home} is not a writable directory")
+
+
+def _write_manifest(primary_output, command, details, outputs, t_start) -> None:
     path = str(primary_output) + ".manifest.json"
     payload = {
         "command": command,
@@ -115,7 +138,6 @@ def _write_manifest(primary_output, command, details, outputs, t_start) -> str:
     with open(tmp, "w") as fh:
         json.dump(payload, fh, indent=2)
     os.replace(tmp, path)
-    return path
 
 
 def _build_system(n, n_ll, l_max):
@@ -174,8 +196,7 @@ def _parse_pairs(spec: str) -> list[tuple[float, float]]:
 # curve
 # ---------------------------------------------------------------------------
 
-def cmd_curve(args) -> int:
-    t0 = time.time()
+def cmd_curve(args) -> Run:
     if len(args.g) != len(args.A):
         raise ParameterError("need one --A per --g")
     basis, cache = _build_system(args.n, args.n_ll, args.l_max)
@@ -214,7 +235,10 @@ def cmd_curve(args) -> int:
                    xlabel="rotation rate (units of trap frequency)", ylabel="P(0)")
         outputs.append(args.svg)
     if args.dump_elements:
-        cache.dump_csv(args.dump_elements)
+        # each nonzero raw V and each stored raw U, keyed by mode indices
+        v = [("V", i, j, None, None, cache.v_raw[i, j]) for i, j in zip(*np.nonzero(cache.v_raw))]
+        u = [("U", *key, raw) for key, raw in sorted(cache.u_raw.items())]
+        _write_csv(args.dump_elements, ("kind", "i", "j", "k", "l", "raw"), v + u)
         outputs.append(args.dump_elements)
     if args.dump_matrix:
         ham = system.operators.hamiltonian(args.g[0], args.A[0], args.matrix_omega).tocoo()
@@ -222,19 +246,16 @@ def cmd_curve(args) -> int:
             for r, c, v in zip(ham.row, ham.col, ham.data):
                 fh.write(f"{r} {c} {_fmt(v)}\n")
         outputs.append(args.dump_matrix)
-    _write_manifest(args.out, "curve",
-                    {"pairs": list(zip(args.g, args.A)), "sweeps": sweeps,
-                     **_system_details(basis), "grid": _grid_details(args.grid)},
-                    outputs, t0)
-    return EXIT_OK
+    return Run(args.out, {"pairs": list(zip(args.g, args.A)), "sweeps": sweeps,
+                          **_system_details(basis), "grid": _grid_details(args.grid)},
+               outputs)
 
 
 # ---------------------------------------------------------------------------
 # catalog
 # ---------------------------------------------------------------------------
 
-def cmd_catalog(args) -> int:
-    t0 = time.time()
+def cmd_catalog(args) -> Run:
     pairs = args.pairs or list(DEFAULT_CATALOG_PAIRS)
     basis, cache = _build_system(args.n, args.n_ll, args.l_max)
     catalog = catalog_build(basis, cache, pairs, grid=args.grid)
@@ -242,11 +263,9 @@ def cmd_catalog(args) -> int:
     for c in catalog.curves:
         print(f"catalog (g={c.g}, A={c.anisotropy}): "
               f"center={c.center:.6f} width={c.width:.6f}")
-    _write_manifest(args.out, "catalog",
-                    {"pairs": pairs, **_system_details(basis),
-                     "grid": _grid_details(args.grid)},
-                    [args.out], t0)
-    return EXIT_OK
+    return Run(args.out, {"pairs": pairs, **_system_details(basis),
+                          "grid": _grid_details(args.grid)},
+               [args.out])
 
 
 # ---------------------------------------------------------------------------
@@ -294,8 +313,7 @@ def resolve_seed(config_seed: int) -> tuple[int, str]:
     return seed, SEED_ENV if env else "config"
 
 
-def cmd_estimate(args) -> int:
-    t0 = time.time()
+def cmd_estimate(args) -> Run:
     cfg_data = {}
     if args.config:
         try:
@@ -308,9 +326,15 @@ def cmd_estimate(args) -> int:
     if not args.catalog:
         raise ParameterError("no catalog given (--catalog)")
     catalog = catalog_load(args.catalog)
-    os.makedirs(args.out_dir, exist_ok=True)
-    out = lambda name: os.path.join(args.out_dir, name)
     outputs = []
+
+    def out(name):
+        """The path of output file `name`, added to the run's outputs; the
+        first call makes --out-dir, so a run that fails first leaves none."""
+        os.makedirs(args.out_dir, exist_ok=True)
+        outputs.append(os.path.join(args.out_dir, name))
+        return outputs[-1]
+
     details = {"config": config.to_dict(), "preset": args.preset,
                "catalog": str(args.catalog),
                "seed": seed, "seed_source": seed_source}
@@ -323,14 +347,11 @@ def cmd_estimate(args) -> int:
         cfg = replace(config, schedule=(), n_measurements=100)
         result = run_protocol(cfg, catalog)
         _write_trajectory(out("trajectory.csv"), result)
-        outputs.append(out("trajectory.csv"))
         for mu in (1, 10, 100):
             # the mu = 100 snapshot is `result`: the same config and seed
             snap = result if mu == 100 else run_protocol(replace(cfg, n_measurements=mu), catalog)
-            path = out(f"posterior_mu{mu}.csv")
-            _write_csv(path, ("omega", "mass"),
+            _write_csv(out(f"posterior_mu{mu}.csv"), ("omega", "mass"),
                        zip(snap.posterior.omega, snap.posterior.mass))
-            outputs.append(path)
         print(f"fig3: mean={result.posterior.mean:.6f} "
               f"sigma={result.final_sigma:.6f} after 100 measurements")
     elif args.preset == "fig4":
@@ -347,12 +368,10 @@ def cmd_estimate(args) -> int:
             columns.append(med)
             names.append(f"sigma_{name}")
         _write_csv(out("sigma_vs_mu.csv"), names, zip(*columns))
-        outputs.append(out("sigma_vs_mu.csv"))
         line_chart(out("sigma_vs_mu.svg"),
                    [(n, mus, medians[n]) for n, _ in _FIG4_VARIANTS],
                    title="posterior width vs measurement count",
                    xlabel="measurements", ylabel="sigma", logy=True)
-        outputs.append(out("sigma_vs_mu.svg"))
         factor = medians["untuned"][-1] / medians["two_tunings"][-1]
         print(f"fig4: sigma(100) untuned={medians['untuned'][-1]:.3e} "
               f"one={medians['one_tuning'][-1]:.3e} "
@@ -365,7 +384,6 @@ def cmd_estimate(args) -> int:
         med = ens.median_sigma()
         _write_csv(out("sigma_vs_mu.csv"), ("mu", "sigma"),
                    zip(np.arange(1, 401), med))
-        outputs.append(out("sigma_vs_mu.csv"))
         final = float(med[-1])
         lo, hi = _ARRAY_TARGET / _ARRAY_FACTOR, _ARRAY_TARGET * _ARRAY_FACTOR
         ok = lo <= final <= hi
@@ -378,34 +396,28 @@ def cmd_estimate(args) -> int:
     else:
         result = run_protocol(config, catalog)
         _write_trajectory(out("trajectory.csv"), result)
-        outputs.append(out("trajectory.csv"))
         if n_traj > 1:
             ens = run_ensemble(config, catalog, n_trajectories=n_traj)
             ensembles["config"] = _ensemble_health(ens)
             med = ens.median_sigma()
             _write_csv(out("sigma_vs_mu.csv"), ("mu", "sigma"),
                        zip(np.arange(1, config.n_measurements + 1), med))
-            outputs.append(out("sigma_vs_mu.csv"))
         line_chart(out("sigma_vs_mu.svg"),
                    [("trajectory", np.arange(1, config.n_measurements + 1),
                      result.sigma_trace)],
                    title="posterior width vs measurement count",
                    xlabel="measurements", ylabel="sigma", logy=True)
-        outputs.append(out("sigma_vs_mu.svg"))
         print(f"estimate: final sigma={result.final_sigma:.6e}")
 
     details["ensembles"] = ensembles
-    _write_manifest(os.path.join(args.out_dir, "run"), "estimate", details,
-                    outputs, t0)
-    return status
+    return Run(os.path.join(args.out_dir, "run"), details, outputs, status)
 
 
 # ---------------------------------------------------------------------------
 # offset
 # ---------------------------------------------------------------------------
 
-def cmd_offset(args) -> int:
-    t0 = time.time()
+def cmd_offset(args) -> Run:
     if not (np.isfinite(args.omega_perp_hz) and args.omega_perp_hz > 0):
         raise ParameterError(f"--omega-perp-hz must be finite and > 0, "
                              f"got {args.omega_perp_hz}")
@@ -436,47 +448,39 @@ def cmd_offset(args) -> int:
     profile = gap_profile(basis, cache, curve.g, curve.anisotropy, ramp,
                           center=curve.center)
     omega_perp = 2 * pi * args.omega_perp_hz  # rad/s
-    rows = []
-    for off, hw in zip(offsets, hwhms):
-        t_trap = adiabatic_time(profile, off, eps=args.eps)
-        rows.append((off, hw, t_trap, t_trap / omega_perp))
+    times = [adiabatic_time(profile, off, eps=args.eps) for off in offsets]
     _write_csv(args.out, ("offset", "hwhm", "time_trap_units", "time_seconds"),
-               rows)
+               [(off, hw, t, t / omega_perp) for off, hw, t in zip(offsets, hwhms, times)])
     outputs = [args.out]
     if args.svg:
-        arr = np.array([(r[0], r[1], r[2]) for r in rows])
         line_chart(args.svg,
-                   [("hwhm", arr[:, 0], arr[:, 1]),
-                    ("ramp time (trap units)", arr[:, 0], arr[:, 2])],
+                   [("hwhm", offsets, hwhms), ("ramp time (trap units)", offsets, times)],
                    title="preparation offset study",
-                   xlabel="offset from resonance center", ylabel="value",
-                   logy=False)
+                   xlabel="offset from resonance center", ylabel="value")
         outputs.append(args.svg)
-    ratio = rows[-1][2] / rows[0][2] if rows[0][2] > 0 else float("inf")
+    ratio = times[-1] / times[0] if times[0] > 0 else float("inf")
     print(f"offset study: time({offsets[-1]:+.3f})/time({offsets[0]:+.3f}) "
           f"= {ratio:.3g}")
-    _write_manifest(args.out, "offset",
-                    {"g": args.g, "A": args.A, "eps": args.eps,
-                     "omega_perp_hz": args.omega_perp_hz,
-                     "catalog": str(args.catalog), **_system_details(basis),
-                     "offsets": _grid_details(offsets),
-                     "prior_lo": args.prior_lo, "prior_hi": args.prior_hi,
-                     "gap_points": args.gap_points},
-                    outputs, t0)
-    return EXIT_OK
+    return Run(args.out, {"g": args.g, "A": args.A, "eps": args.eps,
+                          "omega_perp_hz": args.omega_perp_hz,
+                          "catalog": str(args.catalog), **_system_details(basis),
+                          "offsets": _grid_details(offsets),
+                          "prior_lo": args.prior_lo, "prior_hi": args.prior_hi,
+                          "gap_points": args.gap_points},
+               outputs)
 
 
 # ---------------------------------------------------------------------------
 # basis / selftest
 # ---------------------------------------------------------------------------
 
-def cmd_basis(args) -> int:
-    t0 = time.time()
+def cmd_basis(args) -> Run:
     basis = enumerate_basis(args.n, args.n_ll, args.l_max)
-    basis.dump_csv(args.out)
+    _write_csv(args.out, ("index", "L", "occupations"),  # occupations: n:m:count;...
+               ((i, l, ";".join(f"{n}:{m}:{c}" for (n, m), c in zip(basis.modes, occ) if c))
+                for i, (occ, l) in enumerate(zip(basis.occupations, basis.L))))
     print(f"basis: {basis.size} states over {len(basis.modes)} modes")
-    _write_manifest(args.out, "basis", _system_details(basis), [args.out], t0)
-    return EXIT_OK
+    return Run(args.out, _system_details(basis), [args.out])
 
 
 def cmd_selftest(args) -> int:
@@ -579,7 +583,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--matrix-omega", type=float, default=0.0,
                    dest="matrix_omega")
     add_system_args(p)
-    p.set_defaults(func=cmd_curve)
+    p.set_defaults(func=cmd_curve, writes=("out", "svg", "dump_elements", "dump_matrix"))
 
     p = sub.add_parser("catalog", help="build and save a curve catalog")
     p.add_argument("--pairs", type=_parse_pairs,
@@ -588,7 +592,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="explicit grid lo:hi:n (default: auto-located)")
     p.add_argument("--out", default="catalog.json")
     add_system_args(p)
-    p.set_defaults(func=cmd_catalog)
+    p.set_defaults(func=cmd_catalog, writes=("out",))
 
     p = sub.add_parser("estimate", help="run the estimation protocol")
     p.add_argument("--config", help="JSON protocol config")
@@ -598,7 +602,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="ensemble size: default 200 under the fig4 and array presets, "
                         "1 (no ensemble) without a preset; refused by fig3")
     p.add_argument("--out-dir", default="estimate_out", dest="out_dir")
-    p.set_defaults(func=cmd_estimate)
+    p.set_defaults(func=cmd_estimate, writes=("out_dir",))
 
     p = sub.add_parser("offset", help="preparation offset study")
     p.add_argument("--catalog", required=True)
@@ -615,15 +619,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gap-points", type=int, default=271, dest="gap_points")
     p.add_argument("--out", default="offset.csv")
     p.add_argument("--svg")
-    p.set_defaults(func=cmd_offset)
+    p.set_defaults(func=cmd_offset, writes=("out", "svg"))
 
     p = sub.add_parser("basis", help="dump the truncated basis")
     p.add_argument("--out", default="basis.csv")
     add_system_args(p)
-    p.set_defaults(func=cmd_basis)
+    p.set_defaults(func=cmd_basis, writes=("out",))
 
     p = sub.add_parser("selftest", help="fast internal consistency checks")
-    p.set_defaults(func=cmd_selftest)
+    p.set_defaults(func=cmd_selftest, writes=())
     return parser
 
 
@@ -634,14 +638,22 @@ def main(argv=None) -> int:
         args.l_max = args.n + 2
     if getattr(args, "trajectories", None) is not None and args.preset == "fig3":
         parser.error("--trajectories sizes an ensemble, and --preset fig3 runs none")
+    t0 = time.time()
     try:
-        return args.func(args)
+        for name in args.writes:  # every output path, before any command computes
+            if getattr(args, name) is not None:
+                _check_output(getattr(args, name), directory=name == "out_dir")
+        run = args.func(args)
     except (ParameterError, InputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except CritgyroError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    if not isinstance(run, Run):  # the selftest writes no files: its status alone
+        return run
+    _write_manifest(run.base, args.command, run.details, run.outputs, t0)
+    return run.status
 
 
 if __name__ == "__main__":

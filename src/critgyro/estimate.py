@@ -317,17 +317,17 @@ def _workers() -> int:
         return os.cpu_count() or 1
 
 
-def _ensemble_workers(n_traj: int) -> int:
-    """Processes an ensemble of n_traj trajectories runs on, the caller
-    included: one per chunk (module docstring)."""
+def _ensemble_chunks(n_traj: int) -> list[range]:
+    """The indices of an ensemble of n_traj trajectories, one chunk per
+    process that runs them, the caller's first (module docstring)."""
+    size = n_traj
     workers = min(_workers(), n_traj)
-    if workers < 2 or threading.active_count() > 1:
-        return 1
-    import multiprocessing  # only where a child may be forked: CLI start-up skips it
+    if workers > 1 and threading.active_count() == 1:
+        import multiprocessing  # only where a child may be forked: CLI start-up skips it
 
-    if "fork" not in multiprocessing.get_all_start_methods():
-        return 1
-    return math.ceil(n_traj / math.ceil(n_traj / workers))  # one per chunk
+        if "fork" in multiprocessing.get_all_start_methods():
+            size = math.ceil(n_traj / workers)
+    return [range(n_traj)[start:start + size] for start in range(0, n_traj, size)]
 
 
 def _send_rows(one, chunk, send):
@@ -367,12 +367,12 @@ def run_ensemble(config: ProtocolConfig, catalog: CurveCatalog, n_trajectories: 
     ParameterError for a bad argument.
 
     Degenerate trajectories abort and are counted, not retried. The
-    indices are split into `workers` chunks of ceil(n_trajectories /
-    workers) (module docstring). The caller runs chunk 0, and each further
-    chunk runs in a fork-context `multiprocessing.Process`, all on one BLAS
-    thread. A child inherits the config, catalog and seed through the fork
-    and sends its rows through a one-way pipe; the caller reads them in
-    trajectory order, so the result equals a serial run's bit for bit. Any
+    indices are split into chunks (module docstring), and `workers` counts
+    them. The caller runs chunk 0, and each further chunk runs in a
+    fork-context `multiprocessing.Process`, all on one BLAS thread. A
+    child inherits the config, catalog and seed through the fork and sends
+    its rows through a one-way pipe; the caller reads them in trajectory
+    order, so the result equals a serial run's bit for bit. Any
     other error of a trajectory propagates with its own type, the lowest
     chunk's first, and a child that exits without sending its rows raises
     ChildProcessError with its exit code. No child process or thread
@@ -384,9 +384,7 @@ def run_ensemble(config: ProtocolConfig, catalog: CurveCatalog, n_trajectories: 
     seed = config.seed if master_seed is None else _integer("master_seed", master_seed)
     if seed < 0:
         raise ParameterError(f"master_seed must be >= 0, got {seed}")
-    workers = _ensemble_workers(n_traj)
-    size = math.ceil(n_traj / workers)
-    chunks = [range(n_traj)[start:start + size] for start in range(0, n_traj, size)]
+    chunks = _ensemble_chunks(n_traj)
     one = functools.partial(_run_one, config, catalog, seed)
     children = []
     try:
@@ -422,7 +420,7 @@ def run_ensemble(config: ProtocolConfig, catalog: CurveCatalog, n_trajectories: 
         n_aborted=len(aborted),
         abort_indices=aborted,
         max_dropped_mass=max(done[index][2] for index in kept),
-        workers=workers,
+        workers=len(chunks),
     )
 
 

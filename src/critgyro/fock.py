@@ -65,11 +65,6 @@ class FockBasis:
     def size(self) -> int:
         return self.occupations.shape[0]
 
-    def state_occupations(self, i: int) -> dict[Mode, int]:
-        """Occupation mapping of basis state i (nonzero entries only)."""
-        row = self.occupations[i]
-        return {self.modes[j]: int(row[j]) for j in np.nonzero(row)[0]}
-
     @cached_property
     def key_index(self) -> "KeyIndex":
         """`KeyIndex` of the occupations."""
@@ -101,17 +96,6 @@ class FockBasis:
         for arr in (src, tgt, table_t.data, table_t.indices, table_t.indptr):
             arr.flags.writeable = False
         return src, tgt, table_t
-
-    def dump_csv(self, path) -> None:
-        """Write (index, L, occupations) rows for debugging."""
-        with open(path, "w") as fh:
-            fh.write("index,L,occupations\n")
-            for i in range(self.size):
-                occ = ";".join(
-                    f"{mode.n}:{mode.m}:{c}"
-                    for mode, c in self.state_occupations(i).items()
-                )
-                fh.write(f"{i},{self.L[i]},{occ}\n")
 
 
 def enumerate_basis(n_particles: int, n_ll: int, l_max: int) -> FockBasis:

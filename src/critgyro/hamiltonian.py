@@ -48,7 +48,7 @@ import scipy.sparse as sp
 
 from . import spectrum
 from .errors import ParameterError, StructureError
-from .fock import FockBasis, Mode, ladder_entries
+from .fock import FockBasis, ladder_entries
 from .melem import ElementCache, pairs_by_total_m
 
 #: entries below this magnitude are rounding remainders (module docstring), dropped
@@ -164,8 +164,7 @@ class System:
         if tuple(cache.modes) != tuple(basis.modes):
             raise StructureError("element cache was built over a different mode list")
         self.basis, self.cache = basis, cache
-        condensate = basis.occupations[:, basis.modes.index(Mode(0, 0))] == basis.n_particles
-        self.sector_rows = np.flatnonzero(basis.L % 2 == basis.L[condensate] % 2)
+        self.sector_rows = np.flatnonzero(basis.L % 2 == 0)  # the condensate's L is 0
         self.sector_l = basis.L[self.sector_rows].astype(np.float64)
         self.sector_rows.flags.writeable = self.sector_l.flags.writeable = False
         self.last_sweep = None

@@ -204,15 +204,3 @@ class ElementCache:
                 for q, fq in zip(pairs[i:], factors[i:]):
                     u_raw[p + q] = _contact_raw(fp, fq, fact)
         return cls(modes=modes, v_raw=v_raw, u_raw=u_raw)
-
-    def dump_csv(self, path) -> None:
-        """Write raw V and U tables keyed by mode indices."""
-        with open(path, "w") as fh:
-            fh.write("kind,i,j,k,l,raw\n")
-            nm = len(self.modes)
-            for i in range(nm):
-                for j in range(nm):
-                    if self.v_raw[i, j] != 0.0:
-                        fh.write(f"V,{i},{j},,,{float(self.v_raw[i, j])!r}\n")
-            for (a, b, c, d), val in sorted(self.u_raw.items()):
-                fh.write(f"U,{a},{b},{c},{d},{val!r}\n")

@@ -162,6 +162,10 @@ def preparation_hwhm(curve, offset: float, prior_lo: float, prior_hi: float) -> 
     The likelihood is the curve truncated at the ramp endpoint (flat at the
     endpoint value beyond it), shifted so the flat prior's midpoint maps onto
     the endpoint. A proxy for the attainable single-shot resolution.
+    It is the prior's half width (prior_hi - prior_lo) / 2 wherever the
+    truncated likelihood stays at or above half its maximum: for every
+    offset <= 0 on a curve at or above 0.5 before its center, where the
+    likelihood is at least p_end >= 0.5, half of a maximum <= 1.
     The prior needs finite bounds with prior_lo < prior_hi, the offset must
     be finite, and the curve needs a 0.5 crossing (ParameterError otherwise).
     """

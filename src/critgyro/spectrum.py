@@ -100,8 +100,8 @@ the dimension (a subspace that large gains nothing on the dense sweep).
 `stop` answers every point once, in order: the dense loop does not ask
 it again about a point the walk settled. A pencil whose H0 has no element
 between states of different L (zero anisotropy) commutes with diag(L): its
-sectors cross exactly, the follow rule defines the branch, and its sweeps
-go to `sweep_lowest` at once.
+sectors cross exactly, the follow rule defines the branch, and the model
+takes no anchor: its walk hands the whole grid to the dense follow rule.
 
 What the certificate covers: each returned vec0 (and, on a whole grid,
 vec1) lies within `sine_bound` of the matrix's ground (first excited)
@@ -355,10 +355,10 @@ class ReducedModel:
     over every anchor's three vectors. Each `sweep` walks its grid against
     every anchor that earlier sweeps left, and adds its own.
 
-    A pencil whose H0 has no element between states of different L is swept
-    by `sweep_lowest` alone. One of fewer than six states is too: its first
-    anchor would pass half the dimension, so the walk hands its whole grid
-    to the dense follow rule at point 0.
+    A pencil whose H0 has no element between states of different L
+    (`dense_only`) takes no anchor, nor does one of fewer than six states
+    (its first would pass half the dimension): the walk hands its whole
+    grid to the dense follow rule at point 0, and returns `sweep_lowest`'s.
     """
 
     def __init__(self, h0_dense: np.ndarray, l_diag: np.ndarray):
@@ -366,7 +366,8 @@ class ReducedModel:
         self.l_diag = np.asarray(l_diag, dtype=float)
         dim = self.h0.shape[0]
         self.l_min = float(self.l_diag.min(initial=np.inf))
-        self.dense_only = not self.h0[self.l_diag[:, None] != self.l_diag[None, :]].any()
+        rows, cols = np.nonzero(self.h0)
+        self.dense_only = not (self.l_diag[rows] != self.l_diag[cols]).any()
         self.q, self.hq, self.lq = (np.empty((dim, 0)) for _ in range(3))
         self.qhq = self.qlq = None
         self.anchors = {}  # Omega -> (three lowest energies, (dim, 2) two lowest vectors)
@@ -394,19 +395,16 @@ class ReducedModel:
         `dense_solves` counts the dense solves of this call. The inputs
         must be finite (InputError otherwise).
         """
-        omegas = np.asarray(omegas, dtype=float)
-        if self.dense_only:
-            return sweep_lowest(self.h0, self.l_diag, omegas, stop=stop)
         with _one_blas_thread():
-            return self._walk(omegas, stop)
+            return self._walk(np.asarray(omegas, dtype=float), stop)
 
     def _anchor(self, omega: float, diagonal: np.ndarray) -> bool:
         """Solve the three lowest dense pairs at `omega`, the point whose
         matrix diagonal is `diagonal`, and keep them as an anchor; their
-        vectors join Q. False, solving nothing, where Q would pass half
-        the dimension."""
+        vectors join Q. False, solving nothing, for a `dense_only` pencil
+        or where Q would pass half the dimension."""
         dim = self.h0.shape[0]
-        if self.q.shape[1] + 3 > dim / 2:
+        if self.dense_only or self.q.shape[1] + 3 > dim / 2:
             return False
         theta, x = _eigh(self.h0, _workspace(dim), subset_by_index=(0, 2), diagonal=diagonal)
         self.anchors[omega] = (theta, x[:, :2])

@@ -284,14 +284,19 @@ def test_criterion_8_adiabatic_time_ratio(offset_profile):
 
 
 def test_criterion_8_hwhm_flat_over_offsets(curve_05_004):
+    """The proxy is the prior's half width wherever the likelihood stays
+    above half its maximum (`preparation_hwhm`), so the line prints both."""
+    prior_lo, prior_hi = 0.87, 0.93
     offsets = np.linspace(-0.1, 0.0, 11)
     hw = np.array([
-        preparation_hwhm(curve_05_004, off, 0.87, 0.93) for off in offsets
+        preparation_hwhm(curve_05_004, off, prior_lo, prior_hi) for off in offsets
     ])
     change = float((hw.max() - hw.min()) / hw.max())
     verdict("8b", change < 0.2,
             f"single-shot HWHM proxy varies {100 * change:.2f}% over "
-            "[-0.1, 0] (required < 20%)")
+            "[-0.1, 0] (required < 20%); HWHM "
+            f"[{hw.min():.6g}, {hw.max():.6g}] against the prior half width "
+            f"{(prior_hi - prior_lo) / 2:.6g}")
 
 
 def test_criterion_8_gap_minimum_inside_transition(system6, curve_05_004,

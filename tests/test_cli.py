@@ -327,6 +327,55 @@ def test_curve_needs_one_A_per_g(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv,flag,bad", [
+    (["basis"], "--out", "{missing}/b.csv"),
+    (["curve", "--g", "0.5", "--A", "0.04", "--out", "{tmp}/c.csv"], "--svg", "{missing}/c.svg"),
+    (["catalog"], "--out", "{missing}/cat.json"),
+    (["offset", "--catalog", "{catalog}"], "--out", "{missing}/o.csv"),
+    (["estimate", "--catalog", "{catalog}"], "--out-dir", "{file}"),
+], ids=["basis", "curve", "catalog", "offset", "estimate"])
+def test_an_unwritable_output_exits_2_before_any_computation(argv, flag, bad, tmp_path,
+                                                             catalog_file, capsys,
+                                                             monkeypatch):
+    """Every output path is checked before the command computes: a file
+    under a missing directory, or an existing file as `--out-dir`, exits 2
+    with one error line naming it, and no sweep runs and no file is
+    written (before, `curve` left its CSV without a manifest when its SVG
+    could not be written)."""
+    swept = []
+    real = spectrum.ReducedModel.sweep
+
+    def spying(self, omegas, stop=None):
+        swept.append(len(omegas))
+        return real(self, omegas, stop)
+
+    monkeypatch.setattr(spectrum.ReducedModel, "sweep", spying)
+    existing = tmp_path / "existing"
+    existing.write_text("")
+    paths = {"tmp": tmp_path, "missing": tmp_path / "missing", "file": existing,
+             "catalog": catalog_file}
+    bad = bad.format(**paths)
+    assert main([arg.format(**paths) for arg in argv] + [flag, bad]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {bad}: ") and len(err.splitlines()) == 1
+    assert swept == [] and list(tmp_path.iterdir()) == [existing]
+
+
+def test_compute_modules_write_no_files():
+    """`cli` formats and writes the CLI's files: the modules that compute
+    call no `open` (by name or as an attribute)."""
+    package = Path(critgyro.__file__).parent
+    openers = set()
+    for name in ("fock", "melem", "hamiltonian", "spectrum", "observables", "estimate",
+                 "_kernels"):
+        for node in ast.walk(ast.parse((package / f"{name}.py").read_text())):
+            if isinstance(node, ast.Call) and (
+                    isinstance(node.func, ast.Name) and node.func.id == "open"
+                    or isinstance(node.func, ast.Attribute) and node.func.attr == "open"):
+                openers.add(name)
+    assert openers == set()
+
+
 def test_offset_requires_known_pair(tmp_path, catalog_file):
     code = main([
         "offset", "--catalog", catalog_file, "--g", "0.9", "--A", "0.5",
@@ -708,8 +757,7 @@ def test_estimate_refuses_a_bad_config(config, seed_env, tmp_path, catalog_file,
                  "--out-dir", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
-    assert not (out / "trajectory.csv").exists()
-    assert not (out / "run.manifest.json").exists()
+    assert not out.exists()  # not even an empty --out-dir
 
 
 def test_only_the_cli_reads_the_environment():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from critgyro.cli import main
 from critgyro.errors import ParameterError
 from critgyro.fock import (
     KeyIndex,
@@ -52,7 +53,7 @@ def test_vacuum_basis():
     basis = enumerate_basis(0, 2, 2)
     assert basis.size == 1
     assert basis.L[0] == 0
-    assert not basis.state_occupations(0)
+    assert not basis.occupations[0].any()
 
 
 def test_single_particle_basis_matches_modes():
@@ -145,12 +146,22 @@ def test_hop_closure_exhaustive_n3():
 
 
 def test_dump_csv(tmp_path):
+    """`critgyro basis` writes one row per state, in basis order, from which
+    its L and its occupations read back exactly."""
     basis = enumerate_basis(2, 2, 4)
     path = tmp_path / "basis.csv"
-    basis.dump_csv(path)
+    assert main(["basis", "--n", "2", "--l-max", "4", "--out", str(path)]) == 0
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "index,L,occupations"
     assert len(lines) == basis.size + 1
+    for i, line in enumerate(lines[1:]):
+        index, total_l, occupied = line.split(",")
+        occ = np.zeros(len(basis.modes), dtype=np.int64)
+        for field in occupied.split(";"):
+            n, m, count = map(int, field.split(":"))
+            occ[basis.modes.index(Mode(n, m))] = count
+        assert (int(index), int(total_l)) == (i, basis.L[i])
+        assert np.array_equal(occ, basis.occupations[i])
 
 
 def test_key_index_finds_every_row():

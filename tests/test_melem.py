@@ -4,6 +4,7 @@ from itertools import product
 from math import factorial, pi, prod, sqrt
 
 from critgyro import melem
+from critgyro.cli import main
 from critgyro.errors import ParameterError
 from critgyro.fock import Mode, enumerate_basis, enumerate_modes
 from critgyro.hamiltonian import System
@@ -272,10 +273,13 @@ def test_cache_forms_each_pair_factor_once(monkeypatch):
 
 
 def test_cache_dump(tmp_path):
-    modes = enumerate_modes(2, 2)
-    cache = ElementCache.build(modes)
+    """`critgyro curve --dump-elements` writes the raw tables of the cache
+    over its basis's modes."""
+    cache = ElementCache.build(enumerate_modes(2, 2))
     path = tmp_path / "elements.csv"
-    cache.dump_csv(path)
+    assert main(["curve", "--n", "2", "--l-max", "2", "--g", "0.5", "--A", "0.04",
+                 "--grid", "0.8:0.9:3", "--out", str(tmp_path / "curve.csv"),
+                 "--dump-elements", str(path)]) == 0
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "kind,i,j,k,l,raw"
     v_dumped, u_dumped = {}, {}

@@ -617,26 +617,22 @@ def test_the_chord_bound_is_never_extrapolated():
     assert second.energies[0, 1] == pytest.approx(0.9, abs=1e-12)
 
 
-def test_continuation_hands_a_branch_change_to_the_dense_sweep(system6, monkeypatch):
+def test_continuation_hands_a_branch_change_to_the_dense_sweep(system6):
     """At A = 0 H0 commutes with diag(L), the ground state changes L sector
-    inside PRESCAN_RANGE, and the follow rule leaves it: the sweep goes to
-    the dense sweep at once, and the result is that sweep's, bit for bit,
-    from its 601 dense solves and no other."""
+    inside PRESCAN_RANGE, and the follow rule leaves it: the model keeps no
+    anchor, its walk hands the whole grid to the dense follow rule, and the
+    result is the dense sweep's, bit for bit, from its 601 dense solves and
+    no other."""
     basis, cache = system6
     system = System.of(basis, cache)
+    h0, l_diag = system.sector_h0(0.5, 0.0), system.sector_l
     omegas = np.linspace(*PRESCAN_RANGE, REFINED_POINTS)
-    dense = []
-    real = spectrum.sweep_lowest
-
-    def recording(*args, **kwargs):
-        dense.append(real(*args, **kwargs))
-        return dense[-1]
-
-    monkeypatch.setattr(spectrum, "sweep_lowest", recording)
-    result = sweep(system.sector_h0(0.5, 0.0), system.sector_l, omegas)
-    assert len(dense) == 1 and dense[0].followed_rank.any()
+    model = ReducedModel(h0, l_diag)
+    result = model.sweep(omegas)
+    dense = sweep_lowest(h0, l_diag, omegas)
+    assert model.dense_only and model.anchors == {} and dense.followed_rank.any()
     for name in _SWEEP_FIELDS + ("sine_bound", "dense_solves", "dense_from"):
-        assert np.array_equal(getattr(result, name), getattr(dense[0], name)), name
+        assert np.array_equal(getattr(result, name), getattr(dense, name)), name
     assert result.dense_solves == REFINED_POINTS and result.dense_from == 0
 
 
@@ -658,8 +654,8 @@ def test_a_sector_of_two_states_takes_the_dense_path():
 def test_a_pencil_of_fewer_than_six_states_is_the_dense_sweep(dim):
     """With and without `stop`, a model of fewer than six states returns
     `sweep_lowest`'s result field for field: a 1-state pencil has no
-    coupling and goes to it at once, and a larger one hands point 0 to
-    its follow rule."""
+    coupling (`dense_only`) and a larger one no room for an anchor, so
+    each hands point 0 to the follow rule."""
     rng = np.random.default_rng(dim)
     a = 0.1 * rng.standard_normal((dim, dim))
     h0, l_diag = np.diag(np.arange(dim) * 2.0) + a + a.T, np.arange(dim, dtype=float)
