@@ -1,8 +1,8 @@
 """critgyro: rotating-BEC gyroscope simulation and adaptive Bayesian estimation.
 
-H takes one form: `System(basis, cache).operators.hamiltonian(g, A, omega)`
-returns it as a full symmetric `scipy.sparse` CSR matrix, and
-`System.sweep` solves its condensate sector along a rotation grid.
+H takes one form, `Operators.hamiltonian(g, A, omega)`, a sparse CSR matrix;
+`System(basis, cache)` builds its operators over the condensate's L-parity
+sector, and `System.sweep` solves that sector along a rotation grid.
 """
 
 __version__ = "0.1.0"

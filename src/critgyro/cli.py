@@ -17,8 +17,9 @@ eigensolves and worst certified sine (`dense_solves`, `sine_bound`). Exit
 codes:
 0 success, 2 usage (including a ParameterError or InputError from the
 package), 3 numerical failure (any other package error), 4 self-check or
-preset mismatch. An output path that cannot be written exits 2 before any
-computation, and no file is written. A sweep that meets a degenerate point
+preset mismatch. An output path that cannot be written, or that another
+output or the manifest names too, exits 2 before any computation, and no
+file is written. A sweep that meets a degenerate point
 (its two lowest sector energies tie, as in the non-interacting lowest
 Landau level at Omega = 1) exits 2 and writes no output file. `estimate
 --trajectories` sizes the ensembles of every run: 200 by default under
@@ -31,8 +32,8 @@ is not a JSON object, or breaks the schema in `estimate.ProtocolConfig`
 (an unknown key, a wrong type, a value out of range), when the seed
 (config or CRITGYRO_SEED) is negative, and when the catalog lacks the
 initial (g, A) pair. `basis` writes the basis file;
-`curve` dumps only the element cache and one Hamiltonian, and exits 2
-unless it gets one --A per --g. `offset` sweeps the system its catalog
+`curve` dumps only the element cache and one full-basis Hamiltonian, and
+exits 2 unless it gets one --A per --g. `offset` sweeps the system its catalog
 records (provenance `solver.n_particles`, `n_ll` and `l_max`) and exits 2,
 before any sweep, when the catalog has no curve for its (g, A), when one
 of those three is missing or not an integer, on a non-finite or
@@ -75,7 +76,7 @@ from .curves import (
 from .errors import CritgyroError, InputError, ParameterError
 from .estimate import DEFAULT_PRIOR, ProtocolConfig, run_ensemble, run_protocol
 from .fock import enumerate_basis
-from .hamiltonian import System
+from .hamiltonian import System, build_operators
 from .melem import ElementCache, integral_i1, integral_i2
 from .observables import adiabatic_time, gap_profile, p_zero, preparation_hwhm
 
@@ -241,7 +242,8 @@ def cmd_curve(args) -> Run:
         _write_csv(args.dump_elements, ("kind", "i", "j", "k", "l", "raw"), v + u)
         outputs.append(args.dump_elements)
     if args.dump_matrix:
-        ham = system.operators.hamiltonian(args.g[0], args.A[0], args.matrix_omega).tocoo()
+        ham = build_operators(basis, cache).hamiltonian(args.g[0], args.A[0],
+                                                        args.matrix_omega).tocoo()
         with open(args.dump_matrix, "w") as fh:
             for r, c, v in zip(ham.row, ham.col, ham.data):
                 fh.write(f"{r} {c} {_fmt(v)}\n")
@@ -494,18 +496,19 @@ def cmd_selftest(args) -> int:
     basis = enumerate_basis(3, 2, 5)
     checks.append(("3-particle basis size 65", basis.size == 65))
     system = System(basis, ElementCache.build(basis.modes))
-    ham = system.operators.hamiltonian(0.5, 0.04, 0.3)
+    full = build_operators(basis, system.cache)
+    ham = full.hamiltonian(0.5, 0.04, 0.3)
     dense = ham.toarray()
     checks.append(("Hamiltonian symmetric", np.array_equal(dense, dense.T)))
     # sweeps run on the condensate's L-parity sector: H must not couple the
-    # two parities, and the sector matrix must be H's own block, bit for bit
+    # two parities, and the sector's own H must be H's block, bit for bit
     rows, cols = ham.nonzero()
     checks.append(("H has no entry between L parities",
                    not ((basis.L[rows] - basis.L[cols]) % 2).any()))
-    h0 = system.operators.hamiltonian(0.5, 0.04, 0.0).toarray()
-    sector = np.ix_(system.sector_rows, system.sector_rows)
+    sector = np.flatnonzero(basis.L % 2 == 0)
+    h0 = full.hamiltonian(0.5, 0.04, 0.0)[sector][:, sector].toarray()
     checks.append(("sector h0 is the sector block of H at Omega 0",
-                   np.array_equal(system.sector_h0(0.5, 0.04), h0[sector])))
+                   np.array_equal(system.operators.hamiltonian(0.5, 0.04, 0.0).toarray(), h0)))
     # the sweep solver makes the LAPACK call scipy's eigh makes: same bits
     got = spectrum._eigh(dense, spectrum._workspace(len(dense)), subset_by_index=(0, 1))
     ref = sla.eigh(dense, subset_by_index=(0, 1))
@@ -515,11 +518,11 @@ def cmd_selftest(args) -> int:
     # agrees with the dense sweep within its certificate
     basis = enumerate_basis(4, 2, 6)
     system = System(basis, ElementCache.build(basis.modes))
-    h0, omegas = system.sector_h0(0.5, 0.04), np.linspace(0.3, 0.9, 41)
-    walk = spectrum.ReducedModel(h0, system.sector_l).sweep(omegas)
-    dense_sweep = spectrum.sweep_lowest(h0, system.sector_l, omegas)
-    p0_err = np.abs(p_zero(system.lift(walk.vec0), basis)
-                    - p_zero(system.lift(dense_sweep.vec0), basis)).max()
+    h0, omegas = system.operators.hamiltonian(0.5, 0.04, 0.0).toarray(), np.linspace(0.3, 0.9, 41)
+    walk = spectrum.ReducedModel(h0, system.operators.l).sweep(omegas)
+    dense_sweep = spectrum.sweep_lowest(h0, system.operators.l, omegas)
+    p0_err = np.abs(p_zero(walk.vec0, system.sector)
+                    - p_zero(dense_sweep.vec0, system.sector)).max()
     checks.append(("reduced sweep certified on every point, within its bound of the dense",
                    walk.dense_from == len(omegas)
                    and 0 < walk.sine_bound <= spectrum.SINE_TOL
@@ -527,8 +530,8 @@ def cmd_selftest(args) -> int:
                    and np.abs(walk.energies - dense_sweep.energies).max() <= 1e-12))
     # the located grid is the one the whole dense pre-scan gives, bit for bit
     coarse = np.linspace(*PRESCAN_RANGE, PRESCAN_POINTS)
-    dense_prescan = spectrum.sweep_lowest(h0, system.sector_l, coarse)
-    reference = _refined_grid(p_zero(system.lift(dense_prescan.followed), basis))
+    dense_prescan = spectrum.sweep_lowest(h0, system.operators.l, coarse)
+    reference = _refined_grid(p_zero(dense_prescan.followed, system.sector))
     checks.append(("located grid equals the dense pre-scan's, bit for bit",
                    reference is not None
                    and np.array_equal(locate_grid(basis, system.cache, 0.5, 0.04), reference)))
@@ -580,8 +583,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--svg")
     p.add_argument("--dump-elements", dest="dump_elements")
     p.add_argument("--dump-matrix", dest="dump_matrix")
-    p.add_argument("--matrix-omega", type=float, default=0.0,
-                   dest="matrix_omega")
+    p.add_argument("--matrix-omega", default=0.0, dest="matrix_omega",
+                   type=lambda spec: _numbers(spec, (float,), "a rotation rate")[0])
     add_system_args(p)
     p.set_defaults(func=cmd_curve, writes=("out", "svg", "dump_elements", "dump_matrix"))
 
@@ -640,9 +643,17 @@ def main(argv=None) -> int:
         parser.error("--trajectories sizes an ensemble, and --preset fig3 runs none")
     t0 = time.time()
     try:
-        for name in args.writes:  # every output path, before any command computes
-            if getattr(args, name) is not None:
-                _check_output(getattr(args, name), directory=name == "out_dir")
+        # every output path, before any command computes: none may be another's,
+        # the manifest's or the temporary file `_write_manifest` renames onto it
+        named = {os.path.abspath(f"{args.out}.manifest.json{tmp}"): "the run manifest"
+                 for tmp in ("", ".tmp")} if "out" in args.writes else {}
+        for name in args.writes:
+            path, flag = getattr(args, name), "--" + name.replace("_", "-")
+            if path is not None:
+                _check_output(path, directory=name == "out_dir")
+                if (other := named.setdefault(os.path.abspath(path), flag)) != flag:
+                    raise ParameterError(f"cannot write {path}: {flag} and {other} "
+                                         "name the same file")
         run = args.func(args)
     except (ParameterError, InputError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -10,8 +10,9 @@ after both first downward crossings. It computes p0 once per state its
 sweep hands it, as the sweep reaches it: once per point, again where a
 point's certificate left the stop decision open and the point was solved
 densely, and once more at each bracket point it re-reads from a dense
-solve. Sweeps run in the L-parity sector of the
-condensate (0,0)^N, the only states the followed state couples to.
+solve. Sweeps run in the L-parity sector of the condensate (0,0)^N, the
+only states the followed state couples to, and p0, the SPDM and <L> are
+read from its states (`hamiltonian.System.sector`).
 
 `hamiltonian.System.sweep` runs every sweep and keeps the last whole-grid
 one, so the diagnostics of the curve just computed cost no second sweep;
@@ -166,9 +167,10 @@ def _transition_grid(basis: FockBasis, cache: ElementCache, g: float,
     """
     coarse = np.linspace(*PRESCAN_RANGE, PRESCAN_POINTS)
     pc, pending, brackets = [], {0.9, 0.1}, set()
+    system = System.of(basis, cache)
 
     def bracketed(state: np.ndarray, sine: float) -> bool | None:
-        p = p_zero(state, basis)
+        p = p_zero(state, system.sector)
         if any((p - sine >= t) != (p + sine >= t) for t in pending):
             return None
         crossed = [t for t in pending if pc and pc[-1] >= t > p]
@@ -178,7 +180,6 @@ def _transition_grid(basis: FockBasis, cache: ElementCache, g: float,
         pc.append(p)
         return not pending
 
-    system = System.of(basis, cache)
     prescan = system.sweep(g, anisotropy, coarse, stop=bracketed)
     if pending:
         return None, prescan
@@ -186,7 +187,7 @@ def _transition_grid(basis: FockBasis, cache: ElementCache, g: float,
     exact = [i for i in brackets if i <= prescan.dense_from]
     for i in exact:
         dense = sweep_lowest(model.h0, model.l_diag, coarse[i:i + 1])
-        pc[i] = p_zero(system.lift(dense.followed[0]), basis)
+        pc[i] = p_zero(dense.followed[0], system.sector)
     return _refined_grid(pc), replace(prescan, dense_solves=prescan.dense_solves + len(exact))
 
 
@@ -220,8 +221,8 @@ def compute_curve(basis: FockBasis, cache: ElementCache, g: float,
         grid = locate_grid(basis, cache, g, anisotropy)
     grid = np.asarray(grid, dtype=float)
     system = System.of(basis, cache)
-    followed = system.lift(system.sweep(g, anisotropy, grid).followed)
-    return ResonanceCurve.from_values(g, anisotropy, grid, p_zero(followed, basis))
+    followed = system.sweep(g, anisotropy, grid).followed
+    return ResonanceCurve.from_values(g, anisotropy, grid, p_zero(followed, system.sector))
 
 
 def curve_diagnostics(basis: FockBasis, cache: ElementCache,
@@ -233,21 +234,20 @@ def curve_diagnostics(basis: FockBasis, cache: ElementCache,
     state has none (ParameterError, before any SPDM work). The sweep is
     `System.sweep`'s, so right after `compute_curve` on the same grid its
     kept sweep is reused. `spdm`, `spdm_branch_gap` and `expected_L` each
-    run once, on the stack of followed states.
+    run once, on the stack of followed sector states.
     """
     system = System.of(basis, cache)
     sweep = system.sweep(curve.g, curve.anisotropy, curve.omega)
-    gap = sweep.gap
-    followed = system.lift(sweep.followed)
-    dens = spdm(followed, basis)
+    gap, sector = sweep.gap, system.sector
+    dens = spdm(sweep.followed, sector)
     lam = dens.eigenvalues
     return CurveDiagnostics(
         omegas=curve.omega.copy(),
         gap=gap,
         lam1=lam[:, 0],
         lam2=lam[:, 1] if lam.shape[1] > 1 else np.zeros(len(lam)),
-        branch_gap=spdm_branch_gap(dens, basis),
-        exp_L=expected_L(followed, basis),
+        branch_gap=spdm_branch_gap(dens, sector),
+        exp_L=expected_L(sweep.followed, sector),
         spdm_trace=np.trace(dens.matrix, axis1=1, axis2=2),
     )
 

@@ -18,28 +18,29 @@ that cancel exactly leave rounding remainders: on the production basis U
 holds four entries of -1.39e-17, where a particle reaches (1,0) from
 (0,0)(0,0) and from (0,0)(0,2) through elements of opposite sign. Its
 smallest true entry is 2.3e-3; every H drops entries below SPARSITY_EPS.
-`Operators.hamiltonian` is the one place that combines the terms: it
-returns H as a full real symmetric `scipy.sparse` CSR matrix. Every other H
-in the package (the sweeps' dense sector matrix, the CLI's matrix dump) is
-that matrix or a slice of it.
+`Operators.hamiltonian` is the one place that combines the terms, into a
+real symmetric `scipy.sparse` CSR matrix over the operators' basis.
 
-A `System` holds what does not depend on (g, A) over one basis and its
-element cache: the operators and the condensate's L-parity sector. It owns
-the sector sweeps: `System.sweep` is the one call into the spectrum that
-curves, their diagnostics and gap profiles make. It keeps one
+H conserves L parity (the deformation changes L by 2), so the state swept
+from the condensate (0,0)^N stays in its L-parity sector. A `System` holds
+what does not depend on (g, A) over that sector of one basis: the sector
+as a `FockBasis`, and its operators. Sweeps, their states and every
+observable read from them stay there; only the full H as an output (the
+CLI's matrix dump and parity check) builds the full basis's operators.
+`System.sweep` is the one call into the spectrum that curves, their
+diagnostics and gap profiles make. A System keeps one
 `spectrum.ReducedModel`, that of the last (g, A) it swept, so a curve's
 refined sweep reuses the anchors of its pre-scan; and it keeps the last
 whole-grid sweep for its (g, A) and points. The package reaches it through
 `System.of(basis, cache)`, which keeps one System and returns it while
-called with the same basis and cache objects (matched by identity, held
-by strong references, so a recycled id() never matches).
-Every caller then sees one `Operators` object and one kept sweep, so
-callers must not mutate their arrays or matrices; D and L are read-only
-arrays.
+called with the same basis and cache objects (matched by identity, held by
+strong references, so a recycled id() never matches). Every caller then
+sees one `Operators` object and one kept sweep, so callers must not mutate
+their arrays or matrices; D and L are read-only arrays.
 """
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from math import isfinite
 
@@ -149,24 +150,20 @@ def build_operators(basis: FockBasis, cache: ElementCache) -> Operators:
 
 class System:
     """A basis and an element cache over its modes (StructureError
-    otherwise), with `operators` built on first use.
-
-    H conserves L parity (the deformation changes L by 2), so sweeps from
-    the condensate (0,0)^N run in its sector: the basis rows `sector_rows`
-    and L on them `sector_l`, both read-only; `lift` puts sector states
-    back in the full basis. `model` is ((g, A), spectrum.ReducedModel) of
-    the last pair swept, or None. `last_sweep` is the SweepResult of the
-    last `sweep` if it swept a whole grid, or None; it is always a sweep
-    of `model`'s pair.
+    otherwise). `sector` is the basis's even-L rows, in basis order, as a
+    `FockBasis` that `observables` reads sector states with; `operators`
+    are built over it on first use. `model` is ((g, A),
+    spectrum.ReducedModel) of the last pair swept, or None. `last_sweep`
+    is the SweepResult of the last `sweep` if it swept a whole grid, or
+    None; it is always a sweep of `model`'s pair.
     """
 
     def __init__(self, basis: FockBasis, cache: ElementCache):
         if tuple(cache.modes) != tuple(basis.modes):
             raise StructureError("element cache was built over a different mode list")
         self.basis, self.cache = basis, cache
-        self.sector_rows = np.flatnonzero(basis.L % 2 == 0)  # the condensate's L is 0
-        self.sector_l = basis.L[self.sector_rows].astype(np.float64)
-        self.sector_rows.flags.writeable = self.sector_l.flags.writeable = False
+        rows = basis.L % 2 == 0  # the condensate's L is 0
+        self.sector = replace(basis, occupations=basis.occupations[rows], L=basis.L[rows])
         self.last_sweep = None
         self.model = None
 
@@ -180,22 +177,12 @@ class System:
 
     @cached_property
     def operators(self) -> Operators:
-        return build_operators(self.basis, self.cache)
-
-    def sector_h0(self, g: float, anisotropy: float) -> np.ndarray:
-        """Dense H(g, A, Omega = 0) on the condensate's sector: the block
-        `sector_rows` x `sector_rows` of `operators.hamiltonian`, sliced
-        before it is densified."""
-        rows = self.sector_rows
-        return self.operators.hamiltonian(g, anisotropy, 0.0)[rows][:, rows].toarray()
+        return build_operators(self.sector, self.cache)
 
     def sweep(self, g: float, anisotropy: float, omegas,
               stop=None) -> spectrum.SweepResult:
         """`spectrum.ReducedModel.sweep` of H(g, A) on the condensate's
-        sector, its states in sector coordinates. `stop(state, sine)` sees
-        them lifted, with their certified sine, and follows the contract
-        there: True or False only where the answer holds for every state
-        within `sine`, None otherwise.
+        sector, with its `stop` contract; the states are sector states.
 
         Every sweep of one (g, A), with `stop` (the curve pre-scan) or
         without, runs through the pair's one model, kept as `model` until
@@ -226,20 +213,12 @@ class System:
         self.last_sweep = None  # freed before the new sweep allocates its arrays
         if self.model is None or self.model[0] != key:
             self.model = None  # and another pair's model before the new one
-            self.model = (key, spectrum.ReducedModel(self.sector_h0(g, anisotropy),
-                                                     self.sector_l))
-        result = self.model[1].sweep(omegas, stop=None if stop is None else
-                                     lambda state, sine: stop(self.lift(state), sine))
+            h0 = self.operators.hamiltonian(g, anisotropy, 0.0).toarray()
+            self.model = (key, spectrum.ReducedModel(h0, self.operators.l))
+        result = self.model[1].sweep(omegas, stop=stop)
         if stop is None:
             self.last_sweep = result
         return result
-
-    def lift(self, vectors: np.ndarray) -> np.ndarray:
-        """Sector vectors (along the last axis) in full-basis coordinates,
-        zero outside the sector."""
-        full = np.zeros(vectors.shape[:-1] + (self.basis.size,))
-        full[..., self.sector_rows] = vectors
-        return full
 
 
 #: the one System `System.of` keeps

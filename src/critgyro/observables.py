@@ -244,7 +244,7 @@ def gap_profile(basis: FockBasis, cache: ElementCache, g: float,
         raise ParameterError(f"gap profile needs a finite center, got {center}")
     system = System.of(basis, cache)
     sweep = system.sweep(g, anisotropy, omegas)
-    l01 = np.abs(np.einsum("ij,j,ij->i", sweep.vec1, system.sector_l, sweep.vec0))
+    l01 = np.abs(np.einsum("ij,j,ij->i", sweep.vec1, system.operators.l, sweep.vec0))
     return GapProfile(
         omegas=np.asarray(omegas, dtype=float),
         gap=sweep.gap, l01=l01, center=float(center),

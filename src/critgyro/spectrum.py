@@ -13,9 +13,9 @@ zero anisotropy) the sweep keeps the branch instead. A point whose two
 lowest energies lie within DEGENERACY_TIE has no defined followed state,
 and the sweep fails closed there with InputError: no tie is broken. Curve
 and gap-profile sweeps run through `hamiltonian.System.sweep`, on the
-condensate-sector matrices, and the System lifts their states back to the
-full basis. It keeps the `ReducedModel` of the last (g, A) it swept, and
-every sweep of that pair, stopped or whole, runs through that model.
+condensate-sector matrices, and their states stay sector states. The
+System keeps the `ReducedModel` of the last (g, A) it swept, and every
+sweep of that pair, stopped or whole, runs through that model.
 
 The dense sweep `sweep_lowest` solves the two lowest eigenpairs at each
 point: E0, E1 and their vectors are all that its callers read. It widens

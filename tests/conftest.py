@@ -44,6 +44,12 @@ def row_of(basis, occupations) -> int:
     return int(row)
 
 
+def sector_h0(system, g, anisotropy) -> np.ndarray:
+    """Dense H(g, A, Omega = 0) on a System's sector, the matrix its sweeps
+    take."""
+    return system.operators.hamiltonian(g, anisotropy, 0.0).toarray()
+
+
 def rows_of(basis, states) -> list[int]:
     """Basis rows of occupation tuples, such as an oracle's states."""
     row = {occ: i for i, occ in enumerate(map(tuple, basis.occupations.tolist()))}

@@ -15,12 +15,14 @@ import critgyro
 import critgyro.cli as cli
 import critgyro.curves as curves
 import critgyro.estimate as estimate
+import critgyro.hamiltonian as hamiltonian
 import critgyro.spectrum as spectrum
 from critgyro.cli import main
 from critgyro.curves import PRESCAN_POINTS, PRESCAN_RANGE, catalog_save
 from critgyro.fock import enumerate_basis
-from critgyro.hamiltonian import System
+from critgyro.hamiltonian import System, build_operators
 from critgyro.melem import ElementCache
+from conftest import sector_h0
 
 
 @pytest.fixture(scope="module")
@@ -84,8 +86,9 @@ def _read_matrix(path):
 
 
 def _hamiltonian(n, g, a, omega):
+    """The full basis's H, which `--dump-matrix` writes."""
     basis = enumerate_basis(n, 2, n + 2)
-    return System(basis, ElementCache.build(basis.modes)).operators.hamiltonian(
+    return build_operators(basis, ElementCache.build(basis.modes)).hamiltonian(
         g, a, omega).toarray()
 
 
@@ -264,7 +267,7 @@ def test_curve_manifest_records_the_prescan_hand_over(tmp_path):
     (health,) = _details(out)["sweeps"]
     basis = enumerate_basis(6, 2, 8)
     system = System(basis, ElementCache.build(basis.modes))
-    dense = spectrum.sweep_lowest(system.sector_h0(0.6, 0.025), system.sector_l,
+    dense = spectrum.sweep_lowest(sector_h0(system, 0.6, 0.025), system.operators.l,
                                   np.linspace(*PRESCAN_RANGE, PRESCAN_POINTS))
     assert health["prescan_dense_from"] == int(np.argmax(dense.followed_rank > 0)) - 1
     assert 0 < health["prescan_dense_solves"] < PRESCAN_POINTS
@@ -327,6 +330,19 @@ def test_curve_needs_one_A_per_g(tmp_path, capsys):
     assert not out.exists()
 
 
+def _spy_sweeps(monkeypatch) -> list:
+    """The grid length of every `ReducedModel.sweep` from now on."""
+    swept = []
+    real = spectrum.ReducedModel.sweep
+
+    def spying(self, omegas, stop=None):
+        swept.append(len(omegas))
+        return real(self, omegas, stop)
+
+    monkeypatch.setattr(spectrum.ReducedModel, "sweep", spying)
+    return swept
+
+
 @pytest.mark.parametrize("argv,flag,bad", [
     (["basis"], "--out", "{missing}/b.csv"),
     (["curve", "--g", "0.5", "--A", "0.04", "--out", "{tmp}/c.csv"], "--svg", "{missing}/c.svg"),
@@ -342,14 +358,7 @@ def test_an_unwritable_output_exits_2_before_any_computation(argv, flag, bad, tm
     with one error line naming it, and no sweep runs and no file is
     written (before, `curve` left its CSV without a manifest when its SVG
     could not be written)."""
-    swept = []
-    real = spectrum.ReducedModel.sweep
-
-    def spying(self, omegas, stop=None):
-        swept.append(len(omegas))
-        return real(self, omegas, stop)
-
-    monkeypatch.setattr(spectrum.ReducedModel, "sweep", spying)
+    swept = _spy_sweeps(monkeypatch)
     existing = tmp_path / "existing"
     existing.write_text("")
     paths = {"tmp": tmp_path, "missing": tmp_path / "missing", "file": existing,
@@ -359,6 +368,58 @@ def test_an_unwritable_output_exits_2_before_any_computation(argv, flag, bad, tm
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot write {bad}: ") and len(err.splitlines()) == 1
     assert swept == [] and list(tmp_path.iterdir()) == [existing]
+
+
+@pytest.mark.parametrize("argv,clash", [
+    (["curve", "--g", "0.5", "--A", "0.04", "--out", "c.csv", "--svg", "./c.csv"],
+     "--svg and --out"),
+    (["curve", "--g", "0.5", "--A", "0.04", "--dump-elements", "d.txt",
+      "--dump-matrix", "sub/../d.txt"], "--dump-matrix and --dump-elements"),
+    (["curve", "--g", "0.5", "--A", "0.04", "--dump-matrix", "curve.csv.manifest.json"],
+     "--dump-matrix and the run manifest"),
+    (["offset", "--catalog", "{catalog}", "--out", "o.csv", "--svg", "o.csv"],
+     "--svg and --out"),
+    (["offset", "--catalog", "{catalog}", "--out", "o.csv", "--svg", "o.csv.manifest.json"],
+     "--svg and the run manifest"),
+    (["offset", "--catalog", "{catalog}", "--out", "o.csv", "--svg",
+      "o.csv.manifest.json.tmp"], "--svg and the run manifest"),
+], ids=["curve-out-svg", "curve-dumps", "curve-manifest", "offset-out-svg",
+        "offset-manifest", "offset-manifest-tmp"])
+def test_two_outputs_on_one_path_exit_2_before_any_computation(argv, clash, tmp_path,
+                                                               catalog_file, capsys,
+                                                               monkeypatch):
+    """Outputs are compared by absolute path, and none may be the run
+    manifest or the temporary file it is written through: a clash exits 2
+    with one error line naming it, no sweep runs and no file is written
+    (before, the later file overwrote the earlier and the manifest listed
+    the path twice, or the manifest's rename took the output away)."""
+    swept = _spy_sweeps(monkeypatch)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    assert main([arg.format(catalog=catalog_file) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write ") and len(err.splitlines()) == 1
+    assert err.endswith(f": {clash} name the same file\n")
+    assert swept == [] and list(tmp_path.iterdir()) == [tmp_path / "sub"]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "x"])
+def test_a_bad_matrix_omega_exits_2_before_any_computation(value, tmp_path, capsys,
+                                                           monkeypatch):
+    """`--matrix-omega` is parsed as a finite number: a bad one is a usage
+    error with one error line, before any sweep, and writes no file
+    (before, NaN failed after the curves were computed and their CSV
+    written, leaving it without a manifest)."""
+    swept = _spy_sweeps(monkeypatch)
+    with pytest.raises(SystemExit) as exit_:
+        main(["curve", "--g", "0.5", "--A", "0.04", "--n", "4", "--l-max", "6",
+              "--out", str(tmp_path / "c.csv"), "--dump-matrix", str(tmp_path / "m.txt"),
+              f"--matrix-omega={value}"])
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert len([line for line in err.splitlines() if "error:" in line]) == 1
+    assert "--matrix-omega" in err and "Traceback" not in err
+    assert swept == [] and list(tmp_path.iterdir()) == []
 
 
 def test_compute_modules_write_no_files():
@@ -394,11 +455,18 @@ def test_selftest_fails_on_a_wrong_exact_element(monkeypatch):
     assert main(["selftest"]) == 4
 
 
-def test_selftest_fails_when_the_sector_matrix_drifts(monkeypatch):
-    real = System.sector_h0
-    monkeypatch.setattr(System, "sector_h0",
-                        lambda self, g, a: real(self, g, a) * (1 + 1e-15))
+def test_selftest_fails_when_the_sector_matrix_drifts(monkeypatch, capsys):
+    """The System's operators, built over the sector, drift from the full
+    basis's by one part in 1e15."""
+    real = hamiltonian.build_operators
+
+    def drifting(basis, cache):
+        ops = real(basis, cache)
+        return dataclasses.replace(ops, u=ops.u * (1 + 1e-15))
+
+    monkeypatch.setattr(hamiltonian, "build_operators", drifting)
     assert main(["selftest"]) == 4
+    assert "[FAIL] sector h0 is the sector block" in capsys.readouterr().out
 
 
 def test_selftest_fails_when_the_solver_drifts_from_scipy_eigh(monkeypatch):

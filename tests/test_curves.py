@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import critgyro.curves as curves
 import critgyro.hamiltonian as hamiltonian
 import critgyro.spectrum as spectrum
-from conftest import make_logistic_curve
+from conftest import make_logistic_curve, sector_h0
 from critgyro.cli import main
 from critgyro.curves import (
     CATALOG_VERSION,
@@ -355,8 +355,8 @@ def test_prescan_stops_at_its_crossings(system6, monkeypatch, g, a):
     grid, prescan = _transition_grid(basis, cache, g, a)
     system = System.of(basis, cache)
     coarse = np.linspace(*PRESCAN_RANGE, PRESCAN_POINTS)
-    whole_prescan = spectrum.sweep_lowest(system.sector_h0(g, a), system.sector_l, coarse)
-    p = p_zero(system.lift(whole_prescan.followed), basis)
+    whole_prescan = spectrum.sweep_lowest(sector_h0(system, g, a), system.operators.l, coarse)
+    p = p_zero(whole_prescan.followed, system.sector)
     assert len(p) == PRESCAN_POINTS
     rel_hi, rel_lo = (crossing_offset(coarse, p, t) for t in (0.9, 0.1))
     if a == 0.0:  # no transition: the pre-scan runs in full
@@ -430,7 +430,8 @@ def test_prescan_computes_p0_once_per_swept_point(system6, monkeypatch, a):
     monkeypatch.setattr(curves, "sweep_lowest", counting_dense)
     locate_grid(basis, cache, 0.5, a)
     assert len(swept) == 1
-    assert shapes == [(basis.size,)] * (swept[0] + sum(undecided) + len(brackets))
+    sector = System.of(basis, cache).sector  # each state p0 reads is a sector state
+    assert shapes == [(sector.size,)] * (swept[0] + sum(undecided) + len(brackets))
     # (0.5, 0.04) reads its two brackets from 4 dense solves; A = 0 crosses neither
     assert len(brackets) == (4 if a else 0)
 
@@ -502,9 +503,9 @@ def test_p_zero_of_each_followed_state_is_the_curve_p0(system6):
     basis, cache = system6
     curve = compute_curve(basis, cache, 0.5, 0.04, grid=np.linspace(0.85, 0.95, 41))
     system = System.of(basis, cache)
-    followed = system.lift(system.last_sweep.followed)
-    assert np.array_equal([p_zero(state, basis) for state in followed], curve.p0)
-    assert np.array_equal(p_zero(followed, basis), curve.p0)
+    followed = system.last_sweep.followed
+    assert np.array_equal([p_zero(state, system.sector) for state in followed], curve.p0)
+    assert np.array_equal(p_zero(followed, system.sector), curve.p0)
 
 
 def test_diagnostics_refuse_a_one_state_sector(monkeypatch):

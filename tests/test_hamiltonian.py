@@ -18,7 +18,7 @@ def build(n, g, anisotropy, omega, l_max=None):
     l_max = n + 2 if l_max is None else l_max
     basis = enumerate_basis(n, 2, l_max)
     cache = ElementCache.build(basis.modes)
-    return basis, cache, System(basis, cache).operators.hamiltonian(g, anisotropy, omega)
+    return basis, cache, build_operators(basis, cache).hamiltonian(g, anisotropy, omega)
 
 
 def test_params_validation():
@@ -91,8 +91,7 @@ def test_h_drops_the_cancellation_remainders_of_u(system6):
 
 def test_omega_enters_linearly_on_the_diagonal():
     basis = enumerate_basis(3, 2, 5)
-    cache = ElementCache.build(basis.modes)
-    ops = System(basis, cache).operators
+    ops = build_operators(basis, ElementCache.build(basis.modes))
     h1 = ops.hamiltonian(0.5, 0.04, 0.2)
     h2 = ops.hamiltonian(0.5, 0.04, 0.9)
     diff = h2.toarray() - h1.toarray()
@@ -138,7 +137,7 @@ def test_assemble_is_linear_in_its_parameters(g, a, omega):
     ops = build_operators(basis, cache)
     expect = (np.diag(ops.d) + a * ops.v.toarray() + g * ops.u.toarray()
               - omega * np.diag(ops.l))
-    got = System(basis, cache).operators.hamiltonian(g, a, omega).toarray()
+    got = ops.hamiltonian(g, a, omega).toarray()
     assert np.max(np.abs(got - expect)) < 1e-14
 
 
@@ -178,15 +177,22 @@ def test_system_operators_are_shared_per_basis_and_cache():
         ops.d[0] = 0.0
 
 
-@pytest.mark.parametrize("g,a", [(0.5, 0.04), (0.6, 0.025)])
-def test_sector_h0_is_the_sector_block_of_the_dense_h(system6, g, a):
-    """On the production basis the sector matrix, sliced from the sparse H
-    before it is densified, is the sector block of the dense H, bit for
-    bit."""
-    system = System.of(*system6)
-    full = system.operators.hamiltonian(g, a, 0.0).toarray()
-    sector = np.ix_(system.sector_rows, system.sector_rows)
-    assert np.array_equal(system.sector_h0(g, a), full[sector])
+@pytest.mark.parametrize("n,l_max", [(3, 5), (4, 6), (6, 8)])
+@pytest.mark.parametrize("g,a,omega", [(0.5, 0.04, 0.0), (0.6, 0.025, 0.9),
+                                       (0.5, 0.0, 0.3)])
+def test_the_sector_h_is_the_sector_block_of_the_full_h(n, l_max, g, a, omega):
+    """The System's operators, built over the condensate's sector, give the
+    even-L block of the full basis's H, bit for bit, in basis order; so
+    does the sector's L."""
+    basis = enumerate_basis(n, 2, l_max)
+    cache = ElementCache.build(basis.modes)
+    system = System(basis, cache)
+    rows = np.flatnonzero(basis.L % 2 == 0)
+    full = build_operators(basis, cache)
+    block = full.hamiltonian(g, a, omega)[rows][:, rows].toarray()
+    assert np.array_equal(system.operators.hamiltonian(g, a, omega).toarray(), block)
+    assert np.array_equal(system.sector.occupations, basis.occupations[rows])
+    assert np.array_equal(system.operators.l, full.l[rows])
 
 
 @pytest.mark.parametrize("grid", [0.9, [], [[0.85, 0.9], [0.92, 0.95]],
@@ -245,12 +251,12 @@ def test_system_sweep_returns_the_kept_sweep_for_its_key(monkeypatch):
     assert sweeps[1] is sweeps[0] and len({id(model) for model in sweeps}) == 4
     for field in dataclasses.fields(first):  # a fresh model on the same grid
         assert np.array_equal(getattr(again, field.name), getattr(first, field.name)), field
-    # `stop` sees full-basis states; a call with it always sweeps, and its
+    # `stop` sees the sector states; a call with it always sweeps, and its
     # result, which certifies the ground state alone, is kept nowhere
     seen = []
     whole = system.sweep(0.5, 0.04, grid, stop=lambda state, sine: seen.append(state) or False)
     assert len(sweeps) == 6 and whole is not again
-    assert np.array_equal(np.array(seen), system.lift(whole.followed))
+    assert np.array_equal(np.array(seen), whole.followed)
     assert system.last_sweep is None
     assert len(whole.omegas) == len(grid)
     part = system.sweep(0.5, 0.04, grid, stop=lambda state, sine: True)

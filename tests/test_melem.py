@@ -7,7 +7,7 @@ from critgyro import melem
 from critgyro.cli import main
 from critgyro.errors import ParameterError
 from critgyro.fock import Mode, enumerate_basis, enumerate_modes
-from critgyro.hamiltonian import System
+from critgyro.hamiltonian import build_operators
 from critgyro.melem import (
     ElementCache,
     pairs_by_total_m,
@@ -86,9 +86,9 @@ def _norm(quad) -> float:
                 / prod(factorial(n + abs(m)) for n, m in quad))
 
 
-def _h_without_d(system, g, anisotropy):
-    """H(g, A, Omega = 0) minus its one-body diagonal D, dense."""
-    ops = system.operators
+def _h_without_d(ops, g, anisotropy):
+    """H(g, A, Omega = 0) of the operators minus their one-body diagonal D,
+    dense."""
     return ops.hamiltonian(g, anisotropy, 0.0).toarray() - np.diag(ops.d)
 
 
@@ -103,8 +103,8 @@ def test_v_selection_rule_and_zero_anisotropy():
             assert cache.v_raw[i, j] == 0.0
     # at A = 0 (and g = 0) H is its one-body diagonal alone
     basis = enumerate_basis(2, 2, 3)
-    system = System(basis, ElementCache.build(basis.modes))
-    assert np.array_equal(_h_without_d(system, 0.0, 0.0), np.zeros((basis.size,) * 2))
+    ops = build_operators(basis, ElementCache.build(basis.modes))
+    assert np.array_equal(_h_without_d(ops, 0.0, 0.0), np.zeros((basis.size,) * 2))
 
 
 def test_v_element_value():
@@ -160,15 +160,15 @@ def test_v_symmetric_and_linear():
     assert v_raw[i, j] == v_raw[j, i] != 0.0
     assert np.array_equal(v_raw, v_raw.T)
     basis = enumerate_basis(3, 2, 5)
-    system = System(basis, ElementCache.build(basis.modes))
-    assert np.allclose(_h_without_d(system, 0.0, 0.06), 2 * _h_without_d(system, 0.0, 0.03),
+    ops = build_operators(basis, ElementCache.build(basis.modes))
+    assert np.allclose(_h_without_d(ops, 0.0, 0.06), 2 * _h_without_d(ops, 0.0, 0.03),
                        rtol=1e-12, atol=0)
 
 
 def test_u_linear_in_g():
     basis = enumerate_basis(3, 2, 5)
-    system = System(basis, ElementCache.build(basis.modes))
-    assert np.allclose(_h_without_d(system, 0.25, 0.0), 0.25 * _h_without_d(system, 1.0, 0.0),
+    ops = build_operators(basis, ElementCache.build(basis.modes))
+    assert np.allclose(_h_without_d(ops, 0.25, 0.0), 0.25 * _h_without_d(ops, 1.0, 0.0),
                        rtol=1e-12, atol=0)
 
 

@@ -22,7 +22,7 @@ from critgyro.observables import (
     transition_width,
 )
 from critgyro.spectrum import sweep_lowest
-from conftest import make_logistic_curve, row_of, rows_of
+from conftest import make_logistic_curve, row_of, rows_of, sector_h0
 from oracle import oracle_hamiltonian, oracle_spdm
 
 
@@ -182,14 +182,67 @@ def test_cached_basis_tables_are_read_only(basis6):
             arr[0] = arr[0]
 
 
+def _sector_and_full_states(system6):
+    """(sector, full basis, states, states) of one sweep's followed
+    states, in the sector and written into the full basis."""
+    basis, cache = system6
+    system = System(basis, cache)
+    sweep = sweep_lowest(sector_h0(system, 0.5, 0.04), system.operators.l,
+                         np.linspace(0.8, 0.95, 16))
+    full = np.zeros((len(sweep.followed), basis.size))
+    full[:, basis.L % 2 == 0] = sweep.followed
+    return system.sector, basis, sweep.followed, full
+
+
+def _dot_bound(sector, basis, states, values):
+    """Largest difference between psi**2 @ values summed over the sector's
+    rows and over the full basis, zeros between them, in another order.
+    The terms are the same, so the exact sums are equal, and a dot product
+    of n terms lies within gamma_n * sum |x_i y_i|, gamma_n = n u / (1 -
+    n u), of its exact value (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., eq. 3.5): the bound is the sum of both gammas."""
+    u = np.finfo(float).eps / 2
+    return sum(n * u / (1 - n * u) for n in (sector.size, basis.size)) * \
+        (states**2 @ np.abs(values))
+
+
+def test_sector_states_give_the_full_basis_p0_and_spdm(system6):
+    """`p_zero` and the SPDM's off-diagonal read a sector state as they read
+    the same state written into the full basis, bit for bit: every m = 0
+    state has L = 0, so `p_zero` sums the same entries in the same order,
+    and each hop the sector's table lacks adds a zero weight. The SPDM's
+    diagonal, psi**2 @ occupations, is one BLAS product whose summation
+    order may change with its length: it lies within the dot bound, and
+    where the whole matrix is equal, so are its spectrum and branch gap."""
+    sector, basis, states, full = _sector_and_full_states(system6)
+    assert np.array_equal(p_zero(states, sector), p_zero(full, basis))
+    assert p_zero(states[3], sector) == p_zero(full[3], basis)
+    ours, theirs = spdm(states, sector), spdm(full, basis)
+    modes = np.arange(len(basis.modes))
+    off = ~np.eye(len(modes), dtype=bool)
+    assert np.array_equal(ours.matrix[:, off], theirs.matrix[:, off])
+    assert np.all(np.abs(ours.matrix[:, modes, modes] - theirs.matrix[:, modes, modes])
+                  <= _dot_bound(sector, basis, states, sector.occupations))
+    equal = (ours.matrix == theirs.matrix).all(axis=(1, 2))
+    assert equal.any()
+    for name in ("eigenvalues", "eigenvectors"):
+        assert np.array_equal(getattr(ours, name)[equal], getattr(theirs, name)[equal]), name
+    assert np.array_equal(spdm_branch_gap(ours, sector)[equal],
+                          spdm_branch_gap(theirs, basis)[equal])
+
+
+def test_sector_states_give_the_full_basis_expected_L_within_the_dot_bound(system6):
+    """<L> = psi**2 @ L, over the sector or the full basis, within the dot
+    bound of `_dot_bound`."""
+    sector, basis, states, full = _sector_and_full_states(system6)
+    assert np.all(np.abs(expected_L(states, sector) - expected_L(full, basis))
+                  <= _dot_bound(sector, basis, states, sector.L))
+
+
 def test_spdm_contraction_keeps_the_bits_of_the_hop_row_product(system6):
     """`table_t @ (psi[src] * psi[tgt])` gives the bits of the row-vector
     product `psi[src] * psi[tgt] @ table` with the untransposed table."""
-    basis, cache = system6
-    system = System(basis, cache)
-    sweep = sweep_lowest(system.sector_h0(0.5, 0.04), system.sector_l,
-                         np.linspace(0.8, 0.95, 16))
-    followed = system.lift(sweep.followed)
+    basis, _, followed, _ = _sector_and_full_states(system6)
     src, tgt, table_t = basis.spdm_hop_table
     table = sp.csr_matrix(table_t.T)
     nm = len(basis.modes)

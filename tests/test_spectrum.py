@@ -25,7 +25,7 @@ from critgyro.hamiltonian import System, build_operators
 from critgyro.melem import ElementCache
 from critgyro.observables import p_zero
 from critgyro.spectrum import ReducedModel, sweep_lowest
-from conftest import row_of
+from conftest import row_of, sector_h0
 from oracle import reference_sweep_followed
 
 REFERENCE_CATALOG = (Path(__file__).resolve().parent.parent
@@ -80,11 +80,11 @@ def test_ground_state_is_condensate_dominated_without_rotation():
     pair and radial excitations inside the sector."""
     basis, system = physical(6)
     res = system.sweep(0.5, 0.0, [0.0])
-    energy, vec = res.energies[0, 0], system.lift(res.vec0[0])
-    dense = system.operators.hamiltonian(0.5, 0.0, 0.0).toarray()
+    energy, vec = res.energies[0, 0], res.vec0[0]
+    dense = build_operators(basis, system.cache).hamiltonian(0.5, 0.0, 0.0).toarray()
     assert energy == pytest.approx(np.linalg.eigvalsh(dense)[0], abs=1e-10)
     i = row_of(basis, {Mode(0, 0): 6})
-    assert vec[i] ** 2 > 0.80
+    assert vec[row_of(system.sector, {Mode(0, 0): 6})] ** 2 > 0.80
     # dressing lowers the energy strictly below the diagonal entry
     assert energy < dense[i, i] - 1e-3
 
@@ -103,7 +103,7 @@ def test_variational_bound():
     dense = system.operators.hamiltonian(0.5, 0.04, 0.7).toarray()
     rng = np.random.default_rng(42)
     for _ in range(100):
-        v = system.lift(rng.standard_normal(len(system.sector_rows)))
+        v = rng.standard_normal(system.sector.size)
         v /= np.linalg.norm(v)
         assert v @ dense @ v >= e0 - 1e-10
 
@@ -123,7 +123,7 @@ def test_orthonormality_and_residuals():
     overlap = vectors.T @ vectors
     assert np.allclose(np.diag(overlap), 1.0, atol=1e-12)
     assert np.max(np.abs(overlap - np.eye(2))) < 1e-10
-    ham = system.sector_h0(0.6, 0.03) - 0.8 * np.diag(system.sector_l)
+    ham = sector_h0(system, 0.6, 0.03) - 0.8 * np.diag(system.operators.l)
     residuals = np.linalg.norm(ham @ vectors - vectors * res.energies[0], axis=0)
     assert (residuals < 1e-9).all()
     assert (np.diff(res.energies[0]) >= -1e-12).all()
@@ -134,7 +134,7 @@ def test_sweep_follows_sector_through_exact_crossing():
     branch even after another angular-momentum sector dips below it."""
     basis = enumerate_basis(4, 2, 6)
     cache = ElementCache.build(basis.modes)
-    ham0 = System(basis, cache).operators.hamiltonian(0.5, 0.0, 0.0)
+    ham0 = build_operators(basis, cache).hamiltonian(0.5, 0.0, 0.0)
     omegas = np.linspace(0.7, 1.0, 61)
     sweep = sweep_lowest(ham0.toarray(), basis.L.astype(float), omegas)
     # the followed state keeps total L = 0 across the whole scan
@@ -147,7 +147,7 @@ def test_sweep_follows_sector_through_exact_crossing():
 def test_gap_positive_with_anisotropy():
     basis = enumerate_basis(4, 2, 6)
     cache = ElementCache.build(basis.modes)
-    ham0 = System(basis, cache).operators.hamiltonian(0.5, 0.03, 0.0)
+    ham0 = build_operators(basis, cache).hamiltonian(0.5, 0.03, 0.0)
     omegas = np.linspace(0.8, 1.0, 41)
     sweep = sweep_lowest(ham0.toarray(), basis.L.astype(float), omegas)
     gap = sweep.energies[:, 1] - sweep.energies[:, 0]
@@ -157,19 +157,15 @@ def test_gap_positive_with_anisotropy():
 def test_sector_sweep_reproduces_full_space_p0():
     basis = enumerate_basis(4, 2, 6)
     cache = ElementCache.build(basis.modes)
-    ham0 = System(basis, cache).operators.hamiltonian(0.5, 0.04, 0.0)
+    ham0 = build_operators(basis, cache).hamiltonian(0.5, 0.04, 0.0)
     l_diag = basis.L.astype(float)
     omegas = np.linspace(0.7, 1.0, 61)
     full = sweep_lowest(ham0.toarray(), l_diag, omegas)
     system = System(basis, cache)
-    sector = sweep_lowest(system.sector_h0(0.5, 0.04), system.sector_l, omegas)
-    followed = system.lift(sector.followed)
+    sector = sweep_lowest(sector_h0(system, 0.5, 0.04), system.operators.l, omegas)
     even = basis.L % 2 == 0
-    assert followed.shape == full.followed.shape
-    assert not followed[:, ~even].any()
-    mask = basis.zero_momentum_mask
-    p_full = (full.followed[:, mask] ** 2).sum(axis=1)
-    p_sector = (followed[:, mask] ** 2).sum(axis=1)
+    p_full = p_zero(full.followed, basis)
+    p_sector = p_zero(sector.followed, system.sector)
     assert np.max(np.abs(p_sector - p_full)) < 1e-10
     # the sector ground state is the full one wherever that one is even
     ground_even = (full.vec0[:, even] ** 2).sum(axis=1) > 0.5
@@ -219,7 +215,7 @@ def _sector_prescan(basis, cache, g, a):
 def _exact_crossing_sweep():
     basis = enumerate_basis(4, 2, 6)
     cache = ElementCache.build(basis.modes)
-    h0 = System(basis, cache).operators.hamiltonian(0.5, 0.0, 0.0).toarray()
+    h0 = build_operators(basis, cache).hamiltonian(0.5, 0.0, 0.0).toarray()
     return h0, basis.L.astype(float), np.linspace(0.7, 1.0, 61), basis.zero_momentum_mask
 
 
@@ -285,14 +281,6 @@ def test_sweep_stop_ends_after_the_point_it_accepts():
     for name in ("energies", "vec0", "vec1", "followed", "followed_rank"):
         assert np.array_equal(getattr(part, name), getattr(whole, name)[:7])
     assert np.array_equal(np.array(seen), whole.followed[:7])
-    # a sector sweep hands `stop` the sector state, which the System lifts
-    basis = enumerate_basis(4, 2, 6)
-    system = System(basis, ElementCache.build(basis.modes))
-    lifted = []
-    sector = sweep_lowest(system.sector_h0(0.5, 0.0), system.sector_l, omegas,
-                          stop=lambda state, sine: lifted.append(system.lift(state)) or True)
-    assert len(sector.omegas) == 1
-    assert np.array_equal(lifted[0], system.lift(sector.followed)[0])
 
 
 _SWEEP_FIELDS = ("omegas", "energies", "vec0", "vec1", "followed", "followed_rank")
@@ -492,7 +480,7 @@ def _agree(continued, dense, mask):
 def _dense_at(system, g, a, omegas, rows):
     """The dense sweep at omegas[rows]. A dense sweep that stays at rank 0
     solves each point alone, so these are its values on all of omegas."""
-    dense = sweep_lowest(system.sector_h0(g, a), system.sector_l, omegas[rows])
+    dense = sweep_lowest(sector_h0(system, g, a), system.operators.l, omegas[rows])
     assert not dense.followed_rank.any()
     return dense
 
@@ -506,13 +494,13 @@ def test_continuation_matches_the_dense_sweep_on_the_ladder_grids(system6, catal
     gives the dense sweep's p0, E0 and gap from at most 30 dense solves."""
     basis, cache = system6
     system = System.of(basis, cache)
-    curve, mask = catalog_default.find(g, a), basis.zero_momentum_mask[system.sector_rows]
+    curve, mask = catalog_default.find(g, a), system.sector.zero_momentum_mask
     window = np.arange(len(curve.omega))[_window(curve.p0)]
     rows = np.union1d(window, np.arange(0, len(curve.omega), 10))
     dense = _dense_at(system, g, a, curve.omega, rows)
     dense_p0 = (dense.followed[:, mask] ** 2).sum(axis=1)
     assert np.max(np.abs(curve.p0[rows] - dense_p0)) <= min(spectrum.SINE_TOL, 1e-10)
-    continued = sweep(system.sector_h0(g, a), system.sector_l, curve.omega[window])
+    continued = sweep(sector_h0(system, g, a), system.operators.l, curve.omega[window])
     assert continued.dense_solves <= 30
     _agree(continued, _restricted(dense, np.searchsorted(rows, window)), mask)
 
@@ -535,7 +523,7 @@ def test_located_grids_match_the_reference_catalog(system6, g, a):
     refined = system.sweep(g, a, reference.omega[window])
     assert system.model[1] is model
     assert prescan.dense_solves + refined.dense_solves <= 30
-    p0 = p_zero(system.lift(refined.followed), basis)
+    p0 = p_zero(refined.followed, system.sector)
     assert np.max(np.abs(p0 - reference.p0[window])) <= 1e-10
 
 
@@ -546,10 +534,10 @@ def test_continuation_on_a_located_grid_takes_at_most_60_dense_solves(system6):
     system = System.of(basis, cache)
     grid = catalog_load(REFERENCE_CATALOG).find(0.5, 0.04).omega
     rows = np.arange(0, len(grid), 5)
-    continued = sweep(system.sector_h0(0.5, 0.04), system.sector_l, grid)
+    continued = sweep(sector_h0(system, 0.5, 0.04), system.operators.l, grid)
     assert continued.dense_solves <= 60
     _agree(_restricted(continued, rows), _dense_at(system, 0.5, 0.04, grid, rows),
-           basis.zero_momentum_mask[system.sector_rows])
+           system.sector.zero_momentum_mask)
 
 
 def test_continuation_bounds_lambda_2_through_a_negative_l_min():
@@ -558,7 +546,7 @@ def test_continuation_bounds_lambda_2_through_a_negative_l_min():
     lambda_2 below it; the continuation still matches the dense sweep."""
     basis = enumerate_basis(4, 3, 6)
     system = System(basis, ElementCache.build(basis.modes))
-    h0, l_diag = system.sector_h0(0.5, 0.04), system.sector_l
+    h0, l_diag = sector_h0(system, 0.5, 0.04), system.operators.l
     omegas = np.linspace(0.0, 1.0, 41)
     assert l_diag.min() == -2.0
     lam2 = [sla.eigvalsh(h0 - om * np.diag(l_diag), subset_by_index=(2, 2))[0]
@@ -566,7 +554,7 @@ def test_continuation_bounds_lambda_2_through_a_negative_l_min():
     assert np.diff(lam2).max() > 0  # lambda_2 rises: L_min = 0 would overstate it
     continued = sweep(h0, l_diag, omegas)
     _agree(continued, sweep_lowest(h0, l_diag, omegas),
-           basis.zero_momentum_mask[system.sector_rows])
+           system.sector.zero_momentum_mask)
     assert continued.dense_solves < len(omegas)
 
 
@@ -625,7 +613,7 @@ def test_continuation_hands_a_branch_change_to_the_dense_sweep(system6):
     no other."""
     basis, cache = system6
     system = System.of(basis, cache)
-    h0, l_diag = system.sector_h0(0.5, 0.0), system.sector_l
+    h0, l_diag = sector_h0(system, 0.5, 0.0), system.operators.l
     omegas = np.linspace(*PRESCAN_RANGE, REFINED_POINTS)
     model = ReducedModel(h0, l_diag)
     result = model.sweep(omegas)
